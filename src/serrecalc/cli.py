@@ -1,8 +1,9 @@
-"""Command-line front end.
+"""Command-line front end: one table of subcommands and one dispatcher.
 
 Every subcommand prints deterministic output: JSON with sorted keys, CSV,
 or an aligned table.  Unbounded integers are emitted as decimal strings.
-Exit codes: 0 success, 1 failed verification, 2 usage errors.
+Exit codes: 0 success, 1 when a payload flag listed in the table is false,
+2 for usage errors and bad input, with one ``error:`` line on stderr.
 """
 
 from __future__ import annotations
@@ -10,10 +11,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
+from pathlib import Path
+from typing import Callable
 
 from . import verify
-from .errors import UnsupportedCaseError
 from .ideals import MonomialIdeal, Monomial, a_lambda, hilbert, patched_ideals
 from .homology import hochster_profile, taylor_profile
 from .pbw import tor1_gr
@@ -40,63 +42,6 @@ from .weights import (
 )
 
 
-class SystemExit2(SystemExit):
-    def __init__(self, msg: str):
-        print(f"error: {msg}", file=sys.stderr)
-        super().__init__(2)
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Parsed common flags; mirrors the context invariants.
-
-    trunc defaults to f + 4, the working radius of the windowed tables.
-    """
-
-    f: int
-    case: Case | None = None
-    jrho: frozenset[int] | None = None
-    i0: int | None = None
-    i0p: int | None = None
-    trunc: int | None = None
-    fmt: str = "json"
-    p: int | None = None
-
-    @staticmethod
-    def from_args(args: argparse.Namespace) -> "RunConfig":
-        f = args.f
-        case = Case(args.case) if getattr(args, "case", None) else None
-        return RunConfig(
-            f=f,
-            case=case,
-            jrho=_parse_jrho(getattr(args, "jrho", None), f),
-            i0=getattr(args, "i0", None),
-            i0p=getattr(args, "i0p", None),
-            trunc=getattr(args, "trunc", None),
-            fmt=getattr(args, "fmt", "json"),
-            p=getattr(args, "p", None),
-        )
-
-    def context(self) -> GaloisContext:
-        if self.case is None:
-            raise SystemExit2("--case is required")
-        if self.case is Case.IRREDUCIBLE:
-            return GaloisContext(self.f, self.case, frozenset(), self.p)
-        if self.jrho is None:
-            raise SystemExit2("--jrho is required for reducible cases ('all' or a bitmask)")
-        return GaloisContext(self.f, self.case, self.jrho, self.p)
-
-    def spec(self) -> SubquotientSpec:
-        if self.i0 is None or self.i0p is None:
-            raise SystemExit2("--i0 and --i0p are required")
-        spec = SubquotientSpec(self.i0, self.i0p)
-        spec.check(self.f)
-        return spec
-
-    def resolved_trunc(self) -> int:
-        return default_trunc(self.f) if self.trunc is None else self.trunc
-
-
 def _parse_jrho(text: str | None, f: int) -> frozenset[int] | None:
     if text is None:
         return None
@@ -104,22 +49,48 @@ def _parse_jrho(text: str | None, f: int) -> frozenset[int] | None:
         return frozenset(range(f))
     mask = int(text)
     if mask < 0 or mask >= 1 << f:
-        raise argparse.ArgumentTypeError(f"jrho bitmask {mask} outside 0..2^f-1")
+        raise ValueError(f"jrho bitmask {mask} outside 0..2^f-1")
     return frozenset(j for j in range(f) if mask & (1 << j))
 
 
-def _context(args) -> GaloisContext:
-    return RunConfig.from_args(args).context()
-
-
-def _profile(args, f: int) -> WeightProfile:
-    tags = [t.strip() for t in args.profile.split(",")]
+def _profile(tags: list[str], f: int) -> WeightProfile:
     if len(tags) != f:
-        raise SystemExit2(f"profile has {len(tags)} entries, expected f = {f}")
-    try:
-        return WeightProfile.from_tags(tags)
-    except ValueError as exc:
-        raise SystemExit2(str(exc))
+        raise ValueError(f"profile has {len(tags)} entries, expected f = {f}")
+    return WeightProfile.from_tags(t.strip() for t in tags)
+
+
+def _resolve(a: argparse.Namespace) -> None:
+    """Set ``a.ctx``, ``a.lam`` and ``a.spec`` from whichever common flags the row has."""
+    if hasattr(a, "case"):
+        case = Case(a.case)
+        jrho = _parse_jrho(a.jrho, a.f)
+        if case is Case.IRREDUCIBLE:
+            jrho = frozenset()
+        elif jrho is None:
+            raise ValueError("--jrho is required for reducible cases ('all' or a bitmask)")
+        a.ctx = GaloisContext(a.f, case, jrho, a.p)
+    if getattr(a, "profile", None) is not None:
+        a.lam = _profile(a.profile.split(","), a.f)
+    if hasattr(a, "i0p"):
+        a.spec = SubquotientSpec(a.i0, a.i0p)
+        a.spec.check(a.f)
+
+
+def _list_of_lists(data, kind: type, what: str) -> list[list]:
+    """Shape check for JSON input: a list of lists of ``kind`` (bool is not int)."""
+    if not (isinstance(data, list) and all(isinstance(x, list) for x in data)
+            and all(type(e) is kind for x in data for e in x)):
+        raise ValueError(f"expected {what}")
+    return data
+
+
+def _read_profiles(path: str, f: int) -> list[WeightProfile]:
+    """Profiles from a JSON tag-array list, or an object holding one under "profiles"."""
+    data = json.loads(sys.stdin.read() if path == "-" else Path(path).read_text())
+    if isinstance(data, dict):
+        data = data.get("profiles")
+    tag_lists = _list_of_lists(data, str, f"{path} to hold a list of profile tag arrays")
+    return [_profile(tags, f) for tags in tag_lists]
 
 
 def _stringify(obj):
@@ -135,7 +106,7 @@ def _stringify(obj):
     return obj
 
 
-def _emit(payload: dict, fmt: str, table_rows: list[list[str]] | None = None):
+def _emit(payload, fmt: str, table_rows: list[list[str]] | None):
     if fmt == "json":
         print(dumps_canonical(_stringify(payload)))
         return
@@ -149,366 +120,258 @@ def _emit(payload: dict, fmt: str, table_rows: list[list[str]] | None = None):
         print("  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip())
 
 
-def _add_ctx_flags(sp, need_case=True):
-    sp.add_argument("--f", type=int, required=True)
-    if need_case:
-        sp.add_argument("--case", choices=[c.value for c in Case], required=True)
-        sp.add_argument("--jrho", help="bitmask over {0..f-1}, or 'all'")
-        sp.add_argument("--p", type=int, default=None)
-    sp.add_argument("--format", dest="fmt", choices=["json", "csv", "table"], default="json")
+# -- payloads: each takes the parsed flags after _resolve ---------------------
+
+def _enumerate(a) -> dict:
+    profiles = [p.tags() for p in enumerate_profiles(a.ctx, a.which)]
+    return {"which": a.which, "profiles": profiles, "count": len(profiles)}
 
 
-def _spec(args, f: int) -> SubquotientSpec:
-    return RunConfig.from_args(args).spec()
-
-
-def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="serrecalc", description=__doc__)
-    sub = ap.add_subparsers(dest="command", required=True)
-
-    sp = sub.add_parser("enumerate", help="list a profile family")
-    _add_ctx_flags(sp)
-    sp.add_argument("--which", choices=["Pss", "P", "Dss", "D", "Pbar"], required=True)
-
-    sp = sub.add_parser("stats", help="t-assignment and index data of profiles")
-    _add_ctx_flags(sp)
-    sp.add_argument("--profile", help="comma-separated symbol tags")
-    sp.add_argument("--from-json", dest="from_json", help="JSON file of profile tag arrays, '-' for stdin")
-
-    sp = sub.add_parser("ideal", help="minimal generators and Hilbert numerator")
-    _add_ctx_flags(sp)
-    sp.add_argument("--profile", required=True)
-
-    sp = sub.add_parser("hilbert", help="closed vs enumerated Hilbert series")
-    _add_ctx_flags(sp)
-    sp.add_argument("--trunc", type=int, default=None)
-
-    sp = sub.add_parser("ni", help="split-case layer series")
-    _add_ctx_flags(sp)
-    sp.add_argument("--i", type=int, required=True)
-
-    sp = sub.add_parser("grsubquot", help="per-profile bigraded window tables")
-    _add_ctx_flags(sp)
-    sp.add_argument("--i0", type=int, required=True)
-    sp.add_argument("--i0p", type=int, required=True)
-    sp.add_argument("--trunc", type=int, default=None)
-
-    sp = sub.add_parser("i1", help="invariant index set of a window")
-    _add_ctx_flags(sp)
-    sp.add_argument("--i0", type=int, required=True)
-    sp.add_argument("--i0p", type=int, required=True)
-
-    sp = sub.add_parser("socle", help="socle J-sets of a window")
-    _add_ctx_flags(sp)
-    sp.add_argument("--i0", type=int, required=True)
-    sp.add_argument("--i0p", type=int, required=True)
-
-    sp = sub.add_parser("k1cycle", help="binomial window count")
-    _add_ctx_flags(sp, need_case=False)
-    sp.add_argument("--i0", type=int, required=True)
-    sp.add_argument("--i0p", type=int, required=True)
-
-    sp = sub.add_parser("theta", help="sign-constrained lattice model")
-    _add_ctx_flags(sp)
-    sp.add_argument("--profile", required=True)
-    sp.add_argument("--i0", type=int, required=True)
-    sp.add_argument("--n", type=int, default=None)
-
-    sp = sub.add_parser("match", help="semisimple layer matching")
-    _add_ctx_flags(sp)
-    sp.add_argument("--i0", type=int, required=True)
-    sp.add_argument("--trunc", type=int, default=None)
-
-    sp = sub.add_parser("tor", help="Tor dims of a monomial ideal")
-    sp.add_argument("--gens", required=True, help="JSON list of exponent arrays")
-    sp.add_argument("--ambient", type=int, default=None)
-    sp.add_argument("--method", choices=["hochster", "taylor", "both"], default="both")
-    sp.add_argument("--max-i", dest="max_i", type=int, default=None)
-    sp.add_argument("--format", dest="fmt", choices=["json", "csv", "table"], default="json")
-
-    sp = sub.add_parser("grtor", help="rank data in the degree-3 truncation")
-    _add_ctx_flags(sp)
-    sp.add_argument("--profile", required=True)
-    sp.add_argument("--side", choices=["right", "left"], default="right")
-
-    sp = sub.add_parser("xcounts", help="character shell sizes around a profile")
-    _add_ctx_flags(sp)
-    sp.add_argument("--profile", required=True)
-
-    sp = sub.add_parser("patched", help="patched-module intersection check")
-    _add_ctx_flags(sp)
-    sp.add_argument("--profile", required=True)
-
-    sp = sub.add_parser("verify", help="run named verification suites")
-    sp.add_argument("--suite", action="append", choices=sorted(verify.SUITES), default=None)
-    sp.add_argument("--all", action="store_true")
-    sp.add_argument("--f", type=int, default=None, help="override the default scale")
-    sp.add_argument("--report", choices=["json"], default=None)
-    return ap
-
-
-def _cmd_enumerate(args) -> int:
-    ctx = _context(args)
-    profiles = enumerate_profiles(ctx, args.which)
-    payload = {"which": args.which, "profiles": [p.tags() for p in profiles], "count": len(profiles)}
-    _emit(payload, args.fmt, [p.tags() for p in profiles] if args.fmt != "json" else None)
-    return 0
-
-
-def _stats_payload(ctx, lam) -> dict:
-    st = profile_stats(ctx, lam)
-    return {
-        "profile": lam.tags(),
-        "j_lambda": sorted(st.j_lambda),
-        "ell": st.ell,
-        "t_assign": [g.value for g in st.t_assign],
-        "a_set": sorted(st.a_set),
-        "k": st.k,
-        "j1": sorted(st.j1),
-        "j2": sorted(st.j2),
-        "eps": {str(j): s for j, s in st.eps},
-    }
-
-
-def _cmd_stats(args) -> int:
-    ctx = _context(args)
-    if args.profile:
-        lams = [_profile(args, ctx.f)]
-    elif args.from_json:
-        raw = sys.stdin.read() if args.from_json == "-" else open(args.from_json).read()
-        data = json.loads(raw)
-        tag_lists = data["profiles"] if isinstance(data, dict) else data
-        lams = [WeightProfile.from_tags(tags) for tags in tag_lists]
+def _stats(a) -> dict:
+    if a.profile is not None:
+        lams = [a.lam]
+    elif a.from_json:
+        lams = _read_profiles(a.from_json, a.f)
     else:
-        raise SystemExit2("stats needs --profile or --from-json")
-    payload = {"stats": [_stats_payload(ctx, lam) for lam in lams]}
-    _emit(payload, args.fmt)
-    return 0
+        raise ValueError("stats needs --profile or --from-json")
+    out = []
+    for lam in lams:
+        st = profile_stats(a.ctx, lam)
+        out.append({
+            "profile": lam.tags(),
+            "j_lambda": sorted(st.j_lambda),
+            "ell": st.ell,
+            "t_assign": [g.value for g in st.t_assign],
+            "a_set": sorted(st.a_set),
+            "k": st.k,
+            "j1": sorted(st.j1),
+            "j2": sorted(st.j2),
+            "eps": {str(j): s for j, s in st.eps},
+        })
+    return {"stats": out}
 
 
-def _cmd_ideal(args) -> int:
-    ctx = _context(args)
-    lam = _profile(args, ctx.f)
-    ideal = a_lambda(ctx, lam)
-    rs = hilbert(ideal).reduced()
-    payload = {
-        "gens": [list(g.exps) for g in ideal.gens],
-        "hilbert": rational_to_json(rs),
-    }
-    _emit(payload, args.fmt)
-    return 0
+def _ideal(a) -> dict:
+    ideal = a_lambda(a.ctx, a.lam)
+    return {"gens": [list(g.exps) for g in ideal.gens], "hilbert": rational_to_json(hilbert(ideal).reduced())}
 
 
-def _cmd_hilbert(args) -> int:
-    cfg = RunConfig.from_args(args)
-    ctx = cfg.context()
-    res = hilbert_pi(ctx)
-    n = cfg.resolved_trunc()
-    payload = {
-        "closed": rational_to_json(res.closed),
-        "enumerated": rational_to_json(res.enumerated),
-        "equal": res.equal,
-        "expansion": [str(c) for c in expand(res.closed, n)],
-    }
-    rows = [
-        ["numerator", " ".join(str(c) for c in res.closed.num.coeffs)],
-        ["pole", str(res.closed.pole)],
-        ["equal", str(res.equal)],
-        ["expansion", " ".join(str(c) for c in expand(res.closed, n))],
+def _series_check(res) -> dict:
+    closed, enumerated = rational_to_json(res.closed), rational_to_json(res.enumerated)
+    return {"closed": closed, "enumerated": enumerated, "equal": res.equal}
+
+
+def _hilbert(a) -> dict:
+    res = hilbert_pi(a.ctx)
+    n = default_trunc(a.f) if a.trunc is None else a.trunc
+    return {**_series_check(res), "expansion": [str(c) for c in expand(res.closed, n)]}
+
+
+def _hilbert_rows(d: dict) -> list[list[str]]:
+    return [
+        ["numerator", " ".join(d["closed"]["num"])],
+        ["pole", str(d["closed"]["pole"])],
+        ["equal", str(d["equal"])],
+        ["expansion", " ".join(d["expansion"])],
     ]
-    _emit(payload, args.fmt, rows)
-    return 0
 
 
-def _cmd_ni(args) -> int:
-    ctx = _context(args)
-    res = hilbert_Ni(ctx, args.i)
-    payload = {
-        "i": args.i,
-        "closed": rational_to_json(res.closed),
-        "enumerated": rational_to_json(res.enumerated),
-        "equal": res.equal,
-    }
-    _emit(payload, args.fmt)
-    return 0
-
-
-def _cmd_grsubquot(args) -> int:
-    ctx = _context(args)
-    spec = _spec(args, ctx.f)
-    data = gr_subquotient(ctx, spec, args.trunc)
-    payload = {
-        "i0": spec.i0,
-        "i0p": spec.i0p,
-        "summands": [
-            {"profile": lam.tags(), "series": bigraded_to_json(b)} for lam, b in data
-        ],
+def _grsubquot(a) -> dict:
+    data = gr_subquotient(a.ctx, a.spec, a.trunc)
+    return {
+        "i0": a.spec.i0,
+        "i0p": a.spec.i0p,
+        "summands": [{"profile": lam.tags(), "series": bigraded_to_json(b)} for lam, b in data],
         "degree0_total": sum(b.total(0) for _, b in data),
     }
-    _emit(payload, args.fmt)
-    return 0
 
 
-def _cmd_i1(args) -> int:
-    ctx = _context(args)
-    spec = _spec(args, ctx.f)
-    lams = i1_invariants(ctx, spec)
-    payload = {"profiles": [p.tags() for p in lams], "count": len(lams)}
-    _emit(payload, args.fmt)
-    return 0
+def _i1(a) -> dict:
+    lams = i1_invariants(a.ctx, a.spec)
+    return {"profiles": [p.tags() for p in lams], "count": len(lams)}
 
 
-def _cmd_socle(args) -> int:
-    ctx = _context(args)
-    spec = _spec(args, ctx.f)
-    jsets = socle_jsets(ctx, spec)
-    payload = {"j_sets": [sorted(J) for J in jsets], "count": len(jsets)}
-    _emit(payload, args.fmt)
-    return 0
+def _socle(a) -> dict:
+    jsets = socle_jsets(a.ctx, a.spec)
+    return {"j_sets": [sorted(J) for J in jsets], "count": len(jsets)}
 
 
-def _cmd_k1cycle(args) -> int:
-    spec = SubquotientSpec(args.i0, args.i0p)
-    spec.check(args.f)
-    payload = {"value": k1_cycle(args.f, spec)}
-    _emit(payload, args.fmt)
-    return 0
-
-
-def _cmd_theta(args) -> int:
-    ctx = _context(args)
-    lam = _profile(args, ctx.f)
-    n = args.n if args.n is not None else args.i0 + 4
-    box = theta_lattice(ctx, lam, n, args.i0)
-    payload = {
+def _theta(a) -> dict:
+    box = theta_lattice(a.ctx, a.lam, a.i0 + 4 if a.n is None else a.n, a.i0)
+    return {
         "d_lambda": box.d_lambda,
         "points": sorted(list(p) for p in box.points),
         "jh_theta": sorted(list(p) for p in box.jh_theta),
         "chain_ok": box.chain_ok,
     }
-    _emit(payload, args.fmt)
-    return 0
 
 
-def _cmd_match(args) -> int:
-    ctx = _context(args)
-    res = semisimple_match(ctx, args.i0, args.trunc)
-    payload = {
-        "bijection_ok": res.bijection_ok,
-        "hilbert_ok": res.hilbert_ok,
-        "pairs": res.pairs,
-    }
-    _emit(payload, args.fmt)
-    return 0 if res.bijection_ok and res.hilbert_ok else 1
-
-
-def _cmd_tor(args) -> int:
-    gens = json.loads(args.gens)
-    ambient = args.ambient if args.ambient is not None else (len(gens[0]) if gens else 0)
+def _tor(a) -> dict:
+    gens = _list_of_lists(json.loads(a.gens), int, "--gens to be a JSON list of integer exponent arrays")
+    ambient = a.ambient if a.ambient is not None else (len(gens[0]) if gens else 0)
     ideal = MonomialIdeal(ambient, tuple(Monomial(tuple(g)) for g in gens))
     payload: dict = {"gens": [list(g.exps) for g in ideal.gens]}
-    if args.method in ("taylor", "both"):
-        payload["taylor"] = taylor_profile(ideal)
-    if args.method in ("hochster", "both"):
-        payload["hochster"] = hochster_profile(ideal)
-    if args.max_i is not None:
-        for key in ("taylor", "hochster"):
-            if key in payload:
-                payload[key] = payload[key][: args.max_i + 1]
-    _emit(payload, args.fmt)
-    return 0
+    for key, oracle in (("taylor", taylor_profile), ("hochster", hochster_profile)):
+        if a.method in (key, "both"):
+            payload[key] = oracle(ideal)[: None if a.max_i is None else a.max_i + 1]
+    return payload
 
 
-def _cmd_grtor(args) -> int:
-    ctx = _context(args)
-    lam = _profile(args, ctx.f)
-    r = tor1_gr(ctx, lam, args.side)
-    payload = {
+def _grtor(a) -> dict:
+    r = tor1_gr(a.ctx, a.lam, a.side)
+    return {
         "dim_im_d1": r.dim_im_d1,
         "dim_ker_d1": r.dim_ker_d1,
         "dim_im_d2": r.dim_im_d2,
         "tor1": r.tor1,
         "matches_closed_forms": r.ok,
     }
-    _emit(payload, args.fmt)
-    return 0
 
 
-def _cmd_xcounts(args) -> int:
-    ctx = _context(args)
-    lam = _profile(args, ctx.f)
-    xc = x_counts(ctx, lam)
-    payload = {"x0": xc.x0, "x1": xc.x1, "x2": xc.x2, "expected": list(xc.expected), "ok": xc.ok}
-    _emit(payload, args.fmt)
-    return 0
-
-
-def _cmd_patched(args) -> int:
-    ctx = _context(args)
-    lam = _profile(args, ctx.f)
-    inter, expected = patched_ideals(ctx, lam)
-    ok = inter.gens == expected.gens
-    payload = {
+def _patched(a) -> dict:
+    inter, expected = patched_ideals(a.ctx, a.lam)
+    return {
         "intersection": [list(g.exps) for g in inter.gens],
         "expected": [list(g.exps) for g in expected.gens],
-        "ok": ok,
+        "ok": inter.gens == expected.gens,
     }
-    _emit(payload, args.fmt)
-    return 0
 
 
-def _cmd_verify(args) -> int:
-    names = sorted(verify.SUITES) if (args.all or not args.suite) else args.suite
-    records = []
-    for name in names:
-        records.extend(verify.run_suite(name, fmax=args.f))
-    ok = all(r.ok for r in records)
-    if args.report == "json":
-        print(
-            dumps_canonical(
-                [
-                    {"suite": r.suite, "check": r.check, "ok": r.ok, "detail": r.detail}
-                    for r in records
-                ]
-            )
-        )
-    else:
-        for r in records:
-            print(f"[{'PASS' if r.ok else 'FAIL'}] {r.suite}: {r.check}" + (f" ({r.detail})" if r.detail else ""))
-        print(f"{sum(r.ok for r in records)}/{len(records)} checks passed")
-    return 0 if ok else 1
+def _verify(a) -> list[dict]:
+    names = sorted(verify.SUITES) if (a.all or not a.suite) else a.suite
+    return [asdict(r) for name in names for r in verify.run_suite(name, fmax=a.f)]
 
 
-_COMMANDS = {
-    "enumerate": _cmd_enumerate,
-    "stats": _cmd_stats,
-    "ideal": _cmd_ideal,
-    "hilbert": _cmd_hilbert,
-    "ni": _cmd_ni,
-    "grsubquot": _cmd_grsubquot,
-    "i1": _cmd_i1,
-    "socle": _cmd_socle,
-    "k1cycle": _cmd_k1cycle,
-    "theta": _cmd_theta,
-    "match": _cmd_match,
-    "tor": _cmd_tor,
-    "grtor": _cmd_grtor,
-    "xcounts": _cmd_xcounts,
-    "patched": _cmd_patched,
-    "verify": _cmd_verify,
+def _verify_rows(records: list[dict]) -> list[list[str]]:
+    lines = [f"[{'PASS' if r['ok'] else 'FAIL'}] {r['suite']}: {r['check']}" for r in records]
+    lines = [line + (f" ({r['detail']})" if r["detail"] else "") for line, r in zip(lines, records)]
+    return [[line] for line in lines + [f"{sum(r['ok'] for r in records)}/{len(records)} checks passed"]]
+
+
+_FORMAT = ("--format", dict(dest="fmt", choices=["json", "csv", "table"], default="json"))
+_F = ("--f", dict(type=int, required=True))
+_CTX = (
+    _F,
+    ("--case", dict(choices=[c.value for c in Case], required=True)),
+    ("--jrho", dict(help="bitmask over {0..f-1}, or 'all'")),
+    ("--p", dict(type=int, default=None)),
+    _FORMAT,
+)
+_PROFILE = ("--profile", dict(required=True, help="comma-separated symbol tags"))
+_I0 = ("--i0", dict(type=int, required=True))
+_WINDOW = (_I0, ("--i0p", dict(type=int, required=True)))
+_TRUNC = ("--trunc", dict(type=int, default=None))
+
+
+@dataclass(frozen=True)
+class Command:
+    """One subcommand: help, (flag, add_argument kwargs) pairs and a payload function.
+
+    Exit 0 needs every ``ok`` key true in the payload, or in every record of
+    a list payload.  ``rows`` builds table/CSV rows; the default is the
+    payload's sorted key/value pairs.
+    """
+
+    help: str
+    flags: tuple[tuple[str, dict], ...]
+    payload: Callable[[argparse.Namespace], dict | list]
+    ok: tuple[str, ...] = ()
+    rows: Callable[[dict | list], list[list[str]]] | None = None
+
+
+COMMANDS: dict[str, Command] = {
+    "enumerate": Command(
+        "list a profile family",
+        _CTX + (("--which", dict(choices=["Pss", "P", "Dss", "D", "Pbar"], required=True)),),
+        _enumerate, rows=lambda d: d["profiles"],
+    ),
+    "stats": Command(
+        "t-assignment and index data of profiles",
+        _CTX + (
+            ("--profile", dict(help="comma-separated symbol tags")),
+            ("--from-json", dict(dest="from_json", help="JSON file of profile tag arrays, '-' for stdin")),
+        ),
+        _stats,
+    ),
+    "ideal": Command("minimal generators and Hilbert numerator", _CTX + (_PROFILE,), _ideal),
+    "hilbert": Command(
+        "closed vs enumerated Hilbert series", _CTX + (_TRUNC,), _hilbert, ("equal",), _hilbert_rows
+    ),
+    "ni": Command(
+        "split-case layer series", _CTX + (("--i", dict(type=int, required=True)),),
+        lambda a: {"i": a.i, **_series_check(hilbert_Ni(a.ctx, a.i))}, ("equal",),
+    ),
+    "grsubquot": Command("per-profile bigraded window tables", _CTX + _WINDOW + (_TRUNC,), _grsubquot),
+    "i1": Command("invariant index set of a window", _CTX + _WINDOW, _i1),
+    "socle": Command("socle J-sets of a window", _CTX + _WINDOW, _socle),
+    "k1cycle": Command(
+        "binomial window count", (_F, _FORMAT) + _WINDOW, lambda a: {"value": k1_cycle(a.f, a.spec)}
+    ),
+    "theta": Command(
+        "sign-constrained lattice model",
+        _CTX + (_PROFILE, _I0, ("--n", dict(type=int, default=None))),
+        _theta, ("chain_ok",),
+    ),
+    "match": Command(
+        "semisimple layer matching", _CTX + (_I0, _TRUNC),
+        lambda a: asdict(semisimple_match(a.ctx, a.i0, a.trunc)), ("bijection_ok", "hilbert_ok"),
+    ),
+    "tor": Command(
+        "Tor dims of a monomial ideal",
+        (
+            ("--gens", dict(required=True, help="JSON list of exponent arrays")),
+            ("--ambient", dict(type=int, default=None)),
+            ("--method", dict(choices=["hochster", "taylor", "both"], default="both")),
+            ("--max-i", dict(dest="max_i", type=int, default=None)),
+            _FORMAT,
+        ),
+        _tor,
+    ),
+    "grtor": Command(
+        "rank data in the degree-3 truncation",
+        _CTX + (_PROFILE, ("--side", dict(choices=["right", "left"], default="right"))),
+        _grtor, ("matches_closed_forms",),
+    ),
+    "xcounts": Command(
+        "character shell sizes around a profile", _CTX + (_PROFILE,),
+        lambda a: asdict(x_counts(a.ctx, a.lam)), ("ok",),
+    ),
+    "patched": Command("patched-module intersection check", _CTX + (_PROFILE,), _patched, ("ok",)),
+    "verify": Command(
+        "run named verification suites",
+        (
+            ("--suite", dict(action="append", choices=sorted(verify.SUITES), default=None)),
+            ("--all", dict(action="store_true")),
+            ("--f", dict(type=int, default=None, help="override the default scale")),
+            ("--report", dict(dest="fmt", choices=["json"], default="table")),
+        ),
+        _verify, ("ok",), _verify_rows,
+    ),
 }
 
 
+def build_parser() -> argparse.ArgumentParser:
+    ap = argparse.ArgumentParser(prog="serrecalc", description=__doc__)
+    sub = ap.add_subparsers(dest="command", required=True)
+    for name, cmd in COMMANDS.items():
+        sp = sub.add_parser(name, help=cmd.help)
+        for flag, kwargs in cmd.flags:
+            sp.add_argument(flag, **kwargs)
+    return ap
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    args = build_parser().parse_args(argv)
+    cmd = COMMANDS[args.command]
     try:
-        args = parser.parse_args(argv)
-        return _COMMANDS[args.command](args)
-    except SystemExit2 as exc:
-        return int(exc.code)
-    except (ValueError, UnsupportedCaseError) as exc:
+        _resolve(args)
+        payload = cmd.payload(args)
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    _emit(payload, args.fmt, cmd.rows(payload) if cmd.rows and args.fmt != "json" else None)
+    records = payload if isinstance(payload, list) else [payload]
+    return 0 if all(r[k] for r in records for k in cmd.ok) else 1
 
 
 if __name__ == "__main__":

@@ -43,8 +43,26 @@ def exact_rank(rows: Iterable[dict[int, int]]) -> int:
     return rank
 
 
+def is_prime(n: int) -> bool:
+    """Trial division; the package's one primality test."""
+    if n < 2:
+        return False
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            return False
+        d += 1
+    return True
+
+
 def rank_mod_p(rows: Iterable[dict[int, int]], p: int) -> int:
-    """Rank over the prime field F_p."""
+    """Rank over the prime field F_p.
+
+    A modulus that is not prime is rejected: pivot inverses need a field,
+    and over Z/4 the elimination below would never terminate.
+    """
+    if not is_prime(p):
+        raise ValueError(f"rank mod {p}: the modulus must be prime")
     pivots: dict[int, dict[int, int]] = {}
     rank = 0
     for raw in rows:

@@ -507,6 +507,8 @@ DEFAULT_SCALE: dict[str, dict] = {
 def run_suite(name: str, fmax: int | None = None) -> list[CheckRecord]:
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}")
+    if fmax is not None and fmax < 1:
+        raise ValueError(f"scale f must be at least 1, got {fmax}")
     kwargs = dict(DEFAULT_SCALE[name])
     if fmax is not None:
         first = next(iter(kwargs))

@@ -16,6 +16,7 @@ from math import comb
 from typing import Iterable, Literal
 
 from .errors import ProfileMembershipError, UnsupportedCaseError
+from .linalg import is_prime
 
 
 class Symbol(str, Enum):
@@ -45,17 +46,6 @@ class Case(str, Enum):
     IRREDUCIBLE = "irreducible"
     SPLIT = "split"
     NONSPLIT = "nonsplit"
-
-
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
 
 
 @dataclass(frozen=True)
@@ -88,7 +78,7 @@ class GaloisContext:
             raise ValueError("irreducible case takes no J_rho")
         if self.p is not None:
             bound = 2 * max(9, 4 * self.f + 1) + 3
-            if not _is_prime(self.p):
+            if not is_prime(self.p):
                 raise ValueError(f"p = {self.p} is not prime")
             if self.p < bound:
                 raise ValueError(f"p = {self.p} below the genericity bound {bound}")

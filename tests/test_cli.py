@@ -1,8 +1,18 @@
+import io
 import json
+from contextlib import redirect_stderr, redirect_stdout
+from dataclasses import replace
+from datetime import timedelta
+from unittest import mock
 
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
+from serrecalc import cli
 from serrecalc.cli import main
+from serrecalc.homology import VERTEX_CAP
+from serrecalc.ideals import MonomialIdeal
 
 
 def run(capsys, *argv):
@@ -146,3 +156,120 @@ def test_enumerate_csv(capsys):
     rc, out = run(capsys, "enumerate", "--f", "2", "--case", "split", "--jrho", "all", "--which", "Dss", "--format", "csv")
     assert rc == 0
     assert out.splitlines()[0] == "X0,X0"
+
+
+# Inputs that are not usage errors to argparse but must still end in exit 2
+# with one `error:` line; TMP is replaced by a scratch directory.
+BAD_INPUT = {
+    "jrho-outside-mask": ["enumerate", "--f", "2", "--case", "nonsplit", "--jrho", "9", "--which", "P"],
+    "gens-not-nested": ["tor", "--gens", "[1,2]"],
+    "gens-object": ["tor", "--gens", '{"a":1}'],
+    "gens-non-integer": ["tor", "--gens", '[["a"]]'],
+    "from-json-missing": ["stats", "--f", "2", "--case", "split", "--jrho", "all", "--from-json", "TMP/missing.json"],
+    "from-json-shape": ["stats", "--f", "2", "--case", "split", "--jrho", "all", "--from-json", "TMP/x.json"],
+    "hochster-above-vertex-cap": ["tor", "--gens", json.dumps([[1] + [0] * VERTEX_CAP]), "--method", "hochster"],
+    "verify-f-zero": ["verify", "--suite", "tor", "--f", "0"],
+    "verify-f-negative": ["verify", "--suite", "hilbert", "--f", "-1"],
+}
+
+
+@pytest.mark.parametrize("argv", BAD_INPUT.values(), ids=BAD_INPUT.keys())
+def test_bad_input_exits_2_with_one_error_line(capsys, tmp_path, argv):
+    (tmp_path / "x.json").write_text('{"x":1}')
+    rc = main([a.replace("TMP", str(tmp_path)) for a in argv])
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert rc == 2 and captured.out == ""
+    assert len(lines) == 1 and lines[0].startswith("error:"), captured.err
+
+
+SPLIT2 = ["--f", "2", "--case", "split", "--jrho", "all"]
+NONSPLIT1 = ["--f", "1", "--case", "nonsplit", "--jrho", "0"]
+FLAGGED = {
+    "hilbert": (["hilbert", *SPLIT2], "hilbert_pi", lambda r: replace(r, equal=False)),
+    "ni": (["ni", *SPLIT2, "--i", "1"], "hilbert_Ni", lambda r: replace(r, equal=False)),
+    "theta": (["theta", *NONSPLIT1, "--profile", "X0", "--i0", "0"], "theta_lattice",
+              lambda r: replace(r, chain_ok=False)),
+    "match": (["match", "--f", "2", "--case", "nonsplit", "--jrho", "1", "--i0", "0"], "semisimple_match",
+              lambda r: replace(r, hilbert_ok=False)),
+    "grtor": (["grtor", *SPLIT2, "--profile", "X0,X0"], "tor1_gr", lambda r: replace(r, ok=False)),
+    "xcounts": (["xcounts", *SPLIT2, "--profile", "X0,X0"], "x_counts", lambda r: replace(r, ok=False)),
+    "patched": (["patched", *SPLIT2, "--profile", "X0,X0"], "patched_ideals",
+                lambda r: (r[0], MonomialIdeal.zero(r[0].ambient))),
+}
+
+
+@pytest.mark.parametrize("argv,name,falsify", FLAGGED.values(), ids=FLAGGED.keys())
+def test_false_flag_exits_1(monkeypatch, capsys, argv, name, falsify):
+    assert main(argv) == 0
+    real = getattr(cli, name)
+    monkeypatch.setattr(cli, name, lambda *args: falsify(real(*args)))
+    assert main(argv) == 1
+    assert "false" in capsys.readouterr().out.splitlines()[-1]
+
+
+# -- argv fuzzing ----------------------------------------------------------
+
+# Free text has no decimal digits, so junk never reaches an int flag as a large size.
+JUNK = st.sampled_from(["", "x", "all", "-1", "1e3", "X0,Q9", "[]", "{", "nan", "--f"]) | st.text(
+    st.characters(blacklist_categories=("Nd",)), max_size=6
+)
+TAGS = st.sampled_from(["X0", "X1", "X2", "P3", "P2", "P1", "XM1"])
+
+
+@st.composite
+def argvs(draw):
+    """A subcommand with its required flags, some optional ones, and now and then a junk token.
+
+    Values are drawn so that many invocations get past the context checks:
+    --case, --jrho and --profile often fit the drawn f.  The first choice of
+    each draw is a valid one, so failures shrink toward valid input.
+    """
+    # one in ten, at a middle value: Hypothesis favours the ends of a range
+    junk = lambda: draw(st.integers(0, 9)) == 4
+    f = draw(st.sampled_from([2, 1, 3, 0, -1]))
+    case = draw(st.sampled_from(["split", "nonsplit", "irreducible"]))
+    jrho = "all" if case == "split" else str(draw(st.integers(0, max(2 ** f - 2, 0))))
+    values = {
+        "--f": st.just(str(f)),
+        "--case": st.just(case),
+        "--jrho": st.just(jrho) | st.sampled_from(["all"]) | st.integers(-1, 2 ** max(f, 0)).map(str),
+        "--profile": st.lists(TAGS, min_size=max(f, 0), max_size=max(f, 0)).map(",".join),
+        "--p": st.sampled_from(["31", "29", "23", "4", "-1"]),
+        "--gens": st.lists(st.lists(st.integers(-1, 2), max_size=4), max_size=4).map(json.dumps),
+        "--from-json": st.sampled_from(["-", "no-such-profiles.json"]),
+    }
+    name = draw(st.sampled_from(sorted(cli.COMMANDS)))
+    argv = [name]
+    for flag, kwargs in cli.COMMANDS[name].flags:
+        # verify always gets --f: its default scales run the full suites
+        if not (kwargs.get("required") or flag in ("--f", "--jrho") or draw(st.booleans())):
+            continue
+        if kwargs.get("action") == "store_true":
+            argv.append(flag)
+        elif junk():
+            argv += [flag, draw(JUNK)]
+        elif flag in values:
+            argv += [flag, draw(values[flag])]
+        elif "choices" in kwargs:
+            argv += [flag, draw(st.sampled_from(kwargs["choices"]))]
+        else:
+            argv += [flag, draw(st.integers(-2, 6).map(str))]
+    return argv + ([draw(JUNK)] if junk() else [])
+
+
+@settings(max_examples=150, deadline=timedelta(seconds=30))
+@given(argvs())
+def test_fuzzed_argv_ends_in_a_known_exit_code(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err), mock.patch("sys.stdin", io.StringIO("[]")):
+        try:
+            rc = main(argv)
+        except SystemExit as exc:  # argparse usage errors
+            rc = exc.code
+        else:
+            if rc == 2:
+                lines = err.getvalue().splitlines()
+                assert len(lines) == 1 and lines[0].startswith("error:"), (argv, err.getvalue())
+    assert rc in (0, 1, 2), argv
+    event(f"{argv[0]} exit {rc}")

@@ -18,6 +18,7 @@ from serrecalc.homology import (
     taylor_tor,
 )
 from serrecalc.ideals import Monomial, MonomialIdeal
+from serrecalc.linalg import rank_mod_p
 
 
 def mono(n, *idx):
@@ -178,6 +179,17 @@ def test_ext1_lower_bound_examples():
     assert ext1_lower_bound(2, 0) == 10
     assert ext1_identity_ok(3, 2)
     assert all(ext1_identity_ok(f, k) for f in range(1, 13) for k in range(f + 1))
+
+
+def test_composite_modulus_rejected():
+    # over Z/4 the elimination never terminated; both public entry points reach it
+    ideal = pairing_ideal(1)
+    with pytest.raises(ValueError, match="prime"):
+        hochster_profile(ideal, char_p=4)
+    with pytest.raises(ValueError, match="prime"):
+        reduced_homology_dims(SimplicialComplex.from_ideal(ideal), 4)
+    with pytest.raises(ValueError, match="prime"):
+        rank_mod_p([{0: 2, 1: 1}, {0: 1}], 4)
 
 
 def test_hochster_rejects_non_squarefree():
