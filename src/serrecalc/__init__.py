@@ -17,8 +17,6 @@ from .series import (
     CharOffset,
     IntPoly,
     RationalSeries,
-    bigraded_shift_twist,
-    bigraded_sum,
     expand,
 )
 from .weights import (

@@ -313,8 +313,8 @@ COMMANDS: dict[str, Command] = {
         _theta, ("chain_ok",),
     ),
     "match": Command(
-        "semisimple layer matching", _CTX + (_I0, _TRUNC),
-        lambda a: asdict(semisimple_match(a.ctx, a.i0, a.trunc)), ("bijection_ok", "hilbert_ok"),
+        "semisimple layer matching", _CTX + (_I0,),
+        lambda a: asdict(semisimple_match(a.ctx, a.i0)), ("bijection_ok", "hilbert_ok"),
     ),
     "tor": Command(
         "Tor dims of a monomial ideal",

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable
+from typing import Callable, Hashable, Iterable
 
 from .errors import ProfileMembershipError, SizeLimitError
 from .series import BigradedSeries, CharOffset, IntPoly, RationalSeries
@@ -78,6 +78,10 @@ class Monomial:
         f = self.ambient // 2
         return CharOffset(tuple(self.exps[2 * j] - self.exps[2 * j + 1] for j in range(f)))
 
+    def bigrade(self) -> tuple[int, tuple[int, ...]]:
+        """(degree, character offset exponents): the key of bigraded numerators."""
+        return self.degree, self.char_offset().exps
+
     def sort_key(self) -> tuple:
         # graded lexicographic: by degree, then earlier variables first
         return (self.degree, tuple(-e for e in self.exps))
@@ -131,10 +135,6 @@ class MonomialIdeal:
 
     def member(self, m: Monomial) -> bool:
         return any(g.divides(m) for g in self.gens)
-
-    def member_mask(self, mask: int) -> bool:
-        """Membership of a squarefree monomial given by its support mask."""
-        return any(g.support_mask() & ~mask == 0 for g in self.gens)
 
     def __add__(self, other: "MonomialIdeal") -> "MonomialIdeal":
         if other.ambient != self.ambient:
@@ -232,21 +232,33 @@ def a1(ctx: GaloisContext, lam: WeightProfile, i: int) -> MonomialIdeal:
 
 # -- Hilbert series ------------------------------------------------------
 
-def hilbert(ideal: MonomialIdeal) -> RationalSeries:
-    """Hilbert series of R/I by inclusion-exclusion over generator subsets."""
+def numerator(
+    ideal: MonomialIdeal, grade: Callable[[Monomial], Hashable], acc: dict | None = None, sign: int = 1
+) -> dict:
+    """Add sign * sum over generator subsets S of (-1)^|S| grade(lcm S) into ``acc``.
+
+    This is the K-polynomial of R/I (Miller-Sturmfels, ch. 2), specialized
+    through ``grade`` while it is summed: the one inclusion-exclusion loop
+    behind every Hilbert series and bigraded table in the package.
+    """
     n = len(ideal.gens)
     if n > GENERATOR_CAP:
         raise SizeLimitError(f"{n} generators exceeds the cap of {GENERATOR_CAP}")
-    coeffs: dict[int, int] = {}
+    acc = {} if acc is None else acc
     for r in range(n + 1):
         for sub in combinations(ideal.gens, r):
             m = Monomial.one(ideal.ambient)
             for g in sub:
                 m = m.lcm(g)
-            d = m.degree
-            coeffs[d] = coeffs.get(d, 0) + (-1) ** r
-    top = max(coeffs) if coeffs else 0
-    num = IntPoly(tuple(coeffs.get(d, 0) for d in range(top + 1)))
+            key = grade(m)
+            acc[key] = acc.get(key, 0) + sign * (-1) ** r
+    return acc
+
+
+def hilbert(ideal: MonomialIdeal) -> RationalSeries:
+    """Hilbert series of R/I: the numerator graded by total degree."""
+    coeffs = numerator(ideal, lambda m: m.degree)  # never empty: it holds the empty subset
+    num = IntPoly(tuple(coeffs.get(d, 0) for d in range(max(coeffs) + 1)))
     return RationalSeries(num, ideal.ambient)
 
 
@@ -272,72 +284,42 @@ def standard_counts_naive(ideal: MonomialIdeal, bound: int) -> list[int]:
     return counts
 
 
-def _gen_masks(ideal: MonomialIdeal) -> list[int]:
-    if not ideal.is_squarefree():
-        raise ValueError("support-mask membership needs a squarefree ideal")
-    return [g.support_mask() for g in ideal.gens]
-
-
-def _bigraded_from_masks(f: int, trunc: int, shift: int, keep) -> BigradedSeries:
-    """Tabulate monomials whose support mask satisfies ``keep``.
-
-    Walks every monomial of degree <= trunc + shift grouped by support
-    pattern; the stored degree is the monomial degree minus ``shift``.
-    """
-    bound = trunc + shift
-    entries: dict[tuple[int, CharOffset], int] = {}
-
-    def fill(j: int, mask: int, deg: int, offs: list[int]):
-        if j == f:
-            key = (deg - shift, CharOffset(tuple(offs)))
-            if key[0] >= 0:
-                entries[key] = entries.get(key, 0) + 1
-            return
-        y_bit, z_bit = 1 << (2 * j), 1 << (2 * j + 1)
-        has_y, has_z = bool(mask & y_bit), bool(mask & z_bit)
-        a_lo = 1 if has_y else 0
-        b_lo = 1 if has_z else 0
-        for a in range(a_lo, (bound - deg + 1) if has_y else a_lo + 1):
-            for b in range(b_lo, (bound - deg - a + 1) if has_z else b_lo + 1):
-                offs.append(a - b)
-                fill(j + 1, mask, deg + a + b, offs)
-                offs.pop()
-
-    for mask in range(1 << (2 * f)):
-        if bin(mask).count("1") > bound:
-            continue
-        if keep(mask):
-            fill(0, mask, 0, [])
-    return BigradedSeries(trunc, entries)
-
-
-def bigraded_standard(ideal: MonomialIdeal, f: int, trunc: int) -> BigradedSeries:
-    """Character-refined Hilbert table of R/I, for squarefree I."""
-    if ideal.ambient != 2 * f:
-        raise ValueError("ambient must be the paired y/z ring")
-    masks = _gen_masks(ideal)
-    return _bigraded_from_masks(
-        f, trunc, 0, lambda m: not any(g & ~m == 0 for g in masks)
-    )
-
-
 def bigraded_difference(
     big: MonomialIdeal, small: MonomialIdeal, f: int, trunc: int, shift: int
 ) -> BigradedSeries:
     """Character-refined table of big/small, degrees shifted down by ``shift``.
 
-    Both ideals must be squarefree and small ⊆ big; entries are monomials of
-    big \\ small tabulated at stored degree (monomial degree - shift).
+    Needs small ⊆ big.  Expands num(small) - num(big) over the denominator
+    prod_j (1 - t u_j)(1 - t/u_j) up to monomial degree trunc + shift, one
+    factor at a time, and stores degree n at n - shift.
     """
     if big.ambient != 2 * f or small.ambient != 2 * f:
         raise ValueError("ambient must be the paired y/z ring")
-    gm, sm = _gen_masks(big), _gen_masks(small)
-    return _bigraded_from_masks(
-        f,
-        trunc,
-        shift,
-        lambda m: any(g & ~m == 0 for g in gm) and not any(g & ~m == 0 for g in sm),
-    )
+    bound = trunc + shift
+    # an offset c is one integer whose base-(2 bound + 1) digit j is c_j + bound;
+    # |c_j| <= degree <= bound, so a step in one coordinate never carries
+    base = 2 * bound + 1
+    layers: list[dict[int, int]] = [{} for _ in range(bound + 1)]
+    for (d, c), v in numerator(big, Monomial.bigrade, numerator(small, Monomial.bigrade), -1).items():
+        if v and d <= bound:
+            key = sum((x + bound) * base**j for j, x in enumerate(c))
+            layers[d][key] = layers[d].get(key, 0) + v
+    # dividing by (1 - t x) turns S_d into S_d + x S_{d-1}, lowest degree first
+    for j in range(f):
+        for step in (base**j, -(base**j)):
+            for d in range(1, bound + 1):
+                here = layers[d]
+                for c, v in layers[d - 1].items():
+                    here[c + step] = here.get(c + step, 0) + v
+    return BigradedSeries(trunc, {
+        (d - shift, CharOffset(tuple(c // base**j % base - bound for j in range(f)))): v
+        for d in range(shift, bound + 1) for c, v in layers[d].items() if v
+    })
+
+
+def bigraded_standard(ideal: MonomialIdeal, f: int, trunc: int) -> BigradedSeries:
+    """Character-refined Hilbert table of R/I."""
+    return bigraded_difference(MonomialIdeal.unit(ideal.ambient), ideal, f, trunc, 0)
 
 
 def bigraded_quotient(
@@ -345,7 +327,7 @@ def bigraded_quotient(
 ) -> BigradedSeries:
     """The lambda-summand of the graded subquotient description.
 
-    Tabulates the window between the i0-th and i0p-th ideals of the family,
+    The table of the window between the i0-th and i0p-th ideals of the family,
     shifted so the first nonzero generators land in stored degree 0, with
     character offsets relative to the anchor profile.
     """

@@ -10,6 +10,8 @@ from __future__ import annotations
 from math import gcd
 from typing import Iterable
 
+from .errors import SizeLimitError
+
 
 def _strip_content(row: dict[int, int]) -> dict[int, int]:
     g = 0
@@ -43,15 +45,25 @@ def exact_rank(rows: Iterable[dict[int, int]]) -> int:
     return rank
 
 
+#: Miller-Rabin on the prime bases 2..37 is proven exact below this bound
+#: (Sorenson-Webster, Math. Comp. 86 (2017))
+PRIME_TEST_BOUND = 3_317_044_064_679_887_385_961_981
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
 def is_prime(n: int) -> bool:
-    """Trial division; the package's one primality test."""
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
+    """Deterministic Miller-Rabin; the package's one primality test."""
+    if n >= PRIME_TEST_BOUND:
+        raise SizeLimitError(f"primality of {n} is only decided below {PRIME_TEST_BOUND}")
+    if n < 2 or any(n % b == 0 for b in _MR_BASES):
+        return n in _MR_BASES
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # 2^s exactly divides n - 1
+    d = (n - 1) >> s
+    # b is a witness of compositeness iff b^d != 1 and b^(d 2^r) != -1 for every r < s
+    for b in _MR_BASES:
+        x = pow(b, d, n)
+        if x != 1 and all(pow(x, 2**r, n) != n - 1 for r in range(s)):
             return False
-        d += 1
     return True
 
 

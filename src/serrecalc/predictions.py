@@ -15,23 +15,18 @@ from math import comb
 from .errors import UnsupportedCaseError
 from .homology import ext1_lower_bound, ext_closed
 from .ideals import (
+    Monomial,
     a1,
     a_lambda,
     a_ss,
     bigraded_difference,
     bigraded_standard,
     d_shift,
+    numerator,
     p_monomial,
 )
 from .pbw import char_multiset, gr_formula
-from .series import (
-    BigradedSeries,
-    IntPoly,
-    RationalSeries,
-    bigraded_shift_twist,
-    bigraded_sum,
-    one_minus_t,
-)
+from .series import BigradedSeries, IntPoly, RationalSeries, one_minus_t
 from .weights import (
     Case,
     GaloisContext,
@@ -361,19 +356,18 @@ def _lambda_prime(lam: WeightProfile, st, j_prime: frozenset[int]) -> WeightProf
     return WeightProfile(tuple(entries))
 
 
-def semisimple_match(ctx: GaloisContext, i0: int, trunc: int | None = None) -> MatchResult:
+def semisimple_match(ctx: GaloisContext, i0: int) -> MatchResult:
     """Match the window at level i0+1 with the semisimplified layer.
 
     bijection_ok: the recipe (lambda, J') -> lambda' lands in P^ss, is
     injective, and fills the whole level set {|J| = i0 + 1}.  hilbert_ok:
-    for every profile, the window table equals the twisted sum of the
-    semisimplified quotient tables, up to the truncation.
+    for every profile, the exact bigraded numerators satisfy
+    num(a1(i0+1)) - num(a1(i0)) = sum over J' of p(J') * num(a_ss(lambda')).
     """
     if ctx.case is not Case.NONSPLIT:
         raise UnsupportedCaseError("the matching is a nonsplit statement")
     if not -1 <= i0 <= ctx.f - 1:
         raise ValueError(f"i0 = {i0} outside -1..f-1")
-    n = default_trunc(ctx.f) if trunc is None else trunc
 
     targets = {
         lam for lam in enumerate_profiles(ctx, "Pss") if len(j_set(lam)) == i0 + 1
@@ -391,22 +385,18 @@ def semisimple_match(ctx: GaloisContext, i0: int, trunc: int | None = None) -> M
             [frozenset(sub) for sub in combinations(pool, d)] if 0 <= d <= len(pool) else []
         )
 
-        rhs_parts = []
+        # the identity, all moved to one side: the signed sum must vanish
+        num = numerator(a1(ctx, lam, i0 + 1), Monomial.bigrade)
+        numerator(a1(ctx, lam, i0), Monomial.bigrade, num, -1)
         for jp in j_primes:
             lp = _lambda_prime(lam, st, jp)
             pairs += 1
             if not in_pss(lp) or lp in seen or lp not in targets:
                 bijection_ok = False
             seen[lp] = (lam, jp)
-            twist = p_monomial(ctx.f, st, jp).char_offset()
-            rhs_parts.append(
-                bigraded_shift_twist(bigraded_standard(a_ss(ctx, lp), ctx.f, n), 0, twist)
-            )
-        lhs = bigraded_difference(
-            a1(ctx, lam, i0), a1(ctx, lam, i0 + 1), ctx.f, n, d_shift(st, i0)
-        )
-        rhs = bigraded_sum(rhs_parts) if rhs_parts else BigradedSeries(n)
-        if lhs != rhs:
+            p = p_monomial(ctx.f, st, jp)
+            numerator(a_ss(ctx, lp), lambda m: (m * p).bigrade(), num, -1)
+        if any(num.values()):
             hilbert_ok = False
 
     if set(seen) != targets:

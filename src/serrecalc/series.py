@@ -1,4 +1,4 @@
-"""Exact univariate and character-refined graded series arithmetic.
+"""Exact univariate series arithmetic and the character-refined table type.
 
 Grading convention, used package-wide: graded modules are supported in
 non-positive degrees, and the piece of degree -n is stored under the
@@ -257,9 +257,6 @@ class BigradedSeries:
                 table[(d, c)] = table.get((d, c), 0) + mult
         self.entries = table
 
-    def mult(self, d: int, c: CharOffset) -> int:
-        return self.entries.get((d, c), 0)
-
     def total(self, d: int) -> int:
         return sum(m for (dd, _), m in self.entries.items() if dd == d)
 
@@ -279,38 +276,6 @@ class BigradedSeries:
 
     def __repr__(self):
         return f"BigradedSeries(trunc={self.trunc}, entries={len(self.entries)})"
-
-
-def bigraded_shift_twist(
-    b: BigradedSeries, shift: int, twist: CharOffset, new_trunc: int | None = None
-) -> BigradedSeries:
-    """Shift stored degrees by ``shift`` and offsets by ``twist``.
-
-    The output entry at (d, c) is the input entry at (d - shift, c - twist).
-    """
-    trunc = b.trunc if new_trunc is None else new_trunc
-    out: dict[tuple[int, CharOffset], int] = {}
-    for (d, c), m in b.entries.items():
-        nd = d + shift
-        if not 0 <= nd <= trunc:
-            raise TruncationError(f"shifted degree {nd} outside 0..{trunc}")
-        out[(nd, c + twist)] = m
-    return BigradedSeries(trunc, out)
-
-
-def bigraded_sum(items: Iterable[BigradedSeries]) -> BigradedSeries:
-    """Pointwise sum; all inputs must share one truncation."""
-    items = list(items)
-    if not items:
-        raise ValueError("empty bigraded sum needs a truncation; pass at least one series")
-    trunc = items[0].trunc
-    out: dict[tuple[int, CharOffset], int] = {}
-    for b in items:
-        if b.trunc != trunc:
-            raise TruncationError("mismatched truncations in bigraded sum")
-        for key, m in b.entries.items():
-            out[key] = out.get(key, 0) + m
-    return BigradedSeries(trunc, out)
 
 
 # -- JSON forms ---------------------------------------------------------

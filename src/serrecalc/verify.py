@@ -189,7 +189,7 @@ def suite_gr_subquot(fmax: int = 8, bigraded_fmax: int = 3) -> list[CheckRecord]
         if f <= 4:
             out.append(CheckRecord("gr-subquot", f"f={f} explicit index sets", ok_sets))
             out.append(CheckRecord("gr-subquot", f"f={f} window partition", ok_partition))
-    # the per-profile counting against honestly tabulated windows at small f
+    # the per-profile counting against the window tables at small f
     ok = True
     ok_index = True
     for f in range(1, bigraded_fmax + 1):
@@ -221,14 +221,16 @@ def suite_gr_subquot(fmax: int = 8, bigraded_fmax: int = 3) -> list[CheckRecord]
 def suite_semisimple_match(fmax: int = 4) -> list[CheckRecord]:
     out = []
     for f in range(1, fmax + 1):
-        ok = True
+        detail = ""
         for ctx in reducible_contexts(f):
             if ctx.case is not Case.NONSPLIT:
                 continue
             for i0 in range(-1, f):
                 res = semisimple_match(ctx, i0)
-                ok = ok and res.bijection_ok and res.hilbert_ok
-        out.append(CheckRecord("semisimple-match", f"f={f} all J_rho, all i0", ok))
+                if not detail and not (res.bijection_ok and res.hilbert_ok):
+                    detail = (f"first failure J_rho={sorted(ctx.j_rho)} i0={i0}: "
+                              f"bijection_ok={res.bijection_ok} hilbert_ok={res.hilbert_ok}")
+        out.append(CheckRecord("semisimple-match", f"f={f} all J_rho, all i0", not detail, detail))
     return out
 
 

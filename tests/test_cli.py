@@ -1,18 +1,25 @@
 import io
 import json
+import os
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import replace
 from datetime import timedelta
+from pathlib import Path
 from unittest import mock
 
 import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
+import serrecalc
 from serrecalc import cli
 from serrecalc.cli import main
 from serrecalc.homology import VERTEX_CAP
 from serrecalc.ideals import MonomialIdeal
+from serrecalc.linalg import PRIME_TEST_BOUND
+from serrecalc.weights import PROFILE_F_CAP
 
 
 def run(capsys, *argv):
@@ -125,6 +132,20 @@ def test_xcounts_subcommand(capsys):
     assert [data["x0"], data["x1"], data["x2"]] == ["1", "3", "5"]
 
 
+def test_match_takes_no_trunc(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["match", "--f", "2", "--case", "nonsplit", "--jrho", "1", "--i0", "0", "--trunc", "5"])
+    errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
+    assert exc.value.code == 2 and len(errors) == 1 and "--trunc" in errors[0]
+
+
+def test_large_prime_p_is_decided_quickly():
+    argv = ["hilbert", "--f", "1", "--case", "split", "--jrho", "all", "--p", "1000000000000000003"]
+    env = {**os.environ, "PYTHONPATH": str(Path(serrecalc.__file__).parents[1])}
+    done = subprocess.run([sys.executable, "-m", "serrecalc.cli", *argv], capture_output=True, env=env, timeout=30)
+    assert done.returncode == 0 and json.loads(done.stdout)["equal"] is True
+
+
 def test_unknown_flag_exits_2():
     with pytest.raises(SystemExit) as exc:
         main(["hilbert", "--f", "1", "--case", "split", "--jrho", "all", "--bogus"])
@@ -170,6 +191,10 @@ BAD_INPUT = {
     "hochster-above-vertex-cap": ["tor", "--gens", json.dumps([[1] + [0] * VERTEX_CAP]), "--method", "hochster"],
     "verify-f-zero": ["verify", "--suite", "tor", "--f", "0"],
     "verify-f-negative": ["verify", "--suite", "hilbert", "--f", "-1"],
+    "enumerate-above-profile-cap": ["enumerate", "--f", str(PROFILE_F_CAP + 1), "--case", "split", "--jrho", "all",
+                                    "--which", "P"],
+    "p-above-prime-test-bound": ["hilbert", "--f", "1", "--case", "split", "--jrho", "all",
+                                 "--p", str(PRIME_TEST_BOUND)],
 }
 
 

@@ -18,7 +18,7 @@ from serrecalc.homology import (
     taylor_tor,
 )
 from serrecalc.ideals import Monomial, MonomialIdeal
-from serrecalc.linalg import rank_mod_p
+from serrecalc.linalg import PRIME_TEST_BOUND, is_prime, rank_mod_p
 
 
 def mono(n, *idx):
@@ -196,3 +196,18 @@ def test_hochster_rejects_non_squarefree():
     ideal = MonomialIdeal(2, (Monomial((2, 0)),))
     with pytest.raises(ValueError):
         hochster_profile(ideal)
+
+
+def test_is_prime_against_trial_division():
+    def trial(n):
+        return n >= 2 and all(n % d for d in range(2, int(n**0.5) + 1))
+
+    assert [n for n in range(-3, 10**4) if is_prime(n) != trial(n)] == []
+    # Carmichael numbers fool the Fermat test on every coprime base
+    assert not any(is_prime(n) for n in (561, 1105, 1729, 2465, 2821, 6601, 8911, 41041, 825265))
+    # a strong pseudoprime to every base 2..31, caught only by 37
+    assert not is_prime(3825123056546413051)
+    assert is_prime(1000000000000000003) and not is_prime(1000000000000000001)
+    assert trial(1000003) and not is_prime((2**61 - 1) * 1000003)
+    with pytest.raises(SizeLimitError):
+        is_prime(PRIME_TEST_BOUND)

@@ -1,3 +1,5 @@
+from itertools import combinations
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,11 +10,13 @@ from serrecalc.ideals import (
     a1,
     a_lambda,
     a_ss,
+    bigraded_difference,
     bigraded_quotient,
     bigraded_standard,
     d_shift,
     hilbert,
     ideal_from_pairs,
+    p_monomial,
     patched_ideals,
     patched_intersection_check,
     standard_counts_naive,
@@ -20,8 +24,11 @@ from serrecalc.ideals import (
     z_var,
 )
 from serrecalc.errors import ProfileMembershipError
+from serrecalc.predictions import _lambda_prime, semisimple_match
 from serrecalc.series import IntPoly, RationalSeries, expand
+from serrecalc.verify import reducible_contexts
 from serrecalc.weights import (
+    Case,
     WeightProfile,
     enumerate_profiles,
     nonsplit_context,
@@ -189,25 +196,74 @@ def test_bigraded_quotient_parameter_order():
         bigraded_quotient(ns2, prof("X0", "X0"), 1, 1, 5)
 
 
-def test_bigraded_quotient_naive_cross_check():
-    """Support-pattern tabulation equals raw monomial enumeration."""
-    ns2 = nonsplit_context(2, [0])
-    lam = prof("X0", "X0")
-    st_ = profile_stats(ns2, lam)
-    big, small = a1(ns2, lam, 0), a1(ns2, lam, 1)
-    shift = d_shift(st_, 0)
-    table = bigraded_quotient(ns2, lam, 0, 1, 4)
-    raw: dict[tuple[int, tuple[int, ...]], int] = {}
-    bound = 4 + shift
-    for e0 in range(bound + 1):
-        for e1 in range(bound + 1 - e0):
-            for e2 in range(bound + 1 - e0 - e1):
-                for e3 in range(bound + 1 - e0 - e1 - e2):
-                    m = Monomial((e0, e1, e2, e3))
-                    if big.member(m) and not small.member(m):
-                        key = (m.degree - shift, m.char_offset().exps)
-                        raw[key] = raw.get(key, 0) + 1
-    assert raw == {(d, c.exps): v for (d, c), v in table.entries.items()}
+def raw_table(keep, f: int, trunc: int, shift: int = 0) -> dict[tuple[int, tuple[int, ...]], int]:
+    """(stored degree, offset) -> count of the monomials m with keep(m), listed one by one."""
+    out: dict[tuple[int, tuple[int, ...]], int] = {}
+
+    def rec(exps: tuple[int, ...], left: int):
+        if len(exps) < 2 * f:
+            for e in range(left + 1):
+                rec(exps + (e,), left - e)
+            return
+        m = Monomial(exps)
+        if m.degree >= shift and keep(m):
+            key = (m.degree - shift, m.char_offset().exps)
+            out[key] = out.get(key, 0) + 1
+
+    rec((), trunc + shift)
+    return out
+
+
+NONSPLIT_F2 = [ctx for f in (1, 2) for ctx in reducible_contexts(f) if ctx.case is Case.NONSPLIT]
+WINDOWS_F2 = {
+    f"f{ctx.f}-jrho{sum(1 << j for j in ctx.j_rho)}-w{i0}_{i0p}": (ctx, i0, i0p)
+    for ctx in NONSPLIT_F2 for i0 in range(-1, ctx.f) for i0p in range(i0 + 1, ctx.f + 1)
+}
+
+
+@pytest.mark.parametrize("ctx,i0,i0p", WINDOWS_F2.values(), ids=WINDOWS_F2.keys())
+def test_bigraded_quotient_naive_cross_check(ctx, i0, i0p):
+    """Window tables from the numerator equal raw monomial enumeration, every P-profile."""
+    for lam in enumerate_profiles(ctx, "P"):
+        big, small = a1(ctx, lam, i0), a1(ctx, lam, i0p)
+        shift = d_shift(profile_stats(ctx, lam), i0)
+        raw = raw_table(lambda m: big.member(m) and not small.member(m), ctx.f, 4, shift)
+        table = bigraded_quotient(ctx, lam, i0, i0p, 4)
+        assert {(d, c.exps): v for (d, c), v in table.entries.items()} == raw, lam
+
+
+def test_bigraded_tables_of_non_squarefree_ideals():
+    small = MonomialIdeal(4, (mono(2, 0, 0, 1), mono(0, 3, 1, 0), mono(1, 1, 2, 2)))
+    big = small + MonomialIdeal(4, (mono(1, 0, 0, 0),))
+    for table, raw in (
+        (bigraded_standard(small, 2, 7), raw_table(lambda m: not small.member(m), 2, 7)),
+        (bigraded_difference(big, small, 2, 6, 1),
+         raw_table(lambda m: big.member(m) and not small.member(m), 2, 6, 1)),
+    ):
+        assert {(d, c.exps): v for (d, c), v in table.entries.items()} == raw
+
+
+@pytest.mark.parametrize("ctx", NONSPLIT_F2, ids=lambda c: f"f{c.f}-jrho{sum(1 << j for j in c.j_rho)}")
+def test_matching_truncated_tables_naive(ctx):
+    """The matching as truncated tables, all listed raw: each window at level
+    i0 + 1 equals the twisted sum of its semisimplified quotients up to f + 4."""
+    n = ctx.f + 4
+    for i0 in range(-1, ctx.f):
+        for lam in enumerate_profiles(ctx, "P"):
+            st_ = profile_stats(ctx, lam)
+            big, small = a1(ctx, lam, i0), a1(ctx, lam, i0 + 1)
+            lhs = raw_table(lambda m: big.member(m) and not small.member(m), ctx.f, n, d_shift(st_, i0))
+            rhs: dict[tuple[int, tuple[int, ...]], int] = {}
+            d = i0 + 1 - st_.ell
+            for sub in combinations(sorted(st_.j1 | st_.j2), d) if d >= 0 else ():
+                jp = frozenset(sub)
+                ideal = a_ss(ctx, _lambda_prime(lam, st_, jp))
+                twist = p_monomial(ctx.f, st_, jp).char_offset().exps
+                for (deg, c), v in raw_table(lambda m: not ideal.member(m), ctx.f, n).items():
+                    key = (deg, tuple(a + b for a, b in zip(c, twist)))
+                    rhs[key] = rhs.get(key, 0) + v
+            assert lhs == rhs, (lam, i0)
+        assert semisimple_match(ctx, i0).hilbert_ok
 
 
 def test_ideal_from_pairs_edges():

@@ -1,7 +1,8 @@
 import pytest
 
 from serrecalc.errors import UnsupportedCaseError
-from serrecalc.ideals import a_ss, bigraded_standard, p_monomial
+from serrecalc import predictions
+from serrecalc.ideals import Monomial, a_ss, bigraded_standard, p_monomial
 from serrecalc.predictions import (
     SubquotientSpec,
     degenerates_check,
@@ -18,6 +19,7 @@ from serrecalc.predictions import (
     x_counts,
 )
 from serrecalc.series import expand
+from serrecalc.verify import suite_semisimple_match
 from serrecalc.weights import (
     Case,
     GaloisContext,
@@ -203,6 +205,30 @@ def test_semisimple_match_level_zero():
     ctx = nonsplit_context(1, [])
     res = semisimple_match(ctx, -1)
     assert res.bijection_ok and res.hilbert_ok and res.pairs == 2
+
+
+def _swapped_twist(real):
+    """p_monomial with y_j and z_j exchanged: same degree, negated character offset."""
+    def patched(f, st_, jp):
+        p = real(f, st_, jp)
+        return Monomial(tuple(p.exps[i ^ 1] for i in range(len(p.exps))))
+    return patched
+
+
+def test_semisimple_match_catches_a_wrong_twist(monkeypatch):
+    ctx = nonsplit_context(2, [0])
+    assert semisimple_match(ctx, 0).hilbert_ok
+    monkeypatch.setattr(predictions, "p_monomial", _swapped_twist(p_monomial))
+    res = semisimple_match(ctx, 0)
+    assert res.bijection_ok and not res.hilbert_ok
+
+
+def test_semisimple_suite_names_the_first_failure(monkeypatch):
+    assert [r.detail for r in suite_semisimple_match(1)] == [""]
+    monkeypatch.setattr(predictions, "p_monomial", _swapped_twist(p_monomial))
+    (rec,) = suite_semisimple_match(1)
+    assert not rec.ok
+    assert rec.detail == "first failure J_rho=[] i0=0: bijection_ok=True hilbert_ok=False"
 
 
 def test_x_counts_examples():

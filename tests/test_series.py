@@ -2,15 +2,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from serrecalc.errors import TruncationError
 from serrecalc.series import (
     BigradedSeries,
     CharOffset,
     IntPoly,
     RationalSeries,
     bigraded_from_json,
-    bigraded_shift_twist,
-    bigraded_sum,
     bigraded_to_json,
     expand,
     rational_from_json,
@@ -111,38 +108,6 @@ def test_binomial_identities():
 
 def off(*xs):
     return CharOffset(tuple(xs))
-
-
-def test_shift_twist_zero_series():
-    z = BigradedSeries(4)
-    assert bigraded_shift_twist(z, 2, off(1)).is_zero()
-
-
-def test_shift_twist_single_entry():
-    b = BigradedSeries(4, {(1, off(0)): 1})
-    out = bigraded_shift_twist(b, 1, off(0))
-    assert out.mult(2, off(0)) == 1 and len(out.entries) == 1
-
-
-def test_shift_twist_out_of_range():
-    b = BigradedSeries(2, {(2, off(0)): 1})
-    with pytest.raises(TruncationError):
-        bigraded_shift_twist(b, 1, off(0))
-    with pytest.raises(TruncationError):
-        bigraded_shift_twist(b, -3, off(0))
-
-
-def test_bigraded_sum_identity_and_multiplicity():
-    b = BigradedSeries(3, {(0, off(1, -1)): 2, (2, off(0, 0)): 1})
-    z = BigradedSeries(3)
-    assert bigraded_sum([b, z]) == b
-    doubled = bigraded_sum([b, b])
-    assert doubled.mult(0, off(1, -1)) == 4
-
-
-def test_bigraded_sum_mismatched_truncations():
-    with pytest.raises(TruncationError):
-        bigraded_sum([BigradedSeries(2), BigradedSeries(3)])
 
 
 def test_json_round_trips():
