@@ -42,9 +42,6 @@ class SimplicialComplex:
             ideal.ambient, tuple(sorted(g.support_mask() for g in ideal.gens))
         )
 
-    def is_void(self) -> bool:
-        return 0 in self.minimal_nonfaces
-
     def is_face(self, mask: int) -> bool:
         return not any(nf & ~mask == 0 for nf in self.minimal_nonfaces)
 

@@ -10,6 +10,7 @@ at the nonnegative index n as everywhere in this package.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
 from typing import Callable, Hashable, Iterable
 
@@ -17,7 +18,7 @@ from .errors import ProfileMembershipError, SizeLimitError
 from .series import BigradedSeries, CharOffset, IntPoly, RationalSeries
 from .weights import GaloisContext, ProfileStats, TGen, WeightProfile, in_p, profile_stats
 
-#: inclusion-exclusion and Taylor-type sums walk 2^(#gens) subsets
+#: inclusion-exclusion and Taylor-type sums walk up to 2^(#gens) subsets
 GENERATOR_CAP = 22
 
 
@@ -240,18 +241,25 @@ def numerator(
     This is the K-polynomial of R/I (Miller-Sturmfels, ch. 2), specialized
     through ``grade`` while it is summed: the one inclusion-exclusion loop
     behind every Hilbert series and bigraded table in the package.
+
+    Only the faces of Lyubeznik's resolution (JPAA 51 (1988)) are walked, as
+    the other subsets cancel: S grows downward from its largest index, and a
+    new least index i is refused, with every extension, when some g_j with
+    j < i divides the new lcm.
     """
-    n = len(ideal.gens)
-    if n > GENERATOR_CAP:
-        raise SizeLimitError(f"{n} generators exceeds the cap of {GENERATOR_CAP}")
+    if len(ideal.gens) > GENERATOR_CAP:
+        raise SizeLimitError(f"{len(ideal.gens)} generators exceeds the cap of {GENERATOR_CAP}")
     acc = {} if acc is None else acc
-    for r in range(n + 1):
-        for sub in combinations(ideal.gens, r):
-            m = Monomial.one(ideal.ambient)
-            for g in sub:
-                m = m.lcm(g)
-            key = grade(m)
-            acc[key] = acc.get(key, 0) + sign * (-1) ** r
+
+    def add(m: Monomial, s: int, top: int):
+        key = grade(m)
+        acc[key] = acc.get(key, 0) + s
+        for i in range(top):  # i becomes the least index of S
+            m2 = ideal.gens[i].lcm(m)
+            if not any(g.divides(m2) for g in ideal.gens[:i]):
+                add(m2, -s, i)
+
+    add(Monomial.one(ideal.ambient), sign, len(ideal.gens))
     return acc
 
 
@@ -284,6 +292,11 @@ def standard_counts_naive(ideal: MonomialIdeal, bound: int) -> list[int]:
     return counts
 
 
+@lru_cache(maxsize=1 << 12)
+def _unpack(c: int, f: int, bound: int) -> CharOffset:  # one offset recurs in many tables
+    return CharOffset(tuple(c // (2 * bound + 1) ** j % (2 * bound + 1) - bound for j in range(f)))
+
+
 def bigraded_difference(
     big: MonomialIdeal, small: MonomialIdeal, f: int, trunc: int, shift: int
 ) -> BigradedSeries:
@@ -312,7 +325,7 @@ def bigraded_difference(
                 for c, v in layers[d - 1].items():
                     here[c + step] = here.get(c + step, 0) + v
     return BigradedSeries(trunc, {
-        (d - shift, CharOffset(tuple(c // base**j % base - bound for j in range(f)))): v
+        (d - shift, _unpack(c, f, bound)): v
         for d in range(shift, bound + 1) for c, v in layers[d].items() if v
     })
 

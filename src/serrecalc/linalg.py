@@ -45,10 +45,11 @@ def exact_rank(rows: Iterable[dict[int, int]]) -> int:
     return rank
 
 
-#: Miller-Rabin on the prime bases 2..37 is proven exact below this bound
-#: (Sorenson-Webster, Math. Comp. 86 (2017))
+#: Miller-Rabin on the first 13 prime bases, 2..41, is proven exact below
+#: this bound (Sorenson-Webster, Math. Comp. 86 (2017)); the bases 2..37
+#: alone are fooled by 318665857834031151167461 = 399165290221 * 798330580441
 PRIME_TEST_BOUND = 3_317_044_064_679_887_385_961_981
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
 
 def is_prime(n: int) -> bool:

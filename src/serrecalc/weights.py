@@ -267,17 +267,6 @@ class ProfileStats:
     j2: frozenset[int]
     eps: tuple[tuple[int, int], ...]  # (j, sign) for each j with t_j != YZ
 
-    def eps_of(self, j: int) -> int:
-        for jj, s in self.eps:
-            if jj == j:
-                return s
-        raise KeyError(j)
-
-    @property
-    def j_support(self) -> frozenset[int]:
-        """Indices with a linear generator, i.e. the complement of a_set."""
-        return frozenset(j for j, _ in self.eps)
-
 
 def j_set(profile: WeightProfile) -> frozenset[int]:
     """J_lambda: indices whose symbol lies in {x+1, x+2, p-3-x}."""

@@ -195,6 +195,9 @@ BAD_INPUT = {
                                     "--which", "P"],
     "p-above-prime-test-bound": ["hilbert", "--f", "1", "--case", "split", "--jrho", "all",
                                  "--p", str(PRIME_TEST_BOUND)],
+    # a window ideal with C(6,3) + 6 = 26 generators
+    "window-above-generator-cap": ["grsubquot", "--f", "6", "--case", "nonsplit", "--jrho", "0", "--i0", "1",
+                                   "--i0p", "2", "--trunc", "0"],
 }
 
 

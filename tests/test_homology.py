@@ -207,6 +207,8 @@ def test_is_prime_against_trial_division():
     assert not any(is_prime(n) for n in (561, 1105, 1729, 2465, 2821, 6601, 8911, 41041, 825265))
     # a strong pseudoprime to every base 2..31, caught only by 37
     assert not is_prime(3825123056546413051)
+    # a strong pseudoprime to every base 2..37, caught only by 41
+    assert not is_prime(318665857834031151167461)
     assert is_prime(1000000000000000003) and not is_prime(1000000000000000001)
     assert trial(1000003) and not is_prime((2**61 - 1) * 1000003)
     with pytest.raises(SizeLimitError):

@@ -16,6 +16,7 @@ from serrecalc.ideals import (
     d_shift,
     hilbert,
     ideal_from_pairs,
+    numerator,
     p_monomial,
     patched_ideals,
     patched_intersection_check,
@@ -159,6 +160,33 @@ def test_hilbert_vs_naive_all_window_ideals():
                         continue
                     seen.add(key)
                     assert expand(hilbert(ideal), 8) == standard_counts_naive(ideal, 8)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(*(st.integers(min_value=0, max_value=2) for _ in range(4))).map(Monomial), max_size=7))
+def test_numerator_equals_the_full_subset_sum(gens):
+    """The pruned subset walk leaves the fine-graded sum over all subsets unchanged."""
+    ideal = MonomialIdeal(4, tuple(gens))
+    full: dict = {}
+    for r in range(len(ideal.gens) + 1):
+        for sub in combinations(ideal.gens, r):
+            m = Monomial.one(4)
+            for g in sub:
+                m = m.lcm(g)
+            full[m.exps] = full.get(m.exps, 0) + (-1) ** r
+    nonzero = lambda acc: {k: v for k, v in acc.items() if v}
+    assert nonzero(numerator(ideal, lambda m: m.exps)) == nonzero(full)
+    assert expand(hilbert(ideal), 6) == standard_counts_naive(ideal, 6)
+
+
+def test_numerator_walks_few_subsets_of_a_window_ideal():
+    """(y_j z_k products over 2-subsets) + (y_j z_j): 15 generators, 2^15 subsets."""
+    ctx = nonsplit_context(5, [])
+    ideal = a1(ctx, prof(*["X0"] * 5), 1)
+    faces = []
+    numerator(ideal, lambda m: faces.append(m) or m.degree)
+    assert len(ideal.gens) == 15 and len(faces) < 2**15 // 16
+    assert expand(hilbert(ideal), 6) == standard_counts_naive(ideal, 6)
 
 
 def test_bigraded_standard_matches_univariate():
