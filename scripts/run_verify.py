@@ -22,7 +22,7 @@ def main() -> int:
     report = []
     for name in names:
         t0 = time.perf_counter()
-        records = verify.run_suite(name)
+        records = verify.run_suites([name])
         elapsed = time.perf_counter() - t0
         passed = sum(r.ok for r in records)
         print(f"{name:18s} {passed}/{len(records)} in {elapsed:6.2f}s")

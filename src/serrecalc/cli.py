@@ -208,8 +208,7 @@ def _theta(a) -> dict:
 
 def _tor(a) -> dict:
     gens = _list_of_lists(json.loads(a.gens), int, "--gens to be a JSON list of integer exponent arrays")
-    ambient = a.ambient if a.ambient is not None else (len(gens[0]) if gens else 0)
-    ideal = MonomialIdeal(ambient, tuple(Monomial(tuple(g)) for g in gens))
+    ideal = MonomialIdeal(len(gens[0]) if gens else 0, tuple(Monomial(tuple(g)) for g in gens))
     payload: dict = {"gens": [list(g.exps) for g in ideal.gens]}
     for key, oracle in (("taylor", taylor_profile), ("hochster", hochster_profile)):
         if a.method in (key, "both"):
@@ -239,7 +238,7 @@ def _patched(a) -> dict:
 
 def _verify(a) -> list[dict]:
     names = sorted(verify.SUITES) if (a.all or not a.suite) else a.suite
-    return [asdict(r) for name in names for r in verify.run_suite(name, fmax=a.f)]
+    return [asdict(r) for r in verify.run_suites(names, a.f)]
 
 
 def _verify_rows(records: list[dict]) -> list[list[str]]:
@@ -320,7 +319,6 @@ COMMANDS: dict[str, Command] = {
         "Tor dims of a monomial ideal",
         (
             ("--gens", dict(required=True, help="JSON list of exponent arrays")),
-            ("--ambient", dict(type=int, default=None)),
             ("--method", dict(choices=["hochster", "taylor", "both"], default="both")),
             ("--max-i", dict(dest="max_i", type=int, default=None)),
             _FORMAT,

@@ -2,8 +2,10 @@
 
 Two independent oracles: Hochster's formula over induced subcomplexes of the
 Stanley-Reisner complex (squarefree ideals), and the homology of the Taylor
-complex on generator subsets (any monomial ideal).  Ranks are exact integer
-ranks over the rationals; a prime-field mode is available for homology.
+complex on generator subsets (any monomial ideal).  They share only
+``homology_from_faces``, fed induced subcomplexes and blocks of equal lcm.
+Ranks are exact integer ranks over the rationals; a prime-field mode is
+available for homology.
 """
 
 from __future__ import annotations
@@ -47,22 +49,17 @@ class SimplicialComplex:
 
     def faces_within(self, vertex_mask: int) -> list[int]:
         """All faces of the induced subcomplex on the given vertex set."""
-        verts = [v for v in range(self.n_vertices) if vertex_mask & (1 << v)]
-        out = []
-        for r in range(len(verts) + 1):
-            for sub in combinations(verts, r):
-                mask = 0
-                for v in sub:
-                    mask |= 1 << v
-                if self.is_face(mask):
-                    out.append(mask)
-        return out
+        bits = [1 << v for v in range(self.n_vertices) if vertex_mask & (1 << v)]
+        masks = (sum(sub) for r in range(len(bits) + 1) for sub in combinations(bits, r))
+        return [mask for mask in masks if self.is_face(mask)]
 
     def faces(self) -> list[int]:
         return self.faces_within((1 << self.n_vertices) - 1)
 
 
-def _boundary_rows(upper: list[int], lower_index: dict[int, int]) -> list[dict[int, int]]:
+def _boundary_rows(upper: list[int], lower: list[int]) -> list[dict[int, int]]:
+    """Boundary matrix rows from ``upper`` to ``lower``; faces not in ``lower`` drop out."""
+    lower_index = {m: i for i, m in enumerate(lower)}
     rows = []
     for mask in upper:
         verts = [v for v in range(mask.bit_length()) if mask & (1 << v)]
@@ -80,29 +77,17 @@ def homology_from_faces(faces: list[int], char_p: int | None = None) -> dict[int
     """Reduced homology dims, keyed by homological degree (including -1).
 
     The empty complex (only the empty face) has H_{-1} of dimension 1; a
-    void complex (no faces at all) has no homology in any degree.
+    void complex (no faces at all) has no homology in any degree.  The faces
+    need not be closed under subsets (a Taylor block is not).
     """
-    if not faces:
-        return {}
     by_card: dict[int, list[int]] = {}
-    for mask in faces:
+    for mask in sorted(faces):
         by_card.setdefault(bin(mask).count("1"), []).append(mask)
-    for masks in by_card.values():
-        masks.sort()
-    top = max(by_card)
     rank = (lambda rows: rank_mod_p(rows, char_p)) if char_p else exact_rank
-    ranks: dict[int, int] = {}
-    for k in range(1, top + 1):
-        upper = by_card.get(k, [])
-        lower = by_card.get(k - 1, [])
-        if upper and lower:
-            index = {m: i for i, m in enumerate(lower)}
-            ranks[k] = rank(_boundary_rows(upper, index))
-        else:
-            ranks[k] = 0
+    ranks = {k: rank(_boundary_rows(by_card[k], by_card[k - 1])) for k in by_card if k - 1 in by_card}
     dims: dict[int, int] = {}
-    for k in range(top + 1):
-        dim = len(by_card.get(k, [])) - ranks.get(k, 0) - ranks.get(k + 1, 0)
+    for k in sorted(by_card):
+        dim = len(by_card[k]) - ranks.get(k, 0) - ranks.get(k + 1, 0)
         if dim:
             dims[k - 1] = dim
     return dims
@@ -139,55 +124,29 @@ def hochster_tor(ideal: MonomialIdeal, i: int) -> int:
 def taylor_profile(ideal: MonomialIdeal) -> list[int]:
     """dim Tor_i(F, R/I) for i = 0..#gens, from the Taylor complex.
 
-    Basis in position i: i-subsets S of the generators; the differential
-    entry at (S, S \\ {g}) is the sign of g's position when lcm(S \\ {g})
-    equals lcm(S), and zero otherwise.  The complex splits along the lcm
-    multidegree, so homology is summed over blocks.
+    Basis in position i: i-subsets S of the generators.  Over F the entry at
+    (S, S \\ {g}) survives only when lcm(S \\ {g}) equals lcm(S), so the
+    complex splits into blocks of equal lcm, and each block is a set of faces
+    with the simplicial boundary: its reduced homology in degree k is Tor in
+    position k + 1.  Subsets grow downward from their largest index, as in
+    ``ideals.numerator``, so each lcm is its parent's joined with one generator.
     """
     gens = ideal.gens
     n = len(gens)
     if n > GENERATOR_CAP:
         raise SizeLimitError(f"{n} generators exceeds the cap of {GENERATOR_CAP}")
-    # group subsets (as index bitmasks) by their lcm monomial
-    blocks: dict[tuple[int, ...], dict[int, list[int]]] = {}
-    for s_mask in range(1 << n):
-        m = Monomial.one(ideal.ambient)
-        mm = s_mask
-        while mm:
-            g = (mm & -mm).bit_length() - 1
-            m = m.lcm(gens[g])
-            mm &= mm - 1
-        size = bin(s_mask).count("1")
-        blocks.setdefault(m.exps, {}).setdefault(size, []).append(s_mask)
+    blocks: dict[tuple[int, ...], list[int]] = {}
 
+    def walk(m: Monomial, s_mask: int, top: int):
+        blocks.setdefault(m.exps, []).append(s_mask)
+        for i in range(top):  # i becomes the least index of S
+            walk(gens[i].lcm(m), s_mask | 1 << i, i)
+
+    walk(Monomial.one(ideal.ambient), 0, n)
     out = [0] * (n + 1)
-    for by_size in blocks.values():
-        for sizes in by_size.values():
-            sizes.sort()
-        top = max(by_size)
-        ranks: dict[int, int] = {}
-        for k in range(1, top + 1):
-            upper = by_size.get(k, [])
-            lower = by_size.get(k - 1, [])
-            if not upper or not lower:
-                ranks[k] = 0
-                continue
-            index = {m: i for i, m in enumerate(lower)}
-            rows = []
-            for s_mask in upper:
-                idxs = [g for g in range(n) if s_mask & (1 << g)]
-                row: dict[int, int] = {}
-                for pos, g in enumerate(idxs):
-                    sub = s_mask ^ (1 << g)
-                    col = index.get(sub)
-                    if col is not None:
-                        row[col] = -1 if pos % 2 else 1
-                rows.append(row)
-            ranks[k] = exact_rank(rows)
-        for k in range(top + 1):
-            dim = len(by_size.get(k, [])) - ranks.get(k, 0) - ranks.get(k + 1, 0)
-            if 0 <= k <= n:
-                out[k] += dim
+    for faces in blocks.values():
+        for k, dim in homology_from_faces(faces).items():
+            out[k + 1] += dim
     return out
 
 

@@ -12,6 +12,7 @@ from itertools import combinations
 from math import comb
 from typing import Callable, Iterator
 
+from .errors import SizeLimitError
 from .homology import (
     ext1_identity_ok,
     ext_dims,
@@ -22,6 +23,7 @@ from .homology import (
     taylor_profile,
 )
 from .ideals import (
+    GENERATOR_CAP,
     Monomial,
     a_lambda,
     d_shift,
@@ -33,6 +35,7 @@ from .ideals import (
 from .linalg import exact_rank
 from .pbw import mono_degree, pbw_basis, pbw_mul, tor1_gr
 from .predictions import (
+    THETA_BOX_CAP,
     SubquotientSpec,
     degenerates_check,
     gr_subquotient,
@@ -48,6 +51,7 @@ from .predictions import (
 )
 from .series import IntPoly, expand
 from .weights import (
+    PROFILE_F_CAP,
     Case,
     GaloisContext,
     WeightProfile,
@@ -286,13 +290,8 @@ def suite_tor(kmax: int = 5, ext_fmax: int = 3, corpus_fmax: int = 3) -> list[Ch
     ok = True
     for k in range(1, kmax + 1):
         pure = pairing_ideal(k)
-        tay = taylor_profile(pure)
-        hoch = hochster_profile(pure)
-        for i in range(2 * k + 1):
-            want = stanley_reisner_closed(k, i)
-            got_t = tay[i] if i < len(tay) else 0
-            got_h = hoch[i] if i < len(hoch) else 0
-            ok = ok and got_t == want == got_h
+        want = [stanley_reisner_closed(k, i) for i in range(2 * k + 1)]
+        ok = ok and profiles_agree(taylor_profile(pure), want) and profiles_agree(hochster_profile(pure), want)
     out.append(CheckRecord("tor", f"pairing-ideal closed form k<={kmax}", ok))
     ok = all(ext_dims(f, k).ok for f in range(1, ext_fmax + 1) for k in range(f + 1))
     out.append(CheckRecord("tor", f"padded Ext dims f<={ext_fmax}", ok))
@@ -506,13 +505,30 @@ DEFAULT_SCALE: dict[str, dict] = {
 }
 
 
-def run_suite(name: str, fmax: int | None = None) -> list[CheckRecord]:
-    if name not in SUITES:
-        raise ValueError(f"unknown suite {name!r}")
-    if fmax is not None and fmax < 1:
-        raise ValueError(f"scale f must be at least 1, got {fmax}")
-    kwargs = dict(DEFAULT_SCALE[name])
-    if fmax is not None:
-        first = next(iter(kwargs))
-        kwargs[first] = fmax
-    return SUITES[name](**kwargs)
+#: largest scale override a suite takes: those that list profiles stop at the
+#: profile cap, theta where its largest box (2f + 5)^f outgrows the lattice
+#: cap, and tor where the pairing ideal's k + C(k, 2) generators outgrow theirs
+SCALE_CAP: dict[str, int] = {
+    **dict.fromkeys(("hilbert", "split-ni", "gr-subquot", "semisimple-match", "xcounts", "patched"), PROFILE_F_CAP),
+    "theta": max(f for f in range(1, PROFILE_F_CAP + 1) if (2 * f + 5) ** f <= THETA_BOX_CAP),
+    "tor": max(k for k in range(1, GENERATOR_CAP + 1) if k + comb(k, 2) <= GENERATOR_CAP),
+}
+
+
+def run_suites(names: list[str], fmax: int | None = None) -> list[CheckRecord]:
+    """Run the named suites, ``fmax`` replacing each one's first scale; every scale is checked first."""
+    for name in names:
+        if name not in SUITES:
+            raise ValueError(f"unknown suite {name!r}")
+        if fmax is not None and fmax < 1:
+            raise ValueError(f"scale f must be at least 1, got {fmax}")
+        if fmax is not None and fmax > SCALE_CAP.get(name, fmax):
+            raise SizeLimitError(f"suite {name} takes a scale of at most {SCALE_CAP[name]}, got {fmax}")
+    out = []
+    for name in names:
+        kwargs = dict(DEFAULT_SCALE[name])
+        if fmax is not None:
+            first = next(iter(kwargs))
+            kwargs[first] = fmax
+        out += SUITES[name](**kwargs)
+    return out

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import replace
 from datetime import timedelta
@@ -19,6 +20,7 @@ from serrecalc.cli import main
 from serrecalc.homology import VERTEX_CAP
 from serrecalc.ideals import MonomialIdeal
 from serrecalc.linalg import PRIME_TEST_BOUND
+from serrecalc.predictions import THETA_BOX_CAP
 from serrecalc.weights import PROFILE_F_CAP
 
 
@@ -198,17 +200,36 @@ BAD_INPUT = {
     # a window ideal with C(6,3) + 6 = 26 generators
     "window-above-generator-cap": ["grsubquot", "--f", "6", "--case", "nonsplit", "--jrho", "0", "--i0", "1",
                                    "--i0p", "2", "--trunc", "0"],
+    "tor-ambient": ["tor", "--gens", "[]", "--ambient", "3"],
+    # one coordinate of 2n - 1 candidates: the cap is met by the box size, not by a scan
+    "theta-above-box-cap": ["theta", "--f", "1", "--case", "nonsplit", "--jrho", "0", "--profile", "X0",
+                            "--i0", "0", "--n", str(THETA_BOX_CAP // 2 + 1)],
+    **{f"verify-{name}-above-profile-cap": ["verify", "--suite", name, "--f", str(PROFILE_F_CAP + 1)]
+       for name in ("hilbert", "split-ni", "gr-subquot", "semisimple-match", "theta", "xcounts", "patched")},
+    "verify-all-f-12": ["verify", "--all", "--f", "12"],
+    "verify-theta-box-above-cap": ["verify", "--suite", "theta", "--f", "5"],
+    # the pairing ideal at k = 7 has 7 + C(7, 2) = 28 generators
+    "verify-tor-above-generator-cap": ["verify", "--suite", "tor", "--f", "7"],
+    "verify-cap-checked-first": ["verify", "--suite", "pbw", "--suite", "hilbert", "--f", str(PROFILE_F_CAP + 1)],
 }
 
 
 @pytest.mark.parametrize("argv", BAD_INPUT.values(), ids=BAD_INPUT.keys())
 def test_bad_input_exits_2_with_one_error_line(capsys, tmp_path, argv):
     (tmp_path / "x.json").write_text('{"x":1}')
-    rc = main([a.replace("TMP", str(tmp_path)) for a in argv])
-    captured = capsys.readouterr()
-    lines = captured.err.splitlines()
-    assert rc == 2 and captured.out == ""
-    assert len(lines) == 1 and lines[0].startswith("error:"), captured.err
+    start = time.perf_counter()
+    try:
+        rc = main([a.replace("TMP", str(tmp_path)) for a in argv])
+    except SystemExit as exc:  # an unknown flag: argparse prints its usage, then one error line
+        rc = exc.code
+        usage, error = capsys.readouterr().err.rsplit("\n", 2)[:2]
+        assert "error:" not in usage and error.startswith("serrecalc: error:"), error
+    else:
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert captured.out == ""
+        assert len(lines) == 1 and lines[0].startswith("error:"), captured.err
+    assert rc == 2 and time.perf_counter() - start < 5
 
 
 SPLIT2 = ["--f", "2", "--case", "split", "--jrho", "all"]

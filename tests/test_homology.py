@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from serrecalc.errors import SizeLimitError
@@ -12,6 +12,7 @@ from serrecalc.homology import (
     hochster_tor,
     padded_pairing_ideal,
     pairing_ideal,
+    profiles_agree,
     reduced_homology_dims,
     stanley_reisner_closed,
     taylor_profile,
@@ -76,6 +77,37 @@ def test_taylor_size_cap():
     ideal = MonomialIdeal(n, tuple(mono(n, i) for i in range(n)))
     with pytest.raises(SizeLimitError):
         taylor_profile(ideal)
+
+
+def test_taylor_walk_takes_one_lcm_per_subset(monkeypatch):
+    calls = []
+    lcm = Monomial.lcm
+    monkeypatch.setattr(Monomial, "lcm", lambda a, b: calls.append(1) or lcm(a, b))
+    ideal = pairing_ideal(4)
+    n = len(ideal.gens)
+    assert n == 10 and profiles_agree(taylor_profile(ideal), [stanley_reisner_closed(4, i) for i in range(5)])
+    assert len(calls) == 2**n - 1
+
+
+def polarization(ideal: MonomialIdeal) -> MonomialIdeal:
+    """x_j^e becomes x_{j,0} ... x_{j,e-1}, one new variable per power up to the largest."""
+    tops = [max(g.exps[j] for g in ideal.gens) for j in range(ideal.ambient)]
+    starts = [sum(tops[:j]) for j in range(ideal.ambient)]
+    polar = lambda g: mono(sum(tops), *(starts[j] + r for j, e in enumerate(g.exps) for r in range(e)))
+    return MonomialIdeal(sum(tops), tuple(polar(g) for g in ideal.gens))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(1, 3).flatmap(
+        lambda n: st.lists(st.tuples(*[st.integers(0, 2)] * n), min_size=1, max_size=5)
+    )
+)
+def test_taylor_on_non_squarefree_matches_hochster_of_polarization(exps):
+    ideal = MonomialIdeal(len(exps[0]), tuple(Monomial(e) for e in exps))
+    assume(not ideal.is_squarefree())
+    # polarization keeps the Betti numbers
+    assert profiles_agree(taylor_profile(ideal), hochster_profile(polarization(ideal)))
 
 
 def test_tor1_counts_minimal_generators():
