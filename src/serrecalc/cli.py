@@ -4,6 +4,8 @@ Every subcommand prints deterministic output: JSON with sorted keys, CSV,
 or an aligned table.  Unbounded integers are emitted as decimal strings.
 Exit codes: 0 success, 1 when a payload flag listed in the table is false,
 2 for usage errors and bad input, with one ``error:`` line on stderr.
+Each payload imports the modules it computes with when it runs, so a process
+loads only what its subcommand uses.
 """
 
 from __future__ import annotations
@@ -15,31 +17,9 @@ from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Callable
 
-from . import verify
-from .ideals import MonomialIdeal, Monomial, a_lambda, hilbert, patched_ideals
-from .homology import hochster_profile, taylor_profile
-from .pbw import tor1_gr
-from .predictions import (
-    SubquotientSpec,
-    default_trunc,
-    gr_subquotient,
-    hilbert_Ni,
-    hilbert_pi,
-    i1_invariants,
-    k1_cycle,
-    semisimple_match,
-    socle_jsets,
-    theta_lattice,
-    x_counts,
-)
 from .series import bigraded_to_json, dumps_canonical, expand, rational_to_json
-from .weights import (
-    Case,
-    GaloisContext,
-    WeightProfile,
-    enumerate_profiles,
-    profile_stats,
-)
+from .weights import Case, GaloisContext, WeightProfile, enumerate_profiles, profile_stats
+
 
 
 def _parse_jrho(text: str | None, f: int) -> frozenset[int] | None:
@@ -72,6 +52,7 @@ def _resolve(a: argparse.Namespace) -> None:
     if getattr(a, "profile", None) is not None:
         a.lam = _profile(a.profile.split(","), a.f)
     if hasattr(a, "i0p"):
+        from .predictions import SubquotientSpec
         a.spec = SubquotientSpec(a.i0, a.i0p)
         a.spec.check(a.f)
 
@@ -152,6 +133,7 @@ def _stats(a) -> dict:
 
 
 def _ideal(a) -> dict:
+    from .ideals import a_lambda, hilbert
     ideal = a_lambda(a.ctx, a.lam)
     return {"gens": [list(g.exps) for g in ideal.gens], "hilbert": rational_to_json(hilbert(ideal).reduced())}
 
@@ -162,6 +144,7 @@ def _series_check(res) -> dict:
 
 
 def _hilbert(a) -> dict:
+    from .predictions import default_trunc, hilbert_pi
     res = hilbert_pi(a.ctx)
     n = default_trunc(a.f) if a.trunc is None else a.trunc
     return {**_series_check(res), "expansion": [str(c) for c in expand(res.closed, n)]}
@@ -176,7 +159,13 @@ def _hilbert_rows(d: dict) -> list[list[str]]:
     ]
 
 
+def _ni(a) -> dict:
+    from .predictions import hilbert_Ni
+    return {"i": a.i, **_series_check(hilbert_Ni(a.ctx, a.i))}
+
+
 def _grsubquot(a) -> dict:
+    from .predictions import gr_subquotient
     data = gr_subquotient(a.ctx, a.spec, a.trunc)
     return {
         "i0": a.spec.i0,
@@ -187,16 +176,24 @@ def _grsubquot(a) -> dict:
 
 
 def _i1(a) -> dict:
+    from .predictions import i1_invariants
     lams = i1_invariants(a.ctx, a.spec)
     return {"profiles": [p.tags() for p in lams], "count": len(lams)}
 
 
 def _socle(a) -> dict:
+    from .predictions import socle_jsets
     jsets = socle_jsets(a.ctx, a.spec)
     return {"j_sets": [sorted(J) for J in jsets], "count": len(jsets)}
 
 
+def _k1cycle(a) -> dict:
+    from .predictions import k1_cycle
+    return {"value": k1_cycle(a.f, a.spec)}
+
+
 def _theta(a) -> dict:
+    from .predictions import theta_lattice
     box = theta_lattice(a.ctx, a.lam, a.i0 + 4 if a.n is None else a.n, a.i0)
     return {
         "d_lambda": box.d_lambda,
@@ -206,7 +203,14 @@ def _theta(a) -> dict:
     }
 
 
+def _match(a) -> dict:
+    from .predictions import semisimple_match
+    return asdict(semisimple_match(a.ctx, a.i0))
+
+
 def _tor(a) -> dict:
+    from .homology import hochster_profile, taylor_profile
+    from .ideals import Monomial, MonomialIdeal
     gens = _list_of_lists(json.loads(a.gens), int, "--gens to be a JSON list of integer exponent arrays")
     ideal = MonomialIdeal(len(gens[0]) if gens else 0, tuple(Monomial(tuple(g)) for g in gens))
     payload: dict = {"gens": [list(g.exps) for g in ideal.gens]}
@@ -217,6 +221,7 @@ def _tor(a) -> dict:
 
 
 def _grtor(a) -> dict:
+    from .pbw import tor1_gr
     r = tor1_gr(a.ctx, a.lam, a.side)
     return {
         "dim_im_d1": r.dim_im_d1,
@@ -227,7 +232,13 @@ def _grtor(a) -> dict:
     }
 
 
+def _xcounts(a) -> dict:
+    from .predictions import x_counts
+    return asdict(x_counts(a.ctx, a.lam))
+
+
 def _patched(a) -> dict:
+    from .ideals import patched_ideals
     inter, expected = patched_ideals(a.ctx, a.lam)
     return {
         "intersection": [list(g.exps) for g in inter.gens],
@@ -237,6 +248,7 @@ def _patched(a) -> dict:
 
 
 def _verify(a) -> list[dict]:
+    from . import verify
     names = sorted(verify.SUITES) if (a.all or not a.suite) else a.suite
     return [asdict(r) for r in verify.run_suites(names, a.f)]
 
@@ -296,25 +308,17 @@ COMMANDS: dict[str, Command] = {
     "hilbert": Command(
         "closed vs enumerated Hilbert series", _CTX + (_TRUNC,), _hilbert, ("equal",), _hilbert_rows
     ),
-    "ni": Command(
-        "split-case layer series", _CTX + (("--i", dict(type=int, required=True)),),
-        lambda a: {"i": a.i, **_series_check(hilbert_Ni(a.ctx, a.i))}, ("equal",),
-    ),
+    "ni": Command("split-case layer series", _CTX + (("--i", dict(type=int, required=True)),), _ni, ("equal",)),
     "grsubquot": Command("per-profile bigraded window tables", _CTX + _WINDOW + (_TRUNC,), _grsubquot),
     "i1": Command("invariant index set of a window", _CTX + _WINDOW, _i1),
     "socle": Command("socle J-sets of a window", _CTX + _WINDOW, _socle),
-    "k1cycle": Command(
-        "binomial window count", (_F, _FORMAT) + _WINDOW, lambda a: {"value": k1_cycle(a.f, a.spec)}
-    ),
+    "k1cycle": Command("binomial window count", (_F, _FORMAT) + _WINDOW, _k1cycle),
     "theta": Command(
         "sign-constrained lattice model",
         _CTX + (_PROFILE, _I0, ("--n", dict(type=int, default=None))),
         _theta, ("chain_ok",),
     ),
-    "match": Command(
-        "semisimple layer matching", _CTX + (_I0,),
-        lambda a: asdict(semisimple_match(a.ctx, a.i0)), ("bijection_ok", "hilbert_ok"),
-    ),
+    "match": Command("semisimple layer matching", _CTX + (_I0,), _match, ("bijection_ok", "hilbert_ok")),
     "tor": Command(
         "Tor dims of a monomial ideal",
         (
@@ -330,15 +334,12 @@ COMMANDS: dict[str, Command] = {
         _CTX + (_PROFILE, ("--side", dict(choices=["right", "left"], default="right"))),
         _grtor, ("matches_closed_forms",),
     ),
-    "xcounts": Command(
-        "character shell sizes around a profile", _CTX + (_PROFILE,),
-        lambda a: asdict(x_counts(a.ctx, a.lam)), ("ok",),
-    ),
+    "xcounts": Command("character shell sizes around a profile", _CTX + (_PROFILE,), _xcounts, ("ok",)),
     "patched": Command("patched-module intersection check", _CTX + (_PROFILE,), _patched, ("ok",)),
     "verify": Command(
         "run named verification suites",
         (
-            ("--suite", dict(action="append", choices=sorted(verify.SUITES), default=None)),
+            ("--suite", dict(action="append", default=None)),
             ("--all", dict(action="store_true")),
             ("--f", dict(type=int, default=None, help="override the default scale")),
             ("--report", dict(dest="fmt", choices=["json"], default="table")),

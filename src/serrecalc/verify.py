@@ -14,6 +14,7 @@ from typing import Callable, Iterator
 
 from .errors import SizeLimitError
 from .homology import (
+    TAYLOR_CAP,
     ext1_identity_ok,
     ext_dims,
     hochster_profile,
@@ -23,7 +24,6 @@ from .homology import (
     taylor_profile,
 )
 from .ideals import (
-    GENERATOR_CAP,
     Monomial,
     a_lambda,
     d_shift,
@@ -507,11 +507,11 @@ DEFAULT_SCALE: dict[str, dict] = {
 
 #: largest scale override a suite takes: those that list profiles stop at the
 #: profile cap, theta where its largest box (2f + 5)^f outgrows the lattice
-#: cap, and tor where the pairing ideal's k + C(k, 2) generators outgrow theirs
+#: cap, and tor where the pairing ideal's k + C(k, 2) generators pass the Taylor cap
 SCALE_CAP: dict[str, int] = {
     **dict.fromkeys(("hilbert", "split-ni", "gr-subquot", "semisimple-match", "xcounts", "patched"), PROFILE_F_CAP),
     "theta": max(f for f in range(1, PROFILE_F_CAP + 1) if (2 * f + 5) ** f <= THETA_BOX_CAP),
-    "tor": max(k for k in range(1, GENERATOR_CAP + 1) if k + comb(k, 2) <= GENERATOR_CAP),
+    "tor": max(k for k in range(1, TAYLOR_CAP + 1) if k + comb(k, 2) <= TAYLOR_CAP),
 }
 
 

@@ -15,9 +15,9 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 import serrecalc
-from serrecalc import cli
+from serrecalc import cli, ideals, pbw, predictions, verify
 from serrecalc.cli import main
-from serrecalc.homology import VERTEX_CAP
+from serrecalc.homology import TAYLOR_CAP, VERTEX_CAP
 from serrecalc.ideals import MonomialIdeal
 from serrecalc.linalg import PRIME_TEST_BOUND
 from serrecalc.predictions import THETA_BOX_CAP
@@ -210,6 +210,11 @@ BAD_INPUT = {
     "verify-theta-box-above-cap": ["verify", "--suite", "theta", "--f", "5"],
     # the pairing ideal at k = 7 has 7 + C(7, 2) = 28 generators
     "verify-tor-above-generator-cap": ["verify", "--suite", "tor", "--f", "7"],
+    # k = 6 gives 6 + C(6, 2) = 21 generators, above the Taylor cap
+    "verify-tor-f-6": ["verify", "--suite", "tor", "--f", "6"],
+    "tor-taylor-above-cap": ["tor", "--gens", json.dumps([[int(i == j) for j in range(TAYLOR_CAP + 1)]
+                                                          for i in range(TAYLOR_CAP + 1)]), "--method", "taylor"],
+    "verify-unknown-suite": ["verify", "--suite", "nope"],
     "verify-cap-checked-first": ["verify", "--suite", "pbw", "--suite", "hilbert", "--f", str(PROFILE_F_CAP + 1)],
 }
 
@@ -234,27 +239,74 @@ def test_bad_input_exits_2_with_one_error_line(capsys, tmp_path, argv):
 
 SPLIT2 = ["--f", "2", "--case", "split", "--jrho", "all"]
 NONSPLIT1 = ["--f", "1", "--case", "nonsplit", "--jrho", "0"]
+# the payloads import their functions when they run, so the defining module is patched
 FLAGGED = {
-    "hilbert": (["hilbert", *SPLIT2], "hilbert_pi", lambda r: replace(r, equal=False)),
-    "ni": (["ni", *SPLIT2, "--i", "1"], "hilbert_Ni", lambda r: replace(r, equal=False)),
-    "theta": (["theta", *NONSPLIT1, "--profile", "X0", "--i0", "0"], "theta_lattice",
+    "hilbert": (["hilbert", *SPLIT2], predictions, "hilbert_pi", lambda r: replace(r, equal=False)),
+    "ni": (["ni", *SPLIT2, "--i", "1"], predictions, "hilbert_Ni", lambda r: replace(r, equal=False)),
+    "theta": (["theta", *NONSPLIT1, "--profile", "X0", "--i0", "0"], predictions, "theta_lattice",
               lambda r: replace(r, chain_ok=False)),
-    "match": (["match", "--f", "2", "--case", "nonsplit", "--jrho", "1", "--i0", "0"], "semisimple_match",
-              lambda r: replace(r, hilbert_ok=False)),
-    "grtor": (["grtor", *SPLIT2, "--profile", "X0,X0"], "tor1_gr", lambda r: replace(r, ok=False)),
-    "xcounts": (["xcounts", *SPLIT2, "--profile", "X0,X0"], "x_counts", lambda r: replace(r, ok=False)),
-    "patched": (["patched", *SPLIT2, "--profile", "X0,X0"], "patched_ideals",
+    "match": (["match", "--f", "2", "--case", "nonsplit", "--jrho", "1", "--i0", "0"], predictions,
+              "semisimple_match", lambda r: replace(r, hilbert_ok=False)),
+    "grtor": (["grtor", *SPLIT2, "--profile", "X0,X0"], pbw, "tor1_gr", lambda r: replace(r, ok=False)),
+    "xcounts": (["xcounts", *SPLIT2, "--profile", "X0,X0"], predictions, "x_counts",
+                lambda r: replace(r, ok=False)),
+    "patched": (["patched", *SPLIT2, "--profile", "X0,X0"], ideals, "patched_ideals",
                 lambda r: (r[0], MonomialIdeal.zero(r[0].ambient))),
 }
 
 
-@pytest.mark.parametrize("argv,name,falsify", FLAGGED.values(), ids=FLAGGED.keys())
-def test_false_flag_exits_1(monkeypatch, capsys, argv, name, falsify):
+@pytest.mark.parametrize("argv,module,name,falsify", FLAGGED.values(), ids=FLAGGED.keys())
+def test_false_flag_exits_1(monkeypatch, capsys, argv, module, name, falsify):
     assert main(argv) == 0
-    real = getattr(cli, name)
-    monkeypatch.setattr(cli, name, lambda *args: falsify(real(*args)))
+    real = getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *args: falsify(real(*args)))
     assert main(argv) == 1
     assert "false" in capsys.readouterr().out.splitlines()[-1]
+
+
+# A cheap valid argv for every subcommand, each run in a fresh interpreter.
+WINDOW2 = ["--f", "2", "--case", "nonsplit", "--jrho", "1", "--i0", "0", "--i0p", "1"]
+CHEAP = {
+    "enumerate": ["enumerate", *NONSPLIT1, "--which", "P"],
+    "stats": ["stats", *SPLIT2, "--profile", "X0,X0"],
+    "ideal": ["ideal", *SPLIT2, "--profile", "X0,X0"],
+    "hilbert": FLAGGED["hilbert"][0],
+    "ni": FLAGGED["ni"][0],
+    "grsubquot": ["grsubquot", *WINDOW2],
+    "i1": ["i1", *WINDOW2],
+    "socle": ["socle", *WINDOW2],
+    "k1cycle": ["k1cycle", "--f", "3", "--i0", "0", "--i0p", "2"],
+    "theta": FLAGGED["theta"][0],
+    "match": FLAGGED["match"][0],
+    "tor": ["tor", "--gens", "[[1,1,0],[0,1,1]]"],
+    "grtor": FLAGGED["grtor"][0],
+    "xcounts": FLAGGED["xcounts"][0],
+    "patched": FLAGGED["patched"][0],
+    "verify": ["verify", "--suite", "split-ni", "--f", "1"],
+}
+LOADED_PROBE = """
+import contextlib, io, sys
+import serrecalc, serrecalc.cli
+with contextlib.redirect_stdout(io.StringIO()):
+    rc = serrecalc.cli.main(sys.argv[1:]) if sys.argv[1:] else 0
+print(*sorted(m for m in sys.modules if m.startswith("serrecalc.")))
+sys.exit(rc)
+"""
+
+
+@pytest.mark.parametrize("name", ["import", *CHEAP])
+def test_a_subcommand_loads_only_the_modules_it_uses(name):
+    assert set(CHEAP) == set(cli.COMMANDS)
+    env = {**os.environ, "PYTHONPATH": str(Path(serrecalc.__file__).parents[1])}
+    argv = CHEAP.get(name, [])
+    done = subprocess.run([sys.executable, "-c", LOADED_PROBE, *argv], capture_output=True, text=True, env=env,
+                          timeout=60)
+    assert done.returncode == 0, done.stderr
+    heavy = {"serrecalc.ideals", "serrecalc.homology", "serrecalc.pbw", "serrecalc.predictions", "serrecalc.verify"}
+    loaded = heavy & set(done.stdout.split())
+    if name in ("import", "enumerate", "stats"):
+        assert loaded == set()
+    assert ("serrecalc.verify" in loaded) == (name == "verify")
 
 
 # -- argv fuzzing ----------------------------------------------------------
@@ -287,6 +339,7 @@ def argvs(draw):
         "--p": st.sampled_from(["31", "29", "23", "4", "-1"]),
         "--gens": st.lists(st.lists(st.integers(-1, 2), max_size=4), max_size=4).map(json.dumps),
         "--from-json": st.sampled_from(["-", "no-such-profiles.json"]),
+        "--suite": st.sampled_from(sorted(verify.SUITES)),
     }
     name = draw(st.sampled_from(sorted(cli.COMMANDS)))
     argv = [name]
