@@ -339,7 +339,8 @@ COMMANDS: dict[str, Command] = {
     "verify": Command(
         "run named verification suites",
         (
-            ("--suite", dict(action="append", default=None)),
+            ("--suite", dict(action="append", default=None, help="repeatable; one of degenerates, gr-subquot, hilbert, "
+                             "patched, pbw, semisimple-match, split-ni, theta, tor, xcounts")),
             ("--all", dict(action="store_true")),
             ("--f", dict(type=int, default=None, help="override the default scale")),
             ("--report", dict(dest="fmt", choices=["json"], default="table")),

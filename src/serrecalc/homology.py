@@ -119,13 +119,6 @@ def hochster_profile(ideal: MonomialIdeal, char_p: int | None = None) -> list[in
     return out
 
 
-def hochster_tor(ideal: MonomialIdeal, i: int) -> int:
-    if i < 0:
-        raise ValueError("homological degree must be nonnegative")
-    profile = hochster_profile(ideal)
-    return profile[i] if i < len(profile) else 0
-
-
 def taylor_profile(ideal: MonomialIdeal) -> list[int]:
     """dim Tor_i(F, R/I) for i = 0..#gens, from the Taylor complex.
 
@@ -153,13 +146,6 @@ def taylor_profile(ideal: MonomialIdeal) -> list[int]:
         for k, dim in homology_from_faces(faces).items():
             out[k + 1] += dim
     return out
-
-
-def taylor_tor(ideal: MonomialIdeal, i: int) -> int:
-    if i < 0:
-        raise ValueError("homological degree must be nonnegative")
-    profile = taylor_profile(ideal)
-    return profile[i] if i < len(profile) else 0
 
 
 def profiles_agree(a: list[int], b: list[int]) -> bool:

@@ -402,8 +402,3 @@ def patched_ideals(
         + tuple(zs),
     )
     return inter, expected
-
-
-def patched_intersection_check(ctx: GaloisContext, lam: WeightProfile) -> bool:
-    inter, expected = patched_ideals(ctx, lam)
-    return inter.gens == expected.gens

@@ -1,16 +1,22 @@
-"""Named verification suites used by the CLI and the acceptance tests.
+"""Named verification suites: the one definition of every check.
 
-Each suite returns per-check records; the CLI maps them to exit codes.
-Default scales are chosen so that the full run stays within a minute on
-one core; the acceptance tests drive the larger stated ranges directly.
+The CLI runs each suite at its ``DEFAULT_SCALE``; the acceptance tests run
+them at the stated scales.  A suite returns one ``CheckRecord`` per check.
+A check walks every one of its cases, also after a failure, so ``cases``
+counts what it covered and ``elapsed_s`` times all of it.  A failing
+record's ``detail`` names the first failing case and the values that
+disagree: ``first failure <case>: <name>=<value> ...``.  The case names
+the context, the profile or k, and i0 where they apply.
 """
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
-from itertools import combinations
+from functools import cache
+from itertools import combinations, product
 from math import comb
-from typing import Callable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from .errors import SizeLimitError
 from .homology import (
@@ -28,7 +34,7 @@ from .ideals import (
     a_lambda,
     d_shift,
     hilbert,
-    patched_intersection_check,
+    patched_ideals,
     y_var,
     z_var,
 )
@@ -55,6 +61,7 @@ from .weights import (
     Case,
     GaloisContext,
     WeightProfile,
+    character_window,
     count_by_A,
     enumerate_profiles,
     in_p,
@@ -62,15 +69,42 @@ from .weights import (
     nonsplit_context,
     profile_stats,
     split_context,
+    v_chi_from_windows,
 )
 
 
 @dataclass(frozen=True)
 class CheckRecord:
+    """One check of a suite: ``cases`` counts the cases it covered and ``elapsed_s`` times them."""
+
     suite: str
     check: str
     ok: bool
     detail: str = ""
+    cases: int = 0
+    elapsed_s: float = 0.0
+
+
+def _check(suite: str, check: str, cases: Iterable[tuple[str, bool, dict]], detail: str = "") -> CheckRecord:
+    """Run every ``(case, ok, values)`` of one check; the first failing case replaces ``detail``."""
+    t0 = time.perf_counter()
+    n, failure = 0, None
+    for n, (case, ok, values) in enumerate(cases, 1):
+        if not ok and failure is None:
+            failure = f"first failure {case}: " + " ".join(f"{k}={v}" for k, v in values.items())
+    return CheckRecord(suite, check, failure is None, failure or detail, n, time.perf_counter() - t0)
+
+
+def _same(case: str, **values) -> tuple[str, bool, dict]:
+    """A case that holds when its two named values are equal."""
+    a, b = values.values()
+    return case, a == b, values
+
+
+def _holds(case: str, **flag) -> tuple[str, bool, dict]:
+    """A case that holds when its one named flag is true."""
+    (ok,) = flag.values()
+    return case, ok, flag
 
 
 def reducible_contexts(f: int) -> Iterator[GaloisContext]:
@@ -86,254 +120,296 @@ def all_contexts(f: int) -> Iterator[GaloisContext]:
     yield from reducible_contexts(f)
 
 
-def _ctx_name(ctx: GaloisContext) -> str:
-    if ctx.case is Case.IRREDUCIBLE:
-        return f"f={ctx.f} irreducible"
-    if ctx.case is Case.SPLIT:
-        return f"f={ctx.f} split"
-    return f"f={ctx.f} nonsplit J_rho={sorted(ctx.j_rho)}"
+def _nonsplit_contexts(f: int) -> Iterator[GaloisContext]:
+    return (ctx for ctx in reducible_contexts(f) if ctx.case is Case.NONSPLIT)
+
+
+def _profiles(f: int) -> Iterator[tuple[GaloisContext, WeightProfile]]:
+    """Every reducible context at f with each of its P-profiles."""
+    return ((ctx, lam) for ctx in reducible_contexts(f) for lam in enumerate_profiles(ctx, "P"))
+
+
+def _windows(f: int) -> Iterator[SubquotientSpec]:
+    """Every window -1 <= i0 < i0' <= f."""
+    return (SubquotientSpec(i0, i0p) for i0 in range(-1, f) for i0p in range(i0 + 1, f + 1))
+
+
+def _case(ctx: GaloisContext, lam: WeightProfile | None = None, **at) -> str:
+    """A case name: the context, the profile's tags if any, then indices such as i0."""
+    parts = [f"f={ctx.f}", ctx.case.value] + ([f"J_rho={sorted(ctx.j_rho)}"] if ctx.case is Case.NONSPLIT else [])
+    parts += [] if lam is None else [",".join(lam.tags())]
+    return " ".join(parts + [f"{k}={v}" for k, v in at.items()])
+
+
+def _window_cases(f: int) -> list[tuple[GaloisContext, SubquotientSpec, str]]:
+    """Every nonsplit context at f with each of its windows, and the case name."""
+    return [(ctx, spec, _case(ctx, i0=spec.i0, i0p=spec.i0p)) for ctx in _nonsplit_contexts(f) for spec in _windows(f)]
+
+
+def _tags(lams: Iterable[WeightProfile]) -> list[str]:
+    return sorted({",".join(lam.tags()) for lam in lams})
+
+
+def _series(case: str, res) -> tuple[str, bool, dict]:
+    return case, res.equal, {"closed": res.closed, "enumerated": res.enumerated}
+
+
+def _ranks(r) -> tuple[int, int, int, int]:
+    return r.dim_im_d1, r.dim_ker_d1, r.dim_im_d2, r.tor1
 
 
 # -- suites ----------------------------------------------------------------
 
+def _stated_t0(ctx: GaloisContext) -> int:
+    if ctx.case is Case.IRREDUCIBLE:
+        return 3**ctx.f - 1
+    if ctx.case is Case.SPLIT:
+        return 3**ctx.f + 1
+    return 2 ** (ctx.f - ctx.d_rho) * 3**ctx.d_rho
+
+
+def _stated_a_counts(ctx: GaloisContext) -> dict[int, int]:
+    """The closed per-|A| counts: odd |A| when irreducible, even when split, f - d + s when nonsplit."""
+    f, d = ctx.f, ctx.d_rho
+    if ctx.case is Case.NONSPLIT:
+        return {f - d + s: 2 ** (f - d) * comb(d, s) for s in range(d + 1)}
+    parity = 1 if ctx.case is Case.IRREDUCIBLE else 0
+    return {s: 2 * comb(f, s) for s in range(f + 1) if s % 2 == parity}
+
+
 def suite_hilbert(fmax: int = 5) -> list[CheckRecord]:
+    def series(ctx):
+        res = hilbert_pi(ctx)
+        yield _series(f"{_case(ctx)} series", res)
+        yield _same(f"{_case(ctx)} t=0", value=res.closed.at_zero(), stated=_stated_t0(ctx))
+
+    def a_counts(ctx):
+        counts = count_by_A(ctx)
+        yield _same(f"{_case(ctx)} closed", closed=counts.closed, stated=_stated_a_counts(ctx))
+        if counts.enumerated is not None:
+            yield f"{_case(ctx)} enumerated", counts.ok, {
+                "closed": counts.closed,
+                "enumerated": counts.enumerated,
+                "closed_p_level": counts.closed_p_level,
+                "enumerated_p_level": counts.enumerated_p_level,
+            }
+
+    # binomial identities behind the closed numerators
+    def binomials():
+        for n in range(13):
+            plus, minus = IntPoly.of(2, 1) ** n, IntPoly.of(2, -1) ** n
+            odd = even = IntPoly.zero()
+            for i in range(n + 1):
+                term = IntPoly.t_power(i, comb(n, i) * 2 ** (n - i))
+                odd, even = (odd + term, even) if i % 2 else (odd, even + term)
+            yield _same(f"n={n} odd", difference=plus - minus, twice_odd=odd.scale(2))
+            yield _same(f"n={n} even", total=plus + minus, twice_even=even.scale(2))
+
     out = []
     for f in range(1, fmax + 1):
         for ctx in all_contexts(f):
-            res = hilbert_pi(ctx)
-            t0 = res.closed.at_zero()
-            if ctx.case is Case.IRREDUCIBLE:
-                want0 = 3**f - 1
-            elif ctx.case is Case.SPLIT:
-                want0 = 3**f + 1
-            else:
-                want0 = 2 ** (f - ctx.d_rho) * 3**ctx.d_rho
-            ok = res.equal and t0 == want0
-            out.append(CheckRecord("hilbert", _ctx_name(ctx), ok, f"t=0 value {t0}"))
-            counts = count_by_A(ctx)
-            out.append(CheckRecord("hilbert", f"{_ctx_name(ctx)} |A|-counts", counts.ok))
-    # binomial identities behind the closed numerators
-    ok = True
-    for n in range(13):
-        two_px = IntPoly.of(2, 1) ** n
-        two_mx = IntPoly.of(2, -1) ** n
-        odd = IntPoly.zero()
-        even = IntPoly.zero()
-        for i in range(n + 1):
-            term = IntPoly.t_power(i, comb(n, i) * 2 ** (n - i))
-            if i % 2:
-                odd = odd + term
-            else:
-                even = even + term
-        ok = ok and (two_px - two_mx == odd.scale(2)) and (two_px + two_mx == even.scale(2))
-    out.append(CheckRecord("hilbert", "binomial identities n<=12", ok))
+            out.append(_check("hilbert", _case(ctx), series(ctx), f"t=0 value {_stated_t0(ctx)}"))
+            out.append(_check("hilbert", f"{_case(ctx)} |A|-counts", a_counts(ctx)))
+    out.append(_check("hilbert", "binomial identities n<=12", binomials()))
     # witnesses outside P at every positive level
-    ok = True
-    for f in range(1, min(fmax, 6) + 1):
-        for ctx in reducible_contexts(f):
-            if ctx.case is not Case.NONSPLIT:
-                continue
-            found = length_witnesses(ctx)
-            ok = ok and all(kk in found for kk in range(1, f + 1))
-    out.append(CheckRecord("hilbert", "levels outside P witnessed", ok))
+    out.append(_check("hilbert", "levels outside P witnessed", (
+        _same(_case(ctx), witnessed=sorted(length_witnesses(ctx)), levels=list(range(1, f + 1)))
+        for f in range(1, min(fmax, 6) + 1) for ctx in _nonsplit_contexts(f)
+    )))
     return out
 
 
 def suite_split_ni(fmax: int = 5) -> list[CheckRecord]:
-    out = []
-    for f in range(1, fmax + 1):
+    def layers(f):
         ctx = split_context(f)
         total = None
-        ok = True
         for i in range(f + 1):
             res = hilbert_Ni(ctx, i)
-            ok = ok and res.equal
+            yield _series(f"f={f} i={i}", res)
             total = res.closed if total is None else total + res.closed
-        ok = ok and total == hilbert_pi(ctx).closed
-        out.append(CheckRecord("split-ni", f"f={f} layers and their sum", ok))
-    return out
+        yield _same(f"f={f} sum", layer_sum=total, closed=hilbert_pi(ctx).closed)
+
+    return [_check("split-ni", f"f={f} layers and their sum", layers(f)) for f in range(1, fmax + 1)]
+
+
+def _summand_profiles(ctx: GaloisContext, spec: SubquotientSpec) -> list[str]:
+    """Profiles with a nonzero window summand: the window levels plus those feeding level i0 + 1."""
+    want = []
+    for lam in enumerate_profiles(ctx, "P"):
+        st = profile_stats(ctx, lam)
+        if spec.i0 < st.ell <= spec.i0p or 0 <= spec.i0 + 1 - st.ell <= len(st.j1 | st.j2):
+            want.append(lam)
+    return _tags(want)
 
 
 def suite_gr_subquot(fmax: int = 8, bigraded_fmax: int = 3) -> list[CheckRecord]:
+    # windows along a chain partition the full index set
+    def partitions(f):
+        for ctx in _nonsplit_contexts(f):
+            whole = _tags(i1_invariants(ctx, SubquotientSpec(-1, f)))
+            for a, b in combinations(range(f), 2):
+                parts = [
+                    _tags(lam for lam in i1_invariants(ctx, SubquotientSpec(x, y)) if in_p(ctx, lam))
+                    for x, y in ((-1, a), (a, b), (b, f))
+                ]
+                yield _same(_case(ctx, chain=f"-1<{a}<{b}<{f}"), parts=sorted(sum(parts, [])), whole=whole)
+
     out = []
     for f in range(1, fmax + 1):
-        ok_cards = True
-        ok_k1 = True
-        ok_partition = True
-        ok_sets = True
-        for ctx in reducible_contexts(f):
-            if ctx.case is not Case.NONSPLIT:
-                continue
-            for i0 in range(-1, f):
-                for i0p in range(i0 + 1, f + 1):
-                    spec = SubquotientSpec(i0, i0p)
-                    ok_cards = ok_cards and i1_cardinality(ctx, spec) == i1_degree0_total(ctx, spec)
-                    ok_k1 = ok_k1 and k1_cycle(f, spec) == sum(
-                        comb(f, i) for i in range(i0 + 1, i0p + 1)
-                    )
-            if f <= 4:
-                # explicit index sets agree with the histogram counts
-                for i0 in range(-1, f):
-                    for i0p in range(i0 + 1, f + 1):
-                        spec = SubquotientSpec(i0, i0p)
-                        ok_sets = ok_sets and len(i1_invariants(ctx, spec)) == i1_cardinality(ctx, spec)
-                # windows along a chain partition the full index set
-                for a in range(0, f):
-                    for b in range(a + 1, f):
-                        parts = [
-                            {lam for lam in i1_invariants(ctx, SubquotientSpec(x, y)) if in_p(ctx, lam)}
-                            for x, y in ((-1, a), (a, b), (b, f))
-                        ]
-                        whole = set(i1_invariants(ctx, SubquotientSpec(-1, f)))
-                        union = parts[0] | parts[1] | parts[2]
-                        disjoint = sum(len(p) for p in parts) == len(union)
-                        ok_partition = ok_partition and union == whole and disjoint
-        out.append(CheckRecord("gr-subquot", f"f={f} cardinalities vs degree-0 totals", ok_cards))
-        out.append(CheckRecord("gr-subquot", f"f={f} binomial window", ok_k1))
+        windows = _window_cases(f)
+        out.append(_check("gr-subquot", f"f={f} cardinalities vs degree-0 totals", (
+            _same(case, cardinality=i1_cardinality(ctx, spec), degree0_total=i1_degree0_total(ctx, spec))
+            for ctx, spec, case in windows
+        )))
+        out.append(_check("gr-subquot", f"f={f} binomial window", (
+            _same(f"f={f} i0={spec.i0} i0p={spec.i0p}", k1_cycle=k1_cycle(f, spec),
+                  binomial_sum=sum(comb(f, i) for i in range(spec.i0 + 1, spec.i0p + 1)))
+            for spec in _windows(f)
+        )))
         if f <= 4:
-            out.append(CheckRecord("gr-subquot", f"f={f} explicit index sets", ok_sets))
-            out.append(CheckRecord("gr-subquot", f"f={f} window partition", ok_partition))
+            # explicit index sets agree with the histogram counts
+            out.append(_check("gr-subquot", f"f={f} explicit index sets", (
+                _same(case, index_set=len(i1_invariants(ctx, spec)), cardinality=i1_cardinality(ctx, spec))
+                for ctx, spec, case in windows
+            )))
+            out.append(_check("gr-subquot", f"f={f} window partition", partitions(f)))
     # the per-profile counting against the window tables at small f
-    ok = True
-    ok_index = True
-    for f in range(1, bigraded_fmax + 1):
-        for ctx in reducible_contexts(f):
-            if ctx.case is not Case.NONSPLIT:
-                continue
-            for i0 in range(-1, f):
-                for i0p in range(i0 + 1, f + 1):
-                    spec = SubquotientSpec(i0, i0p)
-                    data = gr_subquotient(ctx, spec, trunc=2)
-                    total = sum(b.total(0) for _, b in data)
-                    ok = ok and total == i1_degree0_total(ctx, spec)
-                    # profiles with a nonzero summand: the window levels plus
-                    # those feeding the matching at level i0 + 1
-                    nonzero = {lam for lam, b in data if not b.is_zero()}
-                    want = set()
-                    for lam in enumerate_profiles(ctx, "P"):
-                        st = profile_stats(ctx, lam)
-                        if i0 < st.ell <= i0p:
-                            want.add(lam)
-                        if 0 <= i0 + 1 - st.ell <= len(st.j1 | st.j2):
-                            want.add(lam)
-                    ok_index = ok_index and nonzero == want
-    out.append(CheckRecord("gr-subquot", f"degree-0 totals vs tables f<={bigraded_fmax}", ok))
-    out.append(CheckRecord("gr-subquot", f"nonzero summand index sets f<={bigraded_fmax}", ok_index))
+    table = cache(lambda ctx, spec: gr_subquotient(ctx, spec, trunc=2))
+    small = [w for f in range(1, bigraded_fmax + 1) for w in _window_cases(f)]
+    out.append(_check("gr-subquot", f"degree-0 totals vs tables f<={bigraded_fmax}", (
+        _same(case, tables=sum(b.total(0) for _, b in table(ctx, spec)), degree0_total=i1_degree0_total(ctx, spec))
+        for ctx, spec, case in small
+    )))
+    out.append(_check("gr-subquot", f"nonzero summand index sets f<={bigraded_fmax}", (
+        _same(case, nonzero=_tags(lam for lam, b in table(ctx, spec) if not b.is_zero()),
+              stated=_summand_profiles(ctx, spec))
+        for ctx, spec, case in small
+    )))
     return out
 
 
 def suite_semisimple_match(fmax: int = 4) -> list[CheckRecord]:
-    out = []
-    for f in range(1, fmax + 1):
-        detail = ""
-        for ctx in reducible_contexts(f):
-            if ctx.case is not Case.NONSPLIT:
-                continue
+    def matches(f):
+        for ctx in _nonsplit_contexts(f):
             for i0 in range(-1, f):
                 res = semisimple_match(ctx, i0)
-                if not detail and not (res.bijection_ok and res.hilbert_ok):
-                    detail = (f"first failure J_rho={sorted(ctx.j_rho)} i0={i0}: "
-                              f"bijection_ok={res.bijection_ok} hilbert_ok={res.hilbert_ok}")
-        out.append(CheckRecord("semisimple-match", f"f={f} all J_rho, all i0", not detail, detail))
-    return out
+                yield (f"J_rho={sorted(ctx.j_rho)} i0={i0}", res.bijection_ok and res.hilbert_ok,
+                       {"bijection_ok": res.bijection_ok, "hilbert_ok": res.hilbert_ok})
+
+    return [_check("semisimple-match", f"f={f} all J_rho, all i0", matches(f)) for f in range(1, fmax + 1)]
 
 
 def suite_theta(fmax: int = 4) -> list[CheckRecord]:
+    per_degree: dict[tuple, list[int]] = {}  # lattice points by l1 norm, kept by the chain pass
+
+    def chains(f):
+        for ctx, lam in _profiles(f):
+            for i0 in range(-1, f):
+                box = theta_lattice(ctx, lam, i0 + 4, i0)
+                counts = per_degree[ctx, lam, i0] = [0] * (i0 + 4)
+                for p in box.points:
+                    counts[sum(abs(x) for x in p)] += 1
+                yield _holds(_case(ctx, lam, i0=i0), chain_ok=box.chain_ok)
+
+    def against_series(f):
+        for ctx, lam in _profiles(f):
+            series = expand(hilbert(a_lambda(ctx, lam)), f + 3)
+            for i0 in range(-1, f):
+                yield _same(_case(ctx, lam, i0=i0), lattice=per_degree.pop((ctx, lam, i0)), series=series[: i0 + 4])
+
     out = []
     for f in range(1, fmax + 1):
-        ok_chain = True
-        ok_tau = True
-        for ctx in reducible_contexts(f):
-            for lam in enumerate_profiles(ctx, "P"):
-                series = expand(hilbert(a_lambda(ctx, lam)), f + 3)
-                for i0 in range(-1, f):
-                    n = i0 + 4
-                    box = theta_lattice(ctx, lam, n, i0)
-                    ok_chain = ok_chain and box.chain_ok
-                    per_degree = [0] * n
-                    for p in box.points:
-                        per_degree[sum(abs(x) for x in p)] += 1
-                    ok_tau = ok_tau and per_degree == series[:n]
-        out.append(CheckRecord("theta", f"f={f} descent chains", ok_chain))
-        out.append(CheckRecord("theta", f"f={f} lattice counts vs series", ok_tau))
+        out.append(_check("theta", f"f={f} descent chains", chains(f)))
+        out.append(_check("theta", f"f={f} lattice counts vs series", against_series(f)))
     return out
 
 
 def suite_xcounts(fmax: int = 5) -> list[CheckRecord]:
-    out = []
-    for f in range(1, fmax + 1):
-        ok = True
-        for ctx in reducible_contexts(f):
-            for lam in enumerate_profiles(ctx, "P"):
-                ok = ok and x_counts(ctx, lam).ok
-        out.append(CheckRecord("xcounts", f"f={f} shell sizes", ok))
-    return out
+    """Shell sizes around each P-profile, and its window V_chi against the union of shifted windows."""
+    def shells(f):
+        for ctx, lam in _profiles(f):
+            r = x_counts(ctx, lam)
+            yield _case(ctx, lam), r.ok, {"shells": (r.x0, r.x1, r.x2), "closed": r.expected}
+            yield _same(f"{_case(ctx, lam)} V_chi", window=sorted(map(sorted, character_window(ctx, lam).v_chi)),
+                        union=sorted(map(sorted, v_chi_from_windows(ctx, lam))))
+
+    return [_check("xcounts", f"f={f} shell sizes", shells(f)) for f in range(1, fmax + 1)]
 
 
 def suite_degenerates(fmax: int = 12, rank_fmax: int = 3) -> list[CheckRecord]:
-    out = []
-    ok = all(
-        degenerates_check(f, k) for f in range(1, fmax + 1) for k in range(f + 1)
-    )
-    out.append(CheckRecord("degenerates", f"aggregate identity f<={fmax}", ok))
-    for f in range(1, rank_fmax + 1):
-        ok = True
-        for ctx in reducible_contexts(f):
-            for lam in enumerate_profiles(ctx, "P"):
-                ok = ok and tor1_gr(ctx, lam).ok
-        out.append(CheckRecord("degenerates", f"f={f} truncated rank data", ok))
+    def ranks(f):
+        for ctx, lam in _profiles(f):
+            r = tor1_gr(ctx, lam)
+            yield _case(ctx, lam), r.ok, {"ranks": _ranks(r), "closed": r.expected}
+
+    out = [_check("degenerates", f"aggregate identity f<={fmax}", (
+        _holds(f"f={f} k={k}", degenerates_check=degenerates_check(f, k))
+        for f in range(1, fmax + 1) for k in range(f + 1)
+    ))]
+    out += [_check("degenerates", f"f={f} truncated rank data", ranks(f)) for f in range(1, rank_fmax + 1)]
     return out
 
 
 def suite_tor(kmax: int = 5, ext_fmax: int = 3, corpus_fmax: int = 3) -> list[CheckRecord]:
-    out = []
-    ok = True
-    for k in range(1, kmax + 1):
-        pure = pairing_ideal(k)
-        want = [stanley_reisner_closed(k, i) for i in range(2 * k + 1)]
-        ok = ok and profiles_agree(taylor_profile(pure), want) and profiles_agree(hochster_profile(pure), want)
-    out.append(CheckRecord("tor", f"pairing-ideal closed form k<={kmax}", ok))
-    ok = all(ext_dims(f, k).ok for f in range(1, ext_fmax + 1) for k in range(f + 1))
-    out.append(CheckRecord("tor", f"padded Ext dims f<={ext_fmax}", ok))
-    ok = all(ext1_identity_ok(f, k) for f in range(1, 13) for k in range(f + 1))
-    out.append(CheckRecord("tor", "Ext lower-bound identity f<=12", ok))
-    ok = True
-    seen: set[tuple] = set()
-    for f in range(1, corpus_fmax + 1):
-        for ctx in reducible_contexts(f):
-            for lam in enumerate_profiles(ctx, "P"):
+    def pairing():
+        for k in range(1, kmax + 1):
+            pure = pairing_ideal(k)
+            want = [stanley_reisner_closed(k, i) for i in range(2 * k + 1)]
+            for name, oracle in (("taylor", taylor_profile), ("hochster", hochster_profile)):
+                got = oracle(pure)
+                yield f"k={k} {name}", profiles_agree(got, want), {name: got, "closed": want}
+
+    def ext():
+        for f in range(1, ext_fmax + 1):
+            for k in range(f + 1):
+                r = ext_dims(f, k)
+                yield f"f={f} k={k}", r.ok, {"closed": r.closed, "oracle": r.oracle, "convolution": r.convolution}
+
+    def corpus():
+        seen: set[tuple] = set()
+        for f in range(1, corpus_fmax + 1):
+            for ctx, lam in _profiles(f):
                 ideal = a_lambda(ctx, lam)
                 key = (ideal.ambient, ideal.gens)
                 if key in seen:
                     continue
                 seen.add(key)
-                if not profiles_agree(taylor_profile(ideal), hochster_profile(ideal)):
-                    ok = False
-    out.append(CheckRecord("tor", f"dual oracles agree on ideal corpus f<={corpus_fmax}", ok))
-    return out
+                tay, hoch = taylor_profile(ideal), hochster_profile(ideal)
+                yield _case(ctx, lam), profiles_agree(tay, hoch), {"taylor": tay, "hochster": hoch}
+
+    return [
+        _check("tor", f"pairing-ideal closed form k<={kmax}", pairing()),
+        _check("tor", f"padded Ext dims f<={ext_fmax}", ext()),
+        _check("tor", "Ext lower-bound identity f<=12", (
+            _holds(f"f={f} k={k}", ext1_identity_ok=ext1_identity_ok(f, k))
+            for f in range(1, 13) for k in range(f + 1)
+        )),
+        _check("tor", f"dual oracles agree on ideal corpus f<={corpus_fmax}", corpus()),
+    ]
 
 
 def suite_patched(fmax: int = 4) -> list[CheckRecord]:
-    out = []
-    for f in range(1, fmax + 1):
-        ok = True
+    def intersections(f):
         seen: set[tuple] = set()
-        for ctx in reducible_contexts(f):
-            for lam in enumerate_profiles(ctx, "P"):
-                key = (
-                    tuple(sorted(ctx.j_rho)),
-                    tuple(sorted(j for j in ctx.j_rho if lam.entries[j].value in ("X1", "P2"))),
-                )
-                if key in seen:
-                    continue
-                seen.add(key)
-                ok = ok and patched_intersection_check(ctx, lam)
-        out.append(CheckRecord("patched", f"f={f} intersection generators", ok))
-    return out
+        for ctx, lam in _profiles(f):
+            key = (
+                tuple(sorted(ctx.j_rho)),
+                tuple(sorted(j for j in ctx.j_rho if lam.entries[j].value in ("X1", "P2"))),
+            )
+            if key in seen:
+                continue
+            seen.add(key)
+            inter, expected = patched_ideals(ctx, lam)
+            yield _same(_case(ctx, lam), intersection=[g.exps for g in inter.gens],
+                        expected=[g.exps for g in expected.gens])
+
+    return [_check("patched", f"f={f} intersection generators", intersections(f)) for f in range(1, fmax + 1)]
 
 
-def _relations_generate_kernel(ctx: GaloisContext, lam: WeightProfile, i0: int, dmax: int = 3) -> bool:
-    """Brute-force the window presentation's kernel against the listed relations.
+def _presentation_dims(
+    ctx: GaloisContext, lam: WeightProfile, i0: int, dmax: int = 3
+) -> tuple[list[int], list[int]]:
+    """Per degree up to dmax, the window presentation's kernel and the span of its listed relations.
 
     The free module on the degree-d products maps onto the window over the
     quotient ring; the kernel in stored degrees <= dmax must be spanned by
@@ -345,7 +421,7 @@ def _relations_generate_kernel(ctx: GaloisContext, lam: WeightProfile, i0: int, 
     d = d_shift(st, i0)
     pool = sorted(st.j1 | st.j2)
     if d < 1 or d > len(pool):
-        return True
+        return [], []
     base = a_lambda(ctx, lam)
     gens = [frozenset(s) for s in combinations(pool, d)]
 
@@ -391,7 +467,7 @@ def _relations_generate_kernel(ctx: GaloisContext, lam: WeightProfile, i0: int, 
                 {(ga, var_mono(a, a in st.j1)): 1, (gb, var_mono(b, b in st.j1)): -1}
             )
 
-    ok = True
+    kernel_dims, span_dims = [], []
     for deg in range(dmax + 1):
         cols = [(gi, m) for gi in range(len(gens)) for m in std[deg]]
         col_index = {c: i for i, c in enumerate(cols)}
@@ -405,7 +481,7 @@ def _relations_generate_kernel(ctx: GaloisContext, lam: WeightProfile, i0: int, 
             else:
                 idx = img_index.setdefault(prod.exps, len(img_index))
                 rows.append({idx: 1})
-        kernel_dim = len(cols) - exact_rank(r for r in rows if r)
+        kernel_dims.append(len(cols) - exact_rank(r for r in rows if r))
         # span of relation multiples in this degree
         span_rows = []
         for rel in relations:
@@ -423,58 +499,48 @@ def _relations_generate_kernel(ctx: GaloisContext, lam: WeightProfile, i0: int, 
                     row[col_index[key]] = row.get(col_index[key], 0) + c
                 if not dead and row:
                     span_rows.append(row)
-        span_dim = exact_rank(span_rows)
-        ok = ok and kernel_dim == span_dim
-    return ok
+        span_dims.append(exact_rank(span_rows))
+    return kernel_dims, span_dims
 
 
 def suite_pbw(fmax: int = 6, syzygy_fmax: int = 3) -> list[CheckRecord]:
-    out = []
-    ok = all(len(pbw_basis(f, 3)) == 2 * f * f + 4 * f + 1 for f in range(1, fmax + 1))
-    out.append(CheckRecord("pbw", f"degree-3 dimension f<={fmax}", ok))
-
     # confluence of straightening and associativity on degree-1 elements
-    ok = True
-    for f in (1, 2):
-        y = {tuple(1 if i == 0 else 0 for i in range(3 * f)): 1}
-        z = {tuple(1 if i == f else 0 for i in range(3 * f)): 1}
-        ok = ok and pbw_mul(pbw_mul(z, y, f, 3), z, f, 3) == pbw_mul(z, pbw_mul(y, z, f, 3), f, 3)
-        gens = [
-            {m: 1}
-            for m in pbw_basis(f, 3)
-            if mono_degree(m, f) == 1
-        ]
-        for a in gens[: 2 * f]:
-            for b in gens[: 2 * f]:
-                for c in gens[: 2 * f]:
-                    lhs = pbw_mul(pbw_mul(a, b, f, 3), c, f, 3)
-                    rhs = pbw_mul(a, pbw_mul(b, c, f, 3), f, 3)
-                    ok = ok and lhs == rhs
-    out.append(CheckRecord("pbw", "straightening confluence and associativity", ok))
+    def products():
+        for f in (1, 2):
+            y = {tuple(1 if i == 0 else 0 for i in range(3 * f)): 1}
+            z = {tuple(1 if i == f else 0 for i in range(3 * f)): 1}
+            yield _same(f"f={f} z*y*z", left=pbw_mul(pbw_mul(z, y, f, 3), z, f, 3),
+                        right=pbw_mul(z, pbw_mul(y, z, f, 3), f, 3))
+            gens = [{m: 1} for m in pbw_basis(f, 3) if mono_degree(m, f) == 1]
+            for i, j, k in product(range(len(gens)), repeat=3):
+                a, b, c = gens[i], gens[j], gens[k]
+                yield _same(f"f={f} generators {i},{j},{k}", left=pbw_mul(pbw_mul(a, b, f, 3), c, f, 3),
+                            right=pbw_mul(a, pbw_mul(b, c, f, 3), f, 3))
 
-    ok = True
-    for f in range(1, syzygy_fmax + 1):
-        for ctx in reducible_contexts(f):
-            if ctx.case is not Case.NONSPLIT:
-                continue
-            for lam in enumerate_profiles(ctx, "P"):
-                for i0 in range(-1, f):
-                    ok = ok and _relations_generate_kernel(ctx, lam, i0)
-    out.append(CheckRecord("pbw", f"window presentation relations f<={syzygy_fmax}", ok))
+    def relations():
+        for f in range(1, syzygy_fmax + 1):
+            for ctx in _nonsplit_contexts(f):
+                for lam in enumerate_profiles(ctx, "P"):
+                    for i0 in range(-1, f):
+                        kernel, span = _presentation_dims(ctx, lam, i0)
+                        yield _same(_case(ctx, lam, i0=i0), kernel_dims=kernel, relation_span_dims=span)
 
     # ranks are blind to swapping the y/z roles at any coordinate
-    ok = True
-    ctx = nonsplit_context(2, [0])
-    for lam in enumerate_profiles(ctx, "P"):
-        right = tor1_gr(ctx, lam, "right")
-        left = tor1_gr(ctx, lam, "left")
-        ok = ok and right.ok and (right.dim_im_d1, right.dim_ker_d1, right.dim_im_d2) == (
-            left.dim_im_d1,
-            left.dim_ker_d1,
-            left.dim_im_d2,
-        )
-    out.append(CheckRecord("pbw", "side convention is rank-neutral", ok))
-    return out
+    def sides():
+        ctx = nonsplit_context(2, [0])
+        for lam in enumerate_profiles(ctx, "P"):
+            right, left = tor1_gr(ctx, lam, "right"), tor1_gr(ctx, lam, "left")
+            yield (_case(ctx, lam), right.ok and _ranks(right) == _ranks(left),
+                   {"right": _ranks(right), "left": _ranks(left), "right_matches_closed_forms": right.ok})
+
+    return [
+        _check("pbw", f"degree-3 dimension f<={fmax}", (
+            _same(f"f={f}", dimension=len(pbw_basis(f, 3)), closed=2 * f * f + 4 * f + 1) for f in range(1, fmax + 1)
+        )),
+        _check("pbw", "straightening confluence and associativity", products()),
+        _check("pbw", f"window presentation relations f<={syzygy_fmax}", relations()),
+        _check("pbw", "side convention is rank-neutral", sides()),
+    ]
 
 
 SUITES: dict[str, Callable[..., list[CheckRecord]]] = {
@@ -519,7 +585,7 @@ def run_suites(names: list[str], fmax: int | None = None) -> list[CheckRecord]:
     """Run the named suites, ``fmax`` replacing each one's first scale; every scale is checked first."""
     for name in names:
         if name not in SUITES:
-            raise ValueError(f"unknown suite {name!r}")
+            raise ValueError(f"unknown suite {name!r}; the suites are {', '.join(sorted(SUITES))}")
         if fmax is not None and fmax < 1:
             raise ValueError(f"scale f must be at least 1, got {fmax}")
         if fmax is not None and fmax > SCALE_CAP.get(name, fmax):

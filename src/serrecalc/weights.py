@@ -363,55 +363,6 @@ def count_by_A(ctx: GaloisContext) -> ACounts:
     return ACounts("Pbar", closed, enum_pbar, None, None, enum_pbar == closed)
 
 
-def jh_interval(j_sigma: frozenset[int], j_tau: frozenset[int]) -> list[frozenset[int]]:
-    """The interval {J : J_sigma ∩ J_tau ⊆ J ⊆ J_sigma ∪ J_tau}."""
-    lo = j_sigma & j_tau
-    extra = sorted((j_sigma | j_tau) - lo)
-    out = []
-    for r in range(len(extra) + 1):
-        for add in combinations(extra, r):
-            out.append(lo | frozenset(add))
-    return sorted(out, key=lambda s: (len(s), sorted(s)))
-
-
-def ext1_nonzero(j_sigma: frozenset[int], j_tau: frozenset[int]) -> bool:
-    return len(j_sigma ^ j_tau) == 1
-
-
-def mu_shift(j_sigma: frozenset[int], j: int) -> frozenset[int]:
-    """J-set of the unique mu-type neighbour at coordinate j."""
-    if j < 0:
-        raise ValueError("index must be nonnegative")
-    return j_sigma ^ {j}
-
-
-def profile_from_subset(
-    j_subset: frozenset[int], flavor: Literal["modular", "principal_series"], f: int
-) -> tuple[Symbol, ...]:
-    """Symbol recipe of the constituent parametrized by a subset.
-
-    The modular flavor lands in the D^ss symbols; the principal-series
-    flavor may use the extended symbol x_j - 1.
-    """
-    out = []
-    for j in range(f):
-        delta = 1 if j in j_subset else 0
-        succ_in = ((j + 1) % f) in j_subset
-        if flavor == "modular":
-            if not succ_in:
-                out.append(Symbol.X1 if delta else Symbol.X0)
-            else:
-                out.append(Symbol.P3 if delta else Symbol.P2)
-        elif flavor == "principal_series":
-            if not succ_in:
-                out.append(Symbol.XM1 if delta else Symbol.X0)
-            else:
-                out.append(Symbol.P1 if delta else Symbol.P2)
-        else:
-            raise ValueError(f"unknown flavor {flavor!r}")
-    return tuple(out)
-
-
 @dataclass(frozen=True)
 class CharacterWindow:
     j_min: frozenset[int]

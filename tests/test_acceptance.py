@@ -1,240 +1,62 @@
-"""Acceptance criteria, run at their stated scales with exact tolerances.
+"""Acceptance criteria: each one runs its verification suite at the stated scale.
 
-Each test prints one pass/fail line (visible with -s or in failure output);
-a criterion only reaches its line after every exact assertion in it holds.
+The suites in ``serrecalc.verify`` are the one definition of every check.
+A row names a suite, the scale the criteria state, the wall-clock bound on
+the whole call where a criterion has one, and the criteria it covers.  Each
+row prints one PASS line with its cases and seconds (visible with -s); a
+failing record names its first failing case and the values that disagree.
 """
 
 import time
-from math import comb
 
-from serrecalc.homology import (
-    ext1_identity_ok,
-    ext_dims,
-    hochster_profile,
-    pairing_ideal,
-    stanley_reisner_closed,
-    taylor_profile,
-)
-from serrecalc.ideals import patched_intersection_check
-from serrecalc.pbw import mono_degree, pbw_basis, pbw_mul, tor1_gr
-from serrecalc.predictions import (
-    SubquotientSpec,
-    degenerates_check,
-    hilbert_Ni,
-    hilbert_pi,
-    i1_cardinality,
-    i1_degree0_total,
-    i1_invariants,
-    k1_cycle,
-    semisimple_match,
-    theta_lattice,
-    x_counts,
-)
-from serrecalc.series import IntPoly
-from serrecalc.verify import (
-    _relations_generate_kernel,
-    all_contexts,
-    reducible_contexts,
-)
-from serrecalc.weights import (
-    Case,
-    GaloisContext,
-    count_by_A,
-    enumerate_profiles,
-    nonsplit_context,
-    profile_stats,
-    split_context,
-)
+import pytest
+
+from serrecalc import verify
+
+CRITERIA = {
+    1: "Hilbert series, f <= 5, all cases",
+    2: "split layer series, 0 <= i <= f <= 5",
+    3: "per-|A| counts and their closed forms, f <= 5",
+    4: "Stanley-Reisner Tor closed form, k <= 5",
+    5: "padded Ext dims f <= 3 and the f <= 12 identity",
+    6: "degree-3 truncation ranks, f <= 3",
+    7: "character shells f <= 5 and the aggregate identity f <= 12",
+    8: "semisimple matching, f <= 4, all J_rho, all i0",
+    9: "patched-module intersections, f <= 5",
+    10: "invariant index sets vs degree-0 totals, f <= 8",
+    11: "property suites: PBW, window relations, theta chains f <= 4, binomials",
+}
+
+# (suite, scale, bound on the whole call in seconds or None, criteria)
+ROWS = [
+    ("hilbert", {"fmax": 5}, 5.0, (1, 3, 11)),
+    ("split-ni", {"fmax": 5}, None, (2,)),
+    ("tor", {"kmax": 5, "ext_fmax": 3, "corpus_fmax": 3}, 10.0, (4, 5)),
+    ("degenerates", {"fmax": 12, "rank_fmax": 3}, 30.0, (6, 7)),
+    ("xcounts", {"fmax": 5}, None, (7,)),
+    ("semisimple-match", {"fmax": 4}, None, (8,)),
+    ("patched", {"fmax": 5}, None, (9,)),
+    ("gr-subquot", {"fmax": 8, "bigraded_fmax": 3}, None, (10,)),
+    ("pbw", {"fmax": 6, "syzygy_fmax": 3}, None, (11,)),
+    ("theta", {"fmax": 4}, None, (11,)),
+]
 
 
-def report(n: int, label: str):
-    print(f"[acceptance] criterion {n} ({label}): PASS")
+def test_every_criterion_has_a_row():
+    assert sorted({c for *_, criteria in ROWS for c in criteria}) == sorted(CRITERIA)
 
 
-def test_criterion_01_hilbert_series():
+@pytest.mark.parametrize("suite, scale, bound, criteria", ROWS, ids=[row[0] for row in ROWS])
+def test_criteria(suite, scale, bound, criteria):
     t0 = time.perf_counter()
-    for f in range(1, 6):
-        for ctx in all_contexts(f):
-            res = hilbert_pi(ctx)
-            assert res.equal, f"series mismatch in {ctx}"
-            if ctx.case is Case.IRREDUCIBLE:
-                want0 = 3**f - 1
-            elif ctx.case is Case.SPLIT:
-                want0 = 3**f + 1
-            else:
-                want0 = 2 ** (f - ctx.d_rho) * 3**ctx.d_rho
-            assert res.closed.at_zero() == want0
+    records = verify.SUITES[suite](**scale)
     elapsed = time.perf_counter() - t0
-    assert elapsed < 5.0, f"criterion 1 took {elapsed:.1f}s"
-    report(1, "Hilbert series, f <= 5, all cases")
-
-
-def test_criterion_02_split_layers():
-    for f in range(1, 6):
-        ctx = split_context(f)
-        total = None
-        for i in range(f + 1):
-            res = hilbert_Ni(ctx, i)
-            assert res.equal
-            total = res.closed if total is None else total + res.closed
-        assert total == hilbert_pi(ctx).closed
-    report(2, "split layer series, 0 <= i <= f <= 5")
-
-
-def test_criterion_03_counting_lemma():
-    for f in range(1, 6):
-        for ctx in all_contexts(f):
-            counts = count_by_A(ctx)
-            assert counts.ok, f"count mismatch in {ctx}"
-            if ctx.case is Case.IRREDUCIBLE:
-                assert counts.closed == {
-                    s: 2 * comb(f, s) for s in range(f + 1) if s % 2 == 1
-                }
-            elif ctx.case is Case.SPLIT:
-                assert counts.closed == {
-                    s: 2 * comb(f, s) for s in range(f + 1) if s % 2 == 0
-                }
-            else:
-                d = ctx.d_rho
-                assert counts.closed == {
-                    f - d + s: 2 ** (f - d) * comb(d, s) for s in range(d + 1)
-                }
-    report(3, "per-|A| counts, f <= 5")
-
-
-def test_criterion_04_stanley_reisner_tor():
-    t0 = time.perf_counter()
-    for k in range(1, 6):
-        ideal = pairing_ideal(k)
-        tay = taylor_profile(ideal)
-        hoch = hochster_profile(ideal)
-        for i in range(2 * k + 1):
-            want = stanley_reisner_closed(k, i)
-            assert (tay[i] if i < len(tay) else 0) == want
-            assert (hoch[i] if i < len(hoch) else 0) == want
-    elapsed = time.perf_counter() - t0
-    assert elapsed < 10.0, f"criterion 4 took {elapsed:.1f}s"
-    report(4, "Stanley-Reisner Tor closed form, k <= 5")
-
-
-def test_criterion_05_ext_dims():
-    for f in range(1, 4):
-        for k in range(f + 1):
-            res = ext_dims(f, k)
-            assert res.ok, (f, k, res)
-    assert all(ext1_identity_ok(f, k) for f in range(1, 13) for k in range(f + 1))
-    report(5, "padded Ext dims f <= 3 and the f <= 12 identity")
-
-
-def test_criterion_06_truncated_rank_data():
-    for f in (1, 2):
-        for ctx in reducible_contexts(f):
-            for lam in enumerate_profiles(ctx, "P"):
-                assert tor1_gr(ctx, lam).ok
-    t0 = time.perf_counter()
-    for ctx in reducible_contexts(3):
-        for lam in enumerate_profiles(ctx, "P"):
-            r = tor1_gr(ctx, lam)
-            assert r.ok, (ctx, lam, r)
-    elapsed = time.perf_counter() - t0
-    assert elapsed < 30.0, f"criterion 6 took {elapsed:.1f}s at f=3"
-    report(6, "degree-3 truncation ranks, f <= 3")
-
-
-def test_criterion_07_shell_counts_and_aggregate():
-    for f in range(1, 6):
-        for ctx in reducible_contexts(f):
-            for lam in enumerate_profiles(ctx, "P"):
-                res = x_counts(ctx, lam)
-                assert res.ok, (ctx, lam, res)
-    assert all(degenerates_check(f, k) for f in range(1, 13) for k in range(f + 1))
-    report(7, "character shells f <= 5 and aggregate identity f <= 12")
-
-
-def test_criterion_08_semisimple_matching():
-    for f in range(1, 5):
-        for ctx in reducible_contexts(f):
-            if ctx.case is not Case.NONSPLIT:
-                continue
-            for i0 in range(-1, f):
-                res = semisimple_match(ctx, i0)  # truncation defaults to f + 4
-                assert res.bijection_ok, (ctx, i0)
-                assert res.hilbert_ok, (ctx, i0)
-    report(8, "semisimple matching, f <= 4, all J_rho, all i0")
-
-
-def test_criterion_09_patched_intersections():
-    seen = set()
-    for f in range(1, 6):
-        for ctx in reducible_contexts(f):
-            if ctx.d_rho > 4:
-                continue
-            for lam in enumerate_profiles(ctx, "P"):
-                j_dp = frozenset(
-                    j for j in ctx.j_rho if lam.entries[j].value in ("X1", "P2")
-                )
-                key = (f, tuple(sorted(ctx.j_rho)), tuple(sorted(j_dp)))
-                if key in seen:
-                    continue
-                seen.add(key)
-                assert patched_intersection_check(ctx, lam), (ctx, lam)
-    report(9, "patched-module intersections, |J_rho| <= 4")
-
-
-def test_criterion_10_index_sets():
-    for f in range(1, 9):
-        for ctx in reducible_contexts(f):
-            if ctx.case is not Case.NONSPLIT:
-                continue
-            for i0 in range(-1, f):
-                for i0p in range(i0 + 1, f + 1):
-                    spec = SubquotientSpec(i0, i0p)
-                    assert i1_cardinality(ctx, spec) == i1_degree0_total(ctx, spec)
-                    assert k1_cycle(f, spec) == sum(
-                        comb(f, i) for i in range(i0 + 1, i0p + 1)
-                    )
-                    if f <= 4:
-                        assert len(i1_invariants(ctx, spec)) == i1_cardinality(ctx, spec)
-    report(10, "invariant index sets vs degree-0 totals, f <= 8")
-
-
-def test_criterion_11_property_suites():
-    # PBW dimension
-    assert all(len(pbw_basis(f, 3)) == 2 * f * f + 4 * f + 1 for f in range(1, 7))
-    # straightening confluence and associativity on degree-1 elements
-    for f in (1, 2):
-        gens = [{m: 1} for m in pbw_basis(f, 3) if mono_degree(m, f) == 1]
-        for a in gens:
-            for b in gens:
-                for c in gens:
-                    assert pbw_mul(pbw_mul(a, b, f, 3), c, f, 3) == pbw_mul(
-                        a, pbw_mul(b, c, f, 3), f, 3
-                    )
-    # window presentation relations
-    for f in range(1, 4):
-        for ctx in reducible_contexts(f):
-            if ctx.case is not Case.NONSPLIT:
-                continue
-            for lam in enumerate_profiles(ctx, "P"):
-                for i0 in range(-1, f):
-                    assert _relations_generate_kernel(ctx, lam, i0), (ctx, lam, i0)
-    # descent chains in the lattice model
-    for f in range(1, 5):
-        for ctx in reducible_contexts(f):
-            for lam in enumerate_profiles(ctx, "P"):
-                for i0 in range(-1, f):
-                    assert theta_lattice(ctx, lam, i0 + 4, i0).chain_ok
-    # binomial identities
-    for n in range(13):
-        plus, minus = IntPoly.of(2, 1) ** n, IntPoly.of(2, -1) ** n
-        odd = IntPoly.zero()
-        even = IntPoly.zero()
-        for i in range(n + 1):
-            term = IntPoly.t_power(i, comb(n, i) * 2 ** (n - i))
-            odd, even = (odd + term, even) if i % 2 else (odd, even + term)
-        assert plus - minus == odd.scale(2)
-        assert plus + minus == even.scale(2)
-    report(11, "property suites: PBW, relations, theta chains, binomials")
+    failed = [f"{r.check}: {r.detail}" for r in records if not r.ok]
+    assert not failed, "\n".join(failed)
+    if bound is not None:
+        assert elapsed < bound, f"{suite} took {elapsed:.1f}s against its {bound:.0f}s bound"
+    print(f"[acceptance] criteria {', '.join(map(str, criteria))} ({suite} {scale}): PASS, "
+          f"{sum(r.cases for r in records)} cases in {elapsed:.1f}s")
 
 
 def test_cli_verify_all_under_budget():

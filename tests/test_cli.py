@@ -108,6 +108,17 @@ def test_verify_report_json(capsys):
     assert all(r["ok"] for r in records)
 
 
+def test_verify_names_its_suites_in_help_and_errors(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "200")  # one help line per flag
+    with pytest.raises(SystemExit):
+        main(["verify", "--help"])
+    (line,) = [x for x in capsys.readouterr().out.splitlines() if x.strip().startswith("--suite")]
+    assert line.split("one of ", 1)[1].split(", ") == sorted(verify.SUITES)
+    assert main(["verify", "--suite", "nope"]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: unknown suite 'nope'; the suites are {', '.join(sorted(verify.SUITES))}\n"
+
+
 def test_k1cycle(capsys):
     rc, out = run(capsys, "k1cycle", "--f", "3", "--i0", "0", "--i0p", "2")
     assert rc == 0

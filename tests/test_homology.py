@@ -9,14 +9,12 @@ from serrecalc.homology import (
     ext1_lower_bound,
     ext_dims,
     hochster_profile,
-    hochster_tor,
     padded_pairing_ideal,
     pairing_ideal,
     profiles_agree,
     reduced_homology_dims,
     stanley_reisner_closed,
     taylor_profile,
-    taylor_tor,
 )
 from serrecalc.ideals import Monomial, MonomialIdeal
 from serrecalc.linalg import PRIME_TEST_BOUND, is_prime, rank_mod_p
@@ -52,19 +50,18 @@ def test_empty_complex_convention():
 
 def test_hochster_k1():
     ideal = pairing_ideal(1)
-    assert hochster_tor(ideal, 1) == 1
+    assert hochster_profile(ideal)[1] == 1
 
 
 def test_hochster_k2():
     ideal = pairing_ideal(2)
-    assert hochster_tor(ideal, 1) == 3 == len(ideal.gens)
-    assert hochster_tor(ideal, 2) == 2
+    assert hochster_profile(ideal)[1] == 3 == len(ideal.gens)
+    assert hochster_profile(ideal)[2] == 2
 
 
 def test_taylor_principal():
     ideal = MonomialIdeal(1, (Monomial((2,)),))
-    assert taylor_profile(ideal) == [1, 1]
-    assert taylor_tor(ideal, 2) == 0
+    assert taylor_profile(ideal) == [1, 1]  # Tor_2 = 0: the profile stops at i = 1
 
 
 def test_taylor_complete_intersection():
@@ -112,8 +109,8 @@ def test_taylor_on_non_squarefree_matches_hochster_of_polarization(exps):
 
 def test_tor1_counts_minimal_generators():
     ideal = MonomialIdeal(3, (mono(3, 0, 1), mono(3, 1, 2), mono(3, 0, 2)))
-    assert taylor_tor(ideal, 1) == len(ideal.gens)
-    assert hochster_tor(ideal, 1) == len(ideal.gens)
+    assert taylor_profile(ideal)[1] == len(ideal.gens)
+    assert hochster_profile(ideal)[1] == len(ideal.gens)
 
 
 @settings(max_examples=40, deadline=None)

@@ -1,8 +1,10 @@
 import pytest
 
 from serrecalc.errors import UnsupportedCaseError
-from serrecalc import predictions
+from serrecalc import homology, pbw, predictions, verify
+from serrecalc.homology import ext_dims
 from serrecalc.ideals import Monomial, a_ss, bigraded_standard, p_monomial
+from serrecalc.pbw import tor1_gr
 from serrecalc.predictions import (
     SubquotientSpec,
     degenerates_check,
@@ -229,6 +231,43 @@ def test_semisimple_suite_names_the_first_failure(monkeypatch):
     (rec,) = suite_semisimple_match(1)
     assert not rec.ok
     assert rec.detail == "first failure J_rho=[] i0=0: bijection_ok=True hilbert_ok=False"
+
+
+def _hilbert_values():
+    r = hilbert_pi(GaloisContext(1, Case.IRREDUCIBLE))
+    return f"closed={r.closed} enumerated={r.enumerated}"
+
+
+def _ext_values():
+    r = ext_dims(1, 0)
+    return f"closed={r.closed} oracle={r.oracle} convolution={r.convolution}"
+
+
+def _rank_values():
+    r = tor1_gr(split_context(1), prof("X0"))
+    return f"ranks={(r.dim_im_d1, r.dim_ker_d1, r.dim_im_d2, r.tor1)} closed={r.expected}"
+
+
+@pytest.mark.parametrize("suite, scale, module, closed_form, check, case, values", [
+    ("hilbert", {"fmax": 2}, predictions, "_closed_hilbert_pi", "f=1 irreducible", "f=1 irreducible series",
+     _hilbert_values),
+    ("tor", {"kmax": 2, "ext_fmax": 2, "corpus_fmax": 1}, homology, "ext_closed", "padded Ext dims f<=2", "f=1 k=0",
+     _ext_values),
+    ("degenerates", {"fmax": 2, "rank_fmax": 1}, pbw, "_expected_dims", "f=1 truncated rank data", "f=1 split X0",
+     _rank_values),
+], ids=["hilbert", "tor", "degenerates"])
+def test_a_wrong_closed_form_fails_its_record_with_case_and_values(
+    monkeypatch, suite, scale, module, closed_form, check, case, values
+):
+    cases = {r.check: r.cases for r in verify.SUITES[suite](**scale)}
+    real = getattr(module, closed_form)
+    # adding the closed form to itself doubles a series and repeats a tuple
+    monkeypatch.setattr(module, closed_form, lambda *args: real(*args) + real(*args))
+    records = verify.SUITES[suite](**scale)
+    (rec,) = [r for r in records if r.check == check]
+    assert not rec.ok
+    assert rec.detail == f"first failure {case}: {values()}"
+    assert {r.check: r.cases for r in records} == cases  # every case still ran
 
 
 def test_x_counts_examples():

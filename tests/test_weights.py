@@ -1,28 +1,20 @@
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from serrecalc.errors import ProfileMembershipError, UnsupportedCaseError
 from serrecalc.weights import (
     Case,
     GaloisContext,
-    Symbol,
     TGen,
     WeightProfile,
     character_window,
     count_by_A,
     enumerate_profiles,
-    ext1_nonzero,
     in_p,
     j_set,
-    jh_interval,
     length_witnesses,
-    mu_shift,
     nonsplit_context,
-    profile_from_subset,
     profile_stats,
     split_context,
-    v_chi_from_windows,
 )
 
 
@@ -155,49 +147,6 @@ def test_length_witnesses(f):
         assert all(k in found for k in range(1, f + 1))
 
 
-def test_jh_interval():
-    a = frozenset({0, 1})
-    assert jh_interval(a, a) == [a]
-    got = jh_interval(frozenset(), frozenset({0, 1}))
-    assert len(got) == 4
-    assert ext1_nonzero(frozenset(), frozenset({0}))
-    assert not ext1_nonzero(frozenset(), frozenset({0, 1}))
-
-
-@given(
-    st.frozensets(st.integers(min_value=0, max_value=5), max_size=6),
-    st.frozensets(st.integers(min_value=0, max_value=5), max_size=6),
-)
-def test_jh_interval_cardinality(a, b):
-    assert len(jh_interval(a, b)) == 2 ** len(a ^ b)
-
-
-@given(st.frozensets(st.integers(min_value=0, max_value=7)), st.integers(min_value=0, max_value=7))
-def test_mu_shift_involution(j_sigma, j):
-    assert mu_shift(mu_shift(j_sigma, j), j) == j_sigma
-    assert mu_shift(frozenset(), 0) == frozenset({0})
-    assert mu_shift(frozenset({0, 1}), 1) == frozenset({0})
-
-
-def test_profile_from_subset():
-    assert profile_from_subset(frozenset(), "modular", 3) == (Symbol.X0,) * 3
-    assert profile_from_subset(frozenset({0}), "modular", 1) == (Symbol.P3,)
-    assert profile_from_subset(frozenset({0}), "principal_series", 1) == (Symbol.P1,)
-
-
-@pytest.mark.parametrize("f", range(1, 5))
-def test_modular_recipe_inverts_j_set(f):
-    from itertools import combinations
-
-    for r in range(f + 1):
-        for sub in combinations(range(f), r):
-            J = frozenset(sub)
-            entries = profile_from_subset(J, "modular", f)
-            lam = WeightProfile(entries)
-            assert lam in enumerate_profiles(split_context(f), "Dss")
-            assert j_set(lam) == J
-
-
 def test_character_window_examples():
     split1 = split_context(1)
     w = character_window(split1, prof("X0"))
@@ -210,15 +159,6 @@ def test_character_window_examples():
     w = character_window(ns, prof("X0", "X0", "X0"))
     assert w.j_min == frozenset()
     assert w.v_chi == frozenset({frozenset(), frozenset({0}), frozenset({1})})
-
-
-@pytest.mark.parametrize("f", range(1, 5))
-def test_v_chi_window_union(f):
-    from serrecalc.verify import reducible_contexts
-
-    for ctx in reducible_contexts(f):
-        for lam in enumerate_profiles(ctx, "P"):
-            assert character_window(ctx, lam).v_chi == v_chi_from_windows(ctx, lam)
 
 
 def test_profile_serialization_round_trip():
