@@ -3,10 +3,12 @@
 The suites in ``serrecalc.verify`` are the one definition of every check.
 A row names a suite, the scale the criteria state, the wall-clock bound on
 the whole call where a criterion has one, and the criteria it covers.  Each
-row prints one PASS line with its cases and seconds (visible with -s); a
+suite runs once per session; a criterion asserts the records it covers and
+prints one PASS line with their cases and seconds (visible with -s).  A
 failing record names its first failing case and the values that disagree.
 """
 
+import functools
 import time
 
 import pytest
@@ -27,36 +29,83 @@ CRITERIA = {
     11: "property suites: PBW, window relations, theta chains f <= 4, binomials",
 }
 
-# (suite, scale, bound on the whole call in seconds or None, criteria)
-ROWS = [
-    ("hilbert", {"fmax": 5}, 5.0, (1, 3, 11)),
-    ("split-ni", {"fmax": 5}, None, (2,)),
-    ("tor", {"kmax": 5, "ext_fmax": 3, "corpus_fmax": 3}, 10.0, (4, 5)),
-    ("degenerates", {"fmax": 12, "rank_fmax": 3}, 30.0, (6, 7)),
-    ("xcounts", {"fmax": 5}, None, (7,)),
-    ("semisimple-match", {"fmax": 4}, None, (8,)),
-    ("patched", {"fmax": 5}, None, (9,)),
-    ("gr-subquot", {"fmax": 8, "bigraded_fmax": 3}, None, (10,)),
-    ("pbw", {"fmax": 6, "syzygy_fmax": 3}, None, (11,)),
-    ("theta", {"fmax": 4}, None, (11,)),
-]
+# suite: (scale, bound on the whole call in seconds or None, criteria)
+ROWS = {
+    "hilbert": ({"fmax": 5}, 5.0, (1, 3, 11)),
+    "split-ni": ({"fmax": 5}, None, (2,)),
+    "tor": ({"kmax": 5, "ext_fmax": 3, "corpus_fmax": 3}, 10.0, (4, 5)),
+    "degenerates": ({"fmax": 12, "rank_fmax": 3}, 30.0, (6, 7)),
+    "xcounts": ({"fmax": 5}, None, (7,)),
+    "semisimple-match": ({"fmax": 4}, None, (8,)),
+    "patched": ({"fmax": 5}, None, (9,)),
+    "gr-subquot": ({"fmax": 8, "bigraded_fmax": 3}, None, (10,)),
+    "pbw": ({"fmax": 6, "syzygy_fmax": 3}, None, (11,)),
+    "theta": ({"fmax": 4}, None, (11,)),
+}
+
+# suites whose records are split between the criterion tests below
+SPLIT = ("hilbert", "tor", "xcounts")
 
 
-def test_every_criterion_has_a_row():
-    assert sorted({c for *_, criteria in ROWS for c in criteria}) == sorted(CRITERIA)
-
-
-@pytest.mark.parametrize("suite, scale, bound, criteria", ROWS, ids=[row[0] for row in ROWS])
-def test_criteria(suite, scale, bound, criteria):
+@functools.cache
+def _run(suite):
+    scale, _, _ = ROWS[suite]
     t0 = time.perf_counter()
     records = verify.SUITES[suite](**scale)
-    elapsed = time.perf_counter() - t0
+    return records, time.perf_counter() - t0
+
+
+def _assert_records(label, suite, keep=lambda check: True):
+    scale, bound, _ = ROWS[suite]
+    records, elapsed = _run(suite)
+    records = [r for r in records if keep(r.check)]
+    assert records, f"no {suite} record selected for {label}"
     failed = [f"{r.check}: {r.detail}" for r in records if not r.ok]
     assert not failed, "\n".join(failed)
     if bound is not None:
         assert elapsed < bound, f"{suite} took {elapsed:.1f}s against its {bound:.0f}s bound"
-    print(f"[acceptance] criteria {', '.join(map(str, criteria))} ({suite} {scale}): PASS, "
-          f"{sum(r.cases for r in records)} cases in {elapsed:.1f}s")
+    print(f"[acceptance] {label} ({suite} {scale}): PASS, "
+          f"{sum(r.cases for r in records)} cases in {sum(r.elapsed_s for r in records):.1f}s")
+
+
+def test_every_criterion_has_a_row():
+    assert sorted({c for *_, criteria in ROWS.values() for c in criteria}) == sorted(CRITERIA)
+
+
+@pytest.mark.parametrize("suite", [s for s in ROWS if s not in SPLIT])
+def test_criteria(suite):
+    _assert_records("criteria " + ", ".join(map(str, ROWS[suite][2])), suite)
+
+
+def _a_counts(check):
+    return check.endswith("|A|-counts")
+
+
+def _ext(check):
+    return "Ext" in check
+
+
+def test_criterion_01_hilbert_series():
+    # the series and t=0 records, and criterion 11's binomial identities
+    _assert_records("criteria 1, 11", "hilbert", lambda check: not _a_counts(check))
+
+
+def test_criterion_03_counting_lemma():
+    _assert_records("criterion 3", "hilbert", _a_counts)
+
+
+def test_criterion_04_stanley_reisner_tor():
+    # the pairing-ideal closed form, and the dual oracles on the ideal corpus
+    _assert_records("criterion 4", "tor", lambda check: not _ext(check))
+
+
+def test_criterion_05_ext_dims():
+    _assert_records("criterion 5", "tor", _ext)
+
+
+def test_criterion_07_shell_counts_and_aggregate():
+    _assert_records("criterion 7", "xcounts")
+    _assert_records("criterion 7", "degenerates", lambda check: check.startswith("aggregate identity"))
 
 
 def test_cli_verify_all_under_budget():

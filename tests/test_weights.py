@@ -15,6 +15,7 @@ from serrecalc.weights import (
     nonsplit_context,
     profile_stats,
     split_context,
+    v_chi_from_windows,
 )
 
 
@@ -159,6 +160,15 @@ def test_character_window_examples():
     w = character_window(ns, prof("X0", "X0", "X0"))
     assert w.j_min == frozenset()
     assert w.v_chi == frozenset({frozenset(), frozenset({0}), frozenset({1})})
+
+
+@pytest.mark.parametrize("f", range(1, 5))
+def test_v_chi_window_union(f):
+    from serrecalc.verify import reducible_contexts
+
+    for ctx in reducible_contexts(f):
+        for lam in enumerate_profiles(ctx, "P"):
+            assert character_window(ctx, lam).v_chi == v_chi_from_windows(ctx, lam)
 
 
 def test_profile_serialization_round_trip():
