@@ -5,10 +5,6 @@ class UnsupportedCaseError(ValueError):
     """Raised when an operation does not apply to the given Galois case."""
 
 
-class TruncationError(ValueError):
-    """Raised when graded data would leave the declared truncation window."""
-
-
 class SizeLimitError(ValueError):
     """Raised when an exponential-size computation exceeds the desk-scale cap."""
 

@@ -98,10 +98,6 @@ def homology_from_faces(faces: list[int], char_p: int | None = None) -> dict[int
     return dims
 
 
-def reduced_homology_dims(cx: SimplicialComplex, char_p: int | None = None) -> dict[int, int]:
-    return homology_from_faces(cx.faces(), char_p)
-
-
 def hochster_profile(ideal: MonomialIdeal, char_p: int | None = None) -> list[int]:
     """dim Tor_i(F, R/I) for i = 0..n via Hochster's sum over vertex subsets."""
     cx = SimplicialComplex.from_ideal(ideal)
@@ -234,9 +230,3 @@ def ext1_lower_bound(f: int, k: int) -> int:
     if not 0 <= k <= f:
         raise ValueError("need 0 <= k <= f")
     return 2 * f * f + f + comb(k + 1, 3)
-
-
-def ext1_identity_ok(f: int, k: int) -> bool:
-    """The bookkeeping identity behind the lower bound, checked exactly."""
-    e = ext_closed(f, k)
-    return ext1_lower_bound(f, k) == 2 * f * e[1] - e[2]

@@ -304,10 +304,13 @@ def bigraded_difference(
 
     Needs small ⊆ big.  Expands num(small) - num(big) over the denominator
     prod_j (1 - t u_j)(1 - t/u_j) up to monomial degree trunc + shift, one
-    factor at a time, and stores degree n at n - shift.
+    factor at a time, and stores degree n at n - shift.  Equal ideals give
+    the empty table without an expansion.
     """
     if big.ambient != 2 * f or small.ambient != 2 * f:
         raise ValueError("ambient must be the paired y/z ring")
+    if big == small:
+        return BigradedSeries(trunc, {})
     bound = trunc + shift
     # an offset c is one integer whose base-(2 bound + 1) digit j is c_j + bound;
     # |c_j| <= degree <= bound, so a step in one coordinate never carries
@@ -324,15 +327,14 @@ def bigraded_difference(
                 here = layers[d]
                 for c, v in layers[d - 1].items():
                     here[c + step] = here.get(c + step, 0) + v
-    return BigradedSeries(trunc, {
-        (d - shift, _unpack(c, f, bound)): v
-        for d in range(shift, bound + 1) for c, v in layers[d].items() if v
-    })
-
-
-def bigraded_standard(ideal: MonomialIdeal, f: int, trunc: int) -> BigradedSeries:
-    """Character-refined Hilbert table of R/I."""
-    return bigraded_difference(MonomialIdeal.unit(ideal.ambient), ideal, f, trunc, 0)
+    entries = {}
+    for d in range(shift, bound + 1):
+        for c, v in layers[d].items():
+            if v < 0:  # a monomial of small outside big
+                raise ValueError("multiplicities must be nonnegative")
+            if v:
+                entries[d - shift, _unpack(c, f, bound)] = v
+    return BigradedSeries(trunc, entries)
 
 
 def bigraded_quotient(
@@ -340,9 +342,9 @@ def bigraded_quotient(
 ) -> BigradedSeries:
     """The lambda-summand of the graded subquotient description.
 
-    The table of the window between the i0-th and i0p-th ideals of the family,
-    shifted so the first nonzero generators land in stored degree 0, with
-    character offsets relative to the anchor profile.
+    The table of the window a1(i0) / a1(i0p) between two members of the
+    family, shifted so the first nonzero generators land in stored degree 0,
+    with character offsets relative to the anchor profile.
     """
     if not -1 <= i0 < i0p <= ctx.f:
         raise ValueError(f"need -1 <= i0 < i0p <= f, got ({i0}, {i0p})")

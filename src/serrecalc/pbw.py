@@ -35,10 +35,6 @@ def mono_offset(m: Mono, f: int) -> tuple[int, ...]:
     return tuple(m[j] - m[f + j] for j in range(f))
 
 
-def one_mono(f: int) -> Mono:
-    return (0,) * (3 * f)
-
-
 @lru_cache(maxsize=None)
 def pbw_basis(f: int, n: int) -> tuple[Mono, ...]:
     """Normal-ordered monomials of degree < n, by degree then lexicographic."""

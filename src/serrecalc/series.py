@@ -3,7 +3,9 @@
 Grading convention, used package-wide: graded modules are supported in
 non-positive degrees, and the piece of degree -n is stored under the
 nonnegative index n.  All coefficients are arbitrary-precision integers;
-nothing in this package uses floating point.
+nothing in this package uses floating point.  ``ideals.bigraded_difference``
+builds every ``BigradedSeries``; the JSON forms here are the CLI's output
+and are written, never read back.
 """
 
 from __future__ import annotations
@@ -11,9 +13,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from math import comb
-from typing import Iterable, Mapping
-
-from .errors import TruncationError
+from typing import Iterable
 
 
 def _strip(coeffs: Iterable[int]) -> tuple[int, ...]:
@@ -104,12 +104,6 @@ class IntPoly:
             return self
         return IntPoly((0,) * d + self.coeffs)
 
-    def divide_t_exact(self, d: int) -> "IntPoly":
-        """Divide by t^d; the low coefficients must vanish."""
-        if any(self.coeff(i) for i in range(min(d, len(self.coeffs)))):
-            raise ValueError("polynomial not divisible by t^%d" % d)
-        return IntPoly(self.coeffs[d:])
-
     def eval_at(self, x: int) -> int:
         acc = 0
         for c in reversed(self.coeffs):
@@ -180,10 +174,6 @@ class RationalSeries:
     def scale(self, a: int) -> "RationalSeries":
         return RationalSeries(self.num.scale(a), self.pole)
 
-    def shift_down(self, d: int) -> "RationalSeries":
-        """Divide by t^d; valid when the series vanishes below degree d."""
-        return RationalSeries(self.num.divide_t_exact(d), self.pole)
-
     def at_zero(self) -> int:
         return self.num.coeff(0)
 
@@ -215,47 +205,22 @@ class CharOffset:
 
     exps: tuple[int, ...]
 
-    @staticmethod
-    def zero(f: int) -> "CharOffset":
-        return CharOffset((0,) * f)
-
-    def __len__(self) -> int:
-        return len(self.exps)
-
-    def __add__(self, other: "CharOffset") -> "CharOffset":
-        return CharOffset(tuple(a + b for a, b in zip(self.exps, other.exps, strict=True)))
-
-    def __sub__(self, other: "CharOffset") -> "CharOffset":
-        return CharOffset(tuple(a - b for a, b in zip(self.exps, other.exps, strict=True)))
-
-    def __neg__(self) -> "CharOffset":
-        return CharOffset(tuple(-a for a in self.exps))
-
-    def l1(self) -> int:
-        return sum(abs(a) for a in self.exps)
-
 
 class BigradedSeries:
     """Truncated table (stored degree, character offset) -> multiplicity.
 
     Stored degree n is the package-wide convention for graded degree -n.
-    Absent keys mean multiplicity zero; zero entries are never stored.
-    Instances are immutable by convention after construction.
+    Absent keys mean multiplicity zero.  The one builder,
+    ``ideals.bigraded_difference``, hands over a dict of positive entries in
+    degrees 0..trunc, which is stored as it is; instances are immutable by
+    convention after construction.
     """
 
-    def __init__(self, trunc: int, entries: Mapping[tuple[int, CharOffset], int] | None = None):
+    def __init__(self, trunc: int, entries: dict[tuple[int, CharOffset], int]):
         if trunc < 0:
             raise ValueError("truncation must be nonnegative")
         self.trunc = trunc
-        table: dict[tuple[int, CharOffset], int] = {}
-        for (d, c), mult in (entries or {}).items():
-            if mult < 0:
-                raise ValueError("multiplicities must be nonnegative")
-            if not 0 <= d <= trunc:
-                raise TruncationError(f"degree {d} outside 0..{trunc}")
-            if mult:
-                table[(d, c)] = table.get((d, c), 0) + mult
-        self.entries = table
+        self.entries = entries
 
     def total(self, d: int) -> int:
         return sum(m for (dd, _), m in self.entries.items() if dd == d)
@@ -284,10 +249,6 @@ def rational_to_json(rs: RationalSeries) -> dict:
     return {"num": [str(c) for c in rs.num.coeffs], "pole": rs.pole}
 
 
-def rational_from_json(data: Mapping) -> RationalSeries:
-    return RationalSeries(IntPoly(tuple(int(c) for c in data["num"])), int(data["pole"]))
-
-
 def bigraded_to_json(b: BigradedSeries) -> dict:
     entries = sorted(((d, c.exps, m) for (d, c), m in b.entries.items()))
     return {
@@ -296,14 +257,6 @@ def bigraded_to_json(b: BigradedSeries) -> dict:
             {"deg": d, "offset": list(exps), "mult": str(m)} for d, exps, m in entries
         ],
     }
-
-
-def bigraded_from_json(data: Mapping) -> BigradedSeries:
-    entries = {
-        (int(e["deg"]), CharOffset(tuple(int(x) for x in e["offset"]))): int(e["mult"])
-        for e in data["entries"]
-    }
-    return BigradedSeries(int(data["trunc"]), entries)
 
 
 def dumps_canonical(obj) -> str:

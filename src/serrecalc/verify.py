@@ -21,7 +21,8 @@ from typing import Callable, Iterable, Iterator
 from .errors import SizeLimitError
 from .homology import (
     TAYLOR_CAP,
-    ext1_identity_ok,
+    ext1_lower_bound,
+    ext_closed,
     ext_dims,
     hochster_profile,
     pairing_ideal,
@@ -39,11 +40,10 @@ from .ideals import (
     z_var,
 )
 from .linalg import exact_rank
-from .pbw import mono_degree, pbw_basis, pbw_mul, tor1_gr
+from .pbw import gr_formula, mono_degree, pbw_basis, pbw_mul, tor1_gr
 from .predictions import (
     THETA_BOX_CAP,
     SubquotientSpec,
-    degenerates_check,
     gr_subquotient,
     hilbert_Ni,
     hilbert_pi,
@@ -52,6 +52,7 @@ from .predictions import (
     i1_invariants,
     k1_cycle,
     semisimple_match,
+    shell_aggregate,
     theta_lattice,
     x_counts,
 )
@@ -141,9 +142,9 @@ def _case(ctx: GaloisContext, lam: WeightProfile | None = None, **at) -> str:
     return " ".join(parts + [f"{k}={v}" for k, v in at.items()])
 
 
-def _window_cases(f: int) -> list[tuple[GaloisContext, SubquotientSpec, str]]:
-    """Every nonsplit context at f with each of its windows, and the case name."""
-    return [(ctx, spec, _case(ctx, i0=spec.i0, i0p=spec.i0p)) for ctx in _nonsplit_contexts(f) for spec in _windows(f)]
+def _window_cases(contexts: Iterable[GaloisContext]) -> list[tuple[GaloisContext, SubquotientSpec, str]]:
+    """Every given context with each of its windows, and the case name."""
+    return [(ctx, spec, _case(ctx, i0=spec.i0, i0p=spec.i0p)) for ctx in contexts for spec in _windows(ctx.f)]
 
 
 def _tags(lams: Iterable[WeightProfile]) -> list[str]:
@@ -243,27 +244,28 @@ def _summand_profiles(ctx: GaloisContext, spec: SubquotientSpec) -> list[str]:
 
 
 def suite_gr_subquot(fmax: int = 8, bigraded_fmax: int = 3) -> list[CheckRecord]:
-    # windows along a chain partition the full index set
+    # the windows of a chain with one or two inner cuts partition the full index set
     def partitions(f):
         for ctx in _nonsplit_contexts(f):
             whole = _tags(i1_invariants(ctx, SubquotientSpec(-1, f)))
-            for a, b in combinations(range(f), 2):
+            for cuts in (c for r in (1, 2) for c in combinations(range(f), r)):
+                chain = (-1, *cuts, f)
                 parts = [
                     _tags(lam for lam in i1_invariants(ctx, SubquotientSpec(x, y)) if in_p(ctx, lam))
-                    for x, y in ((-1, a), (a, b), (b, f))
+                    for x, y in zip(chain, chain[1:])
                 ]
-                yield _same(_case(ctx, chain=f"-1<{a}<{b}<{f}"), parts=sorted(sum(parts, [])), whole=whole)
+                yield _same(_case(ctx, chain="<".join(map(str, chain))), parts=sorted(sum(parts, [])), whole=whole)
 
     out = []
     for f in range(1, fmax + 1):
-        windows = _window_cases(f)
+        windows = _window_cases(_nonsplit_contexts(f))
         out.append(_check("gr-subquot", f"f={f} cardinalities vs degree-0 totals", (
             _same(case, cardinality=i1_cardinality(ctx, spec), degree0_total=i1_degree0_total(ctx, spec))
             for ctx, spec, case in windows
         )))
         out.append(_check("gr-subquot", f"f={f} binomial window", (
             _same(f"f={f} i0={spec.i0} i0p={spec.i0p}", k1_cycle=k1_cycle(f, spec),
-                  binomial_sum=sum(comb(f, i) for i in range(spec.i0 + 1, spec.i0p + 1)))
+                  subsets=sum(1 for mask in range(1 << f) if spec.i0 < bin(mask).count("1") <= spec.i0p))
             for spec in _windows(f)
         )))
         if f <= 4:
@@ -273,12 +275,12 @@ def suite_gr_subquot(fmax: int = 8, bigraded_fmax: int = 3) -> list[CheckRecord]
                 for ctx, spec, case in windows
             )))
             out.append(_check("gr-subquot", f"f={f} window partition", partitions(f)))
-    # the per-profile counting against the window tables at small f
+    # the per-profile counting against the window tables at small f, split context included
     table = cache(lambda ctx, spec: gr_subquotient(ctx, spec, trunc=2))
-    small = [w for f in range(1, bigraded_fmax + 1) for w in _window_cases(f)]
+    small = [w for f in range(1, bigraded_fmax + 1) for w in _window_cases(reducible_contexts(f))]
     out.append(_check("gr-subquot", f"degree-0 totals vs tables f<={bigraded_fmax}", (
         _same(case, tables=sum(b.total(0) for _, b in table(ctx, spec)), degree0_total=i1_degree0_total(ctx, spec))
-        for ctx, spec, case in small
+        for ctx, spec, case in small if ctx.case is Case.NONSPLIT
     )))
     out.append(_check("gr-subquot", f"nonzero summand index sets f<={bigraded_fmax}", (
         _same(case, nonzero=_tags(lam for lam, b in table(ctx, spec) if not b.is_zero()),
@@ -343,7 +345,7 @@ def suite_degenerates(fmax: int = 12, rank_fmax: int = 3) -> list[CheckRecord]:
             yield _case(ctx, lam), r.ok, {"ranks": _ranks(r), "closed": r.expected}
 
     out = [_check("degenerates", f"aggregate identity f<={fmax}", (
-        _holds(f"f={f} k={k}", degenerates_check=degenerates_check(f, k))
+        _same(f"f={f} k={k}", gr_formula=gr_formula(f, k), shell_aggregate=shell_aggregate(f, k))
         for f in range(1, fmax + 1) for k in range(f + 1)
     ))]
     out += [_check("degenerates", f"f={f} truncated rank data", ranks(f)) for f in range(1, rank_fmax + 1)]
@@ -365,6 +367,12 @@ def suite_tor(kmax: int = 5, ext_fmax: int = 3, corpus_fmax: int = 3) -> list[Ch
                 r = ext_dims(f, k)
                 yield f"f={f} k={k}", r.ok, {"closed": r.closed, "oracle": r.oracle, "convolution": r.convolution}
 
+    def ext_identity():
+        for f in range(1, 13):
+            for k in range(f + 1):
+                e = ext_closed(f, k)
+                yield _same(f"f={f} k={k}", lower_bound=ext1_lower_bound(f, k), from_ext=2 * f * e[1] - e[2])
+
     def corpus():
         seen: set[tuple] = set()
         for f in range(1, corpus_fmax + 1):
@@ -380,10 +388,7 @@ def suite_tor(kmax: int = 5, ext_fmax: int = 3, corpus_fmax: int = 3) -> list[Ch
     return [
         _check("tor", f"pairing-ideal closed form k<={kmax}", pairing()),
         _check("tor", f"padded Ext dims f<={ext_fmax}", ext()),
-        _check("tor", "Ext lower-bound identity f<=12", (
-            _holds(f"f={f} k={k}", ext1_identity_ok=ext1_identity_ok(f, k))
-            for f in range(1, 13) for k in range(f + 1)
-        )),
+        _check("tor", "Ext lower-bound identity f<=12", ext_identity()),
         _check("tor", f"dual oracles agree on ideal corpus f<={corpus_fmax}", corpus()),
     ]
 

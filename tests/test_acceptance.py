@@ -108,6 +108,11 @@ def test_criterion_07_shell_counts_and_aggregate():
     _assert_records("criterion 7", "degenerates", lambda check: check.startswith("aggregate identity"))
 
 
+def test_every_record_covers_a_case_at_the_smallest_scale():
+    records = verify.run_suites(sorted(verify.SUITES), 1)
+    assert [f"{r.suite}: {r.check}" for r in records if r.cases < 1] == []
+
+
 def test_cli_verify_all_under_budget():
     from serrecalc.cli import main
 

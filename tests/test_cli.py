@@ -212,6 +212,10 @@ BAD_INPUT = {
     "window-above-generator-cap": ["grsubquot", "--f", "6", "--case", "nonsplit", "--jrho", "0", "--i0", "1",
                                    "--i0p", "2", "--trunc", "0"],
     "tor-ambient": ["tor", "--gens", "[]", "--ambient", "3"],
+    "grsubquot-negative-trunc-split": ["grsubquot", "--f", "2", "--case", "split", "--jrho", "all", "--i0", "0",
+                                       "--i0p", "1", "--trunc", "-1"],
+    "grsubquot-negative-trunc-nonsplit": ["grsubquot", "--f", "2", "--case", "nonsplit", "--jrho", "1", "--i0", "0",
+                                          "--i0p", "1", "--trunc", "-1"],
     # one coordinate of 2n - 1 candidates: the cap is met by the box size, not by a scan
     "theta-above-box-cap": ["theta", "--f", "1", "--case", "nonsplit", "--jrho", "0", "--profile", "X0",
                             "--i0", "0", "--n", str(THETA_BOX_CAP // 2 + 1)],

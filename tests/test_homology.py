@@ -5,14 +5,14 @@ from hypothesis import strategies as st
 from serrecalc.errors import SizeLimitError
 from serrecalc.homology import (
     SimplicialComplex,
-    ext1_identity_ok,
     ext1_lower_bound,
+    ext_closed,
     ext_dims,
     hochster_profile,
+    homology_from_faces,
     padded_pairing_ideal,
     pairing_ideal,
     profiles_agree,
-    reduced_homology_dims,
     stanley_reisner_closed,
     taylor_profile,
 )
@@ -29,23 +29,23 @@ def mono(n, *idx):
 
 def test_two_isolated_points():
     cx = SimplicialComplex(2, (0b11,))
-    dims = reduced_homology_dims(cx)
+    dims = homology_from_faces(cx.faces())
     assert dims == {0: 1}
 
 
 def test_full_simplex_contractible():
     cx = SimplicialComplex(3, ())
-    assert reduced_homology_dims(cx) == {}
+    assert homology_from_faces(cx.faces()) == {}
 
 
 def test_triangle_boundary():
     cx = SimplicialComplex(3, (0b111,))
-    assert reduced_homology_dims(cx) == {1: 1}
+    assert homology_from_faces(cx.faces()) == {1: 1}
 
 
 def test_empty_complex_convention():
     cx = SimplicialComplex(2, (0b01, 0b10))
-    assert reduced_homology_dims(cx) == {-1: 1}
+    assert homology_from_faces(cx.faces()) == {-1: 1}
 
 
 def test_hochster_k1():
@@ -206,8 +206,10 @@ def test_padded_ideal_generator_count():
 def test_ext1_lower_bound_examples():
     assert ext1_lower_bound(1, 1) == 3
     assert ext1_lower_bound(2, 0) == 10
-    assert ext1_identity_ok(3, 2)
-    assert all(ext1_identity_ok(f, k) for f in range(1, 13) for k in range(f + 1))
+    for f in range(1, 13):
+        for k in range(f + 1):
+            e = ext_closed(f, k)
+            assert ext1_lower_bound(f, k) == 2 * f * e[1] - e[2], (f, k)
 
 
 def test_composite_modulus_rejected():
@@ -216,7 +218,7 @@ def test_composite_modulus_rejected():
     with pytest.raises(ValueError, match="prime"):
         hochster_profile(ideal, char_p=4)
     with pytest.raises(ValueError, match="prime"):
-        reduced_homology_dims(SimplicialComplex.from_ideal(ideal), 4)
+        homology_from_faces(SimplicialComplex.from_ideal(ideal).faces(), 4)
     with pytest.raises(ValueError, match="prime"):
         rank_mod_p([{0: 2, 1: 1}, {0: 1}], 4)
 

@@ -12,7 +12,6 @@ from serrecalc.ideals import (
     a_ss,
     bigraded_difference,
     bigraded_quotient,
-    bigraded_standard,
     d_shift,
     hilbert,
     ideal_from_pairs,
@@ -192,7 +191,7 @@ def test_bigraded_standard_matches_univariate():
     ns2 = nonsplit_context(2, [0])
     for lam in enumerate_profiles(ns2, "P"):
         ideal = a_lambda(ns2, lam)
-        table = bigraded_standard(ideal, 2, 6)
+        table = bigraded_difference(MonomialIdeal.unit(4), ideal, 2, 6, 0)
         assert table.totals() == expand(hilbert(ideal), 6)
 
 
@@ -244,13 +243,13 @@ def raw_table(keep, f: int, trunc: int, shift: int = 0) -> dict[tuple[int, tuple
 NONSPLIT_F2 = [ctx for f in (1, 2) for ctx in reducible_contexts(f) if ctx.case is Case.NONSPLIT]
 WINDOWS_F2 = {
     f"f{ctx.f}-jrho{sum(1 << j for j in ctx.j_rho)}-w{i0}_{i0p}": (ctx, i0, i0p)
-    for ctx in NONSPLIT_F2 for i0 in range(-1, ctx.f) for i0p in range(i0 + 1, ctx.f + 1)
+    for f in (1, 2) for ctx in reducible_contexts(f) for i0 in range(-1, f) for i0p in range(i0 + 1, f + 1)
 }
 
 
 @pytest.mark.parametrize("ctx,i0,i0p", WINDOWS_F2.values(), ids=WINDOWS_F2.keys())
 def test_bigraded_quotient_naive_cross_check(ctx, i0, i0p):
-    """Window tables from the numerator equal raw monomial enumeration, every P-profile."""
+    """Window tables from the numerator equal raw monomial enumeration, every P-profile, split context too."""
     for lam in enumerate_profiles(ctx, "P"):
         big, small = a1(ctx, lam, i0), a1(ctx, lam, i0p)
         shift = d_shift(profile_stats(ctx, lam), i0)
@@ -263,11 +262,19 @@ def test_bigraded_tables_of_non_squarefree_ideals():
     small = MonomialIdeal(4, (mono(2, 0, 0, 1), mono(0, 3, 1, 0), mono(1, 1, 2, 2)))
     big = small + MonomialIdeal(4, (mono(1, 0, 0, 0),))
     for table, raw in (
-        (bigraded_standard(small, 2, 7), raw_table(lambda m: not small.member(m), 2, 7)),
+        (bigraded_difference(MonomialIdeal.unit(4), small, 2, 7, 0), raw_table(lambda m: not small.member(m), 2, 7)),
         (bigraded_difference(big, small, 2, 6, 1),
          raw_table(lambda m: big.member(m) and not small.member(m), 2, 6, 1)),
     ):
         assert {(d, c.exps): v for (d, c), v in table.entries.items()} == raw
+
+
+def test_bigraded_difference_of_equal_or_unnested_ideals():
+    ideal = a1(nonsplit_context(2, [0]), prof("X0", "X0"), 0)
+    assert bigraded_difference(ideal, ideal, 2, 5, 1).is_zero()
+    unit = MonomialIdeal.unit(4)
+    with pytest.raises(ValueError, match="multiplicities must be nonnegative"):
+        bigraded_difference(ideal, unit, 2, 5, 0)
 
 
 @pytest.mark.parametrize("ctx", NONSPLIT_F2, ids=lambda c: f"f{c.f}-jrho{sum(1 << j for j in c.j_rho)}")

@@ -3,11 +3,10 @@ import pytest
 from serrecalc.errors import UnsupportedCaseError
 from serrecalc import homology, pbw, predictions, verify
 from serrecalc.homology import ext_dims
-from serrecalc.ideals import Monomial, a_ss, bigraded_standard, p_monomial
-from serrecalc.pbw import tor1_gr
+from serrecalc.ideals import Monomial, MonomialIdeal, a_lambda, a_ss, bigraded_difference, p_monomial
+from serrecalc.pbw import gr_formula, tor1_gr
 from serrecalc.predictions import (
     SubquotientSpec,
-    degenerates_check,
     gr_subquotient,
     hilbert_Ni,
     hilbert_pi,
@@ -16,6 +15,7 @@ from serrecalc.predictions import (
     i1_invariants,
     k1_cycle,
     semisimple_match,
+    shell_aggregate,
     socle_jsets,
     theta_lattice,
     x_counts,
@@ -92,11 +92,14 @@ def test_gr_subquotient_worked_example():
 
 
 def test_gr_subquotient_split_window():
+    # the family gives R/a(lambda), unshifted, inside the window and zero outside it
     ctx = split_context(2)
     data = dict(gr_subquotient(ctx, SubquotientSpec(0, 1), trunc=4))
     for lam, table in data.items():
         ell = profile_stats(ctx, lam).ell
         assert table.is_zero() == (ell != 1)
+        if ell == 1:
+            assert table == bigraded_difference(MonomialIdeal.unit(4), a_lambda(ctx, lam), 2, 4, 0)
 
 
 def test_i1_invariants_examples():
@@ -158,7 +161,7 @@ def test_theta_lattice_nonsplit_points():
 
 
 def test_theta_lattice_counts_match_series():
-    from serrecalc.ideals import a_lambda, hilbert
+    from serrecalc.ideals import hilbert
 
     ctx = nonsplit_context(2, [0])
     for lam in enumerate_profiles(ctx, "P"):
@@ -167,11 +170,6 @@ def test_theta_lattice_counts_match_series():
         for p in box.points:
             per_degree[sum(abs(x) for x in p)] += 1
         assert per_degree == expand(hilbert(a_lambda(ctx, lam)), 4)
-        # jh_m[i] collects exactly the points of norm >= i
-        for i in range(5):
-            assert box.jh_m[i] == frozenset(
-                p for p in box.points if sum(abs(x) for x in p) >= i
-            )
 
 
 def test_semisimple_match_worked_pair():
@@ -187,7 +185,7 @@ def test_semisimple_match_worked_pair():
 
     assert ideal.gens == (z_var(2, 0), y_var(2, 1))
     assert p_monomial(2, st_, frozenset({1})).char_offset().exps == (0, -1)
-    table = bigraded_standard(ideal, 2, 4)
+    table = bigraded_difference(MonomialIdeal.unit(4), ideal, 2, 4, 0)
     assert table.totals() == [1, 2, 3, 4, 5]
 
 
@@ -248,6 +246,11 @@ def _rank_values():
     return f"ranks={(r.dim_im_d1, r.dim_ker_d1, r.dim_im_d2, r.tor1)} closed={r.expected}"
 
 
+def _ext_identity_values():
+    e = homology.ext_closed(1, 0)
+    return f"lower_bound={2 * homology.ext1_lower_bound(1, 0)} from_ext={2 * e[1] - e[2]}"
+
+
 @pytest.mark.parametrize("suite, scale, module, closed_form, check, case, values", [
     ("hilbert", {"fmax": 2}, predictions, "_closed_hilbert_pi", "f=1 irreducible", "f=1 irreducible series",
      _hilbert_values),
@@ -255,7 +258,10 @@ def _rank_values():
      _ext_values),
     ("degenerates", {"fmax": 2, "rank_fmax": 1}, pbw, "_expected_dims", "f=1 truncated rank data", "f=1 split X0",
      _rank_values),
-], ids=["hilbert", "tor", "degenerates"])
+    # the suite looks the lower bound up in its own namespace
+    ("tor", {"kmax": 2, "ext_fmax": 2, "corpus_fmax": 1}, verify, "ext1_lower_bound", "Ext lower-bound identity f<=12",
+     "f=1 k=0", _ext_identity_values),
+], ids=["hilbert", "tor", "degenerates", "ext-identity"])
 def test_a_wrong_closed_form_fails_its_record_with_case_and_values(
     monkeypatch, suite, scale, module, closed_form, check, case, values
 ):
@@ -279,9 +285,9 @@ def test_x_counts_examples():
 
 
 def test_degenerates_examples():
-    assert degenerates_check(1, 1)
-    assert degenerates_check(1, 0)
-    assert all(degenerates_check(f, k) for f in range(1, 13) for k in range(f + 1))
+    assert shell_aggregate(1, 1) == gr_formula(1, 1)
+    assert shell_aggregate(1, 0) == gr_formula(1, 0)
+    assert all(shell_aggregate(f, k) == gr_formula(f, k) for f in range(1, 13) for k in range(f + 1))
 
 
 def test_unsupported_cases():

@@ -1,4 +1,3 @@
-import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -7,10 +6,8 @@ from serrecalc.series import (
     CharOffset,
     IntPoly,
     RationalSeries,
-    bigraded_from_json,
     bigraded_to_json,
     expand,
-    rational_from_json,
     rational_to_json,
 )
 
@@ -84,13 +81,6 @@ def test_rational_reduced():
     assert r.num.coeffs == (1, 1) and r.pole == 1
 
 
-def test_rational_shift_down():
-    r = RationalSeries(IntPoly.of(0, 1), 2).shift_down(1)
-    assert r.num.coeffs == (1,) and r.pole == 2
-    with pytest.raises(ValueError):
-        RationalSeries(IntPoly.of(1, 1), 1).shift_down(1)
-
-
 def test_binomial_identities():
     for n in range(13):
         plus = IntPoly.of(2, 1) ** n
@@ -106,20 +96,11 @@ def test_binomial_identities():
         assert plus + minus == even.scale(2)
 
 
-def off(*xs):
-    return CharOffset(tuple(xs))
-
-
-def test_json_round_trips():
-    r = RationalSeries(IntPoly.of(10, 4, 2), 2)
-    assert rational_from_json(rational_to_json(r)) == r
-    b = BigradedSeries(3, {(1, off(2, -1)): 5})
-    assert bigraded_from_json(bigraded_to_json(b)) == b
-
-
-def test_char_offset_arithmetic():
-    a, b = off(1, -2), off(0, 3)
-    assert (a + b).exps == (1, 1)
-    assert (a - b).exps == (1, -5)
-    assert (-a).exps == (-1, 2)
-    assert a.l1() == 3
+def test_json_forms():
+    """The CLI's output: integers as decimal strings, table entries sorted by degree, then offset."""
+    assert rational_to_json(RationalSeries(IntPoly.of(10, 4, 2), 2)) == {"num": ["10", "4", "2"], "pole": 2}
+    b = BigradedSeries(3, {(1, CharOffset((2, -1))): 5, (0, CharOffset((0, 0))): 1})
+    assert bigraded_to_json(b) == {"trunc": 3, "entries": [
+        {"deg": 0, "offset": [0, 0], "mult": "1"},
+        {"deg": 1, "offset": [2, -1], "mult": "5"},
+    ]}
