@@ -13,11 +13,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Callable
 
-from .series import bigraded_to_json, dumps_canonical, expand, rational_to_json
+from .series import Value, bigraded_to_json, dumps_canonical, expand, rational_to_json
 from .weights import Case, GaloisContext, WeightProfile, enumerate_profiles, profile_stats
 
 
@@ -205,7 +204,7 @@ def _theta(a) -> dict:
 
 def _match(a) -> dict:
     from .predictions import semisimple_match
-    return asdict(semisimple_match(a.ctx, a.i0))
+    return semisimple_match(a.ctx, a.i0).asdict()
 
 
 def _tor(a) -> dict:
@@ -234,7 +233,7 @@ def _grtor(a) -> dict:
 
 def _xcounts(a) -> dict:
     from .predictions import x_counts
-    return asdict(x_counts(a.ctx, a.lam))
+    return x_counts(a.ctx, a.lam).asdict()
 
 
 def _patched(a) -> dict:
@@ -250,7 +249,7 @@ def _patched(a) -> dict:
 def _verify(a) -> list[dict]:
     from . import verify
     names = sorted(verify.SUITES) if (a.all or not a.suite) else a.suite
-    return [asdict(r) for r in verify.run_suites(names, a.f)]
+    return [r.asdict() for r in verify.run_suites(names, a.f)]
 
 
 def _verify_rows(records: list[dict]) -> list[list[str]]:
@@ -274,8 +273,7 @@ _WINDOW = (_I0, ("--i0p", dict(type=int, required=True)))
 _TRUNC = ("--trunc", dict(type=int, default=None))
 
 
-@dataclass(frozen=True)
-class Command:
+class Command(Value):
     """One subcommand: help, (flag, add_argument kwargs) pairs and a payload function.
 
     Exit 0 needs every ``ok`` key true in the payload, or in every record of
@@ -283,11 +281,12 @@ class Command:
     payload's sorted key/value pairs.
     """
 
-    help: str
-    flags: tuple[tuple[str, dict], ...]
-    payload: Callable[[argparse.Namespace], dict | list]
-    ok: tuple[str, ...] = ()
-    rows: Callable[[dict | list], list[list[str]]] | None = None
+    __slots__ = ("help", "flags", "payload", "ok", "rows")
+
+    def __init__(self, help: str, flags: tuple[tuple[str, dict], ...],
+                 payload: Callable[[argparse.Namespace], dict | list], ok: tuple[str, ...] = (),
+                 rows: Callable[[dict | list], list[list[str]]] | None = None):
+        super().__init__(help, flags, payload, ok, rows)
 
 
 COMMANDS: dict[str, Command] = {

@@ -10,13 +10,13 @@ available for homology.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 from math import comb
 
 from .errors import SizeLimitError
 from .ideals import Monomial, MonomialIdeal
 from .linalg import exact_rank, rank_mod_p
+from .series import Value
 
 #: Hochster's formula walks all 2^n vertex subsets, 3^n face tests in all.
 #: The f = 4 patched shapes have 12 vertices; at this cap the zero ideal
@@ -30,16 +30,14 @@ VERTEX_CAP = 12
 TAYLOR_CAP = 16
 
 
-@dataclass(frozen=True)
-class SimplicialComplex:
+class SimplicialComplex(Value):
     """Vertices 0..n-1 with faces cut out by minimal non-faces (bitmasks).
 
     W is a face iff no minimal non-face is contained in W; the empty set is
     a face unless some minimal non-face is empty (the void complex).
     """
 
-    n_vertices: int
-    minimal_nonfaces: tuple[int, ...]
+    __slots__ = ("n_vertices", "minimal_nonfaces")
 
     @staticmethod
     def from_ideal(ideal: MonomialIdeal) -> "SimplicialComplex":
@@ -190,12 +188,8 @@ def padded_pairing_ideal(f: int, k: int) -> MonomialIdeal:
     return MonomialIdeal(n, tuple(gens))
 
 
-@dataclass(frozen=True)
-class ExtDims:
-    closed: tuple[int, int, int]
-    oracle: tuple[int, int, int]
-    convolution: tuple[int, int, int]
-    ok: bool
+class ExtDims(Value):
+    __slots__ = ("closed", "oracle", "convolution", "ok")
 
 
 def ext_closed(f: int, k: int) -> tuple[int, int, int]:

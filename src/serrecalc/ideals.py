@@ -9,28 +9,41 @@ at the nonnegative index n as everywhere in this package.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
+from math import comb
 from typing import Callable, Hashable, Iterable
 
 from .errors import ProfileMembershipError, SizeLimitError
-from .series import BigradedSeries, CharOffset, IntPoly, RationalSeries
+from .series import BigradedSeries, CharOffset, IntPoly, RationalSeries, Value
 from .weights import GaloisContext, ProfileStats, TGen, WeightProfile, in_p, profile_stats
 
 #: inclusion-exclusion and Taylor-type sums walk up to 2^(#gens) subsets
 GENERATOR_CAP = 22
 
+#: ``bigraded_difference`` expands a table over the C(trunc + shift + 2f, 2f)
+#: monomials of degree <= trunc + shift in 2f variables.  On one core of a
+#: 2-vCPU x86-64 host, Python 3.11, one table took 2.4 s at 480,700 monomials
+#: (f = 9, degree 7) and 4.6 s at 888,030 (f = 10, degree 7); the cost per
+#: monomial grows with f, and the largest table a check builds has 8,008.
+TABLE_CAP = 500_000
 
-@dataclass(frozen=True)
-class Monomial:
+
+class Monomial(Value):
     """Exponent vector over a fixed ambient variable count."""
 
-    exps: tuple[int, ...]
+    __slots__ = ("exps",)
 
-    def __post_init__(self):
-        if any(e < 0 for e in self.exps):
+    def __init__(self, exps: tuple[int, ...]):
+        if exps and min(exps) < 0:
             raise ValueError("exponents must be nonnegative")
+        object.__setattr__(self, "exps", exps)
+
+    def __eq__(self, other):
+        return self.exps == other.exps if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self):
+        return hash((self.exps,))
 
     @staticmethod
     def one(ambient: int) -> "Monomial":
@@ -105,17 +118,24 @@ def _minimalize(gens: Iterable[Monomial]) -> tuple[Monomial, ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class MonomialIdeal:
+class MonomialIdeal(Value):
     """Finite set of minimal monomial generators; () is the zero ideal."""
 
-    ambient: int
-    gens: tuple[Monomial, ...]
+    __slots__ = ("ambient", "gens")
 
-    def __post_init__(self):
-        if any(g.ambient != self.ambient for g in self.gens):
+    def __init__(self, ambient: int, gens: tuple[Monomial, ...]):
+        if any(g.ambient != ambient for g in gens):
             raise ValueError("generator ambient mismatch")
-        object.__setattr__(self, "gens", _minimalize(self.gens))
+        object.__setattr__(self, "ambient", ambient)
+        object.__setattr__(self, "gens", _minimalize(gens))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.ambient == other.ambient and self.gens == other.gens
+
+    def __hash__(self):
+        return hash((self.ambient, self.gens))
 
     @staticmethod
     def zero(ambient: int) -> "MonomialIdeal":
@@ -165,14 +185,17 @@ def t_monomial(f: int, j: int, kind: TGen) -> Monomial:
     return y_var(f, j) * z_var(f, j)
 
 
-def a_lambda(ctx: GaloisContext, lam: WeightProfile) -> MonomialIdeal:
-    """The ideal (t_0, ..., t_{f-1}) attached to a profile in P."""
+def _family(ctx: GaloisContext, lam: WeightProfile) -> tuple[ProfileStats, MonomialIdeal]:
+    """A P-profile's stats and a(lambda), from which each member of its ideal family is built."""
     if not in_p(ctx, lam):
         raise ProfileMembershipError(f"{lam!r} is not in P for this context")
     stats = profile_stats(ctx, lam)
-    return MonomialIdeal(
-        2 * ctx.f, tuple(t_monomial(ctx.f, j, g) for j, g in enumerate(stats.t_assign))
-    )
+    return stats, MonomialIdeal(2 * ctx.f, tuple(t_monomial(ctx.f, j, g) for j, g in enumerate(stats.t_assign)))
+
+
+def a_lambda(ctx: GaloisContext, lam: WeightProfile) -> MonomialIdeal:
+    """The ideal (t_0, ..., t_{f-1}) attached to a profile in P."""
+    return _family(ctx, lam)[1]
 
 
 def a_ss(ctx: GaloisContext, lam: WeightProfile) -> MonomialIdeal:
@@ -223,12 +246,12 @@ def a1(ctx: GaloisContext, lam: WeightProfile, i: int) -> MonomialIdeal:
     """The i-th member of the decreasing family between R and a(lambda)."""
     if not -1 <= i <= ctx.f:
         raise ValueError(f"i = {i} outside -1..f")
-    stats = profile_stats(ctx, lam)
-    base = a_lambda(ctx, lam)
-    step = ideal_from_pairs(ctx.f, stats.j1, stats.j2, d_shift(stats, i))
-    if step.is_unit():
-        return step
-    return step + base
+    return _member(ctx.f, *_family(ctx, lam), i)
+
+
+def _member(f: int, stats: ProfileStats, base: MonomialIdeal, i: int) -> MonomialIdeal:
+    step = ideal_from_pairs(f, stats.j1, stats.j2, d_shift(stats, i))
+    return step if step.is_unit() else step + base
 
 
 # -- Hilbert series ------------------------------------------------------
@@ -305,13 +328,17 @@ def bigraded_difference(
     Needs small ⊆ big.  Expands num(small) - num(big) over the denominator
     prod_j (1 - t u_j)(1 - t/u_j) up to monomial degree trunc + shift, one
     factor at a time, and stores degree n at n - shift.  Equal ideals give
-    the empty table without an expansion.
+    the empty table without an expansion; past ``TABLE_CAP`` monomials
+    there is none either.
     """
     if big.ambient != 2 * f or small.ambient != 2 * f:
         raise ValueError("ambient must be the paired y/z ring")
     if big == small:
         return BigradedSeries(trunc, {})
     bound = trunc + shift
+    monomials = comb(bound + 2 * f, 2 * f) if trunc >= 0 else 0  # BigradedSeries refuses trunc < 0
+    if monomials > TABLE_CAP:
+        raise SizeLimitError(f"a table over {monomials} monomials exceeds the cap of {TABLE_CAP}")
     # an offset c is one integer whose base-(2 bound + 1) digit j is c_j + bound;
     # |c_j| <= degree <= bound, so a step in one coordinate never carries
     base = 2 * bound + 1
@@ -348,9 +375,9 @@ def bigraded_quotient(
     """
     if not -1 <= i0 < i0p <= ctx.f:
         raise ValueError(f"need -1 <= i0 < i0p <= f, got ({i0}, {i0p})")
-    stats = profile_stats(ctx, lam)
+    stats, base = _family(ctx, lam)
     return bigraded_difference(
-        a1(ctx, lam, i0), a1(ctx, lam, i0p), ctx.f, trunc, d_shift(stats, i0)
+        _member(ctx.f, stats, base, i0), _member(ctx.f, stats, base, i0p), ctx.f, trunc, d_shift(stats, i0)
     )
 
 

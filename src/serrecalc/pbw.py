@@ -9,12 +9,12 @@ regime any verification here needs, so larger n is rejected.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
 from typing import Iterator
 
 from .linalg import exact_rank
+from .series import Value
 from .weights import GaloisContext, TGen, WeightProfile, profile_stats
 
 Mono = tuple[int, ...]
@@ -177,14 +177,8 @@ def _h_mono(f: int, j: int) -> Mono:
     return tuple(m)
 
 
-@dataclass(frozen=True)
-class GrTorDims:
-    dim_im_d1: int
-    dim_ker_d1: int
-    dim_im_d2: int
-    tor1: int
-    expected: tuple[int, int, int, int]
-    ok: bool
+class GrTorDims(Value):
+    __slots__ = ("dim_im_d1", "dim_ker_d1", "dim_im_d2", "tor1", "expected", "ok")
 
 
 def _expected_dims(f: int, k: int) -> tuple[int, int, int, int]:

@@ -8,7 +8,6 @@ assert both.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, product
 from math import comb, prod
@@ -17,7 +16,7 @@ from .errors import SizeLimitError, UnsupportedCaseError
 from .homology import ext1_lower_bound, ext_closed
 from .ideals import Monomial, a1, a_ss, bigraded_quotient, numerator, p_monomial
 from .pbw import char_multiset
-from .series import BigradedSeries, IntPoly, RationalSeries, one_minus_t
+from .series import BigradedSeries, IntPoly, RationalSeries, Value, one_minus_t
 from .weights import (
     Case,
     GaloisContext,
@@ -32,16 +31,15 @@ from .weights import (
 )
 
 
-@dataclass(frozen=True)
-class SubquotientSpec:
+class SubquotientSpec(Value):
     """A window (i0, i0p) with -1 <= i0 < i0p <= f (f checked per context)."""
 
-    i0: int
-    i0p: int
+    __slots__ = ("i0", "i0p")
 
-    def __post_init__(self):
-        if not -1 <= self.i0 < self.i0p:
-            raise ValueError(f"need -1 <= i0 < i0p, got ({self.i0}, {self.i0p})")
+    def __init__(self, i0: int, i0p: int):
+        if not -1 <= i0 < i0p:
+            raise ValueError(f"need -1 <= i0 < i0p, got ({i0}, {i0p})")
+        super().__init__(i0, i0p)
 
     def check(self, f: int):
         if self.i0p > f:
@@ -55,11 +53,8 @@ def default_trunc(f: int) -> int:
 
 # -- Hilbert series ------------------------------------------------------
 
-@dataclass(frozen=True)
-class SeriesCheck:
-    closed: RationalSeries
-    enumerated: RationalSeries
-    equal: bool
+class SeriesCheck(Value):
+    __slots__ = ("closed", "enumerated", "equal")
 
 
 def _closed_hilbert_pi(ctx: GaloisContext) -> RationalSeries:
@@ -243,14 +238,8 @@ def k1_cycle(f: int, spec: SubquotientSpec) -> int:
 THETA_BOX_CAP = 100_000
 
 
-@dataclass(frozen=True)
-class LatticeBox:
-    anchor: WeightProfile
-    radius: int
-    d_lambda: int
-    points: frozenset[tuple[int, ...]]
-    jh_theta: frozenset[tuple[int, ...]]
-    chain_ok: bool
+class LatticeBox(Value):
+    __slots__ = ("anchor", "radius", "d_lambda", "points", "jh_theta", "chain_ok", "no_descent")
 
 
 def theta_lattice(ctx: GaloisContext, lam: WeightProfile, n: int, i0: int) -> LatticeBox:
@@ -260,7 +249,8 @@ def theta_lattice(ctx: GaloisContext, lam: WeightProfile, n: int, i0: int) -> La
     norm < n; jh_theta keeps those meeting the window threshold.  chain_ok
     records that every theta point of norm above the threshold has a
     one-step descent inside jh_theta, which is exactly what the inductive
-    chain construction needs.
+    chain construction needs; no_descent is the first such point, in
+    lexicographic order, that has none (None when chain_ok holds).
     """
     if n < 1:
         raise ValueError("radius must be positive")
@@ -280,29 +270,27 @@ def theta_lattice(ctx: GaloisContext, lam: WeightProfile, n: int, i0: int) -> La
     box = prod(len(r) for r in ranges)
     if box > THETA_BOX_CAP:
         raise SizeLimitError(f"a box of {box} lattice points exceeds the cap of {THETA_BOX_CAP}")
-    points = frozenset(p for p in product(*ranges) if sum(abs(x) for x in p) < n)
+    ball = [p for p in product(*ranges) if sum(abs(x) for x in p) < n]
 
     def theta_weight(p: tuple[int, ...]) -> int:
         return sum(1 for j in st.j1 if p[j] > 0) + sum(1 for j in st.j2 if p[j] < 0)
 
-    theta = frozenset(p for p in points if theta_weight(p) >= d_lam)
+    in_theta = [p for p in ball if theta_weight(p) >= d_lam]
+    theta = frozenset(in_theta)
 
     def descends(p: tuple[int, ...]) -> bool:
         """Some one-step move of p toward the origin stays in theta."""
         steps = (p[:j] + (x - 1 if x > 0 else x + 1,) + p[j + 1:] for j, x in enumerate(p) if x)
         return any(q in theta for q in steps)
 
-    chain_ok = all(descends(p) for p in theta if sum(abs(x) for x in p) > d_lam)
-    return LatticeBox(lam, n, d_lam, points, theta, chain_ok)
+    stuck = next((p for p in in_theta if sum(abs(x) for x in p) > d_lam and not descends(p)), None)
+    return LatticeBox(lam, n, d_lam, frozenset(ball), theta, stuck is None, stuck)
 
 
 # -- the semisimple matching ----------------------------------------------
 
-@dataclass(frozen=True)
-class MatchResult:
-    bijection_ok: bool
-    hilbert_ok: bool
-    pairs: int
+class MatchResult(Value):
+    __slots__ = ("bijection_ok", "hilbert_ok", "pairs")
 
 
 def _lambda_prime(lam: WeightProfile, st, j_prime: frozenset[int]) -> WeightProfile:
@@ -367,13 +355,8 @@ def semisimple_match(ctx: GaloisContext, i0: int) -> MatchResult:
 
 # -- Ext bookkeeping counts ------------------------------------------------
 
-@dataclass(frozen=True)
-class XCounts:
-    x0: int
-    x1: int
-    x2: int
-    expected: tuple[int, int, int]
-    ok: bool
+class XCounts(Value):
+    __slots__ = ("x0", "x1", "x2", "expected", "ok")
 
 
 def x_counts(ctx: GaloisContext, lam: WeightProfile) -> XCounts:

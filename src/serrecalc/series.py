@@ -11,9 +11,58 @@ and are written, never read back.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from math import comb
 from typing import Iterable
+
+
+class Value:
+    """Base of every value type: an immutable record of the fields named in ``__slots__``.
+
+    Assigning a field raises ``AttributeError``, ``==`` holds only within one
+    class, the hash is that of the field tuple and the repr is ``Name(field=value, ...)``.
+    Types that key the kernels' sets and dicts override ``__eq__`` and ``__hash__``
+    field by field, as these loops are several times slower.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, *args, **kwargs):
+        names = self.__slots__
+        if kwargs:
+            args += tuple(kwargs.pop(name) for name in names[len(args):] if name in kwargs)
+        if len(args) != len(names) or kwargs:
+            raise TypeError(f"{type(self).__qualname__} takes the fields {', '.join(names)}")
+        for name, value in zip(names, args):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):  # pickle and copy rebuild through __init__, not by assignment
+        return type(self), self._values()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        return self._values() == other._values() if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        return f"{type(self).__qualname__}({', '.join(f'{k}={v!r}' for k, v in self.asdict().items())})"
+
+    def asdict(self) -> dict:
+        """The fields by name."""
+        return dict(zip(self.__slots__, self._values()))
+
+    def replace(self, **changes):
+        """A copy with the named fields changed, built (and checked) by ``__init__``."""
+        return type(self)(**{**self.asdict(), **changes})
 
 
 def _strip(coeffs: Iterable[int]) -> tuple[int, ...]:
@@ -23,18 +72,17 @@ def _strip(coeffs: Iterable[int]) -> tuple[int, ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class IntPoly:
+class IntPoly(Value):
     """Integer polynomial in t; ``coeffs[d]`` is the t^d coefficient.
 
     Trailing zeros are normalized away, so the zero polynomial has an
     empty coefficient tuple.
     """
 
-    coeffs: tuple[int, ...] = ()
+    __slots__ = ("coeffs",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "coeffs", _strip(self.coeffs))
+    def __init__(self, coeffs: tuple[int, ...] = ()):
+        object.__setattr__(self, "coeffs", _strip(coeffs))
 
     @staticmethod
     def of(*coeffs: int) -> "IntPoly":
@@ -115,20 +163,19 @@ def one_minus_t() -> IntPoly:
     return IntPoly.of(1, -1)
 
 
-@dataclass(frozen=True)
-class RationalSeries:
-    """Integer polynomial numerator over (1-t)^pole.
+class RationalSeries(Value):
+    """Integer polynomial numerator ``num`` over (1-t)^``pole``.
 
     Values are equal iff the cross-multiplied numerators agree, i.e.
     n1*(1-t)^p2 == n2*(1-t)^p1 as polynomials.
     """
 
-    num: IntPoly
-    pole: int
+    __slots__ = ("num", "pole")
 
-    def __post_init__(self):
-        if self.pole < 0:
+    def __init__(self, num: IntPoly, pole: int):
+        if pole < 0:
             raise ValueError("pole order must be nonnegative")
+        super().__init__(num, pole)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, RationalSeries):
@@ -194,8 +241,7 @@ def expand(rs: RationalSeries, n: int) -> list[int]:
     return out
 
 
-@dataclass(frozen=True)
-class CharOffset:
+class CharOffset(Value):
     """Relative H-eigencharacter exponent vector (one integer per embedding).
 
     y_j carries offset +e_j, z_j carries -e_j, h_j carries 0.  Offsets are
@@ -203,7 +249,16 @@ class CharOffset:
     genericity grants them.
     """
 
-    exps: tuple[int, ...]
+    __slots__ = ("exps",)
+
+    def __init__(self, exps: tuple[int, ...]):
+        object.__setattr__(self, "exps", exps)
+
+    def __eq__(self, other):
+        return self.exps == other.exps if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self):
+        return hash((self.exps,))
 
 
 class BigradedSeries:

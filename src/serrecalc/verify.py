@@ -12,7 +12,6 @@ the context, the profile or k, and i0 where they apply.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 from functools import cache
 from itertools import combinations, product
 from math import comb
@@ -56,7 +55,7 @@ from .predictions import (
     theta_lattice,
     x_counts,
 )
-from .series import IntPoly, expand
+from .series import IntPoly, Value, expand
 from .weights import (
     PROFILE_F_CAP,
     Case,
@@ -74,16 +73,10 @@ from .weights import (
 )
 
 
-@dataclass(frozen=True)
-class CheckRecord:
+class CheckRecord(Value):
     """One check of a suite: ``cases`` counts the cases it covered and ``elapsed_s`` times them."""
 
-    suite: str
-    check: str
-    ok: bool
-    detail: str = ""
-    cases: int = 0
-    elapsed_s: float = 0.0
+    __slots__ = ("suite", "check", "ok", "detail", "cases", "elapsed_s")
 
 
 def _check(suite: str, check: str, cases: Iterable[tuple[str, bool, dict]], detail: str = "") -> CheckRecord:
@@ -100,12 +93,6 @@ def _same(case: str, **values) -> tuple[str, bool, dict]:
     """A case that holds when its two named values are equal."""
     a, b = values.values()
     return case, a == b, values
-
-
-def _holds(case: str, **flag) -> tuple[str, bool, dict]:
-    """A case that holds when its one named flag is true."""
-    (ok,) = flag.values()
-    return case, ok, flag
 
 
 def reducible_contexts(f: int) -> Iterator[GaloisContext]:
@@ -311,7 +298,7 @@ def suite_theta(fmax: int = 4) -> list[CheckRecord]:
                 counts = per_degree[ctx, lam, i0] = [0] * (i0 + 4)
                 for p in box.points:
                     counts[sum(abs(x) for x in p)] += 1
-                yield _holds(_case(ctx, lam, i0=i0), chain_ok=box.chain_ok)
+                yield _case(ctx, lam, i0=i0), box.chain_ok, {"no_descent": box.no_descent}
 
     def against_series(f):
         for ctx, lam in _profiles(f):

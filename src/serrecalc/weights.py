@@ -8,7 +8,6 @@ conditions read the index j+1 modulo f, including f = 1 (self-constraint).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
 from itertools import combinations
@@ -17,6 +16,7 @@ from typing import Iterable, Literal
 
 from .errors import ProfileMembershipError, SizeLimitError, UnsupportedCaseError
 from .linalg import is_prime
+from .series import Value
 
 
 class Symbol(str, Enum):
@@ -48,8 +48,7 @@ class Case(str, Enum):
     NONSPLIT = "nonsplit"
 
 
-@dataclass(frozen=True)
-class GaloisContext:
+class GaloisContext(Value):
     """Ambient data (f, case, J_rho): fixes which parameter sets are defined.
 
     J_rho must be the full index set for the split case and a proper subset
@@ -58,30 +57,36 @@ class GaloisContext:
     bound; no computation ever evaluates a symbol at p.
     """
 
-    f: int
-    case: Case
-    j_rho: frozenset[int] = frozenset()
-    p: int | None = None
+    __slots__ = ("f", "case", "j_rho", "p")
 
-    def __post_init__(self):
-        if self.f < 1:
+    def __init__(self, f: int, case: Case, j_rho: Iterable[int] = frozenset(), p: int | None = None):
+        if f < 1:
             raise ValueError("f must be positive")
-        object.__setattr__(self, "j_rho", frozenset(self.j_rho))
-        full = frozenset(range(self.f))
-        if not self.j_rho <= full:
+        j_rho = frozenset(j_rho)
+        full = frozenset(range(f))
+        if not j_rho <= full:
             raise ValueError("J_rho must be a subset of {0..f-1}")
-        if self.case is Case.SPLIT and self.j_rho != full:
+        if case is Case.SPLIT and j_rho != full:
             raise ValueError("split case requires J_rho = {0..f-1}")
-        if self.case is Case.NONSPLIT and self.j_rho == full:
+        if case is Case.NONSPLIT and j_rho == full:
             raise ValueError("nonsplit case requires a proper subset J_rho")
-        if self.case is Case.IRREDUCIBLE and self.j_rho:
+        if case is Case.IRREDUCIBLE and j_rho:
             raise ValueError("irreducible case takes no J_rho")
-        if self.p is not None:
-            bound = 2 * max(9, 4 * self.f + 1) + 3
-            if not is_prime(self.p):
-                raise ValueError(f"p = {self.p} is not prime")
-            if self.p < bound:
-                raise ValueError(f"p = {self.p} below the genericity bound {bound}")
+        if p is not None:
+            bound = 2 * max(9, 4 * f + 1) + 3
+            if not is_prime(p):
+                raise ValueError(f"p = {p} is not prime")
+            if p < bound:
+                raise ValueError(f"p = {p} below the genericity bound {bound}")
+        super().__init__(f, case, j_rho, p)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.f == other.f and self.case == other.case and self.j_rho == other.j_rho and self.p == other.p
+
+    def __hash__(self):
+        return hash((self.f, self.case, self.j_rho, self.p))
 
     @property
     def d_rho(self) -> int:
@@ -110,17 +115,23 @@ def nonsplit_context(f: int, j_rho: Iterable[int], p: int | None = None) -> Galo
     return GaloisContext(f, Case.NONSPLIT, frozenset(j_rho), p)
 
 
-@dataclass(frozen=True)
-class WeightProfile:
+class WeightProfile(Value):
     """An f-tuple of core symbols."""
 
-    entries: tuple[Symbol, ...]
+    __slots__ = ("entries",)
 
-    def __post_init__(self):
-        if not self.entries:
+    def __init__(self, entries: tuple[Symbol, ...]):
+        if not entries:
             raise ValueError("profiles need at least one entry")
-        if any(s not in SYMBOL_INDEX for s in self.entries):
+        if any(s not in SYMBOL_INDEX for s in entries):
             raise ValueError("profiles take the six core symbols only")
+        object.__setattr__(self, "entries", entries)
+
+    def __eq__(self, other):
+        return self.entries == other.entries if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self):
+        return hash((self.entries,))
 
     @property
     def f(self) -> int:
@@ -256,16 +267,10 @@ class TGen(str, Enum):
     YZ = "YZ"
 
 
-@dataclass(frozen=True)
-class ProfileStats:
-    j_lambda: frozenset[int]
-    ell: int
-    t_assign: tuple[TGen, ...]
-    a_set: frozenset[int]
-    k: int
-    j1: frozenset[int]
-    j2: frozenset[int]
-    eps: tuple[tuple[int, int], ...]  # (j, sign) for each j with t_j != YZ
+class ProfileStats(Value):
+    """Index data of a profile; ``eps`` holds (j, sign) for each j with t_j != YZ."""
+
+    __slots__ = ("j_lambda", "ell", "t_assign", "a_set", "k", "j1", "j2", "eps")
 
 
 def j_set(profile: WeightProfile) -> frozenset[int]:
@@ -316,16 +321,13 @@ def profile_stats(ctx: GaloisContext, profile: WeightProfile) -> ProfileStats:
     )
 
 
-@dataclass(frozen=True)
-class ACounts:
-    """Per-|A| cardinalities, enumerated where a family is available."""
+class ACounts(Value):
+    """Per-|A| cardinalities, enumerated where a family is available; the dicts stay out of the hash."""
 
-    domain: str
-    closed: dict[int, int] = field(hash=False)
-    enumerated: dict[int, int] | None = field(hash=False)
-    closed_p_level: dict[int, int] | None = field(hash=False)
-    enumerated_p_level: dict[int, int] | None = field(hash=False)
-    ok: bool
+    __slots__ = ("domain", "closed", "enumerated", "closed_p_level", "enumerated_p_level", "ok")
+
+    def __hash__(self):
+        return hash((self.domain, self.ok))
 
 
 def count_by_A(ctx: GaloisContext) -> ACounts:
@@ -363,12 +365,10 @@ def count_by_A(ctx: GaloisContext) -> ACounts:
     return ACounts("Pbar", closed, enum_pbar, None, None, enum_pbar == closed)
 
 
-@dataclass(frozen=True)
-class CharacterWindow:
-    j_min: frozenset[int]
-    j_max: frozenset[int]
-    j_dprime: frozenset[int]  # the middle set J'' of coordinates free in the window
-    v_chi: frozenset[frozenset[int]]
+class CharacterWindow(Value):
+    """``j_dprime`` is the middle set J'' of coordinates free in the window."""
+
+    __slots__ = ("j_min", "j_max", "j_dprime", "v_chi")
 
 
 def character_window(ctx: GaloisContext, profile: WeightProfile) -> CharacterWindow:

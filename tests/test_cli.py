@@ -5,7 +5,6 @@ import subprocess
 import sys
 import time
 from contextlib import redirect_stderr, redirect_stdout
-from dataclasses import replace
 from datetime import timedelta
 from pathlib import Path
 from unittest import mock
@@ -18,7 +17,7 @@ import serrecalc
 from serrecalc import cli, ideals, pbw, predictions, verify
 from serrecalc.cli import main
 from serrecalc.homology import TAYLOR_CAP, VERTEX_CAP
-from serrecalc.ideals import MonomialIdeal
+from serrecalc.ideals import TABLE_CAP, MonomialIdeal
 from serrecalc.linalg import PRIME_TEST_BOUND
 from serrecalc.predictions import THETA_BOX_CAP
 from serrecalc.weights import PROFILE_F_CAP
@@ -216,6 +215,9 @@ BAD_INPUT = {
                                        "--i0p", "1", "--trunc", "-1"],
     "grsubquot-negative-trunc-nonsplit": ["grsubquot", "--f", "2", "--case", "nonsplit", "--jrho", "1", "--i0", "0",
                                           "--i0p", "1", "--trunc", "-1"],
+    # C(TABLE_CAP + 2, 2) monomials of degree <= TABLE_CAP in y_0, z_0
+    "grsubquot-above-table-cap": ["grsubquot", "--f", "1", "--case", "split", "--jrho", "all", "--i0", "-1",
+                                  "--i0p", "1", "--trunc", str(TABLE_CAP)],
     # one coordinate of 2n - 1 candidates: the cap is met by the box size, not by a scan
     "theta-above-box-cap": ["theta", "--f", "1", "--case", "nonsplit", "--jrho", "0", "--profile", "X0",
                             "--i0", "0", "--n", str(THETA_BOX_CAP // 2 + 1)],
@@ -256,15 +258,15 @@ SPLIT2 = ["--f", "2", "--case", "split", "--jrho", "all"]
 NONSPLIT1 = ["--f", "1", "--case", "nonsplit", "--jrho", "0"]
 # the payloads import their functions when they run, so the defining module is patched
 FLAGGED = {
-    "hilbert": (["hilbert", *SPLIT2], predictions, "hilbert_pi", lambda r: replace(r, equal=False)),
-    "ni": (["ni", *SPLIT2, "--i", "1"], predictions, "hilbert_Ni", lambda r: replace(r, equal=False)),
+    "hilbert": (["hilbert", *SPLIT2], predictions, "hilbert_pi", lambda r: r.replace(equal=False)),
+    "ni": (["ni", *SPLIT2, "--i", "1"], predictions, "hilbert_Ni", lambda r: r.replace(equal=False)),
     "theta": (["theta", *NONSPLIT1, "--profile", "X0", "--i0", "0"], predictions, "theta_lattice",
-              lambda r: replace(r, chain_ok=False)),
+              lambda r: r.replace(chain_ok=False)),
     "match": (["match", "--f", "2", "--case", "nonsplit", "--jrho", "1", "--i0", "0"], predictions,
-              "semisimple_match", lambda r: replace(r, hilbert_ok=False)),
-    "grtor": (["grtor", *SPLIT2, "--profile", "X0,X0"], pbw, "tor1_gr", lambda r: replace(r, ok=False)),
+              "semisimple_match", lambda r: r.replace(hilbert_ok=False)),
+    "grtor": (["grtor", *SPLIT2, "--profile", "X0,X0"], pbw, "tor1_gr", lambda r: r.replace(ok=False)),
     "xcounts": (["xcounts", *SPLIT2, "--profile", "X0,X0"], predictions, "x_counts",
-                lambda r: replace(r, ok=False)),
+                lambda r: r.replace(ok=False)),
     "patched": (["patched", *SPLIT2, "--profile", "X0,X0"], ideals, "patched_ideals",
                 lambda r: (r[0], MonomialIdeal.zero(r[0].ambient))),
 }
@@ -304,7 +306,7 @@ import contextlib, io, sys
 import serrecalc, serrecalc.cli
 with contextlib.redirect_stdout(io.StringIO()):
     rc = serrecalc.cli.main(sys.argv[1:]) if sys.argv[1:] else 0
-print(*sorted(m for m in sys.modules if m.startswith("serrecalc.")))
+print(*sorted(m for m in sys.modules if m.startswith("serrecalc.") or m in ("dataclasses", "inspect")))
 sys.exit(rc)
 """
 
@@ -319,6 +321,7 @@ def test_a_subcommand_loads_only_the_modules_it_uses(name):
     assert done.returncode == 0, done.stderr
     heavy = {"serrecalc.ideals", "serrecalc.homology", "serrecalc.pbw", "serrecalc.predictions", "serrecalc.verify"}
     loaded = heavy & set(done.stdout.split())
+    assert not {"dataclasses", "inspect"} & set(done.stdout.split())
     if name in ("import", "enumerate", "stats"):
         assert loaded == set()
     assert ("serrecalc.verify" in loaded) == (name == "verify")

@@ -157,7 +157,7 @@ def test_theta_lattice_nonsplit_points():
     ctx = nonsplit_context(1, [])
     box = theta_lattice(ctx, prof("X0"), 4, 0)
     assert sorted(box.jh_theta) == [(-3,), (-2,), (-1,)]
-    assert box.chain_ok
+    assert box.chain_ok and box.no_descent is None
 
 
 def test_theta_lattice_counts_match_series():
@@ -229,6 +229,14 @@ def test_semisimple_suite_names_the_first_failure(monkeypatch):
     (rec,) = suite_semisimple_match(1)
     assert not rec.ok
     assert rec.detail == "first failure J_rho=[] i0=0: bijection_ok=True hilbert_ok=False"
+
+
+def test_theta_record_names_the_point_without_descent(monkeypatch):
+    real = verify.theta_lattice
+    monkeypatch.setattr(verify, "theta_lattice", lambda *args: real(*args).replace(chain_ok=False, no_descent=(2,)))
+    rec = verify.suite_theta(1)[0]
+    assert not rec.ok
+    assert rec.detail == "first failure f=1 split X0 i0=-1: no_descent=(2,)"
 
 
 def _hilbert_values():

@@ -1,14 +1,32 @@
+import pickle
+
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from serrecalc.cli import Command
+from serrecalc.homology import SimplicialComplex, ext_dims
+from serrecalc.ideals import Monomial, MonomialIdeal
+from serrecalc.pbw import tor1_gr
+from serrecalc.predictions import SubquotientSpec, hilbert_pi, semisimple_match, theta_lattice, x_counts
 from serrecalc.series import (
     BigradedSeries,
     CharOffset,
     IntPoly,
     RationalSeries,
+    Value,
     bigraded_to_json,
     expand,
     rational_to_json,
+)
+from serrecalc.verify import CheckRecord
+from serrecalc.weights import (
+    WeightProfile,
+    character_window,
+    count_by_A,
+    nonsplit_context,
+    profile_stats,
+    split_context,
 )
 
 polys = st.lists(st.integers(min_value=-9, max_value=9), max_size=6).map(
@@ -104,3 +122,57 @@ def test_json_forms():
         {"deg": 0, "offset": [0, 0], "mult": "1"},
         {"deg": 1, "offset": [2, -1], "mult": "5"},
     ]}
+
+
+X0 = WeightProfile.from_tags(["X0"])
+# one instance of every value type, with its repr
+VALUES = [
+    (IntPoly.of(1, 2), "IntPoly(coeffs=(1, 2))"),
+    (RationalSeries(IntPoly.of(1, 1), 2), "RationalSeries(num=IntPoly(coeffs=(1, 1)), pole=2)"),
+    (CharOffset((1, -1)), "CharOffset(exps=(1, -1))"),
+    (split_context(1), "GaloisContext(f=1, case=<Case.SPLIT: 'split'>, j_rho=frozenset({0}), p=None)"),
+    (X0, "WeightProfile(X0)"),
+    (profile_stats(split_context(1), X0), "ProfileStats(j_lambda=frozenset(), ell=0, t_assign=(<TGen.Z: 'Z'>,), "
+     "a_set=frozenset(), k=1, j1=frozenset(), j2=frozenset(), eps=((0, 1),))"),
+    (count_by_A(split_context(1)), "ACounts(domain='D', closed={0: 2}, enumerated={0: 2}, closed_p_level={0: 4}, "
+     "enumerated_p_level={0: 4}, ok=True)"),
+    (character_window(nonsplit_context(1, []), X0),
+     "CharacterWindow(j_min=frozenset(), j_max=frozenset(), j_dprime=frozenset(), v_chi=frozenset({frozenset()}))"),
+    (Command("h", (), len), "Command(help='h', flags=(), payload=<built-in function len>, ok=(), rows=None)"),
+    (Monomial((1, 0)), "Monomial(exps=(1, 0))"),
+    (MonomialIdeal(2, (Monomial((1, 0)),)), "MonomialIdeal(ambient=2, gens=(Monomial(exps=(1, 0)),))"),
+    (SimplicialComplex(2, (3,)), "SimplicialComplex(n_vertices=2, minimal_nonfaces=(3,))"),
+    (ext_dims(1, 0), "ExtDims(closed=(1, 2, 1), oracle=(1, 2, 1), convolution=(1, 2, 1), ok=True)"),
+    (tor1_gr(split_context(1), X0),
+     "GrTorDims(dim_im_d1=4, dim_ker_d1=10, dim_im_d2=3, tor1=7, expected=(4, 10, 3, 7), ok=True)"),
+    (SubquotientSpec(-1, 0), "SubquotientSpec(i0=-1, i0p=0)"),
+    (hilbert_pi(split_context(1)), "SeriesCheck(closed=RationalSeries(num=IntPoly(coeffs=(4,)), pole=1), "
+     "enumerated=RationalSeries(num=IntPoly(coeffs=(4,)), pole=1), equal=True)"),
+    (theta_lattice(nonsplit_context(1, []), X0, 2, 0), "LatticeBox(anchor=WeightProfile(X0), radius=2, d_lambda=1, "
+     "points=frozenset({(0,), (1,), (-1,)}), jh_theta=frozenset({(-1,)}), chain_ok=True, no_descent=None)"),
+    (semisimple_match(nonsplit_context(1, []), 0), "MatchResult(bijection_ok=True, hilbert_ok=True, pairs=2)"),
+    (x_counts(split_context(1), X0), "XCounts(x0=1, x1=1, x2=1, expected=(1, 1, 1), ok=True)"),
+    (CheckRecord("s", "c", True, "", 1, 0.5),
+     "CheckRecord(suite='s', check='c', ok=True, detail='', cases=1, elapsed_s=0.5)"),
+]
+# the fields each hash covers, where that is not every field in order
+HASHED = {"ACounts": lambda x: (x.domain, x.ok), "RationalSeries": RationalSeries.reduced_pair}
+
+
+def test_every_value_type_has_an_instance_below():
+    package_types = {cls for cls in Value.__subclasses__() if cls.__module__.startswith("serrecalc.")}
+    assert package_types == {type(v) for v, _ in VALUES} and len(VALUES) == 20
+
+
+@pytest.mark.parametrize("value, text", VALUES, ids=[type(v).__name__ for v, _ in VALUES])
+def test_value_types_are_frozen_records(value, text):
+    cls = type(value)
+    first = cls.__slots__[0]
+    with pytest.raises(AttributeError):
+        setattr(value, first, getattr(value, first))
+    twin = type("Twin", (Value,), {"__slots__": cls.__slots__})(**value.asdict())
+    assert value != twin and twin != value
+    assert value.replace() == value == pickle.loads(pickle.dumps(value))
+    fields = HASHED.get(cls.__name__, lambda x: tuple(getattr(x, name) for name in cls.__slots__))(value)
+    assert hash(value) == hash(fields)
+    assert repr(value) == text
