@@ -1,0 +1,89 @@
+"""Write the end-to-end bench file BENCH_<n>.json.
+
+Usage (from anywhere):
+
+    python3 scripts/bench.py BENCH_9.json
+
+It runs ``serrecalc verify --all --report json`` in a fresh process and
+records its wall time, the process's peak RSS and every record it printed,
+grouped by suite with each suite's summed ``elapsed_s``.  It then runs the
+tier-1 test command and records its wall time, exit code and summary line.
+Beside them go the ``src/`` line count, ``nproc`` and the Python version.
+Standard library only; the output path is the one argument.
+"""
+
+from __future__ import annotations
+
+import glob
+import json
+import os
+import platform
+import resource
+import subprocess
+import sys
+import time
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+TIER1_ARGS = ["-m", "pytest", "-q", "--continue-on-collection-errors"]
+
+
+def _env() -> dict:
+    src = os.path.join(ROOT, "src")
+    path = os.environ.get("PYTHONPATH")
+    return dict(os.environ, PYTHONPATH=src + os.pathsep + path if path else src)
+
+
+def _timed(cmd: list[str]) -> tuple[subprocess.CompletedProcess, float]:
+    start = time.perf_counter()
+    proc = subprocess.run(cmd, cwd=ROOT, env=_env(), capture_output=True, text=True)
+    return proc, time.perf_counter() - start
+
+
+def verify_all() -> dict:
+    """Wall time, peak RSS and records of one ``verify --all`` process (run before any other child)."""
+    proc, wall = _timed([sys.executable, "-m", "serrecalc.cli", "verify", "--all", "--report", "json"])
+    if proc.returncode not in (0, 1):
+        raise RuntimeError(f"verify --all exited {proc.returncode}: {proc.stderr.strip()}")
+    peak_kib = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss
+    suites: dict[str, dict] = {}
+    for record in json.loads(proc.stdout):
+        suite = suites.setdefault(record["suite"], {"elapsed_s": 0.0, "records": []})
+        suite["elapsed_s"] += record["elapsed_s"]
+        suite["records"].append(record)
+    return {"wall_s": wall, "exit_code": proc.returncode, "peak_rss_mib": peak_kib / 1024, "suites": suites}
+
+
+def tier1() -> dict:
+    proc, wall = _timed([sys.executable, *TIER1_ARGS])
+    lines = proc.stdout.strip().splitlines()
+    return {"command": " ".join(["python", *TIER1_ARGS]), "wall_s": wall, "exit_code": proc.returncode,
+            "summary": lines[-1] if lines else ""}
+
+
+def src_lines() -> int:
+    total = 0
+    for path in sorted(glob.glob(os.path.join(ROOT, "src", "serrecalc", "*.py"))):
+        with open(path, encoding="utf-8") as fh:
+            total += sum(1 for _ in fh)
+    return total
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 1:
+        print("usage: bench.py OUTPUT.json", file=sys.stderr)
+        return 2
+    report = {"verify_all": verify_all(), "tier1": tier1()}
+    report.update(
+        src_lines=src_lines(),
+        nproc=len(os.sched_getaffinity(0)),
+        python=platform.python_version(),
+        machine=platform.machine(),
+    )
+    with open(argv[0], "w", encoding="utf-8") as fh:
+        json.dump(report, fh, indent=1, sort_keys=True)
+        fh.write("\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -273,17 +273,22 @@ def numerator(
     if len(ideal.gens) > GENERATOR_CAP:
         raise SizeLimitError(f"{len(ideal.gens)} generators exceeds the cap of {GENERATOR_CAP}")
     acc = {} if acc is None else acc
-
-    def add(m: Monomial, s: int, top: int):
-        key = grade(m)
-        acc[key] = acc.get(key, 0) + s
-        for i in range(top):  # i becomes the least index of S
-            m2 = ideal.gens[i].lcm(m)
-            if not any(g.divides(m2) for g in ideal.gens[:i]):
-                add(m2, -s, i)
-
-    add(Monomial.one(ideal.ambient), sign, len(ideal.gens))
+    _add_faces(ideal.gens, grade, acc, Monomial.one(ideal.ambient), sign, len(ideal.gens))
     return acc
+
+
+def _add_faces(gens: tuple[Monomial, ...], grade: Callable, acc: dict, m: Monomial, s: int, top: int):
+    """Add the face with lcm m and sign s, then its extensions by a least index below ``top``.
+
+    A module-level function, not a closure that calls itself, so that no
+    reference cycle keeps ``acc`` alive after ``numerator`` returns.
+    """
+    key = grade(m)
+    acc[key] = acc.get(key, 0) + s
+    for i in range(top):  # i becomes the least index of S
+        m2 = gens[i].lcm(m)
+        if not any(g.divides(m2) for g in gens[:i]):
+            _add_faces(gens, grade, acc, m2, -s, i)
 
 
 def hilbert(ideal: MonomialIdeal) -> RationalSeries:
@@ -298,21 +303,27 @@ def standard_counts_naive(ideal: MonomialIdeal, bound: int) -> list[int]:
 
     Deliberately dumb; the independent oracle for hilbert().
     """
-    counts = [0] * (bound + 1)
-    n = ideal.ambient
+    return [len(ms) for ms in standard_monomials(ideal, bound)]
 
-    def rec(idx: int, exps: list[int], deg: int):
-        if idx == n:
-            if not ideal.member(Monomial(tuple(exps))):
-                counts[deg] += 1
-            return
-        for e in range(bound - deg + 1):
-            exps.append(e)
-            rec(idx + 1, exps, deg + e)
-            exps.pop()
 
-    rec(0, [], 0)
-    return counts
+def standard_monomials(ideal: MonomialIdeal, bound: int) -> list[list[Monomial]]:
+    """The monomials outside the ideal, by degree up to bound, each degree in lexicographic order."""
+    out: list[list[Monomial]] = [[] for _ in range(bound + 1)]
+    _add_standard(ideal, bound, out, [], 0)
+    return out
+
+
+def _add_standard(ideal: MonomialIdeal, bound: int, out: list[list[Monomial]], exps: list[int], deg: int):
+    """Append to ``out`` the standard monomials that begin with the exponents ``exps``."""
+    if len(exps) == ideal.ambient:
+        m = Monomial(tuple(exps))
+        if not ideal.member(m):
+            out[deg].append(m)
+        return
+    for e in range(bound - deg + 1):
+        exps.append(e)
+        _add_standard(ideal, bound, out, exps, deg + e)
+        exps.pop()
 
 
 @lru_cache(maxsize=1 << 12)

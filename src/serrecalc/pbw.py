@@ -40,20 +40,22 @@ def pbw_basis(f: int, n: int) -> tuple[Mono, ...]:
     """Normal-ordered monomials of degree < n, by degree then lexicographic."""
     _check_n(n)
     out: list[Mono] = []
-
-    def rec(idx: int, left: int, cur: list[int]):
-        if idx == 3 * f:
-            out.append(tuple(cur))
-            return
-        weight = 2 if idx >= 2 * f else 1
-        for e in range(left // weight + 1):
-            cur.append(e)
-            rec(idx + 1, left - weight * e, cur)
-            cur.pop()
-
-    rec(0, n - 1, [])
+    _add_normal_monomials(f, n - 1, [], out)
     out.sort(key=lambda m: (mono_degree(m, f), m))
     return tuple(out)
+
+
+def _add_normal_monomials(f: int, left: int, cur: list[int], out: list[Mono]):
+    """Append the monomials that begin with the exponents ``cur`` and have degree <= left past them."""
+    idx = len(cur)
+    if idx == 3 * f:
+        out.append(tuple(cur))
+        return
+    weight = 2 if idx >= 2 * f else 1
+    for e in range(left // weight + 1):
+        cur.append(e)
+        _add_normal_monomials(f, left - weight * e, cur, out)
+        cur.pop()
 
 
 def _bump(m: Mono, idx: int, by: int = 1) -> Mono:

@@ -14,7 +14,7 @@ from math import comb, prod
 
 from .errors import SizeLimitError, UnsupportedCaseError
 from .homology import ext1_lower_bound, ext_closed
-from .ideals import Monomial, a1, a_ss, bigraded_quotient, numerator, p_monomial
+from .ideals import Monomial, _family, _member, a_ss, bigraded_quotient, numerator, p_monomial
 from .pbw import char_multiset
 from .series import BigradedSeries, IntPoly, RationalSeries, Value, one_minus_t
 from .weights import (
@@ -327,7 +327,7 @@ def semisimple_match(ctx: GaloisContext, i0: int) -> MatchResult:
     pairs = 0
 
     for lam in enumerate_profiles(ctx, "P"):
-        st = profile_stats(ctx, lam)
+        st, base = _family(ctx, lam)
         d = i0 + 1 - st.ell
         pool = sorted(st.j1 | st.j2)
         j_primes = (
@@ -335,8 +335,8 @@ def semisimple_match(ctx: GaloisContext, i0: int) -> MatchResult:
         )
 
         # the identity, all moved to one side: the signed sum must vanish
-        num = numerator(a1(ctx, lam, i0 + 1), Monomial.bigrade)
-        numerator(a1(ctx, lam, i0), Monomial.bigrade, num, -1)
+        num = numerator(_member(ctx.f, st, base, i0 + 1), Monomial.bigrade)
+        numerator(_member(ctx.f, st, base, i0), Monomial.bigrade, num, -1)
         for jp in j_primes:
             lp = _lambda_prime(lam, st, jp)
             pairs += 1
@@ -381,24 +381,10 @@ def x_counts(ctx: GaloisContext, lam: WeightProfile) -> XCounts:
         member.add(tuple(off))
 
     offsets = [sorted(char_multiset(f, d)) for d in range(3)]
-
-    def ball(radius: int) -> list[tuple[int, ...]]:
-        out = []
-
-        def rec(j: int, left: int, cur: list[int]):
-            if j == f:
-                out.append(tuple(cur))
-                return
-            for v in range(-left, left + 1):
-                cur.append(v)
-                rec(j + 1, left - abs(v), cur)
-                cur.pop()
-
-        rec(0, radius, [])
-        return out
-
+    ball: list[tuple[int, ...]] = []
+    _add_ball_points(f, 2, [], ball)
     counts = [0, 0, 0]
-    for c in ball(2):
+    for c in ball:
         for i in range(3):
             hits = {
                 tuple(a + b for a, b in zip(c, o)) for o in offsets[i]
@@ -410,6 +396,17 @@ def x_counts(ctx: GaloisContext, lam: WeightProfile) -> XCounts:
                 break
     expected = (1, 2 * f - k, 2 * f * f - 2 * k * f + comb(k + 1, 2))
     return XCounts(counts[0], counts[1], counts[2], expected, tuple(counts) == expected)
+
+
+def _add_ball_points(f: int, left: int, cur: list[int], out: list[tuple[int, ...]]):
+    """Append, in lexicographic order, the points of Z^f that begin with ``cur`` and have l1 norm <= left past it."""
+    if len(cur) == f:
+        out.append(tuple(cur))
+        return
+    for v in range(-left, left + 1):
+        cur.append(v)
+        _add_ball_points(f, left - abs(v), cur, out)
+        cur.pop()
 
 
 def shell_aggregate(f: int, k: int) -> int:

@@ -14,6 +14,16 @@ import json
 from math import comb
 from typing import Iterable
 
+from .errors import SizeLimitError
+
+#: ``expand`` builds one coefficient per degree up to n.  On one core of a
+#: 2-vCPU x86-64 host, Python 3.11, the 100,000 coefficients of the f = 10
+#: Hilbert series (pole 10, up to 45 digits each) took 0.9 s, and
+#: ``serrecalc hilbert --f 10 --case irreducible --trunc 99999`` took 1.0 s,
+#: peaked at 37 MiB and printed 4.5 MB.  The default ``--trunc`` and every
+#: check need at most f + 5 <= 15.
+EXPANSION_CAP = 100_000
+
 
 class Value:
     """Base of every value type: an immutable record of the fields named in ``__slots__``.
@@ -229,6 +239,8 @@ def expand(rs: RationalSeries, n: int) -> list[int]:
     """Coefficients of the power-series expansion up to degree n inclusive."""
     if n < 0:
         return []
+    if n >= EXPANSION_CAP:
+        raise SizeLimitError(f"{n + 1} coefficients exceeds the expansion cap of {EXPANSION_CAP}")
     p = rs.pole
     out = [0] * (n + 1)
     for i, c in enumerate(rs.num.coeffs):

@@ -35,6 +35,7 @@ from .ideals import (
     d_shift,
     hilbert,
     patched_ideals,
+    standard_monomials,
     y_var,
     z_var,
 )
@@ -429,21 +430,7 @@ def _presentation_dims(
     def partner(j: int) -> Monomial:
         return z_var(f, j) if j in st.j1 else y_var(f, j)
 
-    # standard monomials of the quotient ring, by degree
-    std: dict[int, list[Monomial]] = {dd: [] for dd in range(dmax + 1)}
-
-    def rec(idx: int, exps: list[int], deg: int):
-        if idx == 2 * f:
-            m = Monomial(tuple(exps))
-            if not base.member(m):
-                std[deg].append(m)
-            return
-        for e in range(dmax - deg + 1):
-            exps.append(e)
-            rec(idx + 1, exps, deg + e)
-            exps.pop()
-
-    rec(0, [], 0)
+    std = standard_monomials(base, dmax)
 
     relations: list[dict[tuple[int, Monomial], int]] = []
     for gi, J in enumerate(gens):

@@ -226,23 +226,25 @@ def _pss_list(f: int) -> tuple[WeightProfile, ...]:
     if f > PROFILE_F_CAP:
         raise SizeLimitError(f"f = {f} exceeds the profile enumeration cap of {PROFILE_F_CAP}")
     out: list[WeightProfile] = []
-
-    def allowed_next(s: Symbol) -> frozenset[Symbol]:
-        return _NEXT_AFTER_LOW if s in LOW else _NEXT_AFTER_HIGH
-
-    def rec(prefix: list[Symbol]):
-        if len(prefix) == f:
-            if prefix[-1] is not None and prefix[0] in allowed_next(prefix[-1]):
-                out.append(WeightProfile(tuple(prefix)))
-            return
-        pool = CORE_SYMBOLS if not prefix else [s for s in CORE_SYMBOLS if s in allowed_next(prefix[-1])]
-        for s in pool:
-            prefix.append(s)
-            rec(prefix)
-            prefix.pop()
-
-    rec([])
+    _add_pss(f, [], out)
     return tuple(out)
+
+
+def _allowed_next(s: Symbol) -> frozenset[Symbol]:
+    return _NEXT_AFTER_LOW if s in LOW else _NEXT_AFTER_HIGH
+
+
+def _add_pss(f: int, prefix: list[Symbol], out: list[WeightProfile]):
+    """Append, in lexicographic symbol order, the profiles of P^ss that begin with ``prefix``."""
+    if len(prefix) == f:
+        if prefix[-1] is not None and prefix[0] in _allowed_next(prefix[-1]):
+            out.append(WeightProfile(tuple(prefix)))
+        return
+    pool = CORE_SYMBOLS if not prefix else [s for s in CORE_SYMBOLS if s in _allowed_next(prefix[-1])]
+    for s in pool:
+        prefix.append(s)
+        _add_pss(f, prefix, out)
+        prefix.pop()
 
 
 def enumerate_profiles(ctx: GaloisContext, which: Family) -> list[WeightProfile]:

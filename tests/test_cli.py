@@ -20,6 +20,7 @@ from serrecalc.homology import TAYLOR_CAP, VERTEX_CAP
 from serrecalc.ideals import TABLE_CAP, MonomialIdeal
 from serrecalc.linalg import PRIME_TEST_BOUND
 from serrecalc.predictions import THETA_BOX_CAP
+from serrecalc.series import EXPANSION_CAP
 from serrecalc.weights import PROFILE_F_CAP
 
 
@@ -218,6 +219,9 @@ BAD_INPUT = {
     # C(TABLE_CAP + 2, 2) monomials of degree <= TABLE_CAP in y_0, z_0
     "grsubquot-above-table-cap": ["grsubquot", "--f", "1", "--case", "split", "--jrho", "all", "--i0", "-1",
                                   "--i0p", "1", "--trunc", str(TABLE_CAP)],
+    # trunc + 1 coefficients, one past the cap
+    "hilbert-above-trunc-cap": ["hilbert", "--f", "1", "--case", "split", "--jrho", "all",
+                                "--trunc", str(EXPANSION_CAP)],
     # one coordinate of 2n - 1 candidates: the cap is met by the box size, not by a scan
     "theta-above-box-cap": ["theta", "--f", "1", "--case", "nonsplit", "--jrho", "0", "--profile", "X0",
                             "--i0", "0", "--n", str(THETA_BOX_CAP // 2 + 1)],

@@ -1,3 +1,4 @@
+import gc
 from itertools import combinations
 
 import pytest
@@ -23,12 +24,15 @@ from serrecalc.ideals import (
     z_var,
 )
 from serrecalc.errors import ProfileMembershipError
-from serrecalc.predictions import _lambda_prime, semisimple_match
+from serrecalc.homology import pairing_ideal, taylor_profile
+from serrecalc.pbw import pbw_basis
+from serrecalc.predictions import SubquotientSpec, _lambda_prime, gr_subquotient, semisimple_match, x_counts
 from serrecalc.series import IntPoly, RationalSeries, expand
-from serrecalc.verify import reducible_contexts
+from serrecalc.verify import _presentation_dims, reducible_contexts
 from serrecalc.weights import (
     Case,
     WeightProfile,
+    _pss_list,
     enumerate_profiles,
     nonsplit_context,
     profile_stats,
@@ -185,6 +189,34 @@ def test_numerator_walks_few_subsets_of_a_window_ideal():
     numerator(ideal, lambda m: faces.append(m) or m.degree)
     assert len(ideal.gens) == 15 and len(faces) < 2**15 // 16
     assert expand(hilbert(ideal), 6) == standard_counts_naive(ideal, 6)
+
+
+NS3 = nonsplit_context(3, [0])
+NS2 = nonsplit_context(2, [])
+CYCLE_FREE_CALLS = {
+    "taylor_profile": lambda: taylor_profile(pairing_ideal(4)),
+    "hilbert": lambda: hilbert(a1(NS3, prof("X0", "X0", "X0"), 1)),
+    "gr_subquotient": lambda: gr_subquotient(NS3, SubquotientSpec(0, 2), 4),
+    "x_counts": lambda: x_counts(NS3, prof("X0", "X0", "X0")),
+    "standard_counts_naive": lambda: standard_counts_naive(a_lambda(NS3, prof("X0", "X0", "X0")), 5),
+    "_presentation_dims": lambda: [
+        _presentation_dims(NS2, lam, i0) for lam in enumerate_profiles(NS2, "P") for i0 in range(-1, 2)
+    ],
+    "pbw_basis": lambda: (pbw_basis.cache_clear(), pbw_basis(3, 3)),
+    "_pss_list": lambda: (_pss_list.cache_clear(), _pss_list(4)),
+}
+
+
+@pytest.mark.parametrize("call", CYCLE_FREE_CALLS.values(), ids=CYCLE_FREE_CALLS.keys())
+def test_kernels_leave_no_reference_cycles(call):
+    """Each walk frees its working set on return, without waiting for the cyclic collector."""
+    gc.collect()
+    gc.disable()
+    try:
+        call()
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_bigraded_standard_matches_univariate():
