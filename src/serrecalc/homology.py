@@ -135,8 +135,11 @@ def taylor_profile(ideal: MonomialIdeal) -> list[int]:
         raise SizeLimitError(f"{n} generators exceeds the Taylor cap of {TAYLOR_CAP}")
     from array import array  # imported here: loading it adds about 76 KiB to a process's RSS
 
+    # the lcms live in the variables some generator uses; the others only lengthen each block key
+    used = [j for j in range(ideal.ambient) if any(g.exps[j] for g in gens)]
+    gens = tuple(Monomial(tuple(g.exps[j] for j in used)) for g in gens)
     blocks: defaultdict[tuple[int, ...], array] = defaultdict(partial(array, "I"))
-    _walk(gens, blocks, Monomial.one(ideal.ambient), 0, n)
+    _walk(gens, blocks, Monomial.one(len(used)), 0, n)
     out = [0] * (n + 1)
     for faces in blocks.values():
         for k, dim in homology_from_faces(faces).items():

@@ -9,8 +9,8 @@ assert both.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import combinations, product
-from math import comb, prod
+from itertools import combinations
+from math import comb
 
 from .errors import SizeLimitError, UnsupportedCaseError
 from .homology import ext1_lower_bound, ext_closed
@@ -23,6 +23,7 @@ from .weights import (
     Symbol,
     TGen,
     WeightProfile,
+    a_histogram,
     enumerate_profiles,
     in_p,
     in_pss,
@@ -70,19 +71,19 @@ def _closed_hilbert_pi(ctx: GaloisContext) -> RationalSeries:
     return RationalSeries(num.scale(2 ** (f - d)), f)
 
 
+def _one_plus_t_sum(hist: dict[int, int]) -> IntPoly:
+    """The sum of count * (1 + t)^a over the items (a, count) of ``hist``."""
+    return sum(((IntPoly.of(1, 1) ** a).scale(count) for a, count in hist.items()), IntPoly.zero())
+
+
 def hilbert_pi(ctx: GaloisContext) -> SeriesCheck:
     """Closed Hilbert series of the full module against the profile sum."""
     f = ctx.f
     if ctx.case is Case.IRREDUCIBLE:
-        num = IntPoly.zero()
-        for s in range(1, f + 1, 2):
-            num = num + (IntPoly.of(1, 1) ** s).scale(2 * comb(f, s) * 2 ** (f - s))
+        hist = {s: 2 * comb(f, s) * 2 ** (f - s) for s in range(1, f + 1, 2)}
     else:
-        num = IntPoly.zero()
-        for lam in enumerate_profiles(ctx, "P"):
-            a = len(profile_stats(ctx, lam).a_set)
-            num = num + IntPoly.of(1, 1) ** a
-    enumerated = RationalSeries(num, f)
+        hist = a_histogram(ctx, enumerate_profiles(ctx, "P"))
+    enumerated = RationalSeries(_one_plus_t_sum(hist), f)
     closed = _closed_hilbert_pi(ctx)
     return SeriesCheck(closed, enumerated, closed == enumerated)
 
@@ -94,18 +95,10 @@ def hilbert_Ni(ctx: GaloisContext, i: int) -> SeriesCheck:
     f = ctx.f
     if not 0 <= i <= f:
         raise ValueError(f"layer index {i} outside 0..f")
-    num = IntPoly.zero()
-    for s in range(i + 1):
-        if 2 * s > f:
-            break
-        num = num + (IntPoly.of(1, 1) ** (2 * s)).scale(2 * comb(f, 2 * s) * comb(f - 2 * s, i - s))
-    closed = RationalSeries(num, f)
-    enum_num = IntPoly.zero()
-    for lam in enumerate_profiles(ctx, "P"):
-        st = profile_stats(ctx, lam)
-        if st.ell == i:
-            enum_num = enum_num + IntPoly.of(1, 1) ** len(st.a_set)
-    enumerated = RationalSeries(enum_num, f)
+    terms = {2 * s: 2 * comb(f, 2 * s) * comb(f - 2 * s, i - s) for s in range(min(i, f // 2) + 1)}
+    closed = RationalSeries(_one_plus_t_sum(terms), f)
+    layer = (lam for lam in enumerate_profiles(ctx, "P") if len(j_set(lam)) == i)
+    enumerated = RationalSeries(_one_plus_t_sum(a_histogram(ctx, layer)), f)
     return SeriesCheck(closed, enumerated, closed == enumerated)
 
 
@@ -230,16 +223,23 @@ def k1_cycle(f: int, spec: SubquotientSpec) -> int:
 
 # -- lattice model of the socle filtration --------------------------------
 
-#: theta_lattice scans a box of prod_j |range_j| <= (2n - 1)^f candidate
-#: points.  The largest box a suite or test builds is 13^4 = 28,561 (f = 4,
-#: n = 7).  Near the cap, ``serrecalc theta`` takes 0.4 s at f = 4 (n = 9)
-#: and 1.4 s, 62 MiB, at f = 1 (n = 50,000, every point printed) on a 2-vCPU
+#: theta_lattice walks the sign-constrained l1 ball of norm < n, whose
+#: ``_ball_size`` points are counted before the walk.  The theta suite's largest
+#: ball has 1,289 points (f = 4, n = 7, every coordinate free).  Near
+#: the cap, ``serrecalc theta`` takes 1.4-2.0 s and peaks at 61-117 MiB RSS at
+#: f = 1..5 with every coordinate free (every point printed), on a 2-vCPU
 #: x86-64 host, Python 3.11.
-THETA_BOX_CAP = 100_000
+THETA_POINT_CAP = 100_000
 
 
 class LatticeBox(Value):
     __slots__ = ("anchor", "radius", "d_lambda", "points", "jh_theta", "chain_ok", "no_descent")
+
+
+def _ball_size(free: int, one_sided: int, radius: int) -> int:
+    """Points of Z^free x N^one_sided with l1 norm <= radius; term i counts i nonzero free coordinates."""
+    dim = free + one_sided
+    return sum(comb(free, i) * comb(radius - i + dim, dim) for i in range(free + 1))
 
 
 def theta_lattice(ctx: GaloisContext, lam: WeightProfile, n: int, i0: int) -> LatticeBox:
@@ -256,26 +256,16 @@ def theta_lattice(ctx: GaloisContext, lam: WeightProfile, n: int, i0: int) -> La
         raise ValueError("radius must be positive")
     st = profile_stats(ctx, lam)
     d_lam = max(i0 + 1 - st.ell, 0)
-
+    r = n - 1  # the l1 radius
+    size = _ball_size(ctx.f - st.k, st.k, r)
+    if size > THETA_POINT_CAP:
+        raise SizeLimitError(f"a ball of {size} lattice points exceeds the cap of {THETA_POINT_CAP}")
     # sign constraints: <= 0 where t_j = y_j, >= 0 where t_j = z_j
-    def coord_range(j: int) -> range:
-        g = st.t_assign[j]
-        if g is TGen.Y:
-            return range(-(n - 1), 1)
-        if g is TGen.Z:
-            return range(0, n)
-        return range(-(n - 1), n)
+    bounds = [(-r, 0) if g is TGen.Y else (0, r) if g is TGen.Z else (-r, r) for g in st.t_assign]
+    ball: list[tuple[int, ...]] = []
+    _add_ball_points(bounds, r, [], ball)
 
-    ranges = [coord_range(j) for j in range(ctx.f)]
-    box = prod(len(r) for r in ranges)
-    if box > THETA_BOX_CAP:
-        raise SizeLimitError(f"a box of {box} lattice points exceeds the cap of {THETA_BOX_CAP}")
-    ball = [p for p in product(*ranges) if sum(abs(x) for x in p) < n]
-
-    def theta_weight(p: tuple[int, ...]) -> int:
-        return sum(1 for j in st.j1 if p[j] > 0) + sum(1 for j in st.j2 if p[j] < 0)
-
-    in_theta = [p for p in ball if theta_weight(p) >= d_lam]
+    in_theta = [p for p in ball if sum(p[j] > 0 for j in st.j1) + sum(p[j] < 0 for j in st.j2) >= d_lam]
     theta = frozenset(in_theta)
 
     def descends(p: tuple[int, ...]) -> bool:
@@ -382,7 +372,7 @@ def x_counts(ctx: GaloisContext, lam: WeightProfile) -> XCounts:
 
     offsets = [sorted(char_multiset(f, d)) for d in range(3)]
     ball: list[tuple[int, ...]] = []
-    _add_ball_points(f, 2, [], ball)
+    _add_ball_points([(-2, 2)] * f, 2, [], ball)
     counts = [0, 0, 0]
     for c in ball:
         for i in range(3):
@@ -398,14 +388,16 @@ def x_counts(ctx: GaloisContext, lam: WeightProfile) -> XCounts:
     return XCounts(counts[0], counts[1], counts[2], expected, tuple(counts) == expected)
 
 
-def _add_ball_points(f: int, left: int, cur: list[int], out: list[tuple[int, ...]]):
-    """Append, in lexicographic order, the points of Z^f that begin with ``cur`` and have l1 norm <= left past it."""
-    if len(cur) == f:
+def _add_ball_points(bounds: list[tuple[int, int]], left: int, cur: list[int], out: list[tuple[int, ...]]):
+    """Append, in lexicographic order, the points that begin with ``cur``, keep
+    coordinate j within ``bounds[j]`` and have l1 norm <= left past ``cur``."""
+    if len(cur) == len(bounds):
         out.append(tuple(cur))
         return
-    for v in range(-left, left + 1):
+    lo, hi = bounds[len(cur)]
+    for v in range(max(lo, -left), min(hi, left) + 1):
         cur.append(v)
-        _add_ball_points(f, left - abs(v), cur, out)
+        _add_ball_points(bounds, left - abs(v), cur, out)
         cur.pop()
 
 

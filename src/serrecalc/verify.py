@@ -42,7 +42,6 @@ from .ideals import (
 from .linalg import exact_rank
 from .pbw import gr_formula, mono_degree, pbw_basis, pbw_mul, tor1_gr
 from .predictions import (
-    THETA_BOX_CAP,
     SubquotientSpec,
     gr_subquotient,
     hilbert_Ni,
@@ -551,11 +550,13 @@ DEFAULT_SCALE: dict[str, dict] = {
 
 
 #: largest scale override a suite takes: those that list profiles stop at the
-#: profile cap, theta where its largest box (2f + 5)^f outgrows the lattice
-#: cap, and tor where the pairing ideal's k + C(k, 2) generators pass the Taylor cap
+#: profile cap, tor where the pairing ideal's k + C(k, 2) generators pass the
+#: Taylor cap, and theta at f = 4 by time: its balls fit ``THETA_POINT_CAP``
+#: through f = 6, but at f = 5 it took 94 s (2-vCPU x86-64, Python 3.11),
+#: past the 60 s ``verify --all`` budget
 SCALE_CAP: dict[str, int] = {
     **dict.fromkeys(("hilbert", "split-ni", "gr-subquot", "semisimple-match", "xcounts", "patched"), PROFILE_F_CAP),
-    "theta": max(f for f in range(1, PROFILE_F_CAP + 1) if (2 * f + 5) ** f <= THETA_BOX_CAP),
+    "theta": 4,
     "tor": max(k for k in range(1, TAYLOR_CAP + 1) if k + comb(k, 2) <= TAYLOR_CAP),
 }
 

@@ -323,6 +323,15 @@ def profile_stats(ctx: GaloisContext, profile: WeightProfile) -> ProfileStats:
     )
 
 
+def a_histogram(ctx: GaloisContext, profiles: Iterable[WeightProfile]) -> dict[int, int]:
+    """How many of the profiles have each |A|."""
+    out: dict[int, int] = {}
+    for lam in profiles:
+        a = len(profile_stats(ctx, lam).a_set)
+        out[a] = out.get(a, 0) + 1
+    return out
+
+
 class ACounts(Value):
     """Per-|A| cardinalities, enumerated where a family is available; the dicts stay out of the hash."""
 
@@ -346,24 +355,17 @@ def count_by_A(ctx: GaloisContext) -> ACounts:
         closed_p = {s: (2 ** (f - s)) * 2 * comb(f, s) for s in closed}
         return ACounts("D", closed, None, closed_p, None, True)
 
-    def histogram(profiles: list[WeightProfile]) -> dict[int, int]:
-        out: dict[int, int] = {}
-        for lam in profiles:
-            a = len(profile_stats(ctx, lam).a_set)
-            out[a] = out.get(a, 0) + 1
-        return out
-
     if ctx.case is Case.SPLIT:
         closed = {s: 2 * comb(f, s) for s in range(f + 1) if s % 2 == 0}
-        enum_d = histogram(enumerate_profiles(ctx, "D"))
+        enum_d = a_histogram(ctx, enumerate_profiles(ctx, "D"))
         closed_p = {s: (2 ** (f - s)) * 2 * comb(f, s) for s in closed}
-        enum_p = histogram(enumerate_profiles(ctx, "P"))
+        enum_p = a_histogram(ctx, enumerate_profiles(ctx, "P"))
         ok = enum_d == closed and enum_p == closed_p
         return ACounts("D", closed, enum_d, closed_p, enum_p, ok)
 
     d = ctx.d_rho
     closed = {f - d + s: (2 ** (f - d)) * comb(d, s) for s in range(d + 1)}
-    enum_pbar = histogram(enumerate_profiles(ctx, "Pbar"))
+    enum_pbar = a_histogram(ctx, enumerate_profiles(ctx, "Pbar"))
     return ACounts("Pbar", closed, enum_pbar, None, None, enum_pbar == closed)
 
 

@@ -19,7 +19,7 @@ from serrecalc.cli import main
 from serrecalc.homology import TAYLOR_CAP, VERTEX_CAP
 from serrecalc.ideals import TABLE_CAP, MonomialIdeal
 from serrecalc.linalg import PRIME_TEST_BOUND
-from serrecalc.predictions import THETA_BOX_CAP
+from serrecalc.predictions import THETA_POINT_CAP
 from serrecalc.series import EXPANSION_CAP
 from serrecalc.weights import PROFILE_F_CAP
 
@@ -186,6 +186,25 @@ def test_theta_subcommand(capsys):
     assert data["chain_ok"] is True
 
 
+def test_theta_walks_a_ball_whose_box_is_larger_than_the_cap(capsys):
+    # the box of this call is 13^5 = 371,293 points; its l1 ball has 3,653
+    rc, out = run(capsys, "theta", "--f", "5", "--case", "nonsplit", "--jrho", "0",
+                  "--profile", "X0,X0,X0,X0,X0", "--i0", "0", "--n", "7")
+    assert rc == 0
+    assert len(json.loads(out)["points"]) == 3653
+
+
+def test_taylor_profile_ignores_zero_columns(capsys):
+    gens = [[1, 1, 0, 0, 0], [0, 1, 1, 0, 0], [0, 0, 1, 1, 0], [0, 0, 0, 1, 2], [2, 0, 0, 0, 1]]
+    padded = [[0] * 3 + row[:2] + [0] + row[2:] + [0] * 40 for row in gens]
+    profiles = []
+    for rows in (gens, padded):
+        rc, out = run(capsys, "tor", "--gens", json.dumps(rows), "--method", "taylor")
+        assert rc == 0
+        profiles.append(json.loads(out)["taylor"])
+    assert profiles[0] == profiles[1] and profiles[0][:2] == ["1", "5"]
+
+
 def test_enumerate_csv(capsys):
     rc, out = run(capsys, "enumerate", "--f", "2", "--case", "split", "--jrho", "all", "--which", "Dss", "--format", "csv")
     assert rc == 0
@@ -222,9 +241,9 @@ BAD_INPUT = {
     # trunc + 1 coefficients, one past the cap
     "hilbert-above-trunc-cap": ["hilbert", "--f", "1", "--case", "split", "--jrho", "all",
                                 "--trunc", str(EXPANSION_CAP)],
-    # one coordinate of 2n - 1 candidates: the cap is met by the box size, not by a scan
+    # one coordinate, 2n - 1 points: the cap is met by the counted ball, not by a walk
     "theta-above-box-cap": ["theta", "--f", "1", "--case", "nonsplit", "--jrho", "0", "--profile", "X0",
-                            "--i0", "0", "--n", str(THETA_BOX_CAP // 2 + 1)],
+                            "--i0", "0", "--n", str(THETA_POINT_CAP // 2 + 1)],
     **{f"verify-{name}-above-profile-cap": ["verify", "--suite", name, "--f", str(PROFILE_F_CAP + 1)]
        for name in ("hilbert", "split-ni", "gr-subquot", "semisimple-match", "theta", "xcounts", "patched")},
     "verify-all-f-12": ["verify", "--all", "--f", "12"],

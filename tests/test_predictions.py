@@ -1,11 +1,15 @@
+from itertools import product
+
 import pytest
 
-from serrecalc.errors import UnsupportedCaseError
+from serrecalc.errors import SizeLimitError, UnsupportedCaseError
 from serrecalc import homology, pbw, predictions, verify
 from serrecalc.homology import ext_dims
 from serrecalc.ideals import Monomial, MonomialIdeal, a_lambda, a_ss, bigraded_difference, p_monomial
 from serrecalc.pbw import gr_formula, tor1_gr
 from serrecalc.predictions import (
+    THETA_POINT_CAP,
+    _ball_size,
     SubquotientSpec,
     gr_subquotient,
     hilbert_Ni,
@@ -21,10 +25,11 @@ from serrecalc.predictions import (
     x_counts,
 )
 from serrecalc.series import expand
-from serrecalc.verify import suite_semisimple_match
+from serrecalc.verify import _profiles, suite_semisimple_match
 from serrecalc.weights import (
     Case,
     GaloisContext,
+    TGen,
     WeightProfile,
     enumerate_profiles,
     nonsplit_context,
@@ -170,6 +175,42 @@ def test_theta_lattice_counts_match_series():
         for p in box.points:
             per_degree[sum(abs(x) for x in p)] += 1
         assert per_degree == expand(hilbert(a_lambda(ctx, lam)), 4)
+
+
+def _box_scan_theta(ctx, lam, n, i0):
+    """theta_lattice by scanning the whole (2n - 1)^f box and keeping l1 norm < n: the walk's reference."""
+    st_ = profile_stats(ctx, lam)
+    d_lam = max(i0 + 1 - st_.ell, 0)
+    ranges = {TGen.Y: range(-(n - 1), 1), TGen.Z: range(0, n), TGen.YZ: range(-(n - 1), n)}
+    ball = [p for p in product(*(ranges[g] for g in st_.t_assign)) if sum(abs(x) for x in p) < n]
+    in_theta = [p for p in ball if sum(p[j] > 0 for j in st_.j1) + sum(p[j] < 0 for j in st_.j2) >= d_lam]
+    theta = frozenset(in_theta)
+
+    def descends(p):
+        steps = (p[:j] + (x - 1 if x > 0 else x + 1,) + p[j + 1:] for j, x in enumerate(p) if x)
+        return any(q in theta for q in steps)
+
+    stuck = next((p for p in in_theta if sum(abs(x) for x in p) > d_lam and not descends(p)), None)
+    return frozenset(ball), theta, stuck is None, stuck
+
+
+@pytest.mark.parametrize("f", [1, 2, 3])
+def test_theta_lattice_walk_matches_box_scan(f):
+    for ctx, lam in _profiles(f):
+        for i0 in range(-1, f):
+            for n in (1, i0 + 4):
+                box = theta_lattice(ctx, lam, n, i0)
+                assert (box.points, box.jh_theta, box.chain_ok, box.no_descent) == _box_scan_theta(ctx, lam, n, i0)
+                k = profile_stats(ctx, lam).k
+                assert len(box.points) == _ball_size(f - k, k, n - 1)
+
+
+def test_theta_lattice_point_cap():
+    ctx = nonsplit_context(1, [])
+    n = THETA_POINT_CAP // 2  # 2n - 1 points, one below the cap
+    assert len(theta_lattice(ctx, prof("X0"), n, 0).points) == 2 * n - 1
+    with pytest.raises(SizeLimitError):
+        theta_lattice(ctx, prof("X0"), n + 1, 0)
 
 
 def test_semisimple_match_worked_pair():
