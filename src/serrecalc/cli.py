@@ -146,6 +146,8 @@ def _hilbert(a) -> dict:
     from .predictions import default_trunc, hilbert_pi
     res = hilbert_pi(a.ctx)
     n = default_trunc(a.f) if a.trunc is None else a.trunc
+    if n < 0:
+        raise ValueError("truncation must be nonnegative")
     return {**_series_check(res), "expansion": [str(c) for c in expand(res.closed, n)]}
 
 
@@ -211,6 +213,8 @@ def _tor(a) -> dict:
     from .homology import hochster_profile, taylor_profile
     from .ideals import Monomial, MonomialIdeal
     gens = _list_of_lists(json.loads(a.gens), int, "--gens to be a JSON list of integer exponent arrays")
+    if a.max_i is not None and a.max_i < 0:
+        raise ValueError(f"--max-i must be nonnegative, got {a.max_i}")
     ideal = MonomialIdeal(len(gens[0]) if gens else 0, tuple(Monomial(tuple(g)) for g in gens))
     payload: dict = {"gens": [list(g.exps) for g in ideal.gens]}
     for key, oracle in (("taylor", taylor_profile), ("hochster", hochster_profile)):

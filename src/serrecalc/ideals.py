@@ -15,7 +15,7 @@ from math import comb
 from typing import Callable, Hashable, Iterable
 
 from .errors import ProfileMembershipError, SizeLimitError
-from .series import BigradedSeries, CharOffset, IntPoly, RationalSeries, Value
+from .series import BigradedSeries, CharOffset, IntPoly, RationalSeries, Value, _add_ball_points
 from .weights import GaloisContext, ProfileStats, TGen, WeightProfile, in_p, profile_stats
 
 #: inclusion-exclusion and Taylor-type sums walk up to 2^(#gens) subsets
@@ -85,16 +85,10 @@ class Monomial(Value):
     def __mul__(self, other: "Monomial") -> "Monomial":
         return Monomial(tuple(a + b for a, b in zip(self.exps, other.exps, strict=True)))
 
-    def char_offset(self) -> CharOffset:
-        """Offset in the paired y/z ring: +e_j per y_j power, -e_j per z_j."""
-        if self.ambient % 2:
-            raise ValueError("char offsets need the paired y/z ambient ring")
-        f = self.ambient // 2
-        return CharOffset(tuple(self.exps[2 * j] - self.exps[2 * j + 1] for j in range(f)))
-
     def bigrade(self) -> tuple[int, tuple[int, ...]]:
-        """(degree, character offset exponents): the key of bigraded numerators."""
-        return self.degree, self.char_offset().exps
+        """(degree, character offset: +e_j per y_j power, -e_j per z_j power), the bigraded numerators' key."""
+        e = self.exps
+        return sum(e), tuple(y - z for y, z in zip(e[::2], e[1::2]))
 
     def sort_key(self) -> tuple:
         # graded lexicographic: by degree, then earlier variables first
@@ -309,21 +303,13 @@ def standard_counts_naive(ideal: MonomialIdeal, bound: int) -> list[int]:
 def standard_monomials(ideal: MonomialIdeal, bound: int) -> list[list[Monomial]]:
     """The monomials outside the ideal, by degree up to bound, each degree in lexicographic order."""
     out: list[list[Monomial]] = [[] for _ in range(bound + 1)]
-    _add_standard(ideal, bound, out, [], 0)
-    return out
-
-
-def _add_standard(ideal: MonomialIdeal, bound: int, out: list[list[Monomial]], exps: list[int], deg: int):
-    """Append to ``out`` the standard monomials that begin with the exponents ``exps``."""
-    if len(exps) == ideal.ambient:
-        m = Monomial(tuple(exps))
+    points: list[tuple[int, ...]] = []
+    _add_ball_points([(0, bound)] * ideal.ambient, bound, [], points)
+    for exps in points:
+        m = Monomial(exps)
         if not ideal.member(m):
-            out[deg].append(m)
-        return
-    for e in range(bound - deg + 1):
-        exps.append(e)
-        _add_standard(ideal, bound, out, exps, deg + e)
-        exps.pop()
+            out[m.degree].append(m)
+    return out
 
 
 @lru_cache(maxsize=1 << 12)

@@ -4,7 +4,9 @@ Monomials are normal ordered (all y's, then all z's, then all h's, each by
 index) and stored as exponent tuples (a_0..a_{f-1}, b_0..b_{f-1}, c_0..c_{f-1});
 y and z have degree 1 and h degree 2 (stored degrees, i.e. minus the module
 grading).  Everything is truncated at total degree n <= 3: that is the only
-regime any verification here needs, so larger n is rejected.
+regime any verification here needs, so larger n is rejected.  The basis is
+cut from ``series``' lattice-point walk: the exponent vectors of l1 norm
+< n, kept where the degree, which counts h twice, is < n.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from math import comb
 from typing import Iterator
 
 from .linalg import exact_rank
-from .series import Value
+from .series import Value, _add_ball_points
 from .weights import GaloisContext, TGen, WeightProfile, profile_stats
 
 Mono = tuple[int, ...]
@@ -39,23 +41,9 @@ def mono_offset(m: Mono, f: int) -> tuple[int, ...]:
 def pbw_basis(f: int, n: int) -> tuple[Mono, ...]:
     """Normal-ordered monomials of degree < n, by degree then lexicographic."""
     _check_n(n)
-    out: list[Mono] = []
-    _add_normal_monomials(f, n - 1, [], out)
-    out.sort(key=lambda m: (mono_degree(m, f), m))
-    return tuple(out)
-
-
-def _add_normal_monomials(f: int, left: int, cur: list[int], out: list[Mono]):
-    """Append the monomials that begin with the exponents ``cur`` and have degree <= left past them."""
-    idx = len(cur)
-    if idx == 3 * f:
-        out.append(tuple(cur))
-        return
-    weight = 2 if idx >= 2 * f else 1
-    for e in range(left // weight + 1):
-        cur.append(e)
-        _add_normal_monomials(f, left - weight * e, cur, out)
-        cur.pop()
+    points: list[Mono] = []
+    _add_ball_points([(0, n - 1)] * (3 * f), n - 1, [], points)
+    return tuple(sorted((m for m in points if mono_degree(m, f) < n), key=lambda m: (mono_degree(m, f), m)))
 
 
 def _bump(m: Mono, idx: int, by: int = 1) -> Mono:

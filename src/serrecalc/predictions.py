@@ -16,7 +16,7 @@ from .errors import SizeLimitError, UnsupportedCaseError
 from .homology import ext1_lower_bound, ext_closed
 from .ideals import Monomial, _family, _member, a_ss, bigraded_quotient, numerator, p_monomial
 from .pbw import char_multiset
-from .series import BigradedSeries, IntPoly, RationalSeries, Value, one_minus_t
+from .series import BigradedSeries, IntPoly, RationalSeries, Value, _add_ball_points, one_minus_t
 from .weights import (
     Case,
     GaloisContext,
@@ -217,6 +217,8 @@ def socle_jsets(ctx: GaloisContext, spec: SubquotientSpec) -> list[frozenset[int
 
 def k1_cycle(f: int, spec: SubquotientSpec) -> int:
     """Sum of C(f, i) over the window: the subsets J of {0..f-1} with i0 < |J| <= i0p."""
+    if f < 1:
+        raise ValueError("f must be positive")
     spec.check(f)
     return sum(comb(f, i) for i in range(spec.i0 + 1, spec.i0p + 1))
 
@@ -361,14 +363,9 @@ def x_counts(ctx: GaloisContext, lam: WeightProfile) -> XCounts:
     st = profile_stats(ctx, lam)
     f, k = ctx.f, st.k
     eps = dict(st.eps)
-    member = set()
-    support = sorted(eps)
-    for mask in range(1 << len(support)):
-        off = [0] * f
-        for b, j in enumerate(support):
-            if mask & (1 << b):
-                off[j] = eps[j]
-        member.add(tuple(off))
+    box: list[tuple[int, ...]] = []
+    _add_ball_points([(min(0, eps.get(j, 0)), max(0, eps.get(j, 0))) for j in range(f)], f, [], box)
+    member = set(box)
 
     offsets = [sorted(char_multiset(f, d)) for d in range(3)]
     ball: list[tuple[int, ...]] = []
@@ -386,19 +383,6 @@ def x_counts(ctx: GaloisContext, lam: WeightProfile) -> XCounts:
                 break
     expected = (1, 2 * f - k, 2 * f * f - 2 * k * f + comb(k + 1, 2))
     return XCounts(counts[0], counts[1], counts[2], expected, tuple(counts) == expected)
-
-
-def _add_ball_points(bounds: list[tuple[int, int]], left: int, cur: list[int], out: list[tuple[int, ...]]):
-    """Append, in lexicographic order, the points that begin with ``cur``, keep
-    coordinate j within ``bounds[j]`` and have l1 norm <= left past ``cur``."""
-    if len(cur) == len(bounds):
-        out.append(tuple(cur))
-        return
-    lo, hi = bounds[len(cur)]
-    for v in range(max(lo, -left), min(hi, left) + 1):
-        cur.append(v)
-        _add_ball_points(bounds, left - abs(v), cur, out)
-        cur.pop()
 
 
 def shell_aggregate(f: int, k: int) -> int:

@@ -1,11 +1,14 @@
-"""Exact univariate series arithmetic and the character-refined table type.
+"""Exact univariate series arithmetic, the character-refined table type and
+the one lattice-point walk.
 
 Grading convention, used package-wide: graded modules are supported in
 non-positive degrees, and the piece of degree -n is stored under the
 nonnegative index n.  All coefficients are arbitrary-precision integers;
 nothing in this package uses floating point.  ``ideals.bigraded_difference``
 builds every ``BigradedSeries``; the JSON forms here are the CLI's output
-and are written, never read back.
+and are written, never read back.  ``_add_ball_points`` lists every bounded
+set of integer vectors the package enumerates: standard monomials, the PBW
+basis, and the l1 balls and boxes of ``predictions``.
 """
 
 from __future__ import annotations
@@ -251,6 +254,19 @@ def expand(rs: RationalSeries, n: int) -> list[int]:
             m = d - i
             out[d] += c * (comb(m + p - 1, p - 1) if p > 0 else (1 if m == 0 else 0))
     return out
+
+
+def _add_ball_points(bounds: list[tuple[int, int]], left: int, cur: list[int], out: list[tuple[int, ...]]):
+    """Append, in lexicographic order, the points that begin with ``cur``, keep
+    coordinate j within ``bounds[j]`` and have l1 norm <= left past ``cur``."""
+    if len(cur) == len(bounds):
+        out.append(tuple(cur))
+        return
+    lo, hi = bounds[len(cur)]
+    for v in range(max(lo, -left), min(hi, left) + 1):
+        cur.append(v)
+        _add_ball_points(bounds, left - abs(v), cur, out)
+        cur.pop()
 
 
 class CharOffset(Value):

@@ -34,6 +34,7 @@ from .ideals import (
     a_lambda,
     d_shift,
     hilbert,
+    p_monomial,
     patched_ideals,
     standard_monomials,
     y_var,
@@ -165,7 +166,7 @@ def _stated_a_counts(ctx: GaloisContext) -> dict[int, int]:
     return {s: 2 * comb(f, s) for s in range(f + 1) if s % 2 == parity}
 
 
-def suite_hilbert(fmax: int = 5) -> list[CheckRecord]:
+def suite_hilbert(fmax: int) -> list[CheckRecord]:
     def series(ctx):
         res = hilbert_pi(ctx)
         yield _series(f"{_case(ctx)} series", res)
@@ -207,7 +208,7 @@ def suite_hilbert(fmax: int = 5) -> list[CheckRecord]:
     return out
 
 
-def suite_split_ni(fmax: int = 5) -> list[CheckRecord]:
+def suite_split_ni(fmax: int) -> list[CheckRecord]:
     def layers(f):
         ctx = split_context(f)
         total = None
@@ -230,7 +231,7 @@ def _summand_profiles(ctx: GaloisContext, spec: SubquotientSpec) -> list[str]:
     return _tags(want)
 
 
-def suite_gr_subquot(fmax: int = 8, bigraded_fmax: int = 3) -> list[CheckRecord]:
+def suite_gr_subquot(fmax: int, bigraded_fmax: int) -> list[CheckRecord]:
     # the windows of a chain with one or two inner cuts partition the full index set
     def partitions(f):
         for ctx in _nonsplit_contexts(f):
@@ -277,7 +278,7 @@ def suite_gr_subquot(fmax: int = 8, bigraded_fmax: int = 3) -> list[CheckRecord]
     return out
 
 
-def suite_semisimple_match(fmax: int = 4) -> list[CheckRecord]:
+def suite_semisimple_match(fmax: int) -> list[CheckRecord]:
     def matches(f):
         for ctx in _nonsplit_contexts(f):
             for i0 in range(-1, f):
@@ -288,7 +289,7 @@ def suite_semisimple_match(fmax: int = 4) -> list[CheckRecord]:
     return [_check("semisimple-match", f"f={f} all J_rho, all i0", matches(f)) for f in range(1, fmax + 1)]
 
 
-def suite_theta(fmax: int = 4) -> list[CheckRecord]:
+def suite_theta(fmax: int) -> list[CheckRecord]:
     per_degree: dict[tuple, list[int]] = {}  # lattice points by l1 norm, kept by the chain pass
 
     def chains(f):
@@ -313,7 +314,7 @@ def suite_theta(fmax: int = 4) -> list[CheckRecord]:
     return out
 
 
-def suite_xcounts(fmax: int = 5) -> list[CheckRecord]:
+def suite_xcounts(fmax: int) -> list[CheckRecord]:
     """Shell sizes around each P-profile, and its window V_chi against the union of shifted windows."""
     def shells(f):
         for ctx, lam in _profiles(f):
@@ -325,7 +326,7 @@ def suite_xcounts(fmax: int = 5) -> list[CheckRecord]:
     return [_check("xcounts", f"f={f} shell sizes", shells(f)) for f in range(1, fmax + 1)]
 
 
-def suite_degenerates(fmax: int = 12, rank_fmax: int = 3) -> list[CheckRecord]:
+def suite_degenerates(fmax: int, rank_fmax: int) -> list[CheckRecord]:
     def ranks(f):
         for ctx, lam in _profiles(f):
             r = tor1_gr(ctx, lam)
@@ -339,7 +340,7 @@ def suite_degenerates(fmax: int = 12, rank_fmax: int = 3) -> list[CheckRecord]:
     return out
 
 
-def suite_tor(kmax: int = 5, ext_fmax: int = 3, corpus_fmax: int = 3) -> list[CheckRecord]:
+def suite_tor(kmax: int, ext_fmax: int, corpus_fmax: int) -> list[CheckRecord]:
     def pairing():
         for k in range(1, kmax + 1):
             pure = pairing_ideal(k)
@@ -380,7 +381,7 @@ def suite_tor(kmax: int = 5, ext_fmax: int = 3, corpus_fmax: int = 3) -> list[Ch
     ]
 
 
-def suite_patched(fmax: int = 4) -> list[CheckRecord]:
+def suite_patched(fmax: int) -> list[CheckRecord]:
     def intersections(f):
         seen: set[tuple] = set()
         for ctx, lam in _profiles(f):
@@ -416,15 +417,9 @@ def _presentation_dims(
         return [], []
     base = a_lambda(ctx, lam)
     gens = [frozenset(s) for s in combinations(pool, d)]
-
-    def var_mono(j: int, in_j1: bool) -> Monomial:
-        return y_var(f, j) if in_j1 else z_var(f, j)
-
-    def p_mono(J: frozenset[int]) -> Monomial:
-        m = Monomial.one(2 * f)
-        for j in J:
-            m = m * var_mono(j, j in st.j1)
-        return m
+    gen_index = {J: gi for gi, J in enumerate(gens)}
+    p_gens = [p_monomial(f, st, J) for J in gens]
+    var = {j: p_monomial(f, st, frozenset({j})) for j in pool}
 
     def partner(j: int) -> Monomial:
         return z_var(f, j) if j in st.j1 else y_var(f, j)
@@ -437,29 +432,17 @@ def _presentation_dims(
             relations.append({(gi, partner(j)): 1})
     for sub in combinations(pool, d + 1):
         Jp = frozenset(sub)
-        members = sorted(Jp)
-        for a, b in combinations(members, 2):
-            ga = gens.index(Jp - {a})
-            gb = gens.index(Jp - {b})
-            relations.append(
-                {(ga, var_mono(a, a in st.j1)): 1, (gb, var_mono(b, b in st.j1)): -1}
-            )
+        for a, b in combinations(sub, 2):
+            relations.append({(gen_index[Jp - {a}], var[a]): 1, (gen_index[Jp - {b}], var[b]): -1})
 
     kernel_dims, span_dims = [], []
     for deg in range(dmax + 1):
         cols = [(gi, m) for gi in range(len(gens)) for m in std[deg]]
         col_index = {c: i for i, c in enumerate(cols)}
-        # image basis: map (gi, m) to m * p_gens[gi] in the quotient ring
-        img_index: dict[tuple[int, ...], int] = {}
-        rows = []
-        for gi, m in cols:
-            prod = m * p_mono(gens[gi])
-            if base.member(prod):
-                rows.append({})
-            else:
-                idx = img_index.setdefault(prod.exps, len(img_index))
-                rows.append({idx: 1})
-        kernel_dims.append(len(cols) - exact_rank(r for r in rows if r))
+        # column (gi, m) maps to m * p(gens[gi]) in the quotient ring: one monomial or zero,
+        # so the image's rank is the number of distinct nonzero monomials
+        images = {prod for gi, m in cols if not base.member(prod := m * p_gens[gi])}
+        kernel_dims.append(len(cols) - len(images))
         # span of relation multiples in this degree
         span_rows = []
         for rel in relations:
@@ -481,7 +464,7 @@ def _presentation_dims(
     return kernel_dims, span_dims
 
 
-def suite_pbw(fmax: int = 6, syzygy_fmax: int = 3) -> list[CheckRecord]:
+def suite_pbw(fmax: int, syzygy_fmax: int) -> list[CheckRecord]:
     # confluence of straightening and associativity on degree-1 elements
     def products():
         for f in (1, 2):

@@ -254,6 +254,9 @@ BAD_INPUT = {
     "verify-tor-f-6": ["verify", "--suite", "tor", "--f", "6"],
     "tor-taylor-above-cap": ["tor", "--gens", json.dumps([[int(i == j) for j in range(TAYLOR_CAP + 1)]
                                                           for i in range(TAYLOR_CAP + 1)]), "--method", "taylor"],
+    "tor-negative-max-i": ["tor", "--gens", "[[1,1,0],[0,1,1]]", "--max-i", "-2"],
+    "k1cycle-f-zero": ["k1cycle", "--f", "0", "--i0", "-1", "--i0p", "0"],
+    "hilbert-negative-trunc": ["hilbert", "--f", "2", "--case", "split", "--jrho", "all", "--trunc", "-4"],
     "verify-unknown-suite": ["verify", "--suite", "nope"],
     "verify-cap-checked-first": ["verify", "--suite", "pbw", "--suite", "hilbert", "--f", str(PROFILE_F_CAP + 1)],
 }

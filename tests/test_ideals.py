@@ -1,5 +1,5 @@
 import gc
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings
@@ -20,6 +20,7 @@ from serrecalc.ideals import (
     p_monomial,
     patched_ideals,
     standard_counts_naive,
+    standard_monomials,
     y_var,
     z_var,
 )
@@ -191,6 +192,29 @@ def test_numerator_walks_few_subsets_of_a_window_ideal():
     assert expand(hilbert(ideal), 6) == standard_counts_naive(ideal, 6)
 
 
+NS2_0 = nonsplit_context(2, [0])
+STANDARD_CASES = {
+    "zero": (MonomialIdeal.zero(3), 4),
+    "unit": (MonomialIdeal.unit(3), 4),
+    "zero-no-variables": (MonomialIdeal.zero(0), 3),
+    "unit-no-variables": (MonomialIdeal.unit(0), 3),
+    "negative-bound": (MonomialIdeal.zero(2), -1),
+    **{f"a_lambda-{','.join(lam.tags())}": (a_lambda(NS2_0, lam), 4) for lam in enumerate_profiles(NS2_0, "P")},
+    "a1-f3": (a1(nonsplit_context(3, [0]), prof("X0", "X0", "X0"), 1), 3),
+}
+
+
+@pytest.mark.parametrize("ideal,bound", STANDARD_CASES.values(), ids=STANDARD_CASES.keys())
+def test_standard_monomials_against_the_box(ideal, bound):
+    """Standard monomials are the box [0, bound]^ambient cut at degree <= bound, by degree in lexicographic order."""
+    want: list[list[Monomial]] = [[] for _ in range(bound + 1)]
+    for exps in product(range(bound + 1), repeat=ideal.ambient):
+        m = Monomial(exps)
+        if m.degree <= bound and not ideal.member(m):
+            want[m.degree].append(m)
+    assert standard_monomials(ideal, bound) == want
+
+
 NS3 = nonsplit_context(3, [0])
 NS2 = nonsplit_context(2, [])
 CYCLE_FREE_CALLS = {
@@ -265,7 +289,7 @@ def raw_table(keep, f: int, trunc: int, shift: int = 0) -> dict[tuple[int, tuple
             return
         m = Monomial(exps)
         if m.degree >= shift and keep(m):
-            key = (m.degree - shift, m.char_offset().exps)
+            key = (m.degree - shift, m.bigrade()[1])
             out[key] = out.get(key, 0) + 1
 
     rec((), trunc + shift)
@@ -324,7 +348,7 @@ def test_matching_truncated_tables_naive(ctx):
             for sub in combinations(sorted(st_.j1 | st_.j2), d) if d >= 0 else ():
                 jp = frozenset(sub)
                 ideal = a_ss(ctx, _lambda_prime(lam, st_, jp))
-                twist = p_monomial(ctx.f, st_, jp).char_offset().exps
+                twist = p_monomial(ctx.f, st_, jp).bigrade()[1]
                 for (deg, c), v in raw_table(lambda m: not ideal.member(m), ctx.f, n).items():
                     key = (deg, tuple(a + b for a, b in zip(c, twist)))
                     rhs[key] = rhs.get(key, 0) + v

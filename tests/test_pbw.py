@@ -1,3 +1,5 @@
+from itertools import product
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -31,6 +33,14 @@ def elem(f, **powers):
         kind, j = name[0], int(name[1:])
         m[{"y": 0, "z": 1, "h": 2}[kind] * f + j] = e
     return {tuple(m): 1}
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("f", [1, 2, 3])
+def test_basis_against_the_box(f, n):
+    """The basis is the box [0, n)^(3f) cut at degree < n, listed degree by degree in lexicographic order."""
+    box = list(product(range(n), repeat=3 * f))
+    assert pbw_basis(f, n) == tuple(m for d in range(n) for m in box if mono_degree(m, f) == d)
 
 
 def test_basis_f1():
