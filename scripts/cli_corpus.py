@@ -9,9 +9,11 @@ and stderr, with every ``elapsed_s`` value masked before hashing.  Two
 checkouts behave the same on the corpus when their files are equal, and
 ``diff`` of two files lists the invocations that changed.  The argvs cover
 every subcommand over every context at f <= 2 (profiles over all six core
-symbols, so those outside P too), ``k1cycle`` up to f = 6, ``tor`` on the
-pairing ideals k <= 3, each suite at ``verify --f 1`` and a list of usage
-errors.  ``serrecalc.cli.main`` runs in-process from this checkout's
+symbols, so those outside P too), ``k1cycle`` up to f = 6 and at its cap,
+``tor`` on the pairing ideals k <= 3, ``tor --method hochster`` and ``both``
+on the zero, unit and 12-coordinate ideals, the patched shapes at f <= 3 and
+an ideal padded with zero columns, each suite at ``verify --f 1`` and a list
+of usage errors.  ``serrecalc.cli.main`` runs in-process from this checkout's
 ``src/``, under ``PYTHONHASHSEED=0`` (the script re-executes itself to set
 it) and an 80-column terminal for argparse.  Standard library only.
 """
@@ -58,7 +60,10 @@ USAGE_ERRORS = [
     ["socle", *SPLIT2, "--i0", "0", "--i0p", "1"],
     ["k1cycle", "--f", "0", "--i0", "-1", "--i0p", "0"],
     ["k1cycle", "--f", "2", "--i0", "-2", "--i0p", "0"],
+    ["k1cycle", "--f", "2001", "--i0", "-1", "--i0p", "0"],
     ["theta", *NONSPLIT2, "--profile", "X0,X0", "--i0", "0", "--n", "0"],
+    ["theta", "--f", "1", "--case", "nonsplit", "--jrho", "0", "--profile", "X0", "--i0", "9"],
+    ["theta", "--f", "1", "--case", "nonsplit", "--jrho", "0", "--profile", "X0", "--i0", "-3"],
     ["match", *SPLIT2, "--i0", "0"],
     ["match", *NONSPLIT2, "--i0", "2"],
     ["tor", "--gens", "[1,2]"],
@@ -96,6 +101,18 @@ def _pairing_gens(k: int) -> list[list[int]]:
     return pairs + [mono(2 * i + 1, 2 * j + 1) for i, j in combinations(range(k), 2)]
 
 
+def _patched_gens(f: int, ell: int, k: int) -> list[list[int]]:
+    """X_j Y_j for j < ell, Y_i Y_j for i < j < k, then 2f - ell single variables: the patched shapes."""
+    n = 2 * ell + (2 * f - ell)
+
+    def mono(*idx: int) -> list[int]:
+        return [int(i in idx) for i in range(n)]
+
+    pairs = [mono(2 * j, 2 * j + 1) for j in range(ell)]
+    y_pairs = [mono(2 * i + 1, 2 * j + 1) for i, j in combinations(range(k), 2)]
+    return pairs + y_pairs + [mono(2 * ell + m) for m in range(2 * f - ell)]
+
+
 def corpus() -> list[list[str]]:
     out = []
     for f in (1, 2):
@@ -119,6 +136,12 @@ def corpus() -> list[list[str]]:
         gens = json.dumps(_pairing_gens(k), separators=(",", ":"))
         out += [["tor", "--gens", gens, "--method", m] for m in ("taylor", "hochster", "both")]
         out += [["tor", "--gens", gens, "--max-i", str(i)] for i in range(2 * k + 1)]
+    squarefree = [[], [[0, 0, 0]], [[int(i == j) for j in range(12)] for i in range(12)],
+                  [row + [0, 0, 0] for row in _pairing_gens(2)]]
+    squarefree += [_patched_gens(f, ell, k) for f in (1, 2, 3) for ell in range(f + 1) for k in range(ell + 1)]
+    for gens in squarefree:
+        out += [["tor", "--gens", json.dumps(gens, separators=(",", ":")), "--method", m] for m in ("hochster", "both")]
+    out += [["k1cycle", "--f", "2000", "--i0", "-1", "--i0p", "1"]]
     out += [["verify", "--suite", name, "--f", "1", "--report", "json"] for name in SUITES]
     out += [["verify", "--suite", "pbw", "--f", "1"]]
     return out + USAGE_ERRORS

@@ -159,12 +159,6 @@ class IntPoly(Value):
     def scale(self, a: int) -> "IntPoly":
         return IntPoly(tuple(a * c for c in self.coeffs))
 
-    def shift(self, d: int) -> "IntPoly":
-        """Multiply by t^d."""
-        if self.is_zero():
-            return self
-        return IntPoly((0,) * d + self.coeffs)
-
     def eval_at(self, x: int) -> int:
         acc = 0
         for c in reversed(self.coeffs):

@@ -19,7 +19,7 @@ from serrecalc.cli import main
 from serrecalc.homology import TAYLOR_CAP, VERTEX_CAP
 from serrecalc.ideals import TABLE_CAP, MonomialIdeal
 from serrecalc.linalg import PRIME_TEST_BOUND
-from serrecalc.predictions import THETA_POINT_CAP
+from serrecalc.predictions import K1_CYCLE_F_CAP, THETA_POINT_CAP
 from serrecalc.series import EXPANSION_CAP
 from serrecalc.weights import PROFILE_F_CAP
 
@@ -256,6 +256,12 @@ BAD_INPUT = {
                                                           for i in range(TAYLOR_CAP + 1)]), "--method", "taylor"],
     "tor-negative-max-i": ["tor", "--gens", "[[1,1,0],[0,1,1]]", "--max-i", "-2"],
     "k1cycle-f-zero": ["k1cycle", "--f", "0", "--i0", "-1", "--i0p", "0"],
+    "k1cycle-above-f-cap": ["k1cycle", "--f", str(K1_CYCLE_F_CAP + 1), "--i0", "-1", "--i0p", "0"],
+    # theta takes -1 <= i0 <= f - 1, as match and the theta suite do
+    "theta-i0-above-range": ["theta", "--f", "1", "--case", "nonsplit", "--jrho", "0", "--profile", "X0",
+                             "--i0", "1"],
+    "theta-i0-below-range": ["theta", "--f", "1", "--case", "nonsplit", "--jrho", "0", "--profile", "X0",
+                             "--i0", "-2"],
     "hilbert-negative-trunc": ["hilbert", "--f", "2", "--case", "split", "--jrho", "all", "--trunc", "-4"],
     "verify-unknown-suite": ["verify", "--suite", "nope"],
     "verify-cap-checked-first": ["verify", "--suite", "pbw", "--suite", "hilbert", "--f", str(PROFILE_F_CAP + 1)],

@@ -1,10 +1,13 @@
+import sys
+from itertools import combinations
+
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from serrecalc import homology
 from serrecalc.errors import SizeLimitError
 from serrecalc.homology import (
-    SimplicialComplex,
     ext1_lower_bound,
     ext_closed,
     ext_dims,
@@ -28,24 +31,20 @@ def mono(n, *idx):
 
 
 def test_two_isolated_points():
-    cx = SimplicialComplex(2, (0b11,))
-    dims = homology_from_faces(cx.faces())
+    dims = homology_from_faces([0b00, 0b01, 0b10])
     assert dims == {0: 1}
 
 
 def test_full_simplex_contractible():
-    cx = SimplicialComplex(3, ())
-    assert homology_from_faces(cx.faces()) == {}
+    assert homology_from_faces(range(0b1000)) == {}
 
 
 def test_triangle_boundary():
-    cx = SimplicialComplex(3, (0b111,))
-    assert homology_from_faces(cx.faces()) == {1: 1}
+    assert homology_from_faces(range(0b111)) == {1: 1}
 
 
 def test_empty_complex_convention():
-    cx = SimplicialComplex(2, (0b01, 0b10))
-    assert homology_from_faces(cx.faces()) == {-1: 1}
+    assert homology_from_faces([0]) == {-1: 1}
 
 
 def test_hochster_k1():
@@ -157,29 +156,74 @@ def test_oracles_agree_on_profile_ideals_f4():
                 assert profiles_agree(taylor_profile(ideal), hochster_profile(ideal))
 
 
+def patched_shape(f: int, ell: int, k: int) -> MonomialIdeal:
+    """The patched intersection shape for |J_rho| = ell and a k-subset of Y-pairs, up to relabeling.
+
+    X_j Y_j pairs over J_rho, Y-pairs over the k-subset, 2f - ell single variables.
+    """
+    n = 2 * ell + (2 * f - ell)
+    gens = [mono(n, 2 * j, 2 * j + 1) for j in range(ell)]
+    gens += [mono(n, 2 * i + 1, 2 * j + 1) for i, j in combinations(range(k), 2)]
+    gens += [mono(n, 2 * ell + m) for m in range(2 * f - ell)]
+    return MonomialIdeal(n, tuple(gens))
+
+
 @pytest.mark.parametrize("f", range(1, 5))
 def test_oracles_agree_on_patched_shapes(f):
-    """Hochster equals Taylor on the patched intersection shapes up to f = 4.
-
-    The shape depends only on (|J_rho|, k) up to relabeling: X_j Y_j pairs over
-    J_rho, Y-pairs over a k-subset, 2f - |J_rho| single variables.
-    """
-    from itertools import combinations as comb_
-
-    from serrecalc.homology import profiles_agree
-    from serrecalc.ideals import Monomial as M
-    from serrecalc.ideals import MonomialIdeal as MI
-
+    """Hochster equals Taylor on the patched intersection shapes up to f = 4."""
     for ell in range(f + 1):
         for k in range(ell + 1):
-            n = 2 * ell + (2 * f - ell)
-            x = lambda j: M.variable(n, 2 * j)
-            y = lambda j: M.variable(n, 2 * j + 1)
-            gens = [x(j) * y(j) for j in range(ell)]
-            gens += [y(i) * y(j) for i, j in comb_(range(k), 2)]
-            gens += [M.variable(n, 2 * ell + m) for m in range(2 * f - ell)]
-            ideal = MI(n, tuple(gens))
+            ideal = patched_shape(f, ell, k)
             assert profiles_agree(taylor_profile(ideal), hochster_profile(ideal))
+
+
+def test_hochster_walks_only_the_lcm_lattice(monkeypatch):
+    """One homology per union of generator supports, counted without bit masks."""
+    ideal = patched_shape(4, 4, 4)
+    supports = [frozenset(i for i, e in enumerate(g.exps) if e) for g in ideal.gens]
+    lattice = {frozenset().union(*sub) for r in range(len(supports) + 1) for sub in combinations(supports, r)}
+    calls = []
+    real = homology.homology_from_faces
+    monkeypatch.setattr(homology, "homology_from_faces", lambda *args: calls.append(1) or real(*args))
+    hochster_profile(ideal)
+    assert len(calls) == len(lattice) < 2**ideal.ambient
+
+
+# the two Tor oracles share the homology routine and the rank below it, nothing else
+SHARED_BY_TOR_ORACLES = {
+    ("serrecalc.homology", "homology_from_faces"),
+    ("serrecalc.homology", "_boundary_rows"),
+    ("serrecalc.linalg", "exact_rank"),
+    ("serrecalc.linalg", "_strip_content"),
+}
+
+
+def serrecalc_calls(fn, *args) -> set[tuple[str, str]]:
+    """(module, qualname up to ``.<locals>``) of every serrecalc function that ``fn(*args)`` enters."""
+    seen = set()
+
+    def hook(frame, event, arg):
+        module = frame.f_globals.get("__name__", "")
+        if event == "call" and module.startswith("serrecalc."):
+            seen.add((module, frame.f_code.co_qualname.split(".<locals>")[0]))
+
+    previous = sys.getprofile()
+    sys.setprofile(hook)
+    try:
+        fn(*args)
+    finally:
+        sys.setprofile(previous)
+    return seen
+
+
+@pytest.mark.skipif(sys.version_info < (3, 11), reason="code objects carry co_qualname from Python 3.11")
+def test_tor_oracles_share_only_the_homology_routine():
+    ideal = pairing_ideal(3)
+    hochster = serrecalc_calls(hochster_profile, ideal)
+    taylor = serrecalc_calls(taylor_profile, ideal)
+    assert ("serrecalc.homology", "homology_from_faces") in hochster & taylor
+    leaked = sorted(".".join(key) for key in hochster & taylor - SHARED_BY_TOR_ORACLES)
+    assert not leaked, f"the Tor oracles both call {', '.join(leaked)}"
 
 
 def test_stanley_reisner_closed_values():
@@ -218,7 +262,7 @@ def test_composite_modulus_rejected():
     with pytest.raises(ValueError, match="prime"):
         hochster_profile(ideal, char_p=4)
     with pytest.raises(ValueError, match="prime"):
-        homology_from_faces(SimplicialComplex.from_ideal(ideal).faces(), 4)
+        homology_from_faces([0b00, 0b01, 0b10], 4)
     with pytest.raises(ValueError, match="prime"):
         rank_mod_p([{0: 2, 1: 1}, {0: 1}], 4)
 

@@ -8,6 +8,7 @@ from serrecalc.homology import ext_dims
 from serrecalc.ideals import Monomial, MonomialIdeal, a_lambda, a_ss, bigraded_difference, p_monomial
 from serrecalc.pbw import gr_formula, tor1_gr
 from serrecalc.predictions import (
+    K1_CYCLE_F_CAP,
     THETA_POINT_CAP,
     _ball_size,
     SubquotientSpec,
@@ -31,6 +32,7 @@ from serrecalc.weights import (
     GaloisContext,
     TGen,
     WeightProfile,
+    PROFILE_F_CAP,
     enumerate_profiles,
     nonsplit_context,
     profile_stats,
@@ -150,6 +152,22 @@ def test_spec_validation():
         SubquotientSpec(-2, 1)
     with pytest.raises(ValueError):
         k1_cycle(2, SubquotientSpec(0, 3))
+
+
+def test_k1_cycle_cap():
+    # the gr-subquot suite calls k1_cycle at every f it lists profiles for
+    assert K1_CYCLE_F_CAP >= PROFILE_F_CAP
+    assert k1_cycle(K1_CYCLE_F_CAP, SubquotientSpec(-1, 1)) == 1 + K1_CYCLE_F_CAP
+    with pytest.raises(SizeLimitError):
+        k1_cycle(K1_CYCLE_F_CAP + 1, SubquotientSpec(-1, 1))
+
+
+def test_theta_lattice_i0_range():
+    ctx = nonsplit_context(2, [0])
+    assert [theta_lattice(ctx, prof("X0", "X0"), 2, i0).d_lambda for i0 in (-1, 0, 1)] == [0, 1, 2]
+    for i0 in (-2, 2):
+        with pytest.raises(ValueError, match="outside -1..f-1"):
+            theta_lattice(ctx, prof("X0", "X0"), 2, i0)
 
 
 def test_theta_lattice_split_empty():

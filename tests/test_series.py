@@ -5,7 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from serrecalc.cli import Command
-from serrecalc.homology import SimplicialComplex, ext_dims
+from serrecalc.homology import ext_dims
 from serrecalc.ideals import Monomial, MonomialIdeal
 from serrecalc.pbw import tor1_gr
 from serrecalc.predictions import SubquotientSpec, hilbert_pi, semisimple_match, theta_lattice, x_counts
@@ -141,7 +141,6 @@ VALUES = [
     (Command("h", (), len), "Command(help='h', flags=(), payload=<built-in function len>, ok=(), rows=None)"),
     (Monomial((1, 0)), "Monomial(exps=(1, 0))"),
     (MonomialIdeal(2, (Monomial((1, 0)),)), "MonomialIdeal(ambient=2, gens=(Monomial(exps=(1, 0)),))"),
-    (SimplicialComplex(2, (3,)), "SimplicialComplex(n_vertices=2, minimal_nonfaces=(3,))"),
     (ext_dims(1, 0), "ExtDims(closed=(1, 2, 1), oracle=(1, 2, 1), convolution=(1, 2, 1), ok=True)"),
     (tor1_gr(split_context(1), X0),
      "GrTorDims(dim_im_d1=4, dim_ker_d1=10, dim_im_d2=3, tor1=7, expected=(4, 10, 3, 7), ok=True)"),
@@ -161,7 +160,7 @@ HASHED = {"ACounts": lambda x: (x.domain, x.ok), "RationalSeries": RationalSerie
 
 def test_every_value_type_has_an_instance_below():
     package_types = {cls for cls in Value.__subclasses__() if cls.__module__.startswith("serrecalc.")}
-    assert package_types == {type(v) for v, _ in VALUES} and len(VALUES) == 20
+    assert package_types == {type(v) for v, _ in VALUES} and len(VALUES) == 19
 
 
 @pytest.mark.parametrize("value, text", VALUES, ids=[type(v).__name__ for v, _ in VALUES])
