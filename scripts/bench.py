@@ -8,8 +8,13 @@ It runs ``serrecalc verify --all --report json`` in a fresh process and
 records its wall time, the process's peak RSS and every record it printed,
 grouped by suite with each suite's summed ``elapsed_s``.  It then runs the
 tier-1 test command and records its wall time, exit code and summary line.
-Beside them go the ``src/`` line count, ``nproc`` and the Python version.
-Standard library only; the output path is the one argument.
+Then it times one fixed-size kernel per module in this process, in
+dependency order: the median time per call over repeats, each repeat as
+many calls as ``timeit`` autoranges to (at least 0.2 s).  Cached kernels
+are timed cold, their cache cleared before each call; the caches of the
+layers below stay warm.  Beside them go the ``src/`` line count, ``nproc``
+and the Python version.  Standard library only; the output path is the one
+argument.
 """
 
 from __future__ import annotations
@@ -19,9 +24,11 @@ import json
 import os
 import platform
 import resource
+import statistics
 import subprocess
 import sys
 import time
+import timeit
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 TIER1_ARGS = ["-m", "pytest", "-q", "--continue-on-collection-errors"]
@@ -60,6 +67,36 @@ def tier1() -> dict:
             "summary": lines[-1] if lines else ""}
 
 
+def kernels(repeats: int = 5) -> list[dict]:
+    """Median seconds per call of one fixed-size kernel per module, in dependency order."""
+    sys.path.insert(0, os.path.join(ROOT, "src"))
+    from serrecalc import homology, ideals, pbw, predictions, series, weights
+
+    window = ideals.a1(weights.nonsplit_context(5, []), weights.WeightProfile.from_tags(["X0"] * 5), 1)
+    pairing = homology.pairing_ideal(5)
+    cold = lambda cached, *args: lambda: (cached.cache_clear(), cached(*args))
+    cases = [
+        ("series.expand", "(3 + t)^10 / (1 - t)^10 to degree 200",
+         lambda: series.expand(series.RationalSeries(series.IntPoly.of(3, 1) ** 10, 10), 200)),
+        ("weights._pss_list", "f = 8", cold(weights._pss_list, 8)),
+        ("ideals.numerator", "a1(i = 1) of X0^5, nonsplit f = 5, J_rho = {}, bigraded",
+         lambda: ideals.numerator(window, ideals.Monomial.bigrade)),
+        ("homology.taylor_profile", "pairing_ideal(5)", lambda: homology.taylor_profile(pairing)),
+        ("homology.hochster_profile", "pairing_ideal(5)", lambda: homology.hochster_profile(pairing)),
+        ("pbw.pbw_basis", "f = 6, n = 3", cold(pbw.pbw_basis, 6, 3)),
+        ("predictions.semisimple_match", "nonsplit f = 4, J_rho = {}, i0 = 1",
+         lambda: predictions.semisimple_match(weights.nonsplit_context(4, []), 1)),
+    ]
+    out = []
+    for name, size, call in cases:
+        timer = timeit.Timer(call)
+        loops = timer.autorange()[0]
+        runs = timer.repeat(repeats, loops)
+        out.append({"kernel": name, "input": size, "median_s": statistics.median(runs) / loops,
+                    "loops": loops, "repeats": repeats})
+    return out
+
+
 def src_lines() -> int:
     total = 0
     for path in sorted(glob.glob(os.path.join(ROOT, "src", "serrecalc", "*.py"))):
@@ -72,7 +109,7 @@ def main(argv: list[str]) -> int:
     if len(argv) != 1:
         print("usage: bench.py OUTPUT.json", file=sys.stderr)
         return 2
-    report = {"verify_all": verify_all(), "tier1": tier1()}
+    report = {"verify_all": verify_all(), "tier1": tier1(), "kernels": kernels()}
     report.update(
         src_lines=src_lines(),
         nproc=len(os.sched_getaffinity(0)),

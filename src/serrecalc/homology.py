@@ -18,7 +18,7 @@ from math import comb
 from typing import Iterable
 
 from .errors import SizeLimitError
-from .ideals import Monomial, MonomialIdeal
+from .ideals import Monomial, MonomialIdeal, Packing
 from .linalg import exact_rank, rank_mod_p
 from .series import Value
 
@@ -32,12 +32,12 @@ from .series import Value
 #: in ``exact_rank``.  The cap counts vertices, not that homology work.
 VERTEX_CAP = 12
 
-#: The Taylor complex has 2^n generator subsets.  On one core of a 2-vCPU
-#: x86-64 host, Python 3.11, ``taylor_profile`` took 6.9 s at 16 generators,
-#: 24.7 s at 17 and 95 s at 18; the pairing ideal at k = 6 (21) ran past 400 s.
-#: At the cap, 16 coordinate variables give every subset its own lcm, so
-#: 65,536 one-face blocks: 1.1 s, a traced peak of 19 MiB, and 35 MiB peak
-#: RSS for ``serrecalc tor --method taylor``.
+#: The Taylor complex has 2^n generator subsets.  On one core of a 2-vCPU x86-64
+#: host, Python 3.11, ``taylor_profile`` on the first n generators of the k = 6
+#: pairing ideal took 2.7 s at n = 16, 10.8 s at 17 and 43 s at 18, nearly all
+#: in ``exact_rank``.  At the cap, 16 coordinate variables give 65,536 one-face
+#: blocks: 0.16 s, a traced peak of 10.5 MiB and 26 MiB peak RSS for
+#: ``serrecalc tor --method taylor``.
 TAYLOR_CAP = 16
 
 
@@ -115,7 +115,8 @@ def taylor_profile(ideal: MonomialIdeal) -> list[int]:
     complex splits into blocks of equal lcm, and each block is a set of faces
     with the simplicial boundary: its reduced homology in degree k is Tor in
     position k + 1.  Subsets grow downward from their largest index, as in
-    ``ideals.numerator``, so each lcm is its parent's joined with one generator.
+    ``ideals.numerator``, so each lcm is its parent's joined with one generator:
+    one ``Packing.lcm`` on packed ints, which also key the blocks.
     """
     gens = ideal.gens
     n = len(gens)
@@ -125,9 +126,9 @@ def taylor_profile(ideal: MonomialIdeal) -> list[int]:
 
     # the lcms live in the variables some generator uses; the others only lengthen each block key
     used = [j for j in range(ideal.ambient) if any(g.exps[j] for g in gens)]
-    gens = tuple(Monomial(tuple(g.exps[j] for j in used)) for g in gens)
-    blocks: defaultdict[tuple[int, ...], array] = defaultdict(partial(array, "I"))
-    _walk(gens, blocks, Monomial.one(len(used)), 0, n)
+    pk = Packing.over(gens, len(used))
+    blocks: defaultdict[int, array] = defaultdict(partial(array, "I"))
+    _walk(tuple(pk.pack([g.exps[j] for j in used]) for g in gens), pk, blocks, 0, 0, n)
     out = [0] * (n + 1)
     for faces in blocks.values():
         for k, dim in homology_from_faces(faces).items():
@@ -135,16 +136,16 @@ def taylor_profile(ideal: MonomialIdeal) -> list[int]:
     return out
 
 
-def _walk(gens: tuple[Monomial, ...], blocks: defaultdict, m: Monomial, s_mask: int, top: int):
-    """File subset ``s_mask`` (lcm m) under its lcm, then its extensions by a least index below ``top``.
+def _walk(gens: tuple[int, ...], pk: Packing, blocks: defaultdict, m: int, s_mask: int, top: int):
+    """File subset ``s_mask`` under its packed lcm m, then its extensions by a least index below ``top``.
 
     A module-level function, not a closure that calls itself, so that no
     reference cycle keeps ``blocks`` alive after ``taylor_profile`` returns.
     Each block packs its masks, all below 2^TAYLOR_CAP, in an unsigned array.
     """
-    blocks[m.exps].append(s_mask)
+    blocks[m].append(s_mask)
     for i in range(top):  # i becomes the least index of S
-        _walk(gens, blocks, gens[i].lcm(m), s_mask | 1 << i, i)
+        _walk(gens, pk, blocks, pk.lcm(gens[i], m), s_mask | 1 << i, i)
 
 
 def profiles_agree(a: list[int], b: list[int]) -> bool:

@@ -201,7 +201,6 @@ def in_d(ctx: GaloisContext, profile: WeightProfile) -> bool:
 
 
 def in_pbar(ctx: GaloisContext, profile: WeightProfile) -> bool:
-    _require_reducible(ctx)
     if not in_p(ctx, profile):
         return False
     for j, s in enumerate(profile.entries):
@@ -324,10 +323,12 @@ def profile_stats(ctx: GaloisContext, profile: WeightProfile) -> ProfileStats:
 
 
 def a_histogram(ctx: GaloisContext, profiles: Iterable[WeightProfile]) -> dict[int, int]:
-    """How many of the profiles have each |A|."""
+    """How many of the profiles, all in P, have each |A|: the j outside J_rho, and those inside at x+1 or p-2-x."""
     out: dict[int, int] = {}
     for lam in profiles:
-        a = len(profile_stats(ctx, lam).a_set)
+        if not in_p(ctx, lam):  # some j has no t-rule, so no A
+            raise ProfileMembershipError(f"{lam!r} is not in P for this context")
+        a = sum(j not in ctx.j_rho or s in (Symbol.X1, Symbol.P2) for j, s in enumerate(lam.entries))
         out[a] = out.get(a, 0) + 1
     return out
 
@@ -381,7 +382,6 @@ def character_window(ctx: GaloisContext, profile: WeightProfile) -> CharacterWin
     V_chi collects the subsets J of J_rho with |(J \\ J'') Δ J'| <= 1, where
     J' marks the {x+2, p-3-x} coordinates and J'' the {x+1, p-2-x} ones.
     """
-    _require_reducible(ctx)
     if not in_p(ctx, profile):
         raise ProfileMembershipError(f"{profile!r} is not in P for this context")
     ent = profile.entries

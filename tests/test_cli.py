@@ -254,6 +254,9 @@ BAD_INPUT = {
     "verify-tor-f-6": ["verify", "--suite", "tor", "--f", "6"],
     "tor-taylor-above-cap": ["tor", "--gens", json.dumps([[int(i == j) for j in range(TAYLOR_CAP + 1)]
                                                           for i in range(TAYLOR_CAP + 1)]), "--method", "taylor"],
+    # two 20,000-variable rows, one with a 4,000-digit exponent: refused at the vertex cap, not slowed by packing
+    "hochster-wide-rows-huge-exponent": ["tor", "--gens", json.dumps([[1] * 20_000, [1] * 19_999 + [10**3999]]),
+                                         "--method", "hochster"],
     "tor-negative-max-i": ["tor", "--gens", "[[1,1,0],[0,1,1]]", "--max-i", "-2"],
     "k1cycle-f-zero": ["k1cycle", "--f", "0", "--i0", "-1", "--i0p", "0"],
     "k1cycle-above-f-cap": ["k1cycle", "--f", str(K1_CYCLE_F_CAP + 1), "--i0", "-1", "--i0p", "0"],

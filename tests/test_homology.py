@@ -19,8 +19,9 @@ from serrecalc.homology import (
     stanley_reisner_closed,
     taylor_profile,
 )
-from serrecalc.ideals import Monomial, MonomialIdeal
+from serrecalc.ideals import Monomial, MonomialIdeal, Packing, a1, hilbert, standard_counts_naive
 from serrecalc.linalg import PRIME_TEST_BOUND, is_prime, rank_mod_p
+from serrecalc.weights import WeightProfile, nonsplit_context
 
 
 def mono(n, *idx):
@@ -77,8 +78,8 @@ def test_taylor_size_cap():
 
 def test_taylor_walk_takes_one_lcm_per_subset(monkeypatch):
     calls = []
-    lcm = Monomial.lcm
-    monkeypatch.setattr(Monomial, "lcm", lambda a, b: calls.append(1) or lcm(a, b))
+    lcm = Packing.lcm
+    monkeypatch.setattr(Packing, "lcm", lambda pk, a, b: calls.append(1) or lcm(pk, a, b))
     ideal = pairing_ideal(4)
     n = len(ideal.gens)
     assert n == 10 and profiles_agree(taylor_profile(ideal), [stanley_reisner_closed(4, i) for i in range(5)])
@@ -224,6 +225,23 @@ def test_tor_oracles_share_only_the_homology_routine():
     assert ("serrecalc.homology", "homology_from_faces") in hochster & taylor
     leaked = sorted(".".join(key) for key in hochster & taylor - SHARED_BY_TOR_ORACLES)
     assert not leaked, f"the Tor oracles both call {', '.join(leaked)}"
+
+
+# the Hilbert series and its naive oracle share only the monomial value type
+SHARED_BY_HILBERT_ORACLES = {
+    ("serrecalc.ideals", "Monomial.__init__"),
+    ("serrecalc.ideals", "Monomial.degree"),
+}
+
+
+@pytest.mark.skipif(sys.version_info < (3, 11), reason="code objects carry co_qualname from Python 3.11")
+def test_hilbert_oracles_share_only_the_monomial_type():
+    ideal = a1(nonsplit_context(3, [0]), WeightProfile.from_tags(["X0"] * 3), 1)
+    engine = serrecalc_calls(hilbert, ideal)
+    naive = serrecalc_calls(standard_counts_naive, ideal, 5)
+    assert ("serrecalc.ideals", "Monomial.__init__") in engine & naive
+    leaked = sorted(".".join(key) for key in engine & naive - SHARED_BY_HILBERT_ORACLES)
+    assert not leaked, f"the Hilbert oracles both call {', '.join(leaked)}"
 
 
 def test_stanley_reisner_closed_values():

@@ -2,12 +2,14 @@ import gc
 from itertools import combinations, product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from serrecalc import ideals
 from serrecalc.ideals import (
     Monomial,
     MonomialIdeal,
+    Packing,
     a1,
     a_lambda,
     a_ss,
@@ -126,6 +128,43 @@ def test_intersect_membership(gens_a, gens_b, m):
     a = MonomialIdeal(3, tuple(gens_a))
     b = MonomialIdeal(3, tuple(gens_b))
     assert a.intersect(b).member(m) == (a.member(m) and b.member(m))
+    assert a.intersect(b) == MonomialIdeal(3, tuple(x.lcm(y) for x in a.gens for y in b.gens))  # minimal and sorted
+
+
+@st.composite
+def packed_pair(draw):
+    """(values, a, b): a packing's distinct exponents and two vectors of them; k = 2^(w-1) ranks fill each field."""
+    k = draw(st.sampled_from([1, 2, 3, 4, 5, 128, 129]) | st.integers(1, 300))
+    scale = draw(st.sampled_from([1, 3, 2**64 + 1]))  # exponents beyond 64 bits too
+    values = [r * scale for r in range(k)]
+    n = draw(st.integers(0, 6))
+    field = st.sampled_from([0, values[-1]]) | st.sampled_from(values)
+    return values, draw(st.tuples(*[field] * n)), draw(st.tuples(*[field] * n))
+
+
+@settings(max_examples=300, deadline=None)
+@given(packed_pair())
+@example(([0], (0, 0, 0), (0, 0, 0)))  # w = 1: the unit monomial
+@example(([0, 5], (), ()))  # zero-length vectors
+@example((list(range(2**15)), (2**15 - 1, 0), (2**15 - 2, 2**15 - 1)))  # w = 16, fields at 2^(w-1) - 1
+@example(([0, 1, 10**3999], (1,) * 20_000, (1,) * 19_999 + (10**3999,)))  # wide rows, one huge exponent: w = 3
+def test_packed_lcm_and_divides_match_the_tuple_methods(case):
+    values, a, b = case
+    pk = Packing(len(a), values)
+    assert pk.w == (len(values) - 1).bit_length() + 1
+    pa, pb = pk.pack(a), pk.pack(b)
+    assert pk.unpack(pa) == a and pk.unpack(pb) == b
+    assert pk.unpack(pk.lcm(pa, pb)) == Monomial(a).lcm(Monomial(b)).exps
+    assert pk.divides(pa, pb) == Monomial(a).divides(Monomial(b))
+    assert pk.divides(pb, pa) == Monomial(b).divides(Monomial(a))
+    assert pk.divides(pa, pk.lcm(pa, pb)) and pk.divides(pb, pk.lcm(pa, pb))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(*[st.integers(0, 2) | st.integers(0, 2**70)] * 3).map(Monomial), max_size=8))
+def test_minimal_generators_match_the_tuple_methods(pool):
+    want = sorted({m for m in pool if not any(g.divides(m) and g != m for g in pool)}, key=Monomial.sort_key)
+    assert MonomialIdeal(3, tuple(pool)).gens == tuple(want)
 
 
 def test_hilbert_examples():
@@ -182,13 +221,16 @@ def test_numerator_equals_the_full_subset_sum(gens):
     assert expand(hilbert(ideal), 6) == standard_counts_naive(ideal, 6)
 
 
-def test_numerator_walks_few_subsets_of_a_window_ideal():
+def test_numerator_walks_few_subsets_of_a_window_ideal(monkeypatch):
     """(y_j z_k products over 2-subsets) + (y_j z_j): 15 generators, 2^15 subsets."""
     ctx = nonsplit_context(5, [])
     ideal = a1(ctx, prof(*["X0"] * 5), 1)
-    faces = []
-    numerator(ideal, lambda m: faces.append(m) or m.degree)
+    faces, graded = [], []
+    add_faces = ideals._add_faces  # the walk calls itself through the module, so every face passes here
+    monkeypatch.setattr(ideals, "_add_faces", lambda *args: faces.append(args[3]) or add_faces(*args))
+    numerator(ideal, lambda m: graded.append(m) or m.degree)
     assert len(ideal.gens) == 15 and len(faces) < 2**15 // 16
+    assert len(graded) == len(set(graded)) == len(set(faces))  # one grade per distinct lcm
     assert expand(hilbert(ideal), 6) == standard_counts_naive(ideal, 6)
 
 

@@ -1,11 +1,13 @@
 import pytest
 
 from serrecalc.errors import ProfileMembershipError, UnsupportedCaseError
+from serrecalc.verify import reducible_contexts
 from serrecalc.weights import (
     Case,
     GaloisContext,
     TGen,
     WeightProfile,
+    a_histogram,
     character_window,
     count_by_A,
     enumerate_profiles,
@@ -119,6 +121,24 @@ def test_a_set_contains_jrho_complement(f):
             assert ctx.j_rho_c <= st_.a_set
             if ctx.case is Case.SPLIT:
                 assert len(st_.a_set) % 2 == 0
+
+
+@pytest.mark.parametrize("f", range(1, 5))
+def test_a_histogram_reads_a_without_profile_stats(f):
+    """|A| from the entries and J_rho alone equals len(a_set) on every profile that a_histogram is given.
+
+    Outside P both refuse the profile.
+    """
+    for ctx in reducible_contexts(f):
+        for which in ("P", "D") if ctx.case is Case.SPLIT else ("P", "Pbar"):
+            for lam in enumerate_profiles(ctx, which):
+                assert a_histogram(ctx, [lam]) == {len(profile_stats(ctx, lam).a_set): 1}, (ctx, lam)
+        for lam in enumerate_profiles(ctx, "Pss"):  # outside P, profile_stats has no t-rule and neither has A
+            if not in_p(ctx, lam):
+                with pytest.raises(ProfileMembershipError):
+                    profile_stats(ctx, lam)
+                with pytest.raises(ProfileMembershipError):
+                    a_histogram(ctx, [lam])
 
 
 @pytest.mark.parametrize("f", range(2, 6))
