@@ -8,7 +8,7 @@ It runs ``serrecalc verify --all --report json`` in a fresh process and
 records its wall time, the process's peak RSS and every record it printed,
 grouped by suite with each suite's summed ``elapsed_s``.  It then runs the
 tier-1 test command and records its wall time, exit code and summary line.
-Then it times one fixed-size kernel per module in this process, in
+Then it times fixed-size kernels, at least one per module, in this process, in
 dependency order: the median time per call over repeats, each repeat as
 many calls as ``timeit`` autoranges to (at least 0.2 s).  Cached kernels
 are timed cold, their cache cleared before each call; the caches of the
@@ -68,7 +68,7 @@ def tier1() -> dict:
 
 
 def kernels(repeats: int = 5) -> list[dict]:
-    """Median seconds per call of one fixed-size kernel per module, in dependency order."""
+    """Median seconds per call of fixed-size kernels, at least one per module, in dependency order."""
     sys.path.insert(0, os.path.join(ROOT, "src"))
     from serrecalc import homology, ideals, pbw, predictions, series, weights
 
@@ -84,6 +84,7 @@ def kernels(repeats: int = 5) -> list[dict]:
         ("homology.taylor_profile", "pairing_ideal(5)", lambda: homology.taylor_profile(pairing)),
         ("homology.hochster_profile", "pairing_ideal(5)", lambda: homology.hochster_profile(pairing)),
         ("pbw.pbw_basis", "f = 6, n = 3", cold(pbw.pbw_basis, 6, 3)),
+        ("pbw._tor1_dims", "f = 4, t = (YZ,) * 4, right", cold(pbw._tor1_dims, 4, (weights.TGen.YZ,) * 4, "right")),
         ("predictions.semisimple_match", "nonsplit f = 4, J_rho = {}, i0 = 1",
          lambda: predictions.semisimple_match(weights.nonsplit_context(4, []), 1)),
     ]

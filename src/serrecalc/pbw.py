@@ -3,17 +3,17 @@
 Monomials are normal ordered (all y's, then all z's, then all h's, each by
 index) and stored as exponent tuples (a_0..a_{f-1}, b_0..b_{f-1}, c_0..c_{f-1});
 y and z have degree 1 and h degree 2 (stored degrees, i.e. minus the module
-grading).  Everything is truncated at total degree n <= 3: that is the only
-regime any verification here needs, so larger n is rejected.  The basis is
-cut from ``series``' lattice-point walk: the exponent vectors of l1 norm
-< n, kept where the degree, which counts h twice, is < n.
+grading).  Products are truncated at total degree n <= 4; one straightening
+rule, exact in every degree, carries them.  The Tor_1 ranks need n = 3 only,
+so the basis stops there.  It is cut from ``series``' lattice-point walk:
+the exponent vectors of l1 norm < n, kept where the degree, which counts h
+twice, is < n.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 from math import comb
-from typing import Iterator
 
 from .linalg import exact_rank
 from .series import Value, _add_ball_points
@@ -23,9 +23,9 @@ Mono = tuple[int, ...]
 Elem = dict[Mono, int]
 
 
-def _check_n(n: int):
-    if not 1 <= n <= 3:
-        raise ValueError("truncation level n must be 1, 2 or 3")
+def _check_n(n: int, top: int):
+    if not 1 <= n <= top:
+        raise ValueError(f"truncation level n must be in 1..{top}")
 
 
 def mono_degree(m: Mono, f: int) -> int:
@@ -40,7 +40,7 @@ def mono_offset(m: Mono, f: int) -> tuple[int, ...]:
 @lru_cache(maxsize=None)
 def pbw_basis(f: int, n: int) -> tuple[Mono, ...]:
     """Normal-ordered monomials of degree < n, by degree then lexicographic."""
-    _check_n(n)
+    _check_n(n, 3)
     points: list[Mono] = []
     _add_ball_points([(0, n - 1)] * (3 * f), n - 1, [], points)
     return tuple(sorted((m for m in points if mono_degree(m, f) < n), key=lambda m: (mono_degree(m, f), m)))
@@ -61,62 +61,35 @@ def _add_term(acc: Elem, m: Mono, c: int):
             del acc[m]
 
 
-def gen_mul(elem: Elem, kind: str, j: int, f: int, n: int, side: str = "right") -> Elem:
-    """Multiply by the generator y_j / z_j / h_j on the given side, mod degree n.
+def gen_mul(elem: Elem, i: int, f: int, n: int) -> Elem:
+    """Right-multiply by the generator at exponent index i, mod degree n.
 
-    Straightening uses z_j y_j = y_j z_j - h_j; distinct indices commute and
-    h is central, so within degree < 3 all rewrite coefficients are +-1.
+    Index j is y_j, f + j is z_j and 2f + j is h_j.  h is central and distinct
+    indices commute, so only y_j has to pass anything: z_j^b y_j =
+    y_j z_j^b - b z_j^(b-1) h_j, exact in every degree.
     """
-    _check_n(n)
+    _check_n(n, 4)
     out: Elem = {}
     for m, c in elem.items():
-        if kind == "h":
-            terms = [(_bump(m, 2 * f + j), c)]
-        elif kind == "z":
-            if side == "right":
-                terms = [(_bump(m, f + j), c)]
-            else:
-                # z_j y_j^a = y_j^a z_j - a y_j^{a-1} h_j
-                terms = [(_bump(m, f + j), c)]
-                a = m[j]
-                if a:
-                    terms.append((_bump(_bump(m, j, -1), 2 * f + j), -a * c))
-        elif kind == "y":
-            if side == "right":
-                # y_j past z_j^b: z_j^b y_j = y_j z_j^b - b z_j^{b-1} h_j
-                terms = [(_bump(m, j), c)]
-                b = m[f + j]
-                if b:
-                    terms.append((_bump(_bump(m, f + j, -1), 2 * f + j), -b * c))
-            else:
-                terms = [(_bump(m, j), c)]
-        else:
-            raise ValueError(f"unknown generator kind {kind!r}")
+        terms = [(_bump(m, i), c)]
+        if i < f and m[f + i]:
+            terms.append((_bump(_bump(m, f + i, -1), 2 * f + i), -m[f + i] * c))
         for mono, coef in terms:
             if mono_degree(mono, f) < n:
                 _add_term(out, mono, coef)
     return out
 
 
-def _gen_sequence(m: Mono, f: int) -> Iterator[tuple[str, int]]:
-    for j in range(f):
-        yield from (("y", j),) * m[j]
-    for j in range(f):
-        yield from (("z", j),) * m[f + j]
-    for j in range(f):
-        yield from (("h", j),) * m[2 * f + j]
+def mono_mul(a: Mono, b: Mono, f: int, n: int) -> Elem:
+    """Product a * b of two normal-ordered monomials, truncated at degree n.
 
-
-def mono_mul(a: Mono, b: Mono, f: int, n: int, side: str = "right") -> Elem:
-    """Product of two normal-ordered monomials, truncated at degree n."""
-    if side == "right":
-        acc: Elem = {a: 1} if mono_degree(a, f) < n else {}
-        for kind, j in _gen_sequence(b, f):
-            acc = gen_mul(acc, kind, j, f, n, "right")
-        return acc
-    acc = {b: 1} if mono_degree(b, f) < n else {}
-    for kind, j in reversed(list(_gen_sequence(a, f))):
-        acc = gen_mul(acc, kind, j, f, n, "left")
+    a is multiplied on the right by b's generators in index order, which is
+    the normal order.
+    """
+    acc: Elem = {a: 1} if mono_degree(a, f) < n else {}
+    for i, e in enumerate(b):
+        for _ in range(e):
+            acc = gen_mul(acc, i, f, n)
     return acc
 
 

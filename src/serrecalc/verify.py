@@ -465,18 +465,18 @@ def _presentation_dims(
 
 
 def suite_pbw(fmax: int, syzygy_fmax: int) -> list[CheckRecord]:
-    # confluence of straightening and associativity on degree-1 elements
+    # confluence of straightening and associativity on degree-1 elements, at n = 4 so that three factors survive
     def products():
         for f in (1, 2):
             y = {tuple(1 if i == 0 else 0 for i in range(3 * f)): 1}
             z = {tuple(1 if i == f else 0 for i in range(3 * f)): 1}
-            yield _same(f"f={f} z*y*z", left=pbw_mul(pbw_mul(z, y, f, 3), z, f, 3),
-                        right=pbw_mul(z, pbw_mul(y, z, f, 3), f, 3))
+            yield _same(f"f={f} z*y*z", left=pbw_mul(pbw_mul(z, y, f, 4), z, f, 4),
+                        right=pbw_mul(z, pbw_mul(y, z, f, 4), f, 4))
             gens = [{m: 1} for m in pbw_basis(f, 3) if mono_degree(m, f) == 1]
             for i, j, k in product(range(len(gens)), repeat=3):
                 a, b, c = gens[i], gens[j], gens[k]
-                yield _same(f"f={f} generators {i},{j},{k}", left=pbw_mul(pbw_mul(a, b, f, 3), c, f, 3),
-                            right=pbw_mul(a, pbw_mul(b, c, f, 3), f, 3))
+                yield _same(f"f={f} generators {i},{j},{k}", left=pbw_mul(pbw_mul(a, b, f, 4), c, f, 4),
+                            right=pbw_mul(a, pbw_mul(b, c, f, 4), f, 4))
 
     def relations():
         for f in range(1, syzygy_fmax + 1):

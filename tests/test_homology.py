@@ -19,9 +19,11 @@ from serrecalc.homology import (
     stanley_reisner_closed,
     taylor_profile,
 )
-from serrecalc.ideals import Monomial, MonomialIdeal, Packing, a1, hilbert, standard_counts_naive
+from serrecalc.ideals import Monomial, MonomialIdeal, Packing, a1, a_lambda, hilbert, standard_counts_naive
 from serrecalc.linalg import PRIME_TEST_BOUND, is_prime, rank_mod_p
-from serrecalc.weights import WeightProfile, nonsplit_context
+from serrecalc.predictions import theta_lattice
+from serrecalc.series import expand
+from serrecalc.weights import WeightProfile, enumerate_profiles, nonsplit_context
 
 
 def mono(n, *idx):
@@ -242,6 +244,30 @@ def test_hilbert_oracles_share_only_the_monomial_type():
     assert ("serrecalc.ideals", "Monomial.__init__") in engine & naive
     leaked = sorted(".".join(key) for key in engine & naive - SHARED_BY_HILBERT_ORACLES)
     assert not leaked, f"the Hilbert oracles both call {', '.join(leaked)}"
+
+
+# the theta lattice and the Hilbert series it is counted against share only profile_stats and what it calls
+SHARED_BY_THETA_ORACLES = {
+    ("serrecalc.weights", "profile_stats"),
+    ("serrecalc.weights", "in_pss"),
+    ("serrecalc.weights", "j_set"),
+    ("serrecalc.weights", "_require_reducible"),
+    ("serrecalc.weights", "GaloisContext.j_rho_c"),
+    ("serrecalc.weights", "GaloisContext.reducible"),
+    ("serrecalc.weights", "WeightProfile.f"),
+    ("serrecalc.series", "Value.__init__"),
+}
+
+
+@pytest.mark.skipif(sys.version_info < (3, 11), reason="code objects carry co_qualname from Python 3.11")
+def test_theta_oracles_share_only_profile_stats():
+    ctx, i0 = nonsplit_context(3, [0]), 1
+    profiles = list(enumerate_profiles(ctx, "P"))
+    lattice = serrecalc_calls(lambda: [theta_lattice(ctx, lam, i0 + 4, i0) for lam in profiles])
+    series = serrecalc_calls(lambda: [expand(hilbert(a_lambda(ctx, lam)), ctx.f + 3) for lam in profiles])
+    assert ("serrecalc.weights", "profile_stats") in lattice & series
+    leaked = sorted(".".join(key) for key in lattice & series - SHARED_BY_THETA_ORACLES)
+    assert not leaked, f"the theta oracles both call {', '.join(leaked)}"
 
 
 def test_stanley_reisner_closed_values():

@@ -84,9 +84,15 @@ def test_distinct_indices_commute():
 
 def test_straightening_confluence():
     z, y = elem(1, z0=1), elem(1, y0=1)
-    lhs = pbw_mul(pbw_mul(z, y, 1, 3), z, 1, 3)
-    rhs = pbw_mul(z, pbw_mul(y, z, 1, 3), 1, 3)
+    lhs = pbw_mul(pbw_mul(z, y, 1, 4), z, 1, 4)
+    rhs = pbw_mul(z, pbw_mul(y, z, 1, 4), 1, 4)
     assert lhs == rhs
+
+
+def test_straightening_reaches_degree_three():
+    # (z0 y0) z0 = (y0 z0 - h0) z0 = y0 z0^2 - z0 h0
+    got = pbw_mul(pbw_mul(elem(1, z0=1), elem(1, y0=1), 1, 4), elem(1, z0=1), 1, 4)
+    assert got == {(1, 2, 0): 1, (0, 1, 1): -1}
 
 
 @settings(max_examples=60, deadline=None)
@@ -101,15 +107,33 @@ def test_associativity_degree_one(data):
         if c
     }
     a, b, c = make(), make(), make()
-    lhs = pbw_mul(pbw_mul(a, b, f, 3), c, f, 3)
-    rhs = pbw_mul(a, pbw_mul(b, c, f, 3), f, 3)
+    lhs = pbw_mul(pbw_mul(a, b, f, 4), c, f, 4)
+    rhs = pbw_mul(a, pbw_mul(b, c, f, 4), f, 4)
     assert lhs == rhs
 
 
-def test_mono_mul_sides_agree_on_commuting_input():
-    # with no shared index the two conventions coincide
-    a, b = (1, 0, 0, 0, 0, 0), (0, 0, 0, 1, 0, 0)
-    assert mono_mul(a, b, 2, 3, "right") == mono_mul(a, b, 2, 3, "left")
+def closed_product(a, b, f, n):
+    """a * b below degree 4: a + b, less a_{z_j} b_{y_j} (a + b - y_j - z_j + h_j) for each j."""
+    if mono_degree(a, f) + mono_degree(b, f) >= n:
+        return {}
+    total = [x + y for x, y in zip(a, b)]
+    out = {tuple(total): 1}
+    for j in range(f):
+        if a[f + j] and b[j]:
+            swapped = list(total)
+            swapped[j] -= 1
+            swapped[f + j] -= 1
+            swapped[2 * f + j] += 1
+            out[tuple(swapped)] = -a[f + j] * b[j]
+    return out
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("f", [1, 2, 3])
+def test_mono_mul_matches_the_commutator_formula(f, n):
+    basis = [m for m in product(range(n), repeat=3 * f) if mono_degree(m, f) < n]
+    for a, b in product(basis, repeat=2):
+        assert mono_mul(a, b, f, n) == closed_product(a, b, f, n), (a, b)
 
 
 def test_char_multiset_trivial_character():
