@@ -12,9 +12,10 @@ Then it times fixed-size kernels, at least one per module, in this process, in
 dependency order: the median time per call over repeats, each repeat as
 many calls as ``timeit`` autoranges to (at least 0.2 s).  Cached kernels
 are timed cold, their cache cleared before each call; the caches of the
-layers below stay warm.  Beside them go the ``src/`` line count, ``nproc``
-and the Python version.  Standard library only; the output path is the one
-argument.
+layers below stay warm.  Each kernel's ``peak_kib`` is the ``tracemalloc``
+peak of one such call, made before the timed repeats.  Beside them go the
+``src/`` line count, ``nproc`` and the Python version.  Standard library
+only; the output path is the one argument.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ import subprocess
 import sys
 import time
 import timeit
+import tracemalloc
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 TIER1_ARGS = ["-m", "pytest", "-q", "--continue-on-collection-errors"]
@@ -74,6 +76,7 @@ def kernels(repeats: int = 5) -> list[dict]:
 
     window = ideals.a1(weights.nonsplit_context(5, []), weights.WeightProfile.from_tags(["X0"] * 5), 1)
     pairing = homology.pairing_ideal(5)
+    ns3, full = weights.nonsplit_context(3, [1, 2]), predictions.SubquotientSpec(-1, 3)
     cold = lambda cached, *args: lambda: (cached.cache_clear(), cached(*args))
     cases = [
         ("series.expand", "(3 + t)^10 / (1 - t)^10 to degree 200",
@@ -87,14 +90,20 @@ def kernels(repeats: int = 5) -> list[dict]:
         ("pbw._tor1_dims", "f = 4, t = (YZ,) * 4, right", cold(pbw._tor1_dims, 4, (weights.TGen.YZ,) * 4, "right")),
         ("predictions.semisimple_match", "nonsplit f = 4, J_rho = {}, i0 = 1",
          lambda: predictions.semisimple_match(weights.nonsplit_context(4, []), 1)),
+        ("predictions.gr_subquotient", "nonsplit f = 3, J_rho = {1, 2}, window (-1, 3), trunc 7",
+         lambda: predictions.gr_subquotient(ns3, full, 7)),
     ]
     out = []
     for name, size, call in cases:
+        tracemalloc.start()
+        call()
+        peak_kib = tracemalloc.get_traced_memory()[1] / 1024
+        tracemalloc.stop()
         timer = timeit.Timer(call)
         loops = timer.autorange()[0]
         runs = timer.repeat(repeats, loops)
         out.append({"kernel": name, "input": size, "median_s": statistics.median(runs) / loops,
-                    "loops": loops, "repeats": repeats})
+                    "loops": loops, "repeats": repeats, "peak_kib": peak_kib})
     return out
 
 

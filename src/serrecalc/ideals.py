@@ -371,13 +371,8 @@ def standard_monomials(ideal: MonomialIdeal, bound: int) -> list[list[Monomial]]
     return out
 
 
-@lru_cache(maxsize=1 << 12)
-def _unpack(c: int, f: int, bound: int) -> CharOffset:  # one offset recurs in many tables
-    return CharOffset(tuple(c // (2 * bound + 1) ** j % (2 * bound + 1) - bound for j in range(f)))
-
-
 def bigraded_difference(
-    big: MonomialIdeal, small: MonomialIdeal, f: int, trunc: int, shift: int
+    big: MonomialIdeal, small: MonomialIdeal, f: int, trunc: int, shift: int, offsets: dict | None = None
 ) -> BigradedSeries:
     """Character-refined table of big/small, degrees shifted down by ``shift``.
 
@@ -386,6 +381,11 @@ def bigraded_difference(
     factor at a time, and stores degree n at n - shift.  Equal ideals give
     the empty table without an expansion; past ``TABLE_CAP`` monomials
     there is none either.
+
+    ``offsets`` maps bound = trunc + shift to {packed offset: CharOffset}.
+    The tables of one call that pass the same dict (``gr_subquotient`` makes
+    one per window) share their offset objects; the module keeps nothing
+    between calls, and the default is a fresh dict.
     """
     if big.ambient != 2 * f or small.ambient != 2 * f:
         raise ValueError("ambient must be the paired y/z ring")
@@ -398,42 +398,54 @@ def bigraded_difference(
     # an offset c is one integer whose base-(2 bound + 1) digit j is c_j + bound;
     # |c_j| <= degree <= bound, so a step in one coordinate never carries
     base = 2 * bound + 1
+    powers = [base**j for j in range(f)]
     layers: list[dict[int, int]] = [{} for _ in range(bound + 1)]
     for (d, c), v in numerator(big, Monomial.bigrade, numerator(small, Monomial.bigrade), -1).items():
         if v and d <= bound:
-            key = sum((x + bound) * base**j for j, x in enumerate(c))
-            layers[d][key] = layers[d].get(key, 0) + v
-    # dividing by (1 - t x) turns S_d into S_d + x S_{d-1}, lowest degree first
-    for j in range(f):
-        for step in (base**j, -(base**j)):
+            layers[d][sum((x + bound) * p for x, p in zip(c, powers))] = v
+    # dividing by (1 - t x) turns S_d into S_d + x S_{d-1}, lowest degree first;
+    # the two numerators cancel in most entries (two thirds over the windows
+    # at f <= 3), and a zero is dropped so that later passes do not walk it
+    for p in powers:
+        for step in (p, -p):
             for d in range(1, bound + 1):
                 here = layers[d]
                 for c, v in layers[d - 1].items():
-                    here[c + step] = here.get(c + step, 0) + v
+                    c += step
+                    v += here.get(c, 0)
+                    if v:
+                        here[c] = v
+                    else:
+                        del here[c]
+    # c's digits depend on the bound, so each bound has its own memo
+    memo = ({} if offsets is None else offsets).setdefault(bound, {})
     entries = {}
     for d in range(shift, bound + 1):
         for c, v in layers[d].items():
             if v < 0:  # a monomial of small outside big
                 raise ValueError("multiplicities must be nonnegative")
-            if v:
-                entries[d - shift, _unpack(c, f, bound)] = v
+            off = memo.get(c)
+            if off is None:
+                off = memo[c] = CharOffset(tuple([c // p % base - bound for p in powers]))
+            entries[d - shift, off] = v
     return BigradedSeries(trunc, entries)
 
 
 def bigraded_quotient(
-    ctx: GaloisContext, lam: WeightProfile, i0: int, i0p: int, trunc: int
+    ctx: GaloisContext, lam: WeightProfile, i0: int, i0p: int, trunc: int, offsets: dict | None = None
 ) -> BigradedSeries:
     """The lambda-summand of the graded subquotient description.
 
     The table of the window a1(i0) / a1(i0p) between two members of the
     family, shifted so the first nonzero generators land in stored degree 0,
-    with character offsets relative to the anchor profile.
+    with character offsets relative to the anchor profile.  ``offsets`` is
+    passed to ``bigraded_difference``.
     """
     if not -1 <= i0 < i0p <= ctx.f:
         raise ValueError(f"need -1 <= i0 < i0p <= f, got ({i0}, {i0p})")
     stats, base = _family(ctx, lam)
     return bigraded_difference(
-        _member(ctx.f, stats, base, i0), _member(ctx.f, stats, base, i0p), ctx.f, trunc, d_shift(stats, i0)
+        _member(ctx.f, stats, base, i0), _member(ctx.f, stats, base, i0p), ctx.f, trunc, d_shift(stats, i0), offsets
     )
 
 

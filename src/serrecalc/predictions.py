@@ -113,12 +113,14 @@ def gr_subquotient(
     members i0 and i0p of its ideal family.  In the split context J1 = J2 = ∅,
     so the family is R below |J_lambda| and a(lambda) from there on: the table
     is R/a(lambda), unshifted, when i0 < |J_lambda| <= i0p, and zero otherwise.
+    The window's tables share one offsets dict: equal offsets at one bound are one object.
     """
     if not ctx.reducible:
         raise UnsupportedCaseError("graded subquotient data needs a reducible context")
     spec.check(ctx.f)
     n = default_trunc(ctx.f) if trunc is None else trunc
-    return [(lam, bigraded_quotient(ctx, lam, spec.i0, spec.i0p, n)) for lam in enumerate_profiles(ctx, "P")]
+    offsets: dict = {}
+    return [(lam, bigraded_quotient(ctx, lam, spec.i0, spec.i0p, n, offsets)) for lam in enumerate_profiles(ctx, "P")]
 
 
 def i1_invariants(ctx: GaloisContext, spec: SubquotientSpec) -> list[WeightProfile]:
@@ -138,17 +140,17 @@ def i1_invariants(ctx: GaloisContext, spec: SubquotientSpec) -> list[WeightProfi
 
 
 @lru_cache(maxsize=None)
-def _pss_shape_data(f: int) -> tuple[tuple[int, int, int], ...]:
-    """Per P^ss profile: (|J_lambda|, {x+2, p-3-x} mask, {x, p-1-x} mask)."""
+def _pss_shape_data(f: int) -> tuple[tuple[tuple[int, int, int], int], ...]:
+    """Each distinct P^ss shape (|J_lambda|, {x+2, p-3-x} mask, {x, p-1-x} mask) with its profile count."""
     from .weights import _pss_list
 
-    out = []
+    counts: dict[tuple[int, int, int], int] = {}
     for lam in _pss_list(f):
-        ell = len(j_set(lam))
         m23 = sum(1 << j for j, s in enumerate(lam.entries) if s in (Symbol.X2, Symbol.P3))
         m01 = sum(1 << j for j, s in enumerate(lam.entries) if s in (Symbol.X0, Symbol.P1))
-        out.append((ell, m23, m01))
-    return tuple(out)
+        shape = (len(j_set(lam)), m23, m01)
+        counts[shape] = counts.get(shape, 0) + 1
+    return tuple(counts.items())
 
 
 @lru_cache(maxsize=None)
@@ -157,12 +159,12 @@ def _i1_histograms(ctx: GaloisContext) -> tuple[dict, dict]:
     jmask = sum(1 << j for j in ctx.j_rho)
     hist_p: dict[tuple[int, int], int] = {}
     hist_ss: dict[int, int] = {}
-    for ell, m23, m01 in _pss_shape_data(ctx.f):
+    for (ell, m23, m01), count in _pss_shape_data(ctx.f):
         if m23 & ~jmask:
-            hist_ss[ell] = hist_ss.get(ell, 0) + 1
+            hist_ss[ell] = hist_ss.get(ell, 0) + count
         else:
             key = (ell, bin(m01 & ~jmask).count("1"))
-            hist_p[key] = hist_p.get(key, 0) + 1
+            hist_p[key] = hist_p.get(key, 0) + count
     return hist_p, hist_ss
 
 

@@ -264,15 +264,18 @@ def suite_gr_subquot(fmax: int, bigraded_fmax: int) -> list[CheckRecord]:
             )))
             out.append(_check("gr-subquot", f"f={f} window partition", partitions(f)))
     # the per-profile counting against the window tables at small f, split context included
-    table = cache(lambda ctx, spec: gr_subquotient(ctx, spec, trunc=2))
+    @cache
+    def summary(ctx, spec):  # the two values the checks read, so that no window's tables outlive it
+        data = gr_subquotient(ctx, spec, trunc=2)
+        return sum(b.total(0) for _, b in data), _tags(lam for lam, b in data if not b.is_zero())
+
     small = [w for f in range(1, bigraded_fmax + 1) for w in _window_cases(reducible_contexts(f))]
     out.append(_check("gr-subquot", f"degree-0 totals vs tables f<={bigraded_fmax}", (
-        _same(case, tables=sum(b.total(0) for _, b in table(ctx, spec)), degree0_total=i1_degree0_total(ctx, spec))
+        _same(case, tables=summary(ctx, spec)[0], degree0_total=i1_degree0_total(ctx, spec))
         for ctx, spec, case in small if ctx.case is Case.NONSPLIT
     )))
     out.append(_check("gr-subquot", f"nonzero summand index sets f<={bigraded_fmax}", (
-        _same(case, nonzero=_tags(lam for lam, b in table(ctx, spec) if not b.is_zero()),
-              stated=_summand_profiles(ctx, spec))
+        _same(case, nonzero=summary(ctx, spec)[1], stated=_summand_profiles(ctx, spec))
         for ctx, spec, case in small
     )))
     return out

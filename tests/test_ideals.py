@@ -30,7 +30,7 @@ from serrecalc.errors import ProfileMembershipError
 from serrecalc.homology import pairing_ideal, taylor_profile
 from serrecalc.pbw import pbw_basis
 from serrecalc.predictions import SubquotientSpec, _lambda_prime, gr_subquotient, semisimple_match, x_counts
-from serrecalc.series import IntPoly, RationalSeries, expand
+from serrecalc.series import CharOffset, IntPoly, RationalSeries, expand
 from serrecalc.verify import _presentation_dims, reducible_contexts
 from serrecalc.weights import (
     Case,
@@ -354,6 +354,45 @@ def test_bigraded_quotient_naive_cross_check(ctx, i0, i0p):
         raw = raw_table(lambda m: big.member(m) and not small.member(m), ctx.f, 4, shift)
         table = bigraded_quotient(ctx, lam, i0, i0p, 4)
         assert {(d, c.exps): v for (d, c), v in table.entries.items()} == raw, lam
+
+
+MIXED_SHIFT_WINDOWS = {
+    "f2-nonsplit-jrho-w0_2": (nonsplit_context(2, []), SubquotientSpec(0, 2)),
+    "f2-nonsplit-jrho0-w0_1": (nonsplit_context(2, [0]), SubquotientSpec(0, 1)),
+}
+
+
+@pytest.mark.parametrize("ctx,spec", MIXED_SHIFT_WINDOWS.values(), ids=MIXED_SHIFT_WINDOWS.keys())
+def test_window_tables_sharing_offsets_keep_their_bounds(ctx, spec):
+    """One gr_subquotient call spans several bounds trunc + shift; its shared offsets never cross them."""
+    trunc = 4
+    data = gr_subquotient(ctx, spec, trunc)
+    shifts = {lam: d_shift(profile_stats(ctx, lam), spec.i0) for lam, _ in data}
+    assert len({shifts[lam] for lam, table in data if not table.is_zero()}) >= 2
+    for lam, table in data:
+        big, small = a1(ctx, lam, spec.i0), a1(ctx, lam, spec.i0p)
+        raw = raw_table(lambda m: big.member(m) and not small.member(m), ctx.f, trunc, shifts[lam])
+        assert {(d, c.exps): v for (d, c), v in table.entries.items()} == raw, lam
+
+
+def _live_offsets() -> int:
+    return sum(1 for obj in gc.get_objects() if type(obj) is CharOffset)
+
+
+def test_window_offsets_are_shared_within_a_call_and_freed_after_it():
+    """The tables of one window share equal offsets as one object, and none outlives the tables."""
+    ctx, spec = nonsplit_context(3, [1, 2]), SubquotientSpec(-1, 3)
+    gc.collect()
+    before = _live_offsets()
+    data = gr_subquotient(ctx, spec, 7)
+    seen: dict[tuple[int, ...], CharOffset] = {}
+    for _, table in data:  # i0 = -1: every profile's shift is 0, so all tables share one bound
+        for _, c in table.entries:
+            assert seen.setdefault(c.exps, c) is c
+    assert len(seen) > 1
+    del data, seen, table, c
+    gc.collect()
+    assert _live_offsets() == before
 
 
 def test_bigraded_tables_of_non_squarefree_ideals():

@@ -33,7 +33,10 @@ from serrecalc.weights import (
     TGen,
     WeightProfile,
     PROFILE_F_CAP,
+    _pss_list,
     enumerate_profiles,
+    in_p,
+    j_set,
     nonsplit_context,
     profile_stats,
     split_context,
@@ -120,6 +123,24 @@ def test_i1_invariants_examples():
     idx = i1_invariants(ctx2, SubquotientSpec(0, 2))
     assert len(idx) == i1_degree0_total(ctx2, SubquotientSpec(0, 2))
     assert len(idx) == i1_cardinality(ctx2, SubquotientSpec(0, 2))
+
+
+@pytest.mark.parametrize("f", range(1, 5))
+def test_i1_histograms_recount_every_profile(f):
+    """The histograms from the distinct P^ss shapes equal a profile-by-profile recount."""
+    assert sum(count for _, count in predictions._pss_shape_data(f)) == len(_pss_list(f))
+    for ctx in verify.reducible_contexts(f):
+        hist_p: dict = {}
+        hist_ss: dict = {}
+        for lam in _pss_list(f):
+            if in_p(ctx, lam):
+                st = profile_stats(ctx, lam)
+                key = (st.ell, len(st.j1 | st.j2))
+                hist_p[key] = hist_p.get(key, 0) + 1
+            else:
+                ell = len(j_set(lam))
+                hist_ss[ell] = hist_ss.get(ell, 0) + 1
+        assert predictions._i1_histograms(ctx) == (hist_p, hist_ss), ctx
 
 
 def test_i1_degree0_total_worked():
