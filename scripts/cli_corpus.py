@@ -12,10 +12,12 @@ every subcommand over every context at f <= 2 (profiles over all six core
 symbols, so those outside P too), ``k1cycle`` up to f = 6 and at its cap,
 ``tor`` on the pairing ideals k <= 3, ``tor --method hochster`` and ``both``
 on the zero, unit and 12-coordinate ideals, the patched shapes at f <= 3 and
-an ideal padded with zero columns, each suite at ``verify --f 1`` and a list
-of usage errors.  ``serrecalc.cli.main`` runs in-process from this checkout's
-``src/``, under ``PYTHONHASHSEED=0`` (the script re-executes itself to set
-it) and an 80-column terminal for argparse.  Standard library only.
+an ideal padded with zero columns, each suite at ``verify --f 1``, a list
+of usage errors, and ``stats --from-json -`` on both accepted JSON shapes
+fed through stdin, whose lines also record that text.  ``serrecalc.cli.main``
+runs in-process from this checkout's ``src/``, under ``PYTHONHASHSEED=0``
+(the script re-executes itself to set it) and an 80-column terminal for
+argparse.  Standard library only.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ import os
 import re
 import sys
 from itertools import combinations, product
+from unittest import mock
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SYMBOLS = ("X0", "X1", "X2", "P3", "P2", "P1")
@@ -76,6 +79,14 @@ USAGE_ERRORS = [
     ["verify", "--suite", "tor", "--f", "0"],
     ["verify", "--suite", "theta", "--f", "5"],
     ["verify", "--suite", "hilbert", "--report", "csv"],
+]
+# (argv, stdin): the profiles as a plain list of tag arrays, and as an object holding one under "profiles"
+PROFILES_JSON = '[["X0","X0"],["X1","P2"],["P3","P1"]]'
+STDIN_CASES = [
+    (["stats", *SPLIT2, "--from-json", "-"], PROFILES_JSON),
+    (["stats", *NONSPLIT2, "--from-json", "-", "--format", "table"], PROFILES_JSON),
+    (["stats", *SPLIT2, "--from-json", "-"], '{"profiles":%s}' % PROFILES_JSON),
+    (["stats", *NONSPLIT2, "--from-json", "-", "--format", "csv"], '{"profiles":%s}' % PROFILES_JSON),
 ]
 
 
@@ -151,10 +162,14 @@ def _digest(text: str) -> str:
     return hashlib.sha256(re.sub(r'"elapsed_s":[-+.0-9eE]+', '"elapsed_s":0', text).encode()).hexdigest()
 
 
-def run(main, argv: list[str]) -> dict:
-    """Exit code and output digests of one in-process ``main(argv)``; an escaping exception is recorded by type."""
+def run(main, argv: list[str], stdin: str = "") -> dict:
+    """Exit code and output digests of one in-process ``main(argv)`` reading ``stdin``.
+
+    An escaping exception is recorded by type.
+    """
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+    with (contextlib.redirect_stdout(out), contextlib.redirect_stderr(err),
+          mock.patch.object(sys, "stdin", io.StringIO(stdin))):
         try:
             code = main(argv)
         except SystemExit as exc:  # argparse's usage errors
@@ -177,6 +192,8 @@ def main() -> int:
     with open(sys.argv[1], "w") as fh:
         for argv in corpus():
             fh.write(json.dumps(run(cli_main, argv), sort_keys=True) + "\n")
+        for argv, stdin in STDIN_CASES:
+            fh.write(json.dumps({**run(cli_main, argv, stdin), "stdin": stdin}, sort_keys=True) + "\n")
     return 0
 
 

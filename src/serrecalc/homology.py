@@ -6,7 +6,7 @@ bit masks (squarefree ideals), and the homology of the Taylor complex on
 generator subsets (any monomial ideal).  They share only
 ``homology_from_faces`` and the rank below it, fed induced subcomplexes and
 blocks of equal lcm; a test checks that.  Ranks are exact integer ranks over
-the rationals; a prime-field mode is available for homology.
+the rationals.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from typing import Iterable
 
 from .errors import SizeLimitError
 from .ideals import Monomial, MonomialIdeal, Packing
-from .linalg import exact_rank, rank_mod_p
+from .linalg import exact_rank
 from .series import Value
 
 #: Hochster's formula lists the faces once and takes one homology per lcm
@@ -57,7 +57,7 @@ def _boundary_rows(upper: list[int], lower: list[int]) -> list[dict[int, int]]:
     return rows
 
 
-def homology_from_faces(faces: Iterable[int], char_p: int | None = None) -> dict[int, int]:
+def homology_from_faces(faces: Iterable[int]) -> dict[int, int]:
     """Reduced homology dims, keyed by homological degree (including -1).
 
     The empty complex (only the empty face) has H_{-1} of dimension 1; a
@@ -67,8 +67,7 @@ def homology_from_faces(faces: Iterable[int], char_p: int | None = None) -> dict
     by_card: dict[int, list[int]] = {}
     for mask in sorted(faces):
         by_card.setdefault(bin(mask).count("1"), []).append(mask)
-    rank = (lambda rows: rank_mod_p(rows, char_p)) if char_p else exact_rank
-    ranks = {k: rank(_boundary_rows(by_card[k], by_card[k - 1])) for k in by_card if k - 1 in by_card}
+    ranks = {k: exact_rank(_boundary_rows(by_card[k], by_card[k - 1])) for k in by_card if k - 1 in by_card}
     dims: dict[int, int] = {}
     for k in sorted(by_card):
         dim = len(by_card[k]) - ranks.get(k, 0) - ranks.get(k + 1, 0)
@@ -77,7 +76,7 @@ def homology_from_faces(faces: Iterable[int], char_p: int | None = None) -> dict
     return dims
 
 
-def hochster_profile(ideal: MonomialIdeal, char_p: int | None = None) -> list[int]:
+def hochster_profile(ideal: MonomialIdeal) -> list[int]:
     """dim Tor_i(F, R/I) for i = 0..n by Hochster's formula over the lcm lattice.
 
     The generators' supports are the minimal non-faces of the Stanley-Reisner
@@ -102,7 +101,7 @@ def hochster_profile(ideal: MonomialIdeal, char_p: int | None = None) -> list[in
     out = [0] * (n + 1)
     for w in lattice:
         size = w.bit_count()
-        for k, dim in homology_from_faces([s for s in faces if s & ~w == 0], char_p).items():
+        for k, dim in homology_from_faces([s for s in faces if s & ~w == 0]).items():
             out[size - k - 1] += dim
     return out
 

@@ -67,32 +67,3 @@ def is_prime(n: int) -> bool:
             return False
     return True
 
-
-def rank_mod_p(rows: Iterable[dict[int, int]], p: int) -> int:
-    """Rank over the prime field F_p.
-
-    A modulus that is not prime is rejected: pivot inverses need a field,
-    and over Z/4 the elimination below would never terminate.
-    """
-    if not is_prime(p):
-        raise ValueError(f"rank mod {p}: the modulus must be prime")
-    pivots: dict[int, dict[int, int]] = {}
-    rank = 0
-    for raw in rows:
-        row = {c: v % p for c, v in raw.items() if v % p}
-        while row:
-            lead = min(row)
-            piv = pivots.get(lead)
-            if piv is None:
-                inv = pow(row[lead], p - 2, p)
-                pivots[lead] = {c: (v * inv) % p for c, v in row.items()}
-                rank += 1
-                break
-            b = row[lead]
-            new = {}
-            for c in row.keys() | piv.keys():
-                v = (row.get(c, 0) - piv.get(c, 0) * b) % p
-                if v:
-                    new[c] = v
-            row = new
-    return rank

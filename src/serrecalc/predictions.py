@@ -394,20 +394,22 @@ def x_counts(ctx: GaloisContext, lam: WeightProfile) -> XCounts:
                 break
             if hits:
                 break
-    expected = (1, 2 * f - k, 2 * f * f - 2 * k * f + comb(k + 1, 2))
+    expected = shell_sizes(f, k)
     return XCounts(counts[0], counts[1], counts[2], expected, tuple(counts) == expected)
+
+
+def shell_sizes(f: int, k: int) -> tuple[int, int, int]:
+    """Closed sizes of the depth-0/1/2 shells: 1, 2f - k and 2f^2 - 2kf + C(k+1, 2)."""
+    return (1, 2 * f - k, 2 * f * f - 2 * k * f + comb(k + 1, 2))
 
 
 def shell_aggregate(f: int, k: int) -> int:
     """The three-shell aggregate of the rank total.
 
-    The Ext^1 lower bound, plus the depth-1 and depth-2 shell sizes of
-    ``x_counts`` weighted by the closed Ext^1 dimension and by 2f.
+    The Ext^1 lower bound, plus the closed depth-1 and depth-2 shell sizes
+    that ``x_counts`` checks, weighted by the closed Ext^1 dimension and by 2f.
     """
     if not 0 <= k <= f:
         raise ValueError("need 0 <= k <= f")
-    return (
-        ext1_lower_bound(f, k)
-        + (2 * f - k) * ext_closed(f, k)[1]
-        + (2 * f * f - 2 * k * f + comb(k + 1, 2)) * 2 * f
-    )
+    _, x1, x2 = shell_sizes(f, k)
+    return ext1_lower_bound(f, k) + x1 * ext_closed(f, k)[1] + x2 * 2 * f

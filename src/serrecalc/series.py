@@ -116,10 +116,6 @@ class IntPoly(Value):
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def degree(self) -> int:
-        """Degree, with the convention deg 0 = -1."""
-        return len(self.coeffs) - 1
-
     def coeff(self, d: int) -> int:
         return self.coeffs[d] if 0 <= d < len(self.coeffs) else 0
 
@@ -220,13 +216,6 @@ class RationalSeries(Value):
     def __add__(self, other: "RationalSeries") -> "RationalSeries":
         p = max(self.pole, other.pole)
         return RationalSeries(self.lift(p).num + other.lift(p).num, p)
-
-    def __sub__(self, other: "RationalSeries") -> "RationalSeries":
-        p = max(self.pole, other.pole)
-        return RationalSeries(self.lift(p).num - other.lift(p).num, p)
-
-    def scale(self, a: int) -> "RationalSeries":
-        return RationalSeries(self.num.scale(a), self.pole)
 
     def at_zero(self) -> int:
         return self.num.coeff(0)

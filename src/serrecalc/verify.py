@@ -402,15 +402,17 @@ def suite_patched(fmax: int) -> list[CheckRecord]:
     return [_check("patched", f"f={f} intersection generators", intersections(f)) for f in range(1, fmax + 1)]
 
 
-def _presentation_dims(
-    ctx: GaloisContext, lam: WeightProfile, i0: int, dmax: int = 3
-) -> tuple[list[int], list[int]]:
-    """Per degree up to dmax, the window presentation's kernel and the span of its listed relations.
+#: the highest stored degree in which the window presentation is checked
+PRESENTATION_DMAX = 3
+
+
+def _presentation_dims(ctx: GaloisContext, lam: WeightProfile, i0: int) -> tuple[list[int], list[int]]:
+    """Per degree up to ``PRESENTATION_DMAX``, the window presentation's kernel and its relations' span.
 
     The free module on the degree-d products maps onto the window over the
-    quotient ring; the kernel in stored degrees <= dmax must be spanned by
-    the degree-1 relations (kill the paired variable, exchange across a
-    (d+1)-subset).
+    quotient ring; the kernel in stored degrees <= ``PRESENTATION_DMAX`` must
+    be spanned by the degree-1 relations (kill the paired variable, exchange
+    across a (d+1)-subset).
     """
     f = ctx.f
     st = profile_stats(ctx, lam)
@@ -427,7 +429,7 @@ def _presentation_dims(
     def partner(j: int) -> Monomial:
         return z_var(f, j) if j in st.j1 else y_var(f, j)
 
-    std = standard_monomials(base, dmax)
+    std = standard_monomials(base, PRESENTATION_DMAX)
 
     relations: list[dict[tuple[int, Monomial], int]] = []
     for gi, J in enumerate(gens):
@@ -439,7 +441,7 @@ def _presentation_dims(
             relations.append({(gen_index[Jp - {a}], var[a]): 1, (gen_index[Jp - {b}], var[b]): -1})
 
     kernel_dims, span_dims = [], []
-    for deg in range(dmax + 1):
+    for deg in range(PRESENTATION_DMAX + 1):
         cols = [(gi, m) for gi in range(len(gens)) for m in std[deg]]
         col_index = {c: i for i, c in enumerate(cols)}
         # column (gi, m) maps to m * p(gens[gi]) in the quotient ring: one monomial or zero,

@@ -144,9 +144,6 @@ class WeightProfile(Value):
     def from_tags(tags: Iterable[str]) -> "WeightProfile":
         return WeightProfile(tuple(Symbol(t) for t in tags))
 
-    def sort_key(self) -> tuple[int, ...]:
-        return tuple(SYMBOL_INDEX[s] for s in self.entries)
-
     def __repr__(self):
         return "WeightProfile(%s)" % ",".join(self.tags())
 
@@ -236,7 +233,7 @@ def _allowed_next(s: Symbol) -> frozenset[Symbol]:
 def _add_pss(f: int, prefix: list[Symbol], out: list[WeightProfile]):
     """Append, in lexicographic symbol order, the profiles of P^ss that begin with ``prefix``."""
     if len(prefix) == f:
-        if prefix[-1] is not None and prefix[0] in _allowed_next(prefix[-1]):
+        if prefix[0] in _allowed_next(prefix[-1]):
             out.append(WeightProfile(tuple(prefix)))
         return
     pool = CORE_SYMBOLS if not prefix else [s for s in CORE_SYMBOLS if s in _allowed_next(prefix[-1])]

@@ -1,8 +1,9 @@
 import sys
+from fractions import Fraction
 from itertools import combinations
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from serrecalc import homology
@@ -20,7 +21,7 @@ from serrecalc.homology import (
     taylor_profile,
 )
 from serrecalc.ideals import Monomial, MonomialIdeal, Packing, a1, a_lambda, hilbert, standard_counts_naive
-from serrecalc.linalg import PRIME_TEST_BOUND, is_prime, rank_mod_p
+from serrecalc.linalg import PRIME_TEST_BOUND, exact_rank, is_prime
 from serrecalc.predictions import theta_lattice
 from serrecalc.series import expand
 from serrecalc.weights import WeightProfile, enumerate_profiles, nonsplit_context
@@ -131,13 +132,6 @@ def test_oracles_agree_on_random_squarefree(supports):
     top = max(len(tay), len(hoch))
     pad = lambda xs: xs + [0] * (top - len(xs))
     assert pad(tay) == pad(hoch)
-
-
-@pytest.mark.parametrize("k", range(1, 5))
-def test_homology_characteristic_free_on_corpus(k):
-    ideal = pairing_ideal(k)
-    assert hochster_profile(ideal) == hochster_profile(ideal, char_p=5)
-    assert hochster_profile(ideal) == hochster_profile(ideal, char_p=2)
 
 
 def test_oracles_agree_on_profile_ideals_f4():
@@ -300,15 +294,34 @@ def test_ext1_lower_bound_examples():
             assert ext1_lower_bound(f, k) == 2 * f * e[1] - e[2], (f, k)
 
 
-def test_composite_modulus_rejected():
-    # over Z/4 the elimination never terminated; both public entry points reach it
-    ideal = pairing_ideal(1)
-    with pytest.raises(ValueError, match="prime"):
-        hochster_profile(ideal, char_p=4)
-    with pytest.raises(ValueError, match="prime"):
-        homology_from_faces([0b00, 0b01, 0b10], 4)
-    with pytest.raises(ValueError, match="prime"):
-        rank_mod_p([{0: 2, 1: 1}, {0: 1}], 4)
+def fraction_rank(rows: list[dict[int, int]], ncols: int) -> int:
+    """Rank by Gaussian elimination over ``Fraction``: the reference for ``exact_rank``."""
+    matrix = [[Fraction(row.get(c, 0)) for c in range(ncols)] for row in rows]
+    rank = 0
+    for c in range(ncols):
+        pivot = next((r for r in range(rank, len(matrix)) if matrix[r][c]), None)
+        if pivot is None:
+            continue
+        matrix[rank], matrix[pivot] = matrix[pivot], matrix[rank]
+        for r in range(rank + 1, len(matrix)):
+            ratio = matrix[r][c] / matrix[rank][c]
+            matrix[r] = [a - ratio * b for a, b in zip(matrix[r], matrix[rank])]
+        rank += 1
+    return rank
+
+
+# a sparse row with entries in -3..3, all multiples of a common factor g in 1..3
+sparse_row = st.integers(1, 3).flatmap(
+    lambda g: st.dictionaries(st.integers(0, 5), st.integers(-(3 // g), 3 // g).map(lambda v: g * v), max_size=6)
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(sparse_row, max_size=6))
+@example([{0: 2, 1: 2}, {0: 3, 2: 3}])  # each pivot's content is stripped
+@example([{0: 1, 1: 1}, {0: 1, 1: 3}, {1: 2, 2: 1}])  # a reduced row {1: 2} has content 2
+def test_exact_rank_matches_fraction_elimination(rows):
+    assert exact_rank(rows) == fraction_rank(rows, 6)
 
 
 def test_hochster_rejects_non_squarefree():
