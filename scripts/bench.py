@@ -77,6 +77,7 @@ def kernels(repeats: int = 5) -> list[dict]:
     window = ideals.a1(weights.nonsplit_context(5, []), weights.WeightProfile.from_tags(["X0"] * 5), 1)
     pairing = homology.pairing_ideal(5)
     ns3, full = weights.nonsplit_context(3, [1, 2]), predictions.SubquotientSpec(-1, 3)
+    ns4, full4 = weights.nonsplit_context(4, [0, 2]), predictions.SubquotientSpec(-1, 4)
     cold = lambda cached, *args: lambda: (cached.cache_clear(), cached(*args))
     cases = [
         ("series.expand", "(3 + t)^10 / (1 - t)^10 to degree 200",
@@ -92,6 +93,8 @@ def kernels(repeats: int = 5) -> list[dict]:
          lambda: predictions.semisimple_match(weights.nonsplit_context(4, []), 1)),
         ("predictions.gr_subquotient", "nonsplit f = 3, J_rho = {1, 2}, window (-1, 3), trunc 7",
          lambda: predictions.gr_subquotient(ns3, full, 7)),
+        ("predictions.gr_subquotient", "nonsplit f = 4, J_rho = {0, 2}, window (-1, 4), trunc 8",
+         lambda: predictions.gr_subquotient(ns4, full4, 8)),
     ]
     out = []
     for name, size, call in cases:

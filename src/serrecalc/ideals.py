@@ -21,16 +21,17 @@ from .weights import GaloisContext, ProfileStats, TGen, WeightProfile, in_p, pro
 
 #: ``numerator`` walks up to 2^(#gens) subsets, one sign kept per distinct lcm.
 #: On one core of a 2-vCPU x86-64 host shared with other jobs, Python 3.11, the
-#: largest window ideal at f = 5 (15 generators) took 7 ms; 20 coordinate
-#: variables (2^20 distinct lcms) took 12 s and 95 MiB peak RSS, and each
-#: further generator about doubles both.
+#: largest window ideal at f = 5 (15 generators) took 7 ms; ``hilbert`` of 20
+#: coordinate variables (2^20 distinct lcms) took 13 s and 96 MiB peak RSS
+#: (median of three processes), and each further generator about doubles both.
 GENERATOR_CAP = 22
 
 #: ``bigraded_difference`` expands a table over the C(trunc + shift + 2f, 2f)
 #: monomials of degree <= trunc + shift in 2f variables.  On one core of a
-#: 2-vCPU x86-64 host, Python 3.11, one table took 2.4 s at 480,700 monomials
-#: (f = 9, degree 7) and 4.6 s at 888,030 (f = 10, degree 7); the cost per
-#: monomial grows with f, and the largest table a check builds has 8,008.
+#: 2-vCPU x86-64 host, Python 3.11, the table of R itself up to degree 7, built
+#: through a window's shared offsets dict, took 1.4 s and 117 MiB peak RSS at
+#: 480,700 monomials (f = 9) and 2.5-3.1 s and 212 MiB at 888,030 (f = 10); the
+#: cost per monomial grows with f, and the largest table a check builds has 8,008.
 TABLE_CAP = 500_000
 
 
@@ -382,10 +383,11 @@ def bigraded_difference(
     the empty table without an expansion; past ``TABLE_CAP`` monomials
     there is none either.
 
-    ``offsets`` maps bound = trunc + shift to {packed offset: CharOffset}.
-    The tables of one call that pass the same dict (``gr_subquotient`` makes
-    one per window) share their offset objects; the module keeps nothing
-    between calls, and the default is a fresh dict.
+    ``offsets`` maps bound = trunc + shift to {packed offset: CharOffset}, and
+    (bound, stored degree n) to {packed offset: key (n, CharOffset)}.  The
+    tables of one call that pass the same dict (``gr_subquotient`` makes one
+    per window) share their offset objects and their entry keys; the module
+    keeps nothing between calls, and the default is a fresh dict.
     """
     if big.ambient != 2 * f or small.ambient != 2 * f:
         raise ValueError("ambient must be the paired y/z ring")
@@ -417,17 +419,25 @@ def bigraded_difference(
                         here[c] = v
                     else:
                         del here[c]
-    # c's digits depend on the bound, so each bound has its own memo
-    memo = ({} if offsets is None else offsets).setdefault(bound, {})
+    # c's digits depend on the bound, so each bound has its own memo: one CharOffset
+    # per c under bound, one key (n, CharOffset) per c under (bound, n)
+    memo = {} if offsets is None else offsets
+    shared = memo.setdefault(bound, {})
+    del layers[:shift]  # below stored degree 0; layers[n] is stored degree n from here on
     entries = {}
-    for d in range(shift, bound + 1):
-        for c, v in layers[d].items():
+    for n in range(trunc + 1):
+        layer, layers[n] = layers[n], None  # each layer goes once it is converted
+        keys = memo.setdefault((bound, n), {})
+        for c, v in layer.items():
             if v < 0:  # a monomial of small outside big
                 raise ValueError("multiplicities must be nonnegative")
-            off = memo.get(c)
-            if off is None:
-                off = memo[c] = CharOffset(tuple([c // p % base - bound for p in powers]))
-            entries[d - shift, off] = v
+            key = keys.get(c)
+            if key is None:
+                off = shared.get(c)
+                if off is None:
+                    off = shared[c] = CharOffset(tuple([c // p % base - bound for p in powers]))
+                key = keys[c] = (n, off)
+            entries[key] = v
     return BigradedSeries(trunc, entries)
 
 

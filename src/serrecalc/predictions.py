@@ -113,7 +113,8 @@ def gr_subquotient(
     members i0 and i0p of its ideal family.  In the split context J1 = J2 = ∅,
     so the family is R below |J_lambda| and a(lambda) from there on: the table
     is R/a(lambda), unshifted, when i0 < |J_lambda| <= i0p, and zero otherwise.
-    The window's tables share one offsets dict: equal offsets at one bound are one object.
+    The window's tables share one offsets dict: equal offsets, and equal entry
+    keys, at one bound are one object, so keys may be shared between tables.
     """
     if not ctx.reducible:
         raise UnsupportedCaseError("graded subquotient data needs a reducible context")
@@ -365,17 +366,22 @@ class XCounts(Value):
 
 
 def x_counts(ctx: GaloisContext, lam: WeightProfile) -> XCounts:
-    """Sizes of the depth-0/1/2 character shells around a profile.
+    """Counted sizes of the depth-0/1/2 character shells around a profile, against ``shell_sizes``."""
+    st = profile_stats(ctx, lam)
+    counts, expected = shell_counts(ctx.f, st.eps), shell_sizes(ctx.f, st.k)
+    return XCounts(*counts, expected, counts == expected)
+
+
+def shell_counts(f: int, eps: tuple[tuple[int, int], ...]) -> tuple[int, ...]:
+    """Sizes of the depth-0/1/2 character shells, counted one offset at a time.
 
     The local membership model accepts an offset iff each coordinate in the
-    linear-generator support moves by 0 or its sign and every other
-    coordinate stays put; shells are cut out of the radius-2 ball using the
-    degree-0/1/2 character multisets of the truncated algebra, staying
-    inside the radius-4 ball where the model is faithful.
+    linear-generator support (the signs ``eps``) moves by 0 or its sign and
+    every other coordinate stays put; shells are cut out of the radius-2 ball
+    using the degree-0/1/2 character multisets of the truncated algebra,
+    staying inside the radius-4 ball where the model is faithful.
     """
-    st = profile_stats(ctx, lam)
-    f, k = ctx.f, st.k
-    eps = dict(st.eps)
+    eps = dict(eps)
     box: list[tuple[int, ...]] = []
     _add_ball_points([(min(0, eps.get(j, 0)), max(0, eps.get(j, 0))) for j in range(f)], f, [], box)
     member = set(box)
@@ -394,8 +400,7 @@ def x_counts(ctx: GaloisContext, lam: WeightProfile) -> XCounts:
                 break
             if hits:
                 break
-    expected = shell_sizes(f, k)
-    return XCounts(counts[0], counts[1], counts[2], expected, tuple(counts) == expected)
+    return tuple(counts)
 
 
 def shell_sizes(f: int, k: int) -> tuple[int, int, int]:

@@ -268,8 +268,8 @@ class CharOffset(Value):
     def __eq__(self, other):
         return self.exps == other.exps if other.__class__ is self.__class__ else NotImplemented
 
-    def __hash__(self):
-        return hash((self.exps,))
+    def __hash__(self):  # every table entry stored hashes its key's offset
+        return hash(self.exps)
 
 
 class BigradedSeries:
@@ -279,7 +279,8 @@ class BigradedSeries:
     Absent keys mean multiplicity zero.  The one builder,
     ``ideals.bigraded_difference``, hands over a dict of positive entries in
     degrees 0..trunc, which is stored as it is; instances are immutable by
-    convention after construction.
+    convention after construction.  The tables of one ``gr_subquotient``
+    call may share their key tuples and offsets.
     """
 
     def __init__(self, trunc: int, entries: dict[tuple[int, CharOffset], int]):

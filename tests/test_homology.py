@@ -22,9 +22,9 @@ from serrecalc.homology import (
 )
 from serrecalc.ideals import Monomial, MonomialIdeal, Packing, a1, a_lambda, hilbert, standard_counts_naive
 from serrecalc.linalg import PRIME_TEST_BOUND, exact_rank, is_prime
-from serrecalc.predictions import theta_lattice
+from serrecalc.predictions import shell_counts, shell_sizes, theta_lattice
 from serrecalc.series import expand
-from serrecalc.weights import WeightProfile, enumerate_profiles, nonsplit_context
+from serrecalc.weights import WeightProfile, enumerate_profiles, nonsplit_context, profile_stats
 
 
 def mono(n, *idx):
@@ -262,6 +262,21 @@ def test_theta_oracles_share_only_profile_stats():
     assert ("serrecalc.weights", "profile_stats") in lattice & series
     leaked = sorted(".".join(key) for key in lattice & series - SHARED_BY_THETA_ORACLES)
     assert not leaked, f"the theta oracles both call {', '.join(leaked)}"
+
+
+# x_counts' counted shells and the closed shell sizes share only profile_stats and what it calls, as theta's do
+SHARED_BY_SHELL_ORACLES = SHARED_BY_THETA_ORACLES
+
+
+@pytest.mark.skipif(sys.version_info < (3, 11), reason="code objects carry co_qualname from Python 3.11")
+def test_shell_oracles_share_only_profile_stats():
+    ctx = nonsplit_context(3, [0])
+    profiles = list(enumerate_profiles(ctx, "P"))
+    counted = serrecalc_calls(lambda: [shell_counts(ctx.f, profile_stats(ctx, lam).eps) for lam in profiles])
+    closed = serrecalc_calls(lambda: [shell_sizes(ctx.f, profile_stats(ctx, lam).k) for lam in profiles])
+    assert ("serrecalc.weights", "profile_stats") in counted & closed
+    leaked = sorted(".".join(key) for key in counted & closed - SHARED_BY_SHELL_ORACLES)
+    assert not leaked, f"the shell oracles both call {', '.join(leaked)}"
 
 
 def test_stanley_reisner_closed_values():

@@ -395,6 +395,42 @@ def test_window_offsets_are_shared_within_a_call_and_freed_after_it():
     assert _live_offsets() == before
 
 
+KEYED_WINDOWS = {
+    "f3-nonsplit-jrho12-w-1_3": (nonsplit_context(3, [1, 2]), SubquotientSpec(-1, 3), 7),
+    "f4-nonsplit-jrho02-w1_4": (nonsplit_context(4, [0, 2]), SubquotientSpec(1, 4), 4),
+}
+
+
+@pytest.mark.parametrize("ctx,spec,trunc", KEYED_WINDOWS.values(), ids=KEYED_WINDOWS.keys())
+def test_window_keys_are_shared_within_a_call(ctx, spec, trunc):
+    """At one bound trunc + shift, the tables of one window share equal entry keys as one tuple, freed with them."""
+    gc.collect()
+    before = _live_offsets()
+    data = gr_subquotient(ctx, spec, trunc)
+    seen: dict[tuple, tuple[int, CharOffset]] = {}
+    for lam, table in data:
+        bound = trunc + d_shift(profile_stats(ctx, lam), spec.i0)
+        for key in table.entries:
+            assert seen.setdefault((bound, key[0], key[1].exps), key) is key
+    assert len(seen) < sum(len(table.entries) for _, table in data)
+    del data, seen, table, key
+    gc.collect()
+    assert _live_offsets() == before
+
+
+@pytest.mark.parametrize(
+    "spec,trunc", [(SubquotientSpec(-1, 4), None), (SubquotientSpec(1, 4), 4)], ids=["w-1_4-trunc8", "w1_4-trunc4"]
+)
+def test_window_tables_equal_their_unshared_tables_at_f4(spec, trunc):
+    """Every table of an f = 4 window equals the one built with a fresh offsets dict, at one bound or three."""
+    ctx = nonsplit_context(4, [0, 2])
+    data = gr_subquotient(ctx, spec, trunc)
+    n = data[0][1].trunc
+    assert sum(len(table.entries) for _, table in data) > 2000
+    for lam, table in data:
+        assert table == bigraded_quotient(ctx, lam, spec.i0, spec.i0p, n, offsets=None), lam
+
+
 def test_bigraded_tables_of_non_squarefree_ideals():
     small = MonomialIdeal(4, (mono(2, 0, 0, 1), mono(0, 3, 1, 0), mono(1, 1, 2, 2)))
     big = small + MonomialIdeal(4, (mono(1, 0, 0, 0),))
