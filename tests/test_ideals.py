@@ -419,16 +419,15 @@ def test_window_keys_are_shared_within_a_call(ctx, spec, trunc):
 
 
 @pytest.mark.parametrize(
-    "spec,trunc", [(SubquotientSpec(-1, 4), None), (SubquotientSpec(1, 4), 4)], ids=["w-1_4-trunc8", "w1_4-trunc4"]
+    "spec,trunc", [(SubquotientSpec(-1, 4), 8), (SubquotientSpec(1, 4), 4)], ids=["w-1_4-trunc8", "w1_4-trunc4"]
 )
 def test_window_tables_equal_their_unshared_tables_at_f4(spec, trunc):
     """Every table of an f = 4 window equals the one built with a fresh offsets dict, at one bound or three."""
     ctx = nonsplit_context(4, [0, 2])
     data = gr_subquotient(ctx, spec, trunc)
-    n = data[0][1].trunc
     assert sum(len(table.entries) for _, table in data) > 2000
     for lam, table in data:
-        assert table == bigraded_quotient(ctx, lam, spec.i0, spec.i0p, n, offsets=None), lam
+        assert table == bigraded_quotient(ctx, lam, spec.i0, spec.i0p, trunc, offsets=None), lam
 
 
 def test_bigraded_tables_of_non_squarefree_ideals():
