@@ -1,12 +1,14 @@
 """Named verification suites: the one definition of every check.
 
-The CLI runs each suite at its ``DEFAULT_SCALE``; the acceptance tests run
-them at the stated scales.  A suite returns one ``CheckRecord`` per check.
-A check walks every one of its cases, also after a failure, so ``cases``
-counts what it covered and ``elapsed_s`` times all of it.  A failing
-record's ``detail`` names the first failing case and the values that
-disagree: ``first failure <case>: <name>=<value> ...``.  The case names
-the context, the profile or k, and i0 where they apply.
+A suite's keyword defaults are the scale ``verify --all`` runs, chosen for
+its 60 s budget.  ``run_suites`` is the one entry point: the CLI's ``--f``
+and the acceptance tests' stated f replace a suite's first scale there.
+A suite returns one ``CheckRecord`` per check.  A check walks every one of
+its cases, also after a failure, so ``cases`` counts what it covered and
+``elapsed_s`` times all of it.  A failing record's ``detail`` names the
+first failing case and the values that disagree: ``first failure <case>:
+<name>=<value> ...``.  The case names the context, the profile or k, and
+i0 where they apply.
 """
 
 from __future__ import annotations
@@ -166,7 +168,7 @@ def _stated_a_counts(ctx: GaloisContext) -> dict[int, int]:
     return {s: 2 * comb(f, s) for s in range(f + 1) if s % 2 == parity}
 
 
-def suite_hilbert(fmax: int) -> list[CheckRecord]:
+def suite_hilbert(fmax: int = 5) -> list[CheckRecord]:
     def series(ctx):
         res = hilbert_pi(ctx)
         yield _series(f"{_case(ctx)} series", res)
@@ -208,7 +210,7 @@ def suite_hilbert(fmax: int) -> list[CheckRecord]:
     return out
 
 
-def suite_split_ni(fmax: int) -> list[CheckRecord]:
+def suite_split_ni(fmax: int = 5) -> list[CheckRecord]:
     def layers(f):
         ctx = split_context(f)
         total = None
@@ -231,7 +233,7 @@ def _summand_profiles(ctx: GaloisContext, spec: SubquotientSpec) -> list[str]:
     return _tags(want)
 
 
-def suite_gr_subquot(fmax: int, bigraded_fmax: int) -> list[CheckRecord]:
+def suite_gr_subquot(fmax: int = 8, bigraded_fmax: int = 3) -> list[CheckRecord]:
     # the windows of a chain with one or two inner cuts partition the full index set
     def partitions(f):
         for ctx in _nonsplit_contexts(f):
@@ -281,7 +283,7 @@ def suite_gr_subquot(fmax: int, bigraded_fmax: int) -> list[CheckRecord]:
     return out
 
 
-def suite_semisimple_match(fmax: int) -> list[CheckRecord]:
+def suite_semisimple_match(fmax: int = 4) -> list[CheckRecord]:
     def matches(f):
         for ctx in _nonsplit_contexts(f):
             for i0 in range(-1, f):
@@ -292,7 +294,7 @@ def suite_semisimple_match(fmax: int) -> list[CheckRecord]:
     return [_check("semisimple-match", f"f={f} all J_rho, all i0", matches(f)) for f in range(1, fmax + 1)]
 
 
-def suite_theta(fmax: int) -> list[CheckRecord]:
+def suite_theta(fmax: int = 3) -> list[CheckRecord]:
     per_degree: dict[tuple, list[int]] = {}  # lattice points by l1 norm, kept by the chain pass
 
     def chains(f):
@@ -317,7 +319,7 @@ def suite_theta(fmax: int) -> list[CheckRecord]:
     return out
 
 
-def suite_xcounts(fmax: int) -> list[CheckRecord]:
+def suite_xcounts(fmax: int = 4) -> list[CheckRecord]:
     """Shell sizes around each P-profile, and its window V_chi against the union of shifted windows."""
     def shells(f):
         for ctx, lam in _profiles(f):
@@ -329,7 +331,7 @@ def suite_xcounts(fmax: int) -> list[CheckRecord]:
     return [_check("xcounts", f"f={f} shell sizes", shells(f)) for f in range(1, fmax + 1)]
 
 
-def suite_degenerates(fmax: int, rank_fmax: int) -> list[CheckRecord]:
+def suite_degenerates(fmax: int = 12, rank_fmax: int = 3) -> list[CheckRecord]:
     def ranks(f):
         for ctx, lam in _profiles(f):
             r = tor1_gr(ctx, lam)
@@ -343,7 +345,7 @@ def suite_degenerates(fmax: int, rank_fmax: int) -> list[CheckRecord]:
     return out
 
 
-def suite_tor(kmax: int, ext_fmax: int, corpus_fmax: int) -> list[CheckRecord]:
+def suite_tor(kmax: int = 5, ext_fmax: int = 3, corpus_fmax: int = 3) -> list[CheckRecord]:
     def pairing():
         for k in range(1, kmax + 1):
             pure = pairing_ideal(k)
@@ -384,7 +386,7 @@ def suite_tor(kmax: int, ext_fmax: int, corpus_fmax: int) -> list[CheckRecord]:
     ]
 
 
-def suite_patched(fmax: int) -> list[CheckRecord]:
+def suite_patched(fmax: int = 4) -> list[CheckRecord]:
     def intersections(f):
         seen: set[tuple] = set()
         for ctx, lam in _profiles(f):
@@ -452,24 +454,20 @@ def _presentation_dims(ctx: GaloisContext, lam: WeightProfile, i0: int) -> tuple
         span_rows = []
         for rel in relations:
             for m in std[deg - 1] if deg >= 1 else []:
+                # a product outside the ideal is a standard monomial of degree deg, so it has a column
                 row: dict[int, int] = {}
-                dead = False
                 for (gi, v), c in rel.items():
                     prod = m * v
-                    if base.member(prod):
-                        continue
-                    key = (gi, prod)
-                    if key not in col_index:
-                        dead = True
-                        break
-                    row[col_index[key]] = row.get(col_index[key], 0) + c
-                if not dead and row:
+                    if not base.member(prod):
+                        i = col_index[gi, prod]
+                        row[i] = row.get(i, 0) + c
+                if row:
                     span_rows.append(row)
         span_dims.append(exact_rank(span_rows))
     return kernel_dims, span_dims
 
 
-def suite_pbw(fmax: int, syzygy_fmax: int) -> list[CheckRecord]:
+def suite_pbw(fmax: int = 6, syzygy_fmax: int = 3) -> list[CheckRecord]:
     # confluence of straightening and associativity on degree-1 elements, at n = 4 so that three factors survive
     def products():
         for f in (1, 2):
@@ -522,21 +520,6 @@ SUITES: dict[str, Callable[..., list[CheckRecord]]] = {
     "pbw": suite_pbw,
 }
 
-#: per-suite default scale used by `verify --all`; chosen for the 60 s budget
-DEFAULT_SCALE: dict[str, dict] = {
-    "hilbert": {"fmax": 5},
-    "split-ni": {"fmax": 5},
-    "gr-subquot": {"fmax": 8, "bigraded_fmax": 3},
-    "semisimple-match": {"fmax": 4},
-    "theta": {"fmax": 3},
-    "xcounts": {"fmax": 4},
-    "degenerates": {"fmax": 12, "rank_fmax": 3},
-    "tor": {"kmax": 5, "ext_fmax": 3, "corpus_fmax": 3},
-    "patched": {"fmax": 4},
-    "pbw": {"fmax": 6, "syzygy_fmax": 3},
-}
-
-
 #: largest scale override a suite takes: those that list profiles stop at the
 #: profile cap, tor where the pairing ideal's k + C(k, 2) generators pass the
 #: Taylor cap, and theta at f = 4 by time: its balls fit ``THETA_POINT_CAP``
@@ -560,9 +543,5 @@ def run_suites(names: list[str], fmax: int | None = None) -> list[CheckRecord]:
             raise SizeLimitError(f"suite {name} takes a scale of at most {SCALE_CAP[name]}, got {fmax}")
     out = []
     for name in names:
-        kwargs = dict(DEFAULT_SCALE[name])
-        if fmax is not None:
-            first = next(iter(kwargs))
-            kwargs[first] = fmax
-        out += SUITES[name](**kwargs)
+        out += SUITES[name]() if fmax is None else SUITES[name](fmax)
     return out

@@ -26,7 +26,7 @@ class Symbol(str, Enum):
     P3 = "P3"    # p - 3 - x_j
     P2 = "P2"    # p - 2 - x_j
     P1 = "P1"    # p - 1 - x_j
-    XM1 = "XM1"  # x_j - 1; appears only in principal-series subset recipes
+    XM1 = "XM1"  # x_j - 1; kept so that `--profile XM1,...` is refused with the "six core symbols" error
 
 
 CORE_SYMBOLS = (Symbol.X0, Symbol.X1, Symbol.X2, Symbol.P3, Symbol.P2, Symbol.P1)

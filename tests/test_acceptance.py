@@ -1,11 +1,13 @@
 """Acceptance criteria: each one runs its verification suite at the stated scale.
 
-The suites in ``serrecalc.verify`` are the one definition of every check.
-A row names a suite, the scale the criteria state, the wall-clock bound on
-the whole call where a criterion has one, and the criteria it covers.  Each
-suite runs once per session; a criterion asserts the records it covers and
-prints one PASS line with their cases and seconds (visible with -s).  A
-failing record names its first failing case and the values that disagree.
+The suites in ``serrecalc.verify`` are the one definition of every check,
+and ``verify.run_suites`` is the entry point the CLI also calls, scale caps
+included.  A row names a suite, the f the criteria state, the wall-clock
+bound on the whole call where a criterion has one, and the criteria it
+covers.  Each suite runs once per session; a criterion asserts the records
+it covers and prints one PASS line with their cases and seconds (visible
+with -s).  A failing record names its first failing case and the values
+that disagree.
 """
 
 import functools
@@ -29,18 +31,19 @@ CRITERIA = {
     11: "property suites: PBW, window relations, theta chains f <= 4, binomials",
 }
 
-# suite: (scale, bound on the whole call in seconds or None, criteria)
+# suite: (stated f, bound on the whole call in seconds or None, criteria); the
+# stated f replaces the suite's first scale, its other scales keep their defaults
 ROWS = {
-    "hilbert": ({"fmax": 5}, 5.0, (1, 3, 11)),
-    "split-ni": ({"fmax": 5}, None, (2,)),
-    "tor": ({"kmax": 5, "ext_fmax": 3, "corpus_fmax": 3}, 10.0, (4, 5)),
-    "degenerates": ({"fmax": 12, "rank_fmax": 3}, 30.0, (6, 7)),
-    "xcounts": ({"fmax": 5}, None, (7,)),
-    "semisimple-match": ({"fmax": 4}, None, (8,)),
-    "patched": ({"fmax": 5}, None, (9,)),
-    "gr-subquot": ({"fmax": 8, "bigraded_fmax": 3}, None, (10,)),
-    "pbw": ({"fmax": 6, "syzygy_fmax": 3}, None, (11,)),
-    "theta": ({"fmax": 4}, None, (11,)),
+    "hilbert": (5, 5.0, (1, 3, 11)),
+    "split-ni": (5, None, (2,)),
+    "tor": (5, 10.0, (4, 5)),
+    "degenerates": (12, 30.0, (6, 7)),
+    "xcounts": (5, None, (7,)),
+    "semisimple-match": (4, None, (8,)),
+    "patched": (5, None, (9,)),
+    "gr-subquot": (8, None, (10,)),
+    "pbw": (6, None, (11,)),
+    "theta": (4, None, (11,)),
 }
 
 # suites whose records are split between the criterion tests below
@@ -49,14 +52,14 @@ SPLIT = ("hilbert", "tor", "xcounts")
 
 @functools.cache
 def _run(suite):
-    scale, _, _ = ROWS[suite]
+    f, _, _ = ROWS[suite]
     t0 = time.perf_counter()
-    records = verify.SUITES[suite](**scale)
+    records = verify.run_suites([suite], f)
     return records, time.perf_counter() - t0
 
 
 def _assert_records(label, suite, keep=lambda check: True):
-    scale, bound, _ = ROWS[suite]
+    f, bound, _ = ROWS[suite]
     records, elapsed = _run(suite)
     records = [r for r in records if keep(r.check)]
     assert records, f"no {suite} record selected for {label}"
@@ -64,7 +67,7 @@ def _assert_records(label, suite, keep=lambda check: True):
     assert not failed, "\n".join(failed)
     if bound is not None:
         assert elapsed < bound, f"{suite} took {elapsed:.1f}s against its {bound:.0f}s bound"
-    print(f"[acceptance] {label} ({suite} {scale}): PASS, "
+    print(f"[acceptance] {label} ({suite} f={f}): PASS, "
           f"{sum(r.cases for r in records)} cases in {sum(r.elapsed_s for r in records):.1f}s")
 
 

@@ -359,6 +359,8 @@ def test_bigraded_quotient_naive_cross_check(ctx, i0, i0p):
 MIXED_SHIFT_WINDOWS = {
     "f2-nonsplit-jrho-w0_2": (nonsplit_context(2, []), SubquotientSpec(0, 2)),
     "f2-nonsplit-jrho0-w0_1": (nonsplit_context(2, [0]), SubquotientSpec(0, 1)),
+    # here, unlike at f = 2, a packed offset recurs at one stored degree under two bounds
+    "f3-nonsplit-jrho-w1_2": (nonsplit_context(3, []), SubquotientSpec(1, 2)),
 }
 
 
