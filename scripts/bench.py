@@ -76,6 +76,7 @@ def kernels(repeats: int = 5) -> list[dict]:
 
     window = ideals.a1(weights.nonsplit_context(5, []), weights.WeightProfile.from_tags(["X0"] * 5), 1)
     pairing = homology.pairing_ideal(5)
+    coordinates = ideals.MonomialIdeal(16, tuple(ideals.Monomial.variable(16, i) for i in range(16)))
     ns3, full = weights.nonsplit_context(3, [1, 2]), predictions.SubquotientSpec(-1, 3)
     ns4, full4 = weights.nonsplit_context(4, [0, 2]), predictions.SubquotientSpec(-1, 4)
     cold = lambda cached, *args: lambda: (cached.cache_clear(), cached(*args))
@@ -86,6 +87,8 @@ def kernels(repeats: int = 5) -> list[dict]:
         ("ideals.numerator", "a1(i = 1) of X0^5, nonsplit f = 5, J_rho = {}, bigraded",
          lambda: ideals.numerator(window, ideals.Monomial.bigrade)),
         ("homology.taylor_profile", "pairing_ideal(5)", lambda: homology.taylor_profile(pairing)),
+        ("homology.taylor_profile", "16 coordinate variables at TAYLOR_CAP, 65,536 one-face blocks",
+         lambda: homology.taylor_profile(coordinates)),
         ("homology.hochster_profile", "pairing_ideal(5)", lambda: homology.hochster_profile(pairing)),
         ("pbw.pbw_basis", "f = 6, n = 3", cold(pbw.pbw_basis, 6, 3)),
         ("pbw._tor1_dims", "f = 4, t = (YZ,) * 4, right", cold(pbw._tor1_dims, 4, (weights.TGen.YZ,) * 4, "right")),

@@ -2,11 +2,11 @@
 
 Two independent oracles: Hochster's formula, which takes the homology of the
 Stanley-Reisner complex induced on each point of the lcm lattice, kept as
-bit masks (squarefree ideals), and the homology of the Taylor complex on
-generator subsets (any monomial ideal).  They share only
-``homology_from_faces`` and the rank below it, fed induced subcomplexes and
-blocks of equal lcm; a test checks that.  Ranks are exact integer ranks over
-the rationals.
+bit masks (squarefree ideals), and the homology of the Lyubeznik subcomplex
+of the Taylor complex (``ideals._lyubeznik_walk``, any monomial ideal).  They
+share only ``homology_from_faces`` and the rank below it, fed induced
+subcomplexes and blocks of equal lcm; a test checks that.  Ranks are exact
+integer ranks over the rationals.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from math import comb
 from typing import Iterable
 
 from .errors import SizeLimitError
-from .ideals import Monomial, MonomialIdeal, Packing
+from .ideals import Monomial, MonomialIdeal, Packing, _lyubeznik_walk
 from .linalg import exact_rank
 from .series import Value
 
@@ -32,12 +32,13 @@ from .series import Value
 #: in ``exact_rank``.  The cap counts vertices, not that homology work.
 VERTEX_CAP = 12
 
-#: The Taylor complex has 2^n generator subsets.  On one core of a 2-vCPU x86-64
-#: host, Python 3.11, ``taylor_profile`` on the first n generators of the k = 6
-#: pairing ideal took 2.7 s at n = 16, 10.8 s at 17 and 43 s at 18, nearly all
-#: in ``exact_rank``.  At the cap, 16 coordinate variables give 65,536 one-face
-#: blocks: 0.16 s, a traced peak of 10.5 MiB and 26 MiB peak RSS for
-#: ``serrecalc tor --method taylor``.
+#: The Lyubeznik walk visits at most 2^n of the n generators' subsets, all of
+#: them for n coordinate variables, the slowest input tried.  On one core of a
+#: 2-vCPU x86-64 host, Python 3.11, ``taylor_profile`` took 0.34-0.45 s on those
+#: at n = 16 (65,536 one-face blocks, a traced peak of 10.5 MiB, 26 MiB peak RSS
+#: for ``serrecalc tor --method taylor``), 0.85-0.90 s at 17 and 1.5-2.0 s at 18,
+#: and under 0.1 s on each of 98 random 16-generator ideals and on the first
+#: 16-18 generators of the k = 6 pairing ideal.
 TAYLOR_CAP = 16
 
 
@@ -107,15 +108,14 @@ def hochster_profile(ideal: MonomialIdeal) -> list[int]:
 
 
 def taylor_profile(ideal: MonomialIdeal) -> list[int]:
-    """dim Tor_i(F, R/I) for i = 0..#gens, from the Taylor complex.
+    """dim Tor_i(F, R/I) for i = 0..#gens, from the Lyubeznik subcomplex of the Taylor complex.
 
-    Basis in position i: i-subsets S of the generators.  Over F the entry at
-    (S, S \\ {g}) survives only when lcm(S \\ {g}) equals lcm(S), so the
-    complex splits into blocks of equal lcm, and each block is a set of faces
-    with the simplicial boundary: its reduced homology in degree k is Tor in
-    position k + 1.  Subsets grow downward from their largest index, as in
-    ``ideals.numerator``, so each lcm is its parent's joined with one generator:
-    one ``Packing.lcm`` on packed ints, which also key the blocks.
+    Basis in position i: the i-faces S of ``ideals._lyubeznik_walk``, which
+    is a free resolution.  Over F the entry at (S, S \\ {g}) survives only
+    when lcm(S \\ {g}) equals lcm(S), so the complex splits into blocks of
+    equal lcm, and each block is a set of faces with the simplicial boundary:
+    its reduced homology in degree k is Tor in position k + 1.  The walk's
+    packed lcms key the blocks.
     """
     gens = ideal.gens
     n = len(gens)
@@ -126,25 +126,14 @@ def taylor_profile(ideal: MonomialIdeal) -> list[int]:
     # the lcms live in the variables some generator uses; the others only lengthen each block key
     used = [j for j in range(ideal.ambient) if any(g.exps[j] for g in gens)]
     pk = Packing.over(gens, len(used))
-    blocks: defaultdict[int, array] = defaultdict(partial(array, "I"))
-    _walk(tuple(pk.pack([g.exps[j] for j in used]) for g in gens), pk, blocks, 0, 0, n)
+    blocks: defaultdict[int, array] = defaultdict(partial(array, "I"))  # masks below 2^TAYLOR_CAP
+    packed = tuple(pk.pack([g.exps[j] for j in used]) for g in gens)
+    _lyubeznik_walk(packed, pk, lambda m, s_mask: blocks[m].append(s_mask), 0, 0, n)
     out = [0] * (n + 1)
     for faces in blocks.values():
         for k, dim in homology_from_faces(faces).items():
             out[k + 1] += dim
     return out
-
-
-def _walk(gens: tuple[int, ...], pk: Packing, blocks: defaultdict, m: int, s_mask: int, top: int):
-    """File subset ``s_mask`` under its packed lcm m, then its extensions by a least index below ``top``.
-
-    A module-level function, not a closure that calls itself, so that no
-    reference cycle keeps ``blocks`` alive after ``taylor_profile`` returns.
-    Each block packs its masks, all below 2^TAYLOR_CAP, in an unsigned array.
-    """
-    blocks[m].append(s_mask)
-    for i in range(top):  # i becomes the least index of S
-        _walk(gens, pk, blocks, pk.lcm(gens[i], m), s_mask | 1 << i, i)
 
 
 def profiles_agree(a: list[int], b: list[int]) -> bool:

@@ -312,37 +312,46 @@ def numerator(
 
     This is the K-polynomial of R/I (Miller-Sturmfels, ch. 2), specialized
     through ``grade`` while it is summed: the one inclusion-exclusion loop
-    behind every Hilbert series and bigraded table in the package.
-
-    Only the faces of Lyubeznik's resolution (JPAA 51 (1988)) are walked, as
-    the other subsets cancel: S grows downward from its largest index, and a
-    new least index i is refused, with every extension, when some g_j with
-    j < i divides the new lcm.  The walk sums the signs per packed lcm, and
+    behind every Hilbert series and bigraded table in the package.  Only the
+    faces of ``_lyubeznik_walk`` are summed, one sign per packed lcm, and
     ``grade`` runs once on each distinct lcm, in the order the walk met it.
     """
     if len(ideal.gens) > GENERATOR_CAP:
         raise SizeLimitError(f"{len(ideal.gens)} generators exceeds the cap of {GENERATOR_CAP}")
     pk = Packing.over(ideal.gens, ideal.ambient)
     signs: dict[int, int] = {}
-    _add_faces(tuple(pk.pack(g.exps) for g in ideal.gens), pk, signs, 0, sign, len(ideal.gens))
+
+    def visit(m: int, s_mask: int):
+        signs[m] = signs.get(m, 0) + (-sign if s_mask.bit_count() & 1 else sign)
+
+    _lyubeznik_walk(tuple(pk.pack(g.exps) for g in ideal.gens), pk, visit, 0, 0, len(ideal.gens))
     acc = {} if acc is None else acc
-    for m, s in signs.items():  # each distinct lcm is graded once, in the order the walk met it
+    for m, s in signs.items():
         key = grade(Monomial(pk.unpack(m)))
         acc[key] = acc.get(key, 0) + s
     return acc
 
 
-def _add_faces(gens: tuple[int, ...], pk: Packing, signs: dict, m: int, s: int, top: int):
-    """Add sign s to the face's packed lcm m, then walk its extensions by a least index below ``top``.
+def _lyubeznik_walk(gens: tuple[int, ...], pk: Packing, visit: Callable, m: int, s_mask: int, top: int):
+    """Call ``visit(m, s_mask)`` on face S of packed lcm m, then walk its extensions by a least index below ``top``.
+
+    The faces are those of Lyubeznik's resolution (JPAA 51 (1988);
+    Miller-Sturmfels, ch. 6), a subcomplex of the Taylor complex that is
+    itself a free resolution of R/I.  The other subsets cancel from the
+    K-polynomial, and Tor in each lcm degree is the homology of the faces of
+    that lcm.  S grows downward from its largest index, so each lcm is its
+    parent's joined with one generator, one ``Packing.lcm``; a new least
+    index i is refused, with every extension, when some g_j with j < i
+    divides the new lcm.
 
     A module-level function, not a closure that calls itself, so that no
-    reference cycle keeps ``signs`` alive after ``numerator`` returns.
+    reference cycle keeps what ``visit`` fills alive after the caller returns.
     """
-    signs[m] = signs.get(m, 0) + s
+    visit(m, s_mask)
     for i in range(top):  # i becomes the least index of S
         m2 = pk.lcm(gens[i], m)
         if not any(pk.divides(g, m2) for g in gens[:i]):
-            _add_faces(gens, pk, signs, m2, -s, i)
+            _lyubeznik_walk(gens, pk, visit, m2, s_mask | 1 << i, i)
 
 
 def hilbert(ideal: MonomialIdeal) -> RationalSeries:
@@ -387,7 +396,8 @@ def bigraded_difference(
     (bound, stored degree n) to {packed offset: key (n, CharOffset)}.  The
     tables of one call that pass the same dict (``gr_subquotient`` makes one
     per window) share their offset objects and their entry keys; the module
-    keeps nothing between calls, and the default is a fresh dict.
+    keeps nothing between calls.  A lone table (the default) reuses no key,
+    so it keeps no key memo.
     """
     if big.ambient != 2 * f or small.ambient != 2 * f:
         raise ValueError("ambient must be the paired y/z ring")
@@ -427,7 +437,7 @@ def bigraded_difference(
     entries = {}
     for n in range(trunc + 1):
         layer, layers[n] = layers[n], None  # each layer goes once it is converted
-        keys = memo.setdefault((bound, n), {})
+        keys = {} if offsets is None else memo.setdefault((bound, n), {})
         for c, v in layer.items():
             if v < 0:  # a monomial of small outside big
                 raise ValueError("multiplicities must be nonnegative")

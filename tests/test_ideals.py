@@ -1,4 +1,5 @@
 import gc
+import tracemalloc
 from itertools import combinations, product
 
 import pytest
@@ -226,8 +227,8 @@ def test_numerator_walks_few_subsets_of_a_window_ideal(monkeypatch):
     ctx = nonsplit_context(5, [])
     ideal = a1(ctx, prof(*["X0"] * 5), 1)
     faces, graded = [], []
-    add_faces = ideals._add_faces  # the walk calls itself through the module, so every face passes here
-    monkeypatch.setattr(ideals, "_add_faces", lambda *args: faces.append(args[3]) or add_faces(*args))
+    walk = ideals._lyubeznik_walk  # the walk calls itself through the module, so every face passes here
+    monkeypatch.setattr(ideals, "_lyubeznik_walk", lambda *args: faces.append(args[3]) or walk(*args))
     numerator(ideal, lambda m: graded.append(m) or m.degree)
     assert len(ideal.gens) == 15 and len(faces) < 2**15 // 16
     assert len(graded) == len(set(graded)) == len(set(faces))  # one grade per distinct lcm
@@ -430,6 +431,22 @@ def test_window_tables_equal_their_unshared_tables_at_f4(spec, trunc):
     assert sum(len(table.entries) for _, table in data) > 2000
     for lam, table in data:
         assert table == bigraded_quotient(ctx, lam, spec.i0, spec.i0p, trunc, offsets=None), lam
+
+
+def test_a_lone_table_keeps_no_key_memo():
+    """With ``offsets=None`` no key is reused, so the table is built without the per-degree key memo."""
+    small = MonomialIdeal(6, (Monomial.variable(6, 0, 8),))  # 876 entries at f = 3, trunc 7
+
+    def peak(offsets):  # the table is dropped here: one kept alive changes what the next call's peak reads
+        tracemalloc.start()
+        try:
+            bigraded_difference(MonomialIdeal.unit(6), small, 3, 7, 0, offsets)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(None)  # the first call also fills the packing cache
+    assert peak(None) < peak({})
 
 
 def test_bigraded_tables_of_non_squarefree_ideals():
