@@ -3,11 +3,11 @@
 Monomials are normal ordered (all y's, then all z's, then all h's, each by
 index) and stored as exponent tuples (a_0..a_{f-1}, b_0..b_{f-1}, c_0..c_{f-1});
 y and z have degree 1 and h degree 2 (stored degrees, i.e. minus the module
-grading).  Products are truncated at total degree n <= 4; one straightening
-rule, exact in every degree, carries them.  The Tor_1 ranks need n = 3 only,
-so the basis stops there.  It is cut from ``series``' lattice-point walk:
-the exponent vectors of l1 norm < n, kept where the degree, which counts h
-twice, is < n.
+grading).  Products are truncated at total degree n <= 4, below which the
+product of two monomials has a closed form (``mono_mul``).  The Tor_1 ranks
+need n = 3 only, so the basis stops there.  It is cut from ``series``'
+lattice-point walk: the exponent vectors of l1 norm < n, kept where the
+degree, which counts h twice, is < n.
 """
 
 from __future__ import annotations
@@ -46,51 +46,39 @@ def pbw_basis(f: int, n: int) -> tuple[Mono, ...]:
     return tuple(sorted((m for m in points if mono_degree(m, f) < n), key=lambda m: (mono_degree(m, f), m)))
 
 
-def _bump(m: Mono, idx: int, by: int = 1) -> Mono:
-    out = list(m)
-    out[idx] += by
-    return tuple(out)
-
-
-def _add_term(acc: Elem, m: Mono, c: int):
+def _add_term(acc: dict, key, c: int):
     if c:
-        v = acc.get(m, 0) + c
+        v = acc.get(key, 0) + c
         if v:
-            acc[m] = v
+            acc[key] = v
         else:
-            del acc[m]
-
-
-def gen_mul(elem: Elem, i: int, f: int, n: int) -> Elem:
-    """Right-multiply by the generator at exponent index i, mod degree n.
-
-    Index j is y_j, f + j is z_j and 2f + j is h_j.  h is central and distinct
-    indices commute, so only y_j has to pass anything: z_j^b y_j =
-    y_j z_j^b - b z_j^(b-1) h_j, exact in every degree.
-    """
-    _check_n(n, 4)
-    out: Elem = {}
-    for m, c in elem.items():
-        terms = [(_bump(m, i), c)]
-        if i < f and m[f + i]:
-            terms.append((_bump(_bump(m, f + i, -1), 2 * f + i), -m[f + i] * c))
-        for mono, coef in terms:
-            if mono_degree(mono, f) < n:
-                _add_term(out, mono, coef)
-    return out
+            del acc[key]
 
 
 def mono_mul(a: Mono, b: Mono, f: int, n: int) -> Elem:
     """Product a * b of two normal-ordered monomials, truncated at degree n.
 
-    a is multiplied on the right by b's generators in index order, which is
-    the normal order.
+    h is central and distinct indices commute, so only b's y_j has to pass
+    a's z_j, by z_j^p y_j = y_j z_j^p - p z_j^(p-1) h_j.  Below degree 4 that
+    gives a + b, less a_{z_j} b_{y_j} (a + b - y_j - z_j + h_j) for each j;
+    every term has the degree of a + b.  The rule covers every n <= 4: two
+    corrections at different indices, or a second correction at one index,
+    each need degree >= 4, so the truncation drops them.
     """
-    acc: Elem = {a: 1} if mono_degree(a, f) < n else {}
-    for i, e in enumerate(b):
-        for _ in range(e):
-            acc = gen_mul(acc, i, f, n)
-    return acc
+    _check_n(n, 4)
+    if mono_degree(a, f) + mono_degree(b, f) >= n:
+        return {}
+    total = [x + y for x, y in zip(a, b)]
+    out: Elem = {tuple(total): 1}
+    for j in range(f):
+        c = a[f + j] * b[j]
+        if c:
+            m = total.copy()
+            m[j] -= 1
+            m[f + j] -= 1
+            m[2 * f + j] += 1
+            out[tuple(m)] = -c
+    return out
 
 
 def pbw_mul(a: Elem, b: Elem, f: int, n: int) -> Elem:
@@ -167,12 +155,7 @@ def _tor1_dims(f: int, t_assign: tuple[TGen, ...], side: str) -> tuple[int, int,
         row: dict[int, int] = {}
         for comp, elem, sign in parts:
             for m, c in elem.items():
-                col = comp * nb + index[m]
-                v = row.get(col, 0) + sign * c
-                if v:
-                    row[col] = v
-                else:
-                    row.pop(col, None)
+                _add_term(row, comp * nb + index[m], sign * c)
         return row
 
     # d1: 2f components (j, slot), slot 0 carrying t_j and slot 1 carrying h_j

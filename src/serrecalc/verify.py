@@ -468,7 +468,8 @@ def _presentation_dims(ctx: GaloisContext, lam: WeightProfile, i0: int) -> tuple
 
 
 def suite_pbw(fmax: int = 6, syzygy_fmax: int = 3) -> list[CheckRecord]:
-    # confluence of straightening and associativity on degree-1 elements, at n = 4 so that three factors survive
+    # confluence and associativity of the closed-form product on degree-1 elements, at n = 4 so that three factors
+    # survive; the record's name stays "straightening ..." so that verify JSON reports remain comparable
     def products():
         for f in (1, 2):
             y = {tuple(1 if i == 0 else 0 for i in range(3 * f)): 1}

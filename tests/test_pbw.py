@@ -112,28 +112,48 @@ def test_associativity_degree_one(data):
     assert lhs == rhs
 
 
-def closed_product(a, b, f, n):
-    """a * b below degree 4: a + b, less a_{z_j} b_{y_j} (a + b - y_j - z_j + h_j) for each j."""
-    if mono_degree(a, f) + mono_degree(b, f) >= n:
-        return {}
-    total = [x + y for x, y in zip(a, b)]
-    out = {tuple(total): 1}
-    for j in range(f):
-        if a[f + j] and b[j]:
-            swapped = list(total)
-            swapped[j] -= 1
-            swapped[f + j] -= 1
-            swapped[2 * f + j] += 1
-            out[tuple(swapped)] = -a[f + j] * b[j]
-    return out
+def straightened_product(a, b, f, n):
+    """a * b pushed one generator of b at a time past a, by z_j^p y_j = y_j z_j^p - p z_j^(p-1) h_j.
+
+    h is central and distinct indices commute, so a term with z_j^p only gains
+    a second term when the next generator is y_j.  Exact in every degree, then
+    truncated at degree n.
+    """
+    acc = {a: 1}
+    for i, e in enumerate(b):
+        for _ in range(e):
+            out = {}
+            for m, c in acc.items():
+                grown = list(m)
+                grown[i] += 1
+                terms = [(tuple(grown), c)]
+                if i < f and m[f + i]:
+                    traded = list(m)
+                    traded[f + i] -= 1
+                    traded[2 * f + i] += 1
+                    terms.append((tuple(traded), -m[f + i] * c))
+                for mono, coef in terms:
+                    out[mono] = out.get(mono, 0) + coef
+            acc = {m: c for m, c in out.items() if c}
+    return {m: c for m, c in acc.items() if mono_degree(m, f) < n}
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 @pytest.mark.parametrize("f", [1, 2, 3])
 def test_mono_mul_matches_the_commutator_formula(f, n):
+    """The closed product equals generator-by-generator straightening on every pair of degree < n."""
     basis = [m for m in product(range(n), repeat=3 * f) if mono_degree(m, f) < n]
     for a, b in product(basis, repeat=2):
-        assert mono_mul(a, b, f, n) == closed_product(a, b, f, n), (a, b)
+        assert mono_mul(a, b, f, n) == straightened_product(a, b, f, n), (a, b)
+
+
+@pytest.mark.parametrize("n", [0, 5])
+def test_products_check_n_before_the_factors(n):
+    y, unit = (1, 0, 0), (0, 0, 0)
+    with pytest.raises(ValueError):
+        mono_mul(y, unit, 1, n)
+    with pytest.raises(ValueError):
+        pbw_mul({y: 1}, {unit: 1}, 1, n)
 
 
 def test_char_multiset_trivial_character():
