@@ -87,7 +87,7 @@ def kernels(repeats: int = 5) -> list[dict]:
         ("ideals.numerator", "a1(i = 1) of X0^5, nonsplit f = 5, J_rho = {}, bigraded",
          lambda: ideals.numerator(window, ideals.Monomial.bigrade)),
         ("homology.taylor_profile", "pairing_ideal(5)", lambda: homology.taylor_profile(pairing)),
-        ("homology.taylor_profile", "16 coordinate variables at TAYLOR_CAP, 65,536 one-face blocks",
+        ("homology.taylor_profile", "16 coordinate variables, 65,536 faces = FACE_CAP in one-face blocks",
          lambda: homology.taylor_profile(coordinates)),
         ("homology.hochster_profile", "pairing_ideal(5)", lambda: homology.hochster_profile(pairing)),
         ("pbw.pbw_basis", "f = 6, n = 3", cold(pbw.pbw_basis, 6, 3)),

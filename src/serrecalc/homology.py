@@ -12,7 +12,6 @@ integer ranks over the rationals.
 from __future__ import annotations
 
 from collections import defaultdict
-from functools import partial
 from itertools import combinations
 from math import comb
 from typing import Iterable
@@ -31,15 +30,6 @@ from .series import Value
 #: found, all 924 6-subsets of the vertices (2,511 points), 6.2 s, most of it
 #: in ``exact_rank``.  The cap counts vertices, not that homology work.
 VERTEX_CAP = 12
-
-#: The Lyubeznik walk visits at most 2^n of the n generators' subsets, all of
-#: them for n coordinate variables, the slowest input tried.  On one core of a
-#: 2-vCPU x86-64 host, Python 3.11, ``taylor_profile`` took 0.34-0.45 s on those
-#: at n = 16 (65,536 one-face blocks, a traced peak of 10.5 MiB, 26 MiB peak RSS
-#: for ``serrecalc tor --method taylor``), 0.85-0.90 s at 17 and 1.5-2.0 s at 18,
-#: and under 0.1 s on each of 98 random 16-generator ideals and on the first
-#: 16-18 generators of the k = 6 pairing ideal.
-TAYLOR_CAP = 16
 
 
 def _boundary_rows(upper: list[int], lower: list[int]) -> list[dict[int, int]]:
@@ -115,21 +105,16 @@ def taylor_profile(ideal: MonomialIdeal) -> list[int]:
     when lcm(S \\ {g}) equals lcm(S), so the complex splits into blocks of
     equal lcm, and each block is a set of faces with the simplicial boundary:
     its reduced homology in degree k is Tor in position k + 1.  The walk's
-    packed lcms key the blocks.
+    packed lcms key the blocks, and its ``FACE_CAP`` bounds them.
     """
     gens = ideal.gens
-    n = len(gens)
-    if n > TAYLOR_CAP:
-        raise SizeLimitError(f"{n} generators exceeds the Taylor cap of {TAYLOR_CAP}")
-    from array import array  # imported here: loading it adds about 76 KiB to a process's RSS
-
     # the lcms live in the variables some generator uses; the others only lengthen each block key
     used = [j for j in range(ideal.ambient) if any(g.exps[j] for g in gens)]
     pk = Packing.over(gens, len(used))
-    blocks: defaultdict[int, array] = defaultdict(partial(array, "I"))  # masks below 2^TAYLOR_CAP
+    blocks: defaultdict[int, list[int]] = defaultdict(list)  # face masks of any width
     packed = tuple(pk.pack([g.exps[j] for j in used]) for g in gens)
-    _lyubeznik_walk(packed, pk, lambda m, s_mask: blocks[m].append(s_mask), 0, 0, n)
-    out = [0] * (n + 1)
+    _lyubeznik_walk(packed, pk, lambda m, s_mask: blocks[m].append(s_mask))
+    out = [0] * (len(gens) + 1)
     for faces in blocks.values():
         for k, dim in homology_from_faces(faces).items():
             out[k + 1] += dim

@@ -8,7 +8,7 @@ its cases, also after a failure, so ``cases`` counts what it covered and
 ``elapsed_s`` times all of it.  A failing record's ``detail`` names the
 first failing case and the values that disagree: ``first failure <case>:
 <name>=<value> ...``.  The case names the context, the profile or k, and
-i0 where they apply.
+i0 where they apply.  A kernel that raises fails its record, not the run.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from typing import Callable, Iterable, Iterator
 
 from .errors import SizeLimitError
 from .homology import (
-    TAYLOR_CAP,
+    VERTEX_CAP,
     ext1_lower_bound,
     ext_closed,
     ext_dims,
@@ -83,12 +83,16 @@ class CheckRecord(Value):
 
 
 def _check(suite: str, check: str, cases: Iterable[tuple[str, bool, dict]], detail: str = "") -> CheckRecord:
-    """Run every ``(case, ok, values)`` of one check; the first failing case replaces ``detail``."""
+    """Run every ``(case, ok, values)`` of one check; the first failing case, or an exception, replaces ``detail``."""
     t0 = time.perf_counter()
-    n, failure = 0, None
-    for n, (case, ok, values) in enumerate(cases, 1):
-        if not ok and failure is None:
-            failure = f"first failure {case}: " + " ".join(f"{k}={v}" for k, v in values.items())
+    n, case, failure = 0, None, None
+    try:
+        for n, (case, ok, values) in enumerate(cases, 1):
+            if not ok and failure is None:
+                failure = f"first failure {case}: " + " ".join(f"{k}={v}" for k, v in values.items())
+    except Exception as exc:  # a kernel fault fails this record; the suite's later checks still run
+        raised = f"raised {type(exc).__name__}: {exc} after {n} cases" + (f", the last {case}" if n else "")
+        failure = f"{failure}; {raised}" if failure else raised
     return CheckRecord(suite, check, failure is None, failure or detail, n, time.perf_counter() - t0)
 
 
@@ -521,15 +525,19 @@ SUITES: dict[str, Callable[..., list[CheckRecord]]] = {
     "pbw": suite_pbw,
 }
 
-#: largest scale override a suite takes: those that list profiles stop at the
-#: profile cap, tor where the pairing ideal's k + C(k, 2) generators pass the
-#: Taylor cap, and theta at f = 4 by time: its balls fit ``THETA_POINT_CAP``
-#: through f = 6, but at f = 5 it took 94 s (2-vCPU x86-64, Python 3.11),
-#: past the 60 s ``verify --all`` budget
+#: largest scale override a suite takes: the largest f at which the suite
+#: finished within 30 s, half the 60 s ``verify --all`` budget, so that a host
+#: 1.6 times slower still meets it.  One fresh process each, on one core of a
+#: shared 2-vCPU x86-64 host, Python 3.11; the next f tried in parentheses:
+#:   hilbert 7: 5.2 s (8: 32-37 s)           split-ni 10: 12 s (the profile cap)
+#:   gr-subquot 10: 13 s (the profile cap)   semisimple-match 5: 13 s (6: over 45 s)
+#:   theta 4: 3.8 s (5: over 45 s)           xcounts 5: 15 s (6: over 45 s)
+#:   degenerates 3750: 25 s (4000: 29-30 s)  patched 6: 14 s (7: over 45 s)
+#:   pbw 66: 27-30 s (68: 42 s)              tor 6: 0.3 s, where Hochster's
+#: formula on the pairing ideal's 2k vertices reaches ``VERTEX_CAP``.
 SCALE_CAP: dict[str, int] = {
-    **dict.fromkeys(("hilbert", "split-ni", "gr-subquot", "semisimple-match", "xcounts", "patched"), PROFILE_F_CAP),
-    "theta": 4,
-    "tor": max(k for k in range(1, TAYLOR_CAP + 1) if k + comb(k, 2) <= TAYLOR_CAP),
+    "hilbert": 7, "split-ni": PROFILE_F_CAP, "gr-subquot": PROFILE_F_CAP, "semisimple-match": 5, "theta": 4,
+    "xcounts": 5, "degenerates": 3750, "tor": VERTEX_CAP // 2, "patched": 6, "pbw": 66,
 }
 
 
@@ -540,7 +548,7 @@ def run_suites(names: list[str], fmax: int | None = None) -> list[CheckRecord]:
             raise ValueError(f"unknown suite {name!r}; the suites are {', '.join(sorted(SUITES))}")
         if fmax is not None and fmax < 1:
             raise ValueError(f"scale f must be at least 1, got {fmax}")
-        if fmax is not None and fmax > SCALE_CAP.get(name, fmax):
+        if fmax is not None and fmax > SCALE_CAP[name]:
             raise SizeLimitError(f"suite {name} takes a scale of at most {SCALE_CAP[name]}, got {fmax}")
     out = []
     for name in names:

@@ -7,11 +7,14 @@ bound on the whole call where a criterion has one, and the criteria it
 covers.  Each suite runs once per session; a criterion asserts the records
 it covers and prints one PASS line with their cases and seconds (visible
 with -s).  A failing record names its first failing case and the values
-that disagree.
+that disagree.  ``acceptance_cases.json`` pins each record's case count at
+the stated scale, so a check that silently skips a case fails too.
 """
 
 import functools
+import json
 import time
+from pathlib import Path
 
 import pytest
 
@@ -49,6 +52,9 @@ ROWS = {
 # suites whose records are split between the criterion tests below
 SPLIT = ("hilbert", "tor", "xcounts")
 
+# {suite: {check: cases}} at each row's stated f
+CASES = json.loads(Path(__file__).with_name("acceptance_cases.json").read_text(encoding="utf-8"))
+
 
 @functools.cache
 def _run(suite):
@@ -63,6 +69,8 @@ def _assert_records(label, suite, keep=lambda check: True):
     records, elapsed = _run(suite)
     records = [r for r in records if keep(r.check)]
     assert records, f"no {suite} record selected for {label}"
+    pinned = {check: cases for check, cases in CASES[suite].items() if keep(check)}
+    assert {r.check: r.cases for r in records} == pinned, f"{suite} records cover other cases than pinned"
     failed = [f"{r.check}: {r.detail}" for r in records if not r.ok]
     assert not failed, "\n".join(failed)
     if bound is not None:
@@ -73,6 +81,7 @@ def _assert_records(label, suite, keep=lambda check: True):
 
 def test_every_criterion_has_a_row():
     assert sorted({c for *_, criteria in ROWS.values() for c in criteria}) == sorted(CRITERIA)
+    assert sorted(CASES) == sorted(ROWS)
 
 
 @pytest.mark.parametrize("suite", [s for s in ROWS if s not in SPLIT])

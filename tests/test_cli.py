@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import time
+from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
 from datetime import timedelta
 from pathlib import Path
@@ -16,12 +17,12 @@ from hypothesis import strategies as st
 import serrecalc
 from serrecalc import cli, ideals, pbw, predictions, verify
 from serrecalc.cli import main
-from serrecalc.homology import TAYLOR_CAP, VERTEX_CAP
-from serrecalc.ideals import TABLE_CAP, MonomialIdeal
+from serrecalc.homology import VERTEX_CAP
+from serrecalc.ideals import FACE_CAP, TABLE_CAP, MonomialIdeal
 from serrecalc.linalg import PRIME_TEST_BOUND
 from serrecalc.predictions import K1_CYCLE_F_CAP, THETA_POINT_CAP
 from serrecalc.series import EXPANSION_CAP
-from serrecalc.weights import PROFILE_F_CAP
+from serrecalc.weights import PROFILE_F_CAP, WeightProfile, enumerate_profiles, nonsplit_context, profile_stats
 
 
 def run(capsys, *argv):
@@ -227,9 +228,6 @@ BAD_INPUT = {
                                     "--which", "P"],
     "p-above-prime-test-bound": ["hilbert", "--f", "1", "--case", "split", "--jrho", "all",
                                  "--p", str(PRIME_TEST_BOUND)],
-    # a window ideal with C(6,3) + 6 = 26 generators
-    "window-above-generator-cap": ["grsubquot", "--f", "6", "--case", "nonsplit", "--jrho", "0", "--i0", "1",
-                                   "--i0p", "2", "--trunc", "0"],
     "tor-ambient": ["tor", "--gens", "[]", "--ambient", "3"],
     "grsubquot-negative-trunc-split": ["grsubquot", "--f", "2", "--case", "split", "--jrho", "all", "--i0", "0",
                                        "--i0p", "1", "--trunc", "-1"],
@@ -248,12 +246,14 @@ BAD_INPUT = {
        for name in ("hilbert", "split-ni", "gr-subquot", "semisimple-match", "theta", "xcounts", "patched")},
     "verify-all-f-12": ["verify", "--all", "--f", "12"],
     "verify-theta-box-above-cap": ["verify", "--suite", "theta", "--f", "5"],
-    # the pairing ideal at k = 7 has 7 + C(7, 2) = 28 generators
-    "verify-tor-above-generator-cap": ["verify", "--suite", "tor", "--f", "7"],
-    # k = 6 gives 6 + C(6, 2) = 21 generators, above the Taylor cap
-    "verify-tor-f-6": ["verify", "--suite", "tor", "--f", "6"],
-    "tor-taylor-above-cap": ["tor", "--gens", json.dumps([[int(i == j) for j in range(TAYLOR_CAP + 1)]
-                                                          for i in range(TAYLOR_CAP + 1)]), "--method", "taylor"],
+    # Hochster on the pairing ideal at k = 7 would take 14 vertices, above the vertex cap
+    "verify-tor-above-scale-cap": ["verify", "--suite", "tor", "--f", str(verify.SCALE_CAP["tor"] + 1)],
+    **{f"verify-{name}-above-scale-cap": ["verify", "--suite", name, "--f", str(verify.SCALE_CAP[name] + 1)]
+       for name in ("pbw", "degenerates")},
+    # 17 coordinate variables: no face is pruned, so the walk passes its cap of 2^16 faces
+    "tor-taylor-above-cap": ["tor", "--gens", json.dumps([[int(i == j) for j in range(FACE_CAP.bit_length())]
+                                                          for i in range(FACE_CAP.bit_length())]),
+                             "--method", "taylor"],
     # two 20,000-variable rows, one with a 4,000-digit exponent: refused at the vertex cap, not slowed by packing
     "hochster-wide-rows-huge-exponent": ["tor", "--gens", json.dumps([[1] * 20_000, [1] * 19_999 + [10**3999]]),
                                          "--method", "hochster"],
@@ -287,6 +287,62 @@ def test_bad_input_exits_2_with_one_error_line(capsys, tmp_path, argv):
         assert captured.out == ""
         assert len(lines) == 1 and lines[0].startswith("error:"), captured.err
     assert rc == 2 and time.perf_counter() - start < 5
+
+
+def test_a_window_ideal_of_26_generators_is_answered(capsys):
+    """C(6,3) + 6 = 26 generators, 11,776 faces; each table equals the window's monomials counted one by one."""
+    ctx, i0, i0p = nonsplit_context(6, []), 1, 2
+    rc, out = run(capsys, "grsubquot", "--f", "6", "--case", "nonsplit", "--jrho", "0", "--i0", str(i0),
+                  "--i0p", str(i0p), "--trunc", "0")
+    assert rc == 0
+    want, sizes = [], set()
+    for lam in enumerate_profiles(ctx, "P"):
+        big, small = ideals.a1(ctx, lam, i0), ideals.a1(ctx, lam, i0p)
+        sizes |= {len(big.gens), len(small.gens)}
+        shift = ideals.d_shift(profile_stats(ctx, lam), i0)  # trunc 0: only stored degree 0, polynomial degree shift
+        counts = Counter(m.bigrade()[1] for m in ideals.standard_monomials(small, shift)[shift] if big.member(m))
+        entries = [{"deg": "0", "mult": str(v), "offset": list(map(str, c))} for c, v in sorted(counts.items())]
+        want.append({"profile": lam.tags(), "series": {"entries": entries, "trunc": "0"}})
+    assert max(sizes) == 26 and json.loads(out)["summands"] == want
+
+
+def test_tor_answers_a_42_generator_window_ideal(capsys):
+    # 49,920 faces, within the walk's cap; the face masks are wider than 32 bits
+    ideal = ideals.a1(nonsplit_context(7, []), WeightProfile.from_tags(["X0"] * 7), 3)
+    rc, out = run(capsys, "tor", "--gens", json.dumps([g.exps for g in ideal.gens]), "--method", "taylor",
+                  "--max-i", "7")
+    assert rc == 0 and len(ideal.gens) == 42
+    assert json.loads(out)["taylor"] == ["1", "42", "245", "630", "832", "595", "224", "35"]
+
+
+def test_verify_tor_runs_at_its_scale_cap(capsys):
+    # k = 6: the pairing ideal has 6 + C(6, 2) = 21 generators and Hochster's formula 12 vertices
+    assert verify.SCALE_CAP["tor"] == VERTEX_CAP // 2 == 6
+    rc, out = run(capsys, "verify", "--suite", "tor", "--f", "6", "--report", "json")
+    records = json.loads(out)
+    assert rc == 0 and all(r["ok"] for r in records) and records[0]["check"] == "pairing-ideal closed form k<=6"
+
+
+def test_a_kernel_that_raises_fails_its_record_not_the_run(capsys, monkeypatch):
+    argv = ["verify", "--suite", "tor", "--f", "2", "--report", "json"]
+    rc, out = run(capsys, *argv)
+    healthy = json.loads(out)
+    real = verify.hochster_profile
+
+    def broken(ideal):
+        if len(ideal.gens) > 2:
+            raise ArithmeticError("kernel fault")
+        return real(ideal)
+
+    monkeypatch.setattr(verify, "hochster_profile", broken)
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    records = json.loads(captured.out)
+    assert rc == 0 and captured.err == "" and [r["check"] for r in records] == [r["check"] for r in healthy]
+    # the pairing ideal at k = 2 has three generators: its Taylor case completes, its Hochster case raises
+    assert records[0]["detail"] == "raised ArithmeticError: kernel fault after 3 cases, the last k=2 taylor"
+    assert records[0]["cases"] == "3" and not records[0]["ok"]
+    assert all(r["ok"] for r in records if "Ext" in r["check"])
 
 
 SPLIT2 = ["--f", "2", "--case", "split", "--jrho", "all"]

@@ -2,6 +2,7 @@ import random
 import sys
 from fractions import Fraction
 from itertools import combinations
+from math import comb
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -24,7 +25,7 @@ from serrecalc.homology import (
 from serrecalc.ideals import Monomial, MonomialIdeal, Packing, a1, a_lambda, hilbert, numerator, standard_counts_naive
 from serrecalc.linalg import PRIME_TEST_BOUND, exact_rank, is_prime
 from serrecalc.predictions import shell_counts, shell_sizes, theta_lattice
-from serrecalc.series import expand
+from serrecalc.series import IntPoly, expand
 from serrecalc.weights import WeightProfile, enumerate_profiles, nonsplit_context, profile_stats
 
 
@@ -80,17 +81,37 @@ def test_taylor_size_cap():
         taylor_profile(ideal)
 
 
+def test_the_walk_answers_an_ideal_of_exactly_its_face_cap(monkeypatch):
+    """16 coordinate variables: no face is pruned, so the walk visits all 2^16 subsets, and both callers answer."""
+    n = ideals.FACE_CAP.bit_length() - 1
+    ideal = MonomialIdeal(n, tuple(mono(n, i) for i in range(n)))
+    walk, faces = ideals._lyubeznik_walk, []
+
+    def record(gens, pk, visit):
+        walk(gens, pk, lambda m, s_mask: faces.append(s_mask) or visit(m, s_mask))
+
+    monkeypatch.setattr(homology, "_lyubeznik_walk", record)
+    assert taylor_profile(ideal) == [comb(n, i) for i in range(n + 1)]
+    assert len(set(faces)) == len(faces) == 2**n == ideals.FACE_CAP
+    assert hilbert(ideal).num == IntPoly.of(1, -1) ** n
+    with pytest.raises(SizeLimitError):
+        numerator(MonomialIdeal(n + 1, tuple(mono(n + 1, i) for i in range(n + 1))), lambda m: m.degree)
+
+
 def test_taylor_and_numerator_walk_the_same_lyubeznik_faces(monkeypatch):
     """One ``Packing.lcm`` per attempted extension, over the faces ``numerator`` walks too."""
     ideal = pairing_ideal(4)
     walk, lcm = ideals._lyubeznik_walk, Packing.lcm
     faces, calls = [], []
 
-    def record(gens, pk, visit, m, s_mask, top):
-        faces.append((s_mask, top))
-        walk(gens, pk, visit, m, s_mask, top)
+    def record(gens, pk, visit):
+        def seen(m, s_mask):  # a face extends by the indices below its least one, the empty face by all
+            faces.append((s_mask, (s_mask & -s_mask).bit_length() - 1 if s_mask else len(gens)))
+            visit(m, s_mask)
 
-    for module in (ideals, homology):  # homology enters the walk by its own name, the walk recurses through ideals
+        walk(gens, pk, seen)
+
+    for module in (ideals, homology):  # each module enters the walk by its own name
         monkeypatch.setattr(module, "_lyubeznik_walk", record)
     monkeypatch.setattr(Packing, "lcm", lambda pk, a, b: calls.append(1) or lcm(pk, a, b))
     assert profiles_agree(taylor_profile(ideal), [stanley_reisner_closed(4, i) for i in range(5)])
