@@ -91,6 +91,7 @@ def kernels(repeats: int = 5) -> list[dict]:
          lambda: homology.taylor_profile(coordinates)),
         ("homology.hochster_profile", "pairing_ideal(5)", lambda: homology.hochster_profile(pairing)),
         ("pbw.pbw_basis", "f = 6, n = 3", cold(pbw.pbw_basis, 6, 3)),
+        ("pbw.pbw_basis", "f = 40, n = 3, a ball of 7,381 points over 120 coordinates", cold(pbw.pbw_basis, 40, 3)),
         ("pbw._tor1_dims", "f = 4, t = (YZ,) * 4, right", cold(pbw._tor1_dims, 4, (weights.TGen.YZ,) * 4, "right")),
         ("predictions.semisimple_match", "nonsplit f = 4, J_rho = {}, i0 = 1",
          lambda: predictions.semisimple_match(weights.nonsplit_context(4, []), 1)),

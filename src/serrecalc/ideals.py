@@ -28,11 +28,12 @@ from .weights import GaloisContext, ProfileStats, TGen, WeightProfile, in_p, pro
 FACE_CAP = 2**16
 
 #: ``bigraded_difference`` expands a table over the C(trunc + shift + 2f, 2f)
-#: monomials of degree <= trunc + shift in 2f variables.  On one core of a
-#: 2-vCPU x86-64 host, Python 3.11, the table of R itself up to degree 7, built
-#: through a window's shared offsets dict, took 1.4 s and 117 MiB peak RSS at
-#: 480,700 monomials (f = 9) and 2.5-3.1 s and 212 MiB at 888,030 (f = 10); the
-#: cost per monomial grows with f, and the largest table a check builds has 8,008.
+#: monomials of degree <= trunc + shift in 2f variables, once per distinct
+#: (big, small, shift) of a window.  On one core of a 2-vCPU x86-64 host, Python
+#: 3.11, the table of R itself up to degree 7, built through a window's shared
+#: offsets dict, took 1.4 s and 117 MiB peak RSS at 480,700 monomials (f = 9) and
+#: 2.5-3.1 s and 212 MiB at 888,030 (f = 10); the cost per monomial grows with f,
+#: and the largest table a check builds has 8,008.
 TABLE_CAP = 500_000
 
 
@@ -398,11 +399,11 @@ def bigraded_difference(
     there is none either.
 
     ``offsets`` maps bound = trunc + shift to {packed offset: CharOffset}, and
-    (bound, stored degree n) to {packed offset: key (n, CharOffset)}.  The
-    tables of one call that pass the same dict (``gr_subquotient`` makes one
-    per window) share their offset objects and their entry keys; the module
-    keeps nothing between calls.  A lone table (the default) reuses no key,
-    so it keeps no key memo.
+    (bound, stored degree n) to {packed offset: key (n, CharOffset)}.  Its one
+    caller, ``gr_subquotient``, passes one dict to the distinct tables of a
+    window, so they share their offset objects and their entry keys; the
+    module keeps nothing between calls.  A lone table (the default) reuses no
+    key, so it keeps no key memo.
     """
     if big.ambient != 2 * f or small.ambient != 2 * f:
         raise ValueError("ambient must be the paired y/z ring")
@@ -454,24 +455,6 @@ def bigraded_difference(
                 key = keys[c] = (n, off)
             entries[key] = v
     return BigradedSeries(trunc, entries)
-
-
-def bigraded_quotient(
-    ctx: GaloisContext, lam: WeightProfile, i0: int, i0p: int, trunc: int, offsets: dict | None = None
-) -> BigradedSeries:
-    """The lambda-summand of the graded subquotient description.
-
-    The table of the window a1(i0) / a1(i0p) between two members of the
-    family, shifted so the first nonzero generators land in stored degree 0,
-    with character offsets relative to the anchor profile.  ``offsets`` is
-    passed to ``bigraded_difference``.
-    """
-    if not -1 <= i0 < i0p <= ctx.f:
-        raise ValueError(f"need -1 <= i0 < i0p <= f, got ({i0}, {i0p})")
-    stats, base = _family(ctx, lam)
-    return bigraded_difference(
-        _member(ctx.f, stats, base, i0), _member(ctx.f, stats, base, i0p), ctx.f, trunc, d_shift(stats, i0), offsets
-    )
 
 
 # -- the patched-module intersection -------------------------------------

@@ -14,7 +14,7 @@ from math import comb
 
 from .errors import SizeLimitError, UnsupportedCaseError
 from .homology import ext1_lower_bound, ext_closed
-from .ideals import Monomial, _family, _member, a_ss, bigraded_quotient, d_shift, numerator, p_monomial
+from .ideals import Monomial, _family, _member, a_ss, bigraded_difference, d_shift, numerator, p_monomial
 from .pbw import char_multiset
 from .series import BigradedSeries, IntPoly, RationalSeries, Value, _add_ball_points, one_minus_t
 from .weights import (
@@ -109,19 +109,30 @@ def gr_subquotient(
 ) -> list[tuple[WeightProfile, BigradedSeries]]:
     """Per-profile character-refined tables of the (i0, i0p) window.
 
-    Each P-profile's table is ``ideals.bigraded_quotient``, the window between
-    members i0 and i0p of its ideal family.  In the split context J1 = J2 = ∅,
-    so the family is R below |J_lambda| and a(lambda) from there on: the table
-    is R/a(lambda), unshifted, when i0 < |J_lambda| <= i0p, and zero otherwise.
-    The window's tables share one offsets dict: equal offsets, and equal entry
-    keys, at one bound are one object, so keys may be shared between tables.
+    A P-profile's table is ``ideals.bigraded_difference`` of members i0 and
+    i0p of its ideal family, shifted down by d_shift(i0) so the first nonzero
+    generators land in stored degree 0, with character offsets relative to
+    the anchor profile.  In the split context J1 = J2 = ∅, so the family is R
+    below |J_lambda| and a(lambda) from there on: the table is R/a(lambda),
+    unshifted, when i0 < |J_lambda| <= i0p, and zero otherwise.  Profiles
+    with equal (member i0, member i0p, shift) get one table object, built
+    once; the distinct tables share one offsets dict, so equal offsets, and
+    equal entry keys at one bound, are one object.  Nothing outlives the call.
     """
     if not ctx.reducible:
         raise UnsupportedCaseError("graded subquotient data needs a reducible context")
     spec.check(ctx.f)
-    n = default_trunc(ctx.f) if trunc is None else trunc
+    f, n = ctx.f, default_trunc(ctx.f) if trunc is None else trunc
     offsets: dict = {}
-    return [(lam, bigraded_quotient(ctx, lam, spec.i0, spec.i0p, n, offsets)) for lam in enumerate_profiles(ctx, "P")]
+    tables: dict[tuple, BigradedSeries] = {}
+    out = []
+    for lam in enumerate_profiles(ctx, "P"):
+        stats, base = _family(ctx, lam)
+        key = (_member(f, stats, base, spec.i0), _member(f, stats, base, spec.i0p), d_shift(stats, spec.i0))
+        if key not in tables:
+            tables[key] = bigraded_difference(key[0], key[1], f, n, key[2], offsets)
+        out.append((lam, tables[key]))
+    return out
 
 
 def i1_invariants(ctx: GaloisContext, spec: SubquotientSpec) -> list[WeightProfile]:

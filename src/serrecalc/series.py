@@ -245,6 +245,10 @@ def _add_ball_points(bounds: list[tuple[int, int]], left: int, cur: list[int], o
     if len(cur) == len(bounds):
         out.append(tuple(cur))
         return
+    if not left:  # only zeros are left: one point, if every remaining bound holds 0
+        if all(lo <= 0 <= hi for lo, hi in bounds[len(cur):]):
+            out.append(tuple(cur) + (0,) * (len(bounds) - len(cur)))
+        return
     lo, hi = bounds[len(cur)]
     for v in range(max(lo, -left), min(hi, left) + 1):
         cur.append(v)
@@ -280,7 +284,8 @@ class BigradedSeries:
     ``ideals.bigraded_difference``, hands over a dict of positive entries in
     degrees 0..trunc, which is stored as it is; instances are immutable by
     convention after construction.  The tables of one ``gr_subquotient``
-    call may share their key tuples and offsets.
+    call may share their key tuples and offsets, and profiles with the same
+    window share one table object.
     """
 
     def __init__(self, trunc: int, entries: dict[tuple[int, CharOffset], int]):

@@ -533,7 +533,7 @@ SUITES: dict[str, Callable[..., list[CheckRecord]]] = {
 #:   gr-subquot 10: 13 s (the profile cap)   semisimple-match 5: 13 s (6: over 45 s)
 #:   theta 4: 3.8 s (5: over 45 s)           xcounts 5: 15 s (6: over 45 s)
 #:   degenerates 3750: 25 s (4000: 29-30 s)  patched 6: 14 s (7: over 45 s)
-#:   pbw 66: 27-30 s (68: 42 s)              tor 6: 0.3 s, where Hochster's
+#:   pbw 66: 7.1 s (not yet raised)          tor 6: 0.3 s, where Hochster's
 #: formula on the pairing ideal's 2k vertices reaches ``VERTEX_CAP``.
 SCALE_CAP: dict[str, int] = {
     "hilbert": 7, "split-ni": PROFILE_F_CAP, "gr-subquot": PROFILE_F_CAP, "semisimple-match": 5, "theta": 4,

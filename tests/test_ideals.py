@@ -15,7 +15,6 @@ from serrecalc.ideals import (
     a_lambda,
     a_ss,
     bigraded_difference,
-    bigraded_quotient,
     d_shift,
     hilbert,
     ideal_from_pairs,
@@ -30,7 +29,14 @@ from serrecalc.ideals import (
 from serrecalc.errors import ProfileMembershipError
 from serrecalc.homology import pairing_ideal, taylor_profile
 from serrecalc.pbw import pbw_basis
-from serrecalc.predictions import SubquotientSpec, _lambda_prime, gr_subquotient, semisimple_match, x_counts
+from serrecalc.predictions import (
+    SubquotientSpec,
+    _lambda_prime,
+    default_trunc,
+    gr_subquotient,
+    semisimple_match,
+    x_counts,
+)
 from serrecalc.series import CharOffset, IntPoly, RationalSeries, expand
 from serrecalc.verify import _presentation_dims, reducible_contexts
 from serrecalc.weights import (
@@ -295,16 +301,22 @@ def test_bigraded_standard_matches_univariate():
         assert table.totals() == expand(hilbert(ideal), 6)
 
 
+def window_table(ctx, lam, i0: int, i0p: int, trunc: int):
+    """One profile's (i0, i0p) window table, built alone: members i0 and i0p, shifted by d_shift(i0)."""
+    shift = d_shift(profile_stats(ctx, lam), i0)
+    return bigraded_difference(a1(ctx, lam, i0), a1(ctx, lam, i0p), ctx.f, trunc, shift)
+
+
 def test_bigraded_quotient_full_window():
     ns2 = nonsplit_context(2, [0])
     for lam in enumerate_profiles(ns2, "P"):
-        table = bigraded_quotient(ns2, lam, -1, 2, 6)
+        table = window_table(ns2, lam, -1, 2, 6)
         assert table.totals() == expand(hilbert(a_lambda(ns2, lam)), 6)
 
 
 def test_bigraded_quotient_worked_example():
     ns2 = nonsplit_context(2, [0])
-    table = bigraded_quotient(ns2, prof("X0", "X0"), 0, 1, 5)
+    table = window_table(ns2, prof("X0", "X0"), 0, 1, 5)
     assert table.totals() == [1, 2, 3, 4, 5, 6]
 
 
@@ -312,14 +324,18 @@ def test_bigraded_quotient_vanishing():
     # d exceeds |J1 ⊔ J2|: the window is empty
     ns2 = nonsplit_context(2, [0])
     lam = prof("X1", "P2")  # J1 = J2 = {}, |J_lambda| = 1
-    table = bigraded_quotient(ns2, lam, 1, 2, 5)
+    table = window_table(ns2, lam, 1, 2, 5)
     assert table.is_zero()
 
 
 def test_bigraded_quotient_parameter_order():
+    """A window needs -1 <= i0 < i0p <= f: SubquotientSpec refuses the rest before any table is built."""
     ns2 = nonsplit_context(2, [0])
-    with pytest.raises(ValueError):
-        bigraded_quotient(ns2, prof("X0", "X0"), 1, 1, 5)
+    for i0, i0p in ((1, 1), (2, 1), (-2, 1)):
+        with pytest.raises(ValueError, match="need -1 <= i0 < i0p"):
+            gr_subquotient(ns2, SubquotientSpec(i0, i0p), 5)
+    with pytest.raises(ValueError, match="exceeds f = 2"):
+        gr_subquotient(ns2, SubquotientSpec(1, 3), 5)
 
 
 def raw_table(keep, f: int, trunc: int, shift: int = 0) -> dict[tuple[int, tuple[int, ...]], int]:
@@ -354,7 +370,7 @@ def test_bigraded_quotient_naive_cross_check(ctx, i0, i0p):
         big, small = a1(ctx, lam, i0), a1(ctx, lam, i0p)
         shift = d_shift(profile_stats(ctx, lam), i0)
         raw = raw_table(lambda m: big.member(m) and not small.member(m), ctx.f, 4, shift)
-        table = bigraded_quotient(ctx, lam, i0, i0p, 4)
+        table = window_table(ctx, lam, i0, i0p, 4)
         assert {(d, c.exps): v for (d, c), v in table.entries.items()} == raw, lam
 
 
@@ -422,16 +438,44 @@ def test_window_keys_are_shared_within_a_call(ctx, spec, trunc):
     assert _live_offsets() == before
 
 
+def _reused_nonzero_tables(ctx, spec: SubquotientSpec, trunc: int | None = None) -> int:
+    """Check that one window builds one table per distinct (member i0, member i0p, shift), each equal to
+    its lone table, and return how many profiles reuse a nonzero table built for an earlier one."""
+    n = default_trunc(ctx.f) if trunc is None else trunc
+    built: dict[tuple, object] = {}
+    reused = 0
+    for lam, table in gr_subquotient(ctx, spec, trunc):
+        key = (a1(ctx, lam, spec.i0), a1(ctx, lam, spec.i0p), d_shift(profile_stats(ctx, lam), spec.i0))
+        if key in built:
+            assert table is built[key], lam
+            reused += not table.is_zero()
+        else:
+            assert all(table is not other for other in built.values()), lam
+            assert table == bigraded_difference(key[0], key[1], ctx.f, n, key[2]), lam
+            built[key] = table
+    return reused
+
+
+@pytest.mark.parametrize("f", [1, 2, 3])
+def test_window_tables_are_built_once_per_distinct_window(f):
+    """Every window of every reducible context at f: profiles with equal members and shift share one table."""
+    reused = sum(
+        _reused_nonzero_tables(ctx, SubquotientSpec(i0, i0p))
+        for ctx in reducible_contexts(f) for i0 in range(-1, f) for i0p in range(i0 + 1, f + 1)
+    )
+    assert reused >= 1
+    if f == 2:  # the split window (-1, 2): 10 profiles, 5 tables, each built for two of them
+        assert _reused_nonzero_tables(split_context(2), SubquotientSpec(-1, 2)) == 5
+
+
 @pytest.mark.parametrize(
     "spec,trunc", [(SubquotientSpec(-1, 4), 8), (SubquotientSpec(1, 4), 4)], ids=["w-1_4-trunc8", "w1_4-trunc4"]
 )
 def test_window_tables_equal_their_unshared_tables_at_f4(spec, trunc):
-    """Every table of an f = 4 window equals the one built with a fresh offsets dict, at one bound or three."""
+    """Every table of an f = 4 window equals the one built alone, at one bound or three, and is shared."""
     ctx = nonsplit_context(4, [0, 2])
-    data = gr_subquotient(ctx, spec, trunc)
-    assert sum(len(table.entries) for _, table in data) > 2000
-    for lam, table in data:
-        assert table == bigraded_quotient(ctx, lam, spec.i0, spec.i0p, trunc, offsets=None), lam
+    assert sum(len(table.entries) for _, table in gr_subquotient(ctx, spec, trunc)) > 2000
+    assert _reused_nonzero_tables(ctx, spec, trunc) >= 1
 
 
 def test_a_lone_table_keeps_no_key_memo():

@@ -1,7 +1,8 @@
 import pickle
+from itertools import product
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from serrecalc.cli import Command
@@ -15,6 +16,7 @@ from serrecalc.series import (
     IntPoly,
     RationalSeries,
     Value,
+    _add_ball_points,
     bigraded_to_json,
     expand,
     rational_to_json,
@@ -179,3 +181,15 @@ def test_value_types_are_frozen_records(value, text):
     fields = HASHED.get(cls.__name__, lambda x: tuple(getattr(x, name) for name in cls.__slots__))(value)
     assert hash(value) == hash(fields)
     assert repr(value) == text
+
+
+@given(st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3)), max_size=5), st.integers(0, 5))
+@example([(-1, 1), (1, 2), (0, 2)], 1)  # left reaches 0 at x_0 = -1, where x_1 cannot be 0
+@example([(0, 2), (0, 2), (-2, -1)], 2)
+@example([(0, 3)] * 4, 0)
+def test_ball_points_match_a_product_filter(bounds, left):
+    """Every bounds box, holding 0 or not, and every radius: the ball listed in lexicographic order."""
+    points: list[tuple[int, ...]] = []
+    _add_ball_points(bounds, left, [], points)
+    box = product(*(range(lo, hi + 1) for lo, hi in bounds))
+    assert points == [p for p in box if sum(map(abs, p)) <= left]
