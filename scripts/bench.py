@@ -79,6 +79,7 @@ def kernels(repeats: int = 5) -> list[dict]:
     coordinates = ideals.MonomialIdeal(16, tuple(ideals.Monomial.variable(16, i) for i in range(16)))
     ns3, full = weights.nonsplit_context(3, [1, 2]), predictions.SubquotientSpec(-1, 3)
     ns4, full4 = weights.nonsplit_context(4, [0, 2]), predictions.SubquotientSpec(-1, 4)
+    Y, Z, YZ = weights.TGen.Y, weights.TGen.Z, weights.TGen.YZ
     cold = lambda cached, *args: lambda: (cached.cache_clear(), cached(*args))
     cases = [
         ("series.expand", "(3 + t)^10 / (1 - t)^10 to degree 200",
@@ -92,7 +93,10 @@ def kernels(repeats: int = 5) -> list[dict]:
         ("homology.hochster_profile", "pairing_ideal(5)", lambda: homology.hochster_profile(pairing)),
         ("pbw.pbw_basis", "f = 6, n = 3", cold(pbw.pbw_basis, 6, 3)),
         ("pbw.pbw_basis", "f = 40, n = 3, a ball of 7,381 points over 120 coordinates", cold(pbw.pbw_basis, 40, 3)),
-        ("pbw._tor1_dims", "f = 4, t = (YZ,) * 4, right", cold(pbw._tor1_dims, 4, (weights.TGen.YZ,) * 4, "right")),
+        ("pbw._tor1_dims", "f = 4, t = (YZ,) * 4, right", cold(pbw._tor1_dims, 4, (YZ,) * 4, "right")),
+        ("pbw._tor1_dims", "f = 4, t = (Y, Z, YZ, Y), right", cold(pbw._tor1_dims, 4, (Y, Z, YZ, Y), "right")),
+        ("pbw._tor1_dims", f"f = {pbw.TOR1_F_CAP} = TOR1_F_CAP, t = (Y,) * f, right",
+         cold(pbw._tor1_dims, pbw.TOR1_F_CAP, (Y,) * pbw.TOR1_F_CAP, "right")),
         ("predictions.semisimple_match", "nonsplit f = 4, J_rho = {}, i0 = 1",
          lambda: predictions.semisimple_match(weights.nonsplit_context(4, []), 1)),
         ("predictions.gr_subquotient", "nonsplit f = 3, J_rho = {1, 2}, window (-1, 3), trunc 7",

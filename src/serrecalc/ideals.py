@@ -466,6 +466,13 @@ def _patched_layout(ctx: GaloisContext) -> tuple[list[int], int, int]:
     return rho, ell, 2 * ell + n_z
 
 
+#: ``patched_ideals`` intersects up to 2^|J_rho| linear ideals, |J_rho| <= f.
+#: Fresh processes on a shared 2-vCPU x86-64 host, Python 3.11: ``serrecalc
+#: patched`` took 2.0-2.2 s at f = 8 with J_rho everything and the profile
+#: X1,P2,..., 0.6 s with |J_rho| = 7; at f = 9 it took 9.4-10.1 s.
+PATCHED_F_CAP = 8
+
+
 def patched_ideals(
     ctx: GaloisContext, lam: WeightProfile
 ) -> tuple[MonomialIdeal, MonomialIdeal]:
@@ -475,6 +482,8 @@ def patched_ideals(
     The intersection runs over subsets J of J_rho with |J \\ J''| <= 1 of the
     linear ideals (X_j : j in J) + (Y_j : j in J_rho \\ J) + (Z_m : all m).
     """
+    if ctx.f > PATCHED_F_CAP:
+        raise SizeLimitError(f"f = {ctx.f} exceeds the patched cap of {PATCHED_F_CAP}")
     if not in_p(ctx, lam):
         raise ProfileMembershipError(f"{lam!r} is not in P for this context")
     rho, ell, n_vars = _patched_layout(ctx)

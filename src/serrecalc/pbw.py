@@ -5,7 +5,8 @@ index) and stored as exponent tuples (a_0..a_{f-1}, b_0..b_{f-1}, c_0..c_{f-1});
 y and z have degree 1 and h degree 2 (stored degrees, i.e. minus the module
 grading).  Products are truncated at total degree n <= 4, below which the
 product of two monomials has a closed form (``mono_mul``).  The Tor_1 ranks
-need n = 3 only, so the basis stops there.  It is cut from ``series``'
+are those of d1 and d2 of the Koszul complex on the 2f generators t_j, h_j,
+truncated at degree 3, so the basis stops there.  It is cut from ``series``'
 lattice-point walk: the exponent vectors of l1 norm < n, kept where the
 degree, which counts h twice, is < n.
 """
@@ -13,14 +14,23 @@ degree, which counts h twice, is < n.
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import combinations
 from math import comb
 
+from .errors import SizeLimitError
 from .linalg import exact_rank
 from .series import Value, _add_ball_points
 from .weights import GaloisContext, TGen, WeightProfile, profile_stats
 
 Mono = tuple[int, ...]
 Elem = dict[Mono, int]
+
+#: ``tor1_gr`` ranks d1 and d2, whose rows are the 2f^2 + 4f + 1 basis monomials
+#: times 2f and C(2f, 2) generator sets.  Fresh processes on a shared 2-vCPU
+#: x86-64 host, Python 3.11: ``serrecalc grtor`` at f = 16 took 1.4-2.1 s and
+#: peaked at 21 MiB over both sides and the all-Y, all-Z and all-YZ
+#: t-assignments; at f = 17 it took 2.2 s, at 20 5.0 s, at 30 25 s.
+TOR1_F_CAP = 16
 
 
 def _check_n(n: int, top: int):
@@ -113,21 +123,6 @@ def gr_formula(f: int, k: int) -> int:
     )
 
 
-def _t_mono(f: int, j: int, kind: TGen) -> Mono:
-    m = [0] * (3 * f)
-    if kind in (TGen.Y, TGen.YZ):
-        m[j] += 1
-    if kind in (TGen.Z, TGen.YZ):
-        m[f + j] += 1
-    return tuple(m)
-
-
-def _h_mono(f: int, j: int) -> Mono:
-    m = [0] * (3 * f)
-    m[2 * f + j] = 1
-    return tuple(m)
-
-
 class GrTorDims(Value):
     __slots__ = ("dim_im_d1", "dim_ker_d1", "dim_im_d2", "tor1", "expected", "ok")
 
@@ -139,69 +134,54 @@ def _expected_dims(f: int, k: int) -> tuple[int, int, int, int]:
     return (im1, ker1, im2, gr_formula(f, k))
 
 
+def _koszul_rank(gens: list[Mono], k: int, f: int, side: str) -> int:
+    """Rank of d_k of the Koszul complex on ``gens`` over the degree-3 truncation.
+
+    d_k sends w e_S, for a k-subset S of the generators and a basis monomial w,
+    to the sum over i of (-1)^i (w g_{S_i}) e_{S minus S_i}; the left side
+    multiplies g_{S_i} w instead.
+    """
+    basis = pbw_basis(f, 3)
+    index = {m: i for i, m in enumerate(basis)}
+    faces = {S: c for c, S in enumerate(combinations(range(len(gens)), k - 1))}
+    rows = []
+    for S in combinations(range(len(gens)), k):
+        terms = [(faces[S[:i] + S[i + 1 :]] * len(basis), (-1) ** i, gens[a]) for i, a in enumerate(S)]
+        for w in basis:
+            row: dict[int, int] = {}
+            for comp, sign, g in terms:
+                prod = mono_mul(w, g, f, 3) if side == "right" else mono_mul(g, w, f, 3)
+                for m, c in prod.items():
+                    _add_term(row, comp + index[m], sign * c)
+            if row:
+                rows.append(row)
+    return exact_rank(rows)
+
+
 @lru_cache(maxsize=None)
 def _tor1_dims(f: int, t_assign: tuple[TGen, ...], side: str) -> tuple[int, int, int]:
-    basis = pbw_basis(f, 3)
-    nb = len(basis)
-    index = {m: i for i, m in enumerate(basis)}
-    t_of = [_t_mono(f, j, g) for j, g in enumerate(t_assign)]
-    h_of = [_h_mono(f, j) for j in range(f)]
-
-    def times(w: Mono, v: Mono) -> Elem:
-        return mono_mul(w, v, f, 3) if side == "right" else mono_mul(v, w, f, 3)
-
-    def as_row(parts: list[tuple[int, Elem, int]]) -> dict[int, int]:
-        # parts: (component index into the free module, element, sign)
-        row: dict[int, int] = {}
-        for comp, elem, sign in parts:
-            for m, c in elem.items():
-                _add_term(row, comp * nb + index[m], sign * c)
-        return row
-
-    # d1: 2f components (j, slot), slot 0 carrying t_j and slot 1 carrying h_j
-    d1_rows = []
-    for j in range(f):
-        for slot, v in ((0, t_of[j]), (1, h_of[j])):
-            for w in basis:
-                row = as_row([(0, times(w, v), 1)])
-                if row:
-                    d1_rows.append(row)
-    dim_im_d1 = exact_rank(d1_rows)
-    dim_ker_d1 = 2 * f * nb - dim_im_d1
-
-    comp_of = lambda j, slot: 2 * j + slot
-    d2_rows = []
-    for j in range(f):
-        for w in basis:
-            row = as_row(
-                [(comp_of(j, 0), times(w, h_of[j]), -1), (comp_of(j, 1), times(w, t_of[j]), 1)]
-            )
-            if row:
-                d2_rows.append(row)
-    for i in range(f):
-        for j in range(i + 1, f):
-            for s, vs in ((0, t_of[i]), (1, h_of[i])):
-                for t, vt in ((0, t_of[j]), (1, h_of[j])):
-                    for w in basis:
-                        row = as_row(
-                            [(comp_of(j, t), times(w, vs), 1), (comp_of(i, s), times(w, vt), -1)]
-                        )
-                        if row:
-                            d2_rows.append(row)
-    dim_im_d2 = exact_rank(d2_rows)
-    return dim_im_d1, dim_ker_d1, dim_im_d2
+    """dim im d1, dim ker d1 and dim im d2 on the generators (t_0, h_0, ..., t_{f-1}, h_{f-1})."""
+    gens = []
+    for j, kind in enumerate(t_assign):
+        t, h = [0] * (3 * f), [0] * (3 * f)
+        t[j], t[f + j], h[2 * f + j] = int(kind is not TGen.Z), int(kind is not TGen.Y), 1
+        gens += [tuple(t), tuple(h)]
+    im1 = _koszul_rank(gens, 1, f, side)
+    return im1, 2 * f * len(pbw_basis(f, 3)) - im1, _koszul_rank(gens, 2, f, side)
 
 
 def tor1_gr(ctx: GaloisContext, lam: WeightProfile, side: str = "right") -> GrTorDims:
-    """Exact ranks of the two differentials cut off at degree 3.
+    """Exact ranks of the two Koszul differentials cut off at degree 3.
 
-    Builds the free resolution differentials from the per-coordinate ideal
-    generators, multiplies into the truncated algebra on the requested side
-    (the ranks are convention-independent), and compares all four dimensions
-    with their closed forms.
+    The generators are the per-coordinate t_j of the profile's t-assignment
+    and h_j; products are taken in the truncated algebra on the requested side
+    (the ranks are convention-independent), and all four dimensions are
+    compared with their closed forms.
     """
     if side not in ("right", "left"):
         raise ValueError("side must be 'right' or 'left'")
+    if ctx.f > TOR1_F_CAP:
+        raise SizeLimitError(f"f = {ctx.f} exceeds the grtor cap of {TOR1_F_CAP}")
     stats = profile_stats(ctx, lam)
     im1, ker1, im2 = _tor1_dims(ctx.f, stats.t_assign, side)
     tor1 = ker1 - im2

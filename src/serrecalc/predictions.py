@@ -76,9 +76,21 @@ def _one_plus_t_sum(hist: dict[int, int]) -> IntPoly:
     return sum(((IntPoly.of(1, 1) ** a).scale(count) for a, count in hist.items()), IntPoly.zero())
 
 
+#: ``hilbert_pi`` multiplies polynomials of degree up to f, and ``serrecalc
+#: hilbert`` expands the series, whose pole is f, to ``--trunc``, so its work
+#: grows with f times the expansion.  Fresh processes on a shared 2-vCPU x86-64
+#: host, Python 3.11, irreducible case (the reducible ones stop at
+#: ``PROFILE_F_CAP``): at f = 16 ``--trunc 99999`` took 1.3-1.6 s and 44 MiB,
+#: the default ``--trunc`` 0.07 s; at f = 20 ``--trunc 99999`` took 3.0 s, and
+#: ``--trunc 0`` took 2.1-2.6 s at f = 400 and 31 s at f = 800.
+HILBERT_F_CAP = 16
+
+
 def hilbert_pi(ctx: GaloisContext) -> SeriesCheck:
     """Closed Hilbert series of the full module against the profile sum."""
     f = ctx.f
+    if f > HILBERT_F_CAP:
+        raise SizeLimitError(f"f = {f} exceeds the hilbert cap of {HILBERT_F_CAP}")
     if ctx.case is Case.IRREDUCIBLE:
         hist = {s: 2 * comb(f, s) * 2 ** (f - s) for s in range(1, f + 1, 2)}
     else:
@@ -208,12 +220,21 @@ def i1_degree0_total(ctx: GaloisContext, spec: SubquotientSpec) -> int:
     return total
 
 
+#: ``socle_jsets`` walks all 2^f subsets and lists up to 2^(f-1) of them.  Fresh
+#: processes on a shared 2-vCPU x86-64 host, Python 3.11, with |J_rho| = f - 1
+#: and the full window (-1, f): ``serrecalc socle`` took 1.6-1.8 s at f = 18 and
+#: peaked at 137 MiB (5.2 MB of JSON), and 4.0-4.3 s and 264 MiB at f = 19.
+SOCLE_F_CAP = 18
+
+
 def socle_jsets(ctx: GaloisContext, spec: SubquotientSpec) -> list[frozenset[int]]:
     """J-sets of the socle weights of the (i0, i0p) subquotient.
 
     Weights attached to the base representation correspond to subsets of
     J_rho; the second family collects the remaining subsets at size i0 + 1.
     """
+    if ctx.f > SOCLE_F_CAP:
+        raise SizeLimitError(f"f = {ctx.f} exceeds the socle cap of {SOCLE_F_CAP}")
     if ctx.case is not Case.NONSPLIT:
         raise UnsupportedCaseError("the socle description is a nonsplit statement")
     spec.check(ctx.f)
@@ -376,8 +397,17 @@ class XCounts(Value):
     __slots__ = ("x0", "x1", "x2", "expected", "ok")
 
 
+#: ``shell_counts`` lists the 2^k offsets of its membership box, k <= f.  Fresh
+#: processes on a shared 2-vCPU x86-64 host, Python 3.11: ``serrecalc xcounts``
+#: took 0.8-1.3 s at f = 18 and peaked at 78 MiB with k = f (split, all X0),
+#: and 1.5-2.3 s and 140 MiB at f = 19.
+X_COUNTS_F_CAP = 18
+
+
 def x_counts(ctx: GaloisContext, lam: WeightProfile) -> XCounts:
     """Counted sizes of the depth-0/1/2 character shells around a profile, against ``shell_sizes``."""
+    if ctx.f > X_COUNTS_F_CAP:
+        raise SizeLimitError(f"f = {ctx.f} exceeds the xcounts cap of {X_COUNTS_F_CAP}")
     st = profile_stats(ctx, lam)
     counts, expected = shell_counts(ctx.f, st.eps), shell_sizes(ctx.f, st.k)
     return XCounts(*counts, expected, counts == expected)

@@ -18,9 +18,10 @@ import serrecalc
 from serrecalc import cli, ideals, pbw, predictions, verify
 from serrecalc.cli import main
 from serrecalc.homology import VERTEX_CAP
-from serrecalc.ideals import FACE_CAP, TABLE_CAP, MonomialIdeal
+from serrecalc.ideals import FACE_CAP, PATCHED_F_CAP, TABLE_CAP, MonomialIdeal
 from serrecalc.linalg import PRIME_TEST_BOUND
-from serrecalc.predictions import K1_CYCLE_F_CAP, THETA_POINT_CAP
+from serrecalc.pbw import TOR1_F_CAP
+from serrecalc.predictions import HILBERT_F_CAP, K1_CYCLE_F_CAP, SOCLE_F_CAP, THETA_POINT_CAP, X_COUNTS_F_CAP
 from serrecalc.series import EXPANSION_CAP
 from serrecalc.weights import PROFILE_F_CAP, WeightProfile, enumerate_profiles, nonsplit_context, profile_stats
 
@@ -265,6 +266,17 @@ BAD_INPUT = {
                              "--i0", "1"],
     "theta-i0-below-range": ["theta", "--f", "1", "--case", "nonsplit", "--jrho", "0", "--profile", "X0",
                              "--i0", "-2"],
+    # one past each f cap, on inputs that run fast below it; the cap is checked before any work
+    "grtor-above-f-cap": ["grtor", "--f", str(TOR1_F_CAP + 1), "--case", "split", "--jrho", "all",
+                          "--profile", ",".join(["X0"] * (TOR1_F_CAP + 1))],
+    "xcounts-above-f-cap": ["xcounts", "--f", str(X_COUNTS_F_CAP + 1), "--case", "nonsplit", "--jrho", "0",
+                            "--profile", ",".join(["X0"] * (X_COUNTS_F_CAP + 1))],
+    "socle-above-f-cap": ["socle", "--f", str(SOCLE_F_CAP + 1), "--case", "nonsplit", "--jrho", "0", "--i0", "-1",
+                          "--i0p", "0"],
+    "patched-above-f-cap": ["patched", "--f", str(PATCHED_F_CAP + 1), "--case", "split", "--jrho", "all",
+                            "--profile", ",".join(["X0"] * (PATCHED_F_CAP + 1))],
+    "hilbert-irreducible-above-f-cap": ["hilbert", "--f", str(HILBERT_F_CAP + 1), "--case", "irreducible",
+                                        "--trunc", "0"],
     "hilbert-negative-trunc": ["hilbert", "--f", "2", "--case", "split", "--jrho", "all", "--trunc", "-4"],
     "verify-unknown-suite": ["verify", "--suite", "nope"],
     "verify-cap-checked-first": ["verify", "--suite", "pbw", "--suite", "hilbert", "--f", str(PROFILE_F_CAP + 1)],

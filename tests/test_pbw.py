@@ -5,6 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from serrecalc.pbw import (
+    _expected_dims,
+    _tor1_dims,
     char_multiset,
     gr_formula,
     mono_degree,
@@ -15,6 +17,7 @@ from serrecalc.pbw import (
     tor1_gr,
 )
 from serrecalc.weights import (
+    TGen,
     WeightProfile,
     enumerate_profiles,
     nonsplit_context,
@@ -192,6 +195,16 @@ def test_tor1_matches_formula(f):
             assert tor1_gr(ctx, lam).ok
 
 
+@pytest.mark.parametrize("f", [1, 2, 3, 4])
+def test_tor1_ranks_match_the_closed_forms(f):
+    """Every t-assignment on both sides; k counts the coordinates whose t_j is not y_j z_j."""
+    for t_assign in product(TGen, repeat=f):
+        k = sum(g is not TGen.YZ for g in t_assign)
+        for side in ("right", "left"):
+            im1, ker1, im2 = _tor1_dims(f, t_assign, side)
+            assert (im1, ker1, im2, ker1 - im2) == _expected_dims(f, k), (t_assign, side)
+
+
 def test_tor1_side_flag():
     ns = nonsplit_context(2, [0])
     lam = prof("X0", "X0")
@@ -207,15 +220,15 @@ def test_tor1_side_flag():
 
 def test_differentials_compose_to_zero():
     """Every second-differential column maps to zero under the first."""
-    from serrecalc.pbw import _h_mono, _t_mono
     from serrecalc.weights import profile_stats
 
     ctx = nonsplit_context(2, [0])
     lam = prof("X2", "X0")
     st_ = profile_stats(ctx, lam)
     f = 2
-    t_of = [_t_mono(f, j, g) for j, g in enumerate(st_.t_assign)]
-    h_of = [_h_mono(f, j) for j in range(f)]
+    # each t_j is spelt by its TGen value: y_j, z_j or y_j z_j
+    t_of = [next(iter(elem(f, **{f"{v.lower()}{j}": 1 for v in g.value}))) for j, g in enumerate(st_.t_assign)]
+    h_of = [next(iter(elem(f, **{f"h{j}": 1}))) for j in range(f)]
 
     def acc(parts):
         total = {}
