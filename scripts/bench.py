@@ -16,6 +16,13 @@ layers below stay warm.  Each kernel's ``peak_kib`` is the ``tracemalloc``
 peak of one such call, made before the timed repeats.  Beside them go the
 ``src/`` line count, ``nproc`` and the Python version.  Standard library
 only; the output path is the one argument.
+
+Before the kernels it runs fixed passes, the ``matching`` benchmark
+workload's operations, in one fresh child process (``bench.py --passes``),
+which reads its own ``VmHWM`` from ``/proc/self/status`` before and after each
+pass.  That growth of the process's peak RSS shows what ``tracemalloc`` cannot:
+memory that the allocator holds in fragmented pools.  Each pass's
+``peak_kib`` is its ``tracemalloc`` peak, run once more in this process.
 """
 
 from __future__ import annotations
@@ -31,6 +38,7 @@ import sys
 import time
 import timeit
 import tracemalloc
+from itertools import combinations
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 TIER1_ARGS = ["-m", "pytest", "-q", "--continue-on-collection-errors"]
@@ -69,6 +77,61 @@ def tier1() -> dict:
             "summary": lines[-1] if lines else ""}
 
 
+def _each(call, arg_tuples: list[tuple]) -> None:
+    for args in arg_tuples:  # each result is dropped before the next call, as the benchmark worker drops it
+        call(*args)
+
+
+def _passes() -> list[tuple[str, str, object]]:
+    """The ``matching`` workload's operations, grouped into two passes: (kernel, input, call)."""
+    sys.path.insert(0, os.path.join(ROOT, "src"))
+    from serrecalc import predictions, weights
+
+    def contexts(f: int):  # every nonsplit J_rho at f <= 3; at f = 4 the two the workload takes
+        jrhos = [[], [0, 2]] if f == 4 else [list(sub) for r in range(f) for sub in combinations(range(f), r)]
+        return [weights.nonsplit_context(f, jrho) for jrho in jrhos]
+
+    windows = [(ctx, predictions.SubquotientSpec(i0, i0p)) for f in range(1, 4) for ctx in contexts(f)
+               for i0 in range(-1, f) for i0p in range(i0 + 1, f + 1)]
+    matches = [(ctx, i0) for f in range(1, 5) for ctx in contexts(f) for i0 in range(-1, f)]
+    return [
+        ("predictions.gr_subquotient", f"every window of every nonsplit context at f <= 3 ({len(windows)} calls)",
+         lambda: _each(predictions.gr_subquotient, windows)),
+        ("predictions.semisimple_match", "every i0 of every nonsplit context at f <= 3 and of J_rho = {}, {0, 2} "
+         f"at f = 4 ({len(matches)} calls)", lambda: _each(predictions.semisimple_match, matches)),
+    ]
+
+
+def _hwm_kib() -> int:
+    """This process's peak resident set size, from its own ``/proc/self/status``."""
+    with open("/proc/self/status", encoding="ascii") as fh:
+        return next(int(line.split()[1]) for line in fh if line.startswith("VmHWM:"))
+
+
+def _child_passes() -> list[dict]:
+    """Run in the fresh child: each pass's growth of this process's ``VmHWM``, in order."""
+    out = []
+    for name, size, call in _passes():
+        before = _hwm_kib()
+        call()
+        out.append({"kernel": name, "input": size, "hwm_before_kib": before, "hwm_growth_kib": _hwm_kib() - before})
+    return out
+
+
+def passes() -> list[dict]:
+    """The fresh child's ``VmHWM`` growth per pass, beside each pass's ``tracemalloc`` peak in this process."""
+    proc, _ = _timed([sys.executable, os.path.abspath(__file__), "--passes"])
+    if proc.returncode:
+        raise RuntimeError(f"bench.py --passes exited {proc.returncode}: {proc.stderr.strip()}")
+    rows = json.loads(proc.stdout)
+    for row, (_, _, call) in zip(rows, _passes(), strict=True):
+        tracemalloc.start()
+        call()
+        row["peak_kib"] = tracemalloc.get_traced_memory()[1] / 1024
+        tracemalloc.stop()
+    return rows
+
+
 def kernels(repeats: int = 5) -> list[dict]:
     """Median seconds per call of fixed-size kernels, at least one per module, in dependency order."""
     sys.path.insert(0, os.path.join(ROOT, "src"))
@@ -80,10 +143,13 @@ def kernels(repeats: int = 5) -> list[dict]:
     ns3, full = weights.nonsplit_context(3, [1, 2]), predictions.SubquotientSpec(-1, 3)
     ns4, full4 = weights.nonsplit_context(4, [0, 2]), predictions.SubquotientSpec(-1, 4)
     Y, Z, YZ = weights.TGen.Y, weights.TGen.Z, weights.TGen.YZ
+    irreducible16 = series.RationalSeries(series.IntPoly.of(3, 1) ** 16 - series.one_minus_t() ** 16, 16)
     cold = lambda cached, *args: lambda: (cached.cache_clear(), cached(*args))
     cases = [
         ("series.expand", "(3 + t)^10 / (1 - t)^10 to degree 200",
          lambda: series.expand(series.RationalSeries(series.IntPoly.of(3, 1) ** 10, 10), 200)),
+        ("series.expand", "((3 + t)^16 - (1 - t)^16) / (1 - t)^16, the irreducible f = 16 Hilbert series, "
+         "to degree 99,999", lambda: series.expand(irreducible16, 99_999)),
         ("weights._pss_list", "f = 8", cold(weights._pss_list, 8)),
         ("ideals.numerator", "a1(i = 1) of X0^5, nonsplit f = 5, J_rho = {}, bigraded",
          lambda: ideals.numerator(window, ideals.Monomial.bigrade)),
@@ -127,10 +193,13 @@ def src_lines() -> int:
 
 
 def main(argv: list[str]) -> int:
+    if argv == ["--passes"]:
+        print(json.dumps(_child_passes()))
+        return 0
     if len(argv) != 1:
         print("usage: bench.py OUTPUT.json", file=sys.stderr)
         return 2
-    report = {"verify_all": verify_all(), "tier1": tier1(), "kernels": kernels()}
+    report = {"verify_all": verify_all(), "tier1": tier1(), "passes": passes(), "kernels": kernels()}
     report.update(
         src_lines=src_lines(),
         nproc=len(os.sched_getaffinity(0)),

@@ -215,7 +215,7 @@ def _tor(a) -> dict:
     gens = _list_of_lists(json.loads(a.gens), int, "--gens to be a JSON list of integer exponent arrays")
     if a.max_i is not None and a.max_i < 0:
         raise ValueError(f"--max-i must be nonnegative, got {a.max_i}")
-    ideal = MonomialIdeal(len(gens[0]) if gens else 0, tuple(Monomial(tuple(g)) for g in gens))
+    ideal = MonomialIdeal(len(gens[0]) if gens else 0, tuple([Monomial(tuple(g)) for g in gens]))
     payload: dict = {"gens": [list(g.exps) for g in ideal.gens]}
     for key, oracle in (("taylor", taylor_profile), ("hochster", hochster_profile)):
         if a.method in (key, "both"):

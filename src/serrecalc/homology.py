@@ -112,7 +112,7 @@ def taylor_profile(ideal: MonomialIdeal) -> list[int]:
     used = [j for j in range(ideal.ambient) if any(g.exps[j] for g in gens)]
     pk = Packing.over(gens, len(used))
     blocks: defaultdict[int, list[int]] = defaultdict(list)  # face masks of any width
-    packed = tuple(pk.pack([g.exps[j] for j in used]) for g in gens)
+    packed = tuple([pk.pack([g.exps[j] for j in used]) for g in gens])
     _lyubeznik_walk(packed, pk, lambda m, s_mask: blocks[m].append(s_mask))
     out = [0] * (len(gens) + 1)
     for faces in blocks.values():
@@ -190,11 +190,11 @@ def ext_dims(f: int, k: int) -> ExtDims:
         raise ValueError("need 0 <= k <= f")
     closed = ext_closed(f, k)
     profile = taylor_profile(padded_pairing_ideal(f, k))
-    oracle = tuple(profile[i] if i < len(profile) else 0 for i in range(3))
-    convo = tuple(
+    oracle = tuple([profile[i] if i < len(profile) else 0 for i in range(3)])
+    convo = tuple([
         sum(comb(2 * f - k, i - j) * stanley_reisner_closed(k, j) for j in range(i + 1))
         for i in range(3)
-    )
+    ])
     return ExtDims(closed, oracle, convo, closed == oracle == convo)
 
 

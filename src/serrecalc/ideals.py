@@ -85,19 +85,19 @@ class Monomial(Value):
         return all(a <= b for a, b in zip(self.exps, other.exps, strict=True))
 
     def lcm(self, other: "Monomial") -> "Monomial":
-        return Monomial(tuple(max(a, b) for a, b in zip(self.exps, other.exps, strict=True)))
+        return Monomial(tuple([max(a, b) for a, b in zip(self.exps, other.exps, strict=True)]))
 
     def __mul__(self, other: "Monomial") -> "Monomial":
-        return Monomial(tuple(a + b for a, b in zip(self.exps, other.exps, strict=True)))
+        return Monomial(tuple([a + b for a, b in zip(self.exps, other.exps, strict=True)]))
 
     def bigrade(self) -> tuple[int, tuple[int, ...]]:
         """(degree, character offset: +e_j per y_j power, -e_j per z_j power), the bigraded numerators' key."""
         e = self.exps
-        return sum(e), tuple(y - z for y, z in zip(e[::2], e[1::2]))
+        return sum(e), tuple([y - z for y, z in zip(e[::2], e[1::2])])
 
     def sort_key(self) -> tuple:
         # graded lexicographic: by degree, then earlier variables first
-        return (self.degree, tuple(-e for e in self.exps))
+        return (self.degree, tuple([-e for e in self.exps]))
 
 
 class Packing:
@@ -128,7 +128,7 @@ class Packing:
 
     def unpack(self, p: int) -> tuple[int, ...]:
         s = format(p, self.spec)
-        return tuple(map(self.decode.__getitem__, map(s.__getitem__, self.fields)))
+        return tuple([self.decode[s[field]] for field in self.fields])
 
     def divides(self, a: int, b: int) -> bool:
         return ((b | self.guards) - a) & self.guards == self.guards
@@ -246,7 +246,7 @@ def _family(ctx: GaloisContext, lam: WeightProfile) -> tuple[ProfileStats, Monom
     if not in_p(ctx, lam):
         raise ProfileMembershipError(f"{lam!r} is not in P for this context")
     stats = profile_stats(ctx, lam)
-    return stats, MonomialIdeal(2 * ctx.f, tuple(t_monomial(ctx.f, j, g) for j, g in enumerate(stats.t_assign)))
+    return stats, MonomialIdeal(2 * ctx.f, tuple([t_monomial(ctx.f, j, g) for j, g in enumerate(stats.t_assign)]))
 
 
 def a_lambda(ctx: GaloisContext, lam: WeightProfile) -> MonomialIdeal:
@@ -321,7 +321,7 @@ def numerator(
     def visit(m: int, s_mask: int):
         signs[m] = signs.get(m, 0) + (-sign if s_mask.bit_count() & 1 else sign)
 
-    _lyubeznik_walk(tuple(pk.pack(g.exps) for g in ideal.gens), pk, visit)
+    _lyubeznik_walk(tuple([pk.pack(g.exps) for g in ideal.gens]), pk, visit)
     acc = {} if acc is None else acc
     for m, s in signs.items():
         key = grade(Monomial(pk.unpack(m)))
@@ -363,7 +363,7 @@ def _lyubeznik_walk(gens: tuple[int, ...], pk: Packing, visit: Callable):
 def hilbert(ideal: MonomialIdeal) -> RationalSeries:
     """Hilbert series of R/I: the numerator graded by total degree."""
     coeffs = numerator(ideal, lambda m: m.degree)  # never empty: it holds the empty subset
-    num = IntPoly(tuple(coeffs.get(d, 0) for d in range(max(coeffs) + 1)))
+    num = IntPoly(tuple([coeffs.get(d, 0) for d in range(max(coeffs) + 1)]))
     return RationalSeries(num, ideal.ambient)
 
 
@@ -501,8 +501,8 @@ def patched_ideals(
                 continue
             linear = MonomialIdeal(
                 n_vars,
-                tuple(x(j) for j in sorted(J))
-                + tuple(y(j) for j in sorted(ctx.j_rho - J))
+                tuple([x(j) for j in sorted(J)])
+                + tuple([y(j) for j in sorted(ctx.j_rho - J)])
                 + tuple(zs),
             )
             inter = linear if inter is None else inter.intersect(linear)
@@ -511,8 +511,8 @@ def patched_ideals(
     pairs = sorted(ctx.j_rho - j_dp)
     expected = MonomialIdeal(
         n_vars,
-        tuple(x(j) * y(j) for j in rho)
-        + tuple(y(a) * y(b) for a, b in combinations(pairs, 2))
+        tuple([x(j) * y(j) for j in rho])
+        + tuple([y(a) * y(b) for a, b in combinations(pairs, 2)])
         + tuple(zs),
     )
     return inter, expected

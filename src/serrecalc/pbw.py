@@ -44,7 +44,7 @@ def mono_degree(m: Mono, f: int) -> int:
 
 def mono_offset(m: Mono, f: int) -> tuple[int, ...]:
     """Character offset: +1 per y power, -1 per z power, 0 for h."""
-    return tuple(m[j] - m[f + j] for j in range(f))
+    return tuple([m[j] - m[f + j] for j in range(f)])
 
 
 @lru_cache(maxsize=None)

@@ -80,9 +80,9 @@ def _one_plus_t_sum(hist: dict[int, int]) -> IntPoly:
 #: hilbert`` expands the series, whose pole is f, to ``--trunc``, so its work
 #: grows with f times the expansion.  Fresh processes on a shared 2-vCPU x86-64
 #: host, Python 3.11, irreducible case (the reducible ones stop at
-#: ``PROFILE_F_CAP``): at f = 16 ``--trunc 99999`` took 1.3-1.6 s and 44 MiB,
-#: the default ``--trunc`` 0.07 s; at f = 20 ``--trunc 99999`` took 3.0 s, and
-#: ``--trunc 0`` took 2.1-2.6 s at f = 400 and 31 s at f = 800.
+#: ``PROFILE_F_CAP``): ``--trunc 99999`` took 0.4-0.6 s and 45 MiB at f = 16,
+#: 1.0 s at f = 40 and 1.9 s at f = 60, the default ``--trunc`` 0.07 s at f = 16,
+#: and ``--trunc 0`` took 2.1-2.6 s at f = 400 and 31 s at f = 800.
 HILBERT_F_CAP = 16
 
 
@@ -434,7 +434,7 @@ def shell_counts(f: int, eps: tuple[tuple[int, int], ...]) -> tuple[int, ...]:
     for c in ball:
         for i in range(3):
             hits = {
-                tuple(a + b for a, b in zip(c, o)) for o in offsets[i]
+                tuple([a + b for a, b in zip(c, o)]) for o in offsets[i]
             } & member
             if hits == {(0,) * f}:
                 counts[i] += 1

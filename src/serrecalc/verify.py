@@ -476,8 +476,8 @@ def suite_pbw(fmax: int = 6, syzygy_fmax: int = 3) -> list[CheckRecord]:
     # survive; the record's name stays "straightening ..." so that verify JSON reports remain comparable
     def products():
         for f in (1, 2):
-            y = {tuple(1 if i == 0 else 0 for i in range(3 * f)): 1}
-            z = {tuple(1 if i == f else 0 for i in range(3 * f)): 1}
+            y = {tuple([1 if i == 0 else 0 for i in range(3 * f)]): 1}
+            z = {tuple([1 if i == f else 0 for i in range(3 * f)]): 1}
             yield _same(f"f={f} z*y*z", left=pbw_mul(pbw_mul(z, y, f, 4), z, f, 4),
                         right=pbw_mul(z, pbw_mul(y, z, f, 4), f, 4))
             gens = [{m: 1} for m in pbw_basis(f, 3) if mono_degree(m, f) == 1]

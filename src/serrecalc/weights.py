@@ -142,7 +142,7 @@ class WeightProfile(Value):
 
     @staticmethod
     def from_tags(tags: Iterable[str]) -> "WeightProfile":
-        return WeightProfile(tuple(Symbol(t) for t in tags))
+        return WeightProfile(tuple([Symbol(t) for t in tags]))
 
     def __repr__(self):
         return "WeightProfile(%s)" % ",".join(self.tags())
@@ -304,9 +304,9 @@ def profile_stats(ctx: GaloisContext, profile: WeightProfile) -> ProfileStats:
                     f"{profile!r}: no generator rule for {s.value} at j={j} outside J_rho"
                 )
     a_set = frozenset(j for j, g in enumerate(t) if g is TGen.YZ)
-    eps = tuple(
+    eps = tuple([
         (j, -1 if g is TGen.Y else 1) for j, g in enumerate(t) if g is not TGen.YZ
-    )
+    ])
     return ProfileStats(
         j_lambda=j_set(profile),
         ell=len(j_set(profile)),

@@ -1,10 +1,15 @@
+import ast
 import pickle
+import random
 from itertools import product
+from math import comb
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+import serrecalc
 from serrecalc.cli import Command
 from serrecalc.homology import ext_dims
 from serrecalc.ideals import Monomial, MonomialIdeal
@@ -74,7 +79,7 @@ def test_expand_split_f2_closed_form():
     assert got == long_division([10, 4, 2], 2, 2) == [10, 24, 40]
 
 
-@given(polys, polys, st.integers(min_value=0, max_value=3), st.integers(min_value=0, max_value=8))
+@given(polys, polys, st.integers(min_value=0, max_value=6), st.integers(min_value=0, max_value=8))
 def test_expand_linear(a, b, pole, n):
     lhs = expand(RationalSeries(a + b, pole), n)
     ra = expand(RationalSeries(a, pole), n)
@@ -86,6 +91,20 @@ def test_expand_linear(a, b, pole, n):
 def test_expand_matches_long_division(p, pole, n):
     got = expand(RationalSeries(p, pole), n)
     assert got == long_division(list(p.coeffs), pole, n)
+
+
+@pytest.mark.parametrize("pole", range(7))
+def test_expand_matches_a_binomial_sum(pole):
+    """Each coefficient against sum_i c_i * C(d - i + p - 1, p - 1); at pole 0 that binomial is [d == i]."""
+    rng = random.Random(pole)
+    for _ in range(40):
+        coeffs = [rng.randint(-50, 50) for _ in range(rng.randint(0, 9))]
+        n = rng.randint(0, 40)
+        want = [
+            sum(c * (comb(d - i + pole - 1, pole - 1) if pole else int(d == i)) for i, c in enumerate(coeffs[: d + 1]))
+            for d in range(n + 1)
+        ]
+        assert expand(RationalSeries(IntPoly(tuple(coeffs)), pole), n) == want
 
 
 def test_rational_equality_cross_multiplied():
@@ -181,6 +200,20 @@ def test_value_types_are_frozen_records(value, text):
     fields = HASHED.get(cls.__name__, lambda x: tuple(getattr(x, name) for name in cls.__slots__))(value)
     assert hash(value) == hash(fields)
     assert repr(value) == text
+
+
+def test_no_tuple_is_built_from_a_generator_or_map():
+    """tuple(<generator>) and tuple(map(...)) have no length hint, so the tuple is over-allocated and then
+    shrunk; in the kernels' short tuples that raised a process's peak memory, where tuple([...]) did not."""
+    found = []
+    for path in sorted(Path(serrecalc.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "tuple":
+                arg = node.args[0] if node.args else None
+                mapped = isinstance(arg, ast.Call) and isinstance(arg.func, ast.Name) and arg.func.id == "map"
+                if isinstance(arg, ast.GeneratorExp) or mapped:
+                    found.append(f"{path.name}:{node.lineno}")
+    assert not found, f"build these tuples from a list: {', '.join(found)}"
 
 
 @given(st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3)), max_size=5), st.integers(0, 5))
