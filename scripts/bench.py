@@ -143,6 +143,9 @@ def kernels(repeats: int = 5) -> list[dict]:
     ns3, full = weights.nonsplit_context(3, [1, 2]), predictions.SubquotientSpec(-1, 3)
     ns4, full4 = weights.nonsplit_context(4, [0, 2]), predictions.SubquotientSpec(-1, 4)
     Y, Z, YZ = weights.TGen.Y, weights.TGen.Z, weights.TGen.YZ
+    xcap, scap = predictions.X_COUNTS_F_CAP, predictions.SOCLE_F_CAP
+    x_split, x_all_x0 = weights.split_context(xcap), weights.WeightProfile.from_tags(["X0"] * xcap)
+    s_ctx, s_full = weights.nonsplit_context(scap, range(scap - 1)), predictions.SubquotientSpec(-1, scap)
     irreducible16 = series.RationalSeries(series.IntPoly.of(3, 1) ** 16 - series.one_minus_t() ** 16, 16)
     cold = lambda cached, *args: lambda: (cached.cache_clear(), cached(*args))
     cases = [
@@ -169,6 +172,10 @@ def kernels(repeats: int = 5) -> list[dict]:
          lambda: predictions.gr_subquotient(ns3, full, 7)),
         ("predictions.gr_subquotient", "nonsplit f = 4, J_rho = {0, 2}, window (-1, 4), trunc 8",
          lambda: predictions.gr_subquotient(ns4, full4, 8)),
+        ("predictions.x_counts", f"split f = {xcap} = X_COUNTS_F_CAP, all X0 (k = f)",
+         lambda: predictions.x_counts(x_split, x_all_x0)),
+        ("predictions.socle_jsets", f"nonsplit f = {scap} = SOCLE_F_CAP, |J_rho| = f - 1, window (-1, f)",
+         lambda: predictions.socle_jsets(s_ctx, s_full)),
     ]
     out = []
     for name, size, call in cases:

@@ -222,13 +222,13 @@ def i1_degree0_total(ctx: GaloisContext, spec: SubquotientSpec) -> int:
 
 #: ``socle_jsets`` walks all 2^f subsets and lists up to 2^(f-1) of them.  Fresh
 #: processes on a shared 2-vCPU x86-64 host, Python 3.11, with |J_rho| = f - 1
-#: and the full window (-1, f): ``serrecalc socle`` took 1.6-1.8 s at f = 18 and
-#: peaked at 137 MiB (5.2 MB of JSON), and 4.0-4.3 s and 264 MiB at f = 19.
+#: and the full window (-1, f): ``serrecalc socle`` took 1.8-2.1 s at f = 18 and
+#: peaked at 136 MiB (5.2 MB of JSON), and 4.4-4.6 s and 265 MiB at f = 19.
 SOCLE_F_CAP = 18
 
 
 def socle_jsets(ctx: GaloisContext, spec: SubquotientSpec) -> list[frozenset[int]]:
-    """J-sets of the socle weights of the (i0, i0p) subquotient.
+    """J-sets of the socle weights of the (i0, i0p) subquotient, by size and then lexicographically.
 
     Weights attached to the base representation correspond to subsets of
     J_rho; the second family collects the remaining subsets at size i0 + 1.
@@ -247,7 +247,7 @@ def socle_jsets(ctx: GaloisContext, spec: SubquotientSpec) -> list[frozenset[int
                     out.append(J)
             elif len(J) == spec.i0 + 1:
                 out.append(J)
-    return sorted(out, key=lambda s: (len(s), sorted(s)))
+    return out
 
 
 #: ``k1_cycle`` adds up to f + 1 binomials of up to 0.3 f digits.  With the
@@ -279,7 +279,7 @@ THETA_POINT_CAP = 100_000
 
 
 class LatticeBox(Value):
-    __slots__ = ("anchor", "radius", "d_lambda", "points", "jh_theta", "chain_ok", "no_descent")
+    __slots__ = ("d_lambda", "points", "jh_theta", "chain_ok", "no_descent")
 
 
 def _ball_size(free: int, one_sided: int, radius: int) -> int:
@@ -322,7 +322,7 @@ def theta_lattice(ctx: GaloisContext, lam: WeightProfile, n: int, i0: int) -> La
         return any(q in theta for q in steps)
 
     stuck = next((p for p in in_theta if sum(abs(x) for x in p) > d_lam and not descends(p)), None)
-    return LatticeBox(lam, n, d_lam, frozenset(ball), theta, stuck is None, stuck)
+    return LatticeBox(d_lam, frozenset(ball), theta, stuck is None, stuck)
 
 
 # -- the semisimple matching ----------------------------------------------
@@ -397,10 +397,11 @@ class XCounts(Value):
     __slots__ = ("x0", "x1", "x2", "expected", "ok")
 
 
-#: ``shell_counts`` lists the 2^k offsets of its membership box, k <= f.  Fresh
-#: processes on a shared 2-vCPU x86-64 host, Python 3.11: ``serrecalc xcounts``
-#: took 0.8-1.3 s at f = 18 and peaked at 78 MiB with k = f (split, all X0),
-#: and 1.5-2.3 s and 140 MiB at f = 19.
+#: ``shell_counts`` adds each of the 2f^2 + 2f + 1 points of the radius-2 ball to
+#: up to as many character offsets, f coordinates a sum, against a box of at
+#: most C(f, <= 4) points.  Fresh processes on a shared 2-vCPU x86-64 host,
+#: Python 3.11, k = f (split, all X0): ``serrecalc xcounts`` took 0.3-0.4 s and
+#: peaked at 18 MiB at f = 18; with the cap lifted, 1.8-2.0 s at f = 26.
 X_COUNTS_F_CAP = 18
 
 
@@ -423,8 +424,8 @@ def shell_counts(f: int, eps: tuple[tuple[int, int], ...]) -> tuple[int, ...]:
     staying inside the radius-4 ball where the model is faithful.
     """
     eps = dict(eps)
-    box: list[tuple[int, ...]] = []
-    _add_ball_points([(min(0, eps.get(j, 0)), max(0, eps.get(j, 0))) for j in range(f)], f, [], box)
+    box: list[tuple[int, ...]] = []  # each point tested is c + o with |c|_1 <= 2 and |o|_1 <= 2
+    _add_ball_points([(min(0, eps.get(j, 0)), max(0, eps.get(j, 0))) for j in range(f)], 4, [], box)
     member = set(box)
 
     offsets = [sorted(char_multiset(f, d)) for d in range(3)]

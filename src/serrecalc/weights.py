@@ -53,11 +53,11 @@ class GaloisContext(Value):
 
     J_rho must be the full index set for the split case and a proper subset
     for the nonsplit case; it is unused (empty) in the irreducible case.
-    The optional prime p is only sanity-checked against the genericity lower
-    bound; no computation ever evaluates a symbol at p.
+    The optional prime p is only checked against the genericity lower bound,
+    and not stored: no computation ever evaluates a symbol at p.
     """
 
-    __slots__ = ("f", "case", "j_rho", "p")
+    __slots__ = ("f", "case", "j_rho")
 
     def __init__(self, f: int, case: Case, j_rho: Iterable[int] = frozenset(), p: int | None = None):
         if f < 1:
@@ -78,15 +78,7 @@ class GaloisContext(Value):
                 raise ValueError(f"p = {p} is not prime")
             if p < bound:
                 raise ValueError(f"p = {p} below the genericity bound {bound}")
-        super().__init__(f, case, j_rho, p)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.f == other.f and self.case == other.case and self.j_rho == other.j_rho and self.p == other.p
-
-    def __hash__(self):
-        return hash((self.f, self.case, self.j_rho, self.p))
+        super().__init__(f, case, j_rho)
 
     @property
     def d_rho(self) -> int:
@@ -104,7 +96,7 @@ class GaloisContext(Value):
         """Split context with the same f; gives the t-rules for P^ss profiles."""
         if not self.reducible:
             raise UnsupportedCaseError("no split semisimplification modeled for the irreducible case")
-        return GaloisContext(self.f, Case.SPLIT, frozenset(range(self.f)), self.p)
+        return GaloisContext(self.f, Case.SPLIT, frozenset(range(self.f)))
 
 
 def split_context(f: int, p: int | None = None) -> GaloisContext:
@@ -370,7 +362,7 @@ def count_by_A(ctx: GaloisContext) -> ACounts:
 class CharacterWindow(Value):
     """``j_dprime`` is the middle set J'' of coordinates free in the window."""
 
-    __slots__ = ("j_min", "j_max", "j_dprime", "v_chi")
+    __slots__ = ("j_min", "j_dprime", "v_chi")
 
 
 def character_window(ctx: GaloisContext, profile: WeightProfile) -> CharacterWindow:
@@ -383,7 +375,6 @@ def character_window(ctx: GaloisContext, profile: WeightProfile) -> CharacterWin
         raise ProfileMembershipError(f"{profile!r} is not in P for this context")
     ent = profile.entries
     j_min = frozenset(j for j in ctx.j_rho if ent[j] in (Symbol.X2, Symbol.P3))
-    j_max = frozenset(j for j in ctx.j_rho if ent[j] not in (Symbol.X0, Symbol.P1))
     j_dp = frozenset(j for j in ctx.j_rho if ent[j] in (Symbol.X1, Symbol.P2))
     v_chi = frozenset(
         frozenset(J)
@@ -391,7 +382,7 @@ def character_window(ctx: GaloisContext, profile: WeightProfile) -> CharacterWin
         for J in combinations(sorted(ctx.j_rho), r)
         if len((frozenset(J) - j_dp) ^ j_min) <= 1
     )
-    return CharacterWindow(j_min, j_max, j_dp, v_chi)
+    return CharacterWindow(j_min, j_dp, v_chi)
 
 
 def v_chi_from_windows(ctx: GaloisContext, profile: WeightProfile) -> frozenset[frozenset[int]]:

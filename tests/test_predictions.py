@@ -1,3 +1,4 @@
+import tracemalloc
 from itertools import product
 
 import pytest
@@ -10,6 +11,7 @@ from serrecalc.pbw import gr_formula, tor1_gr
 from serrecalc.predictions import (
     K1_CYCLE_F_CAP,
     THETA_POINT_CAP,
+    X_COUNTS_F_CAP,
     _ball_size,
     SubquotientSpec,
     gr_subquotient,
@@ -21,6 +23,8 @@ from serrecalc.predictions import (
     k1_cycle,
     semisimple_match,
     shell_aggregate,
+    shell_counts,
+    shell_sizes,
     socle_jsets,
     theta_lattice,
     x_counts,
@@ -158,6 +162,13 @@ def test_socle_examples():
     assert sum(1 for J in full if J <= ctx.j_rho) == 2 ** ctx.d_rho
     got = socle_jsets(ctx, SubquotientSpec(0, 2))
     assert got == [frozenset({0}), frozenset({1})]
+
+
+def test_socle_jsets_come_by_size_then_lexicographically():
+    for f in range(1, 6):
+        for ctx, spec, case in verify._window_cases(verify._nonsplit_contexts(f)):
+            got = socle_jsets(ctx, spec)
+            assert got == sorted(got, key=lambda s: (len(s), sorted(s))), case
 
 
 def test_k1_cycle_examples():
@@ -362,6 +373,19 @@ def test_a_wrong_closed_form_fails_its_record_with_case_and_values(
     assert not rec.ok
     assert rec.detail == f"first failure {case}: {values()}"
     assert {r.check: r.cases for r in records} == cases  # every case still ran
+
+
+def test_shell_counts_at_the_cap_keeps_a_small_box():
+    """Every point tested lies within l1 radius 4, so the membership box stops there, not at 2^f points."""
+    pbw.pbw_basis(X_COUNTS_F_CAP, 3)  # cached: built outside the measured call
+    tracemalloc.start()
+    try:
+        counts = shell_counts(X_COUNTS_F_CAP, tuple([(j, 1) for j in range(X_COUNTS_F_CAP)]))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert counts == shell_sizes(X_COUNTS_F_CAP, X_COUNTS_F_CAP)
+    assert peak < 4 * 2**20
 
 
 def test_x_counts_examples():

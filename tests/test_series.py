@@ -151,14 +151,14 @@ VALUES = [
     (IntPoly.of(1, 2), "IntPoly(coeffs=(1, 2))"),
     (RationalSeries(IntPoly.of(1, 1), 2), "RationalSeries(num=IntPoly(coeffs=(1, 1)), pole=2)"),
     (CharOffset((1, -1)), "CharOffset(exps=(1, -1))"),
-    (split_context(1), "GaloisContext(f=1, case=<Case.SPLIT: 'split'>, j_rho=frozenset({0}), p=None)"),
+    (split_context(1), "GaloisContext(f=1, case=<Case.SPLIT: 'split'>, j_rho=frozenset({0}))"),
     (X0, "WeightProfile(X0)"),
     (profile_stats(split_context(1), X0), "ProfileStats(j_lambda=frozenset(), ell=0, t_assign=(<TGen.Z: 'Z'>,), "
      "a_set=frozenset(), k=1, j1=frozenset(), j2=frozenset(), eps=((0, 1),))"),
     (count_by_A(split_context(1)), "ACounts(domain='D', closed={0: 2}, enumerated={0: 2}, closed_p_level={0: 4}, "
      "enumerated_p_level={0: 4}, ok=True)"),
     (character_window(nonsplit_context(1, []), X0),
-     "CharacterWindow(j_min=frozenset(), j_max=frozenset(), j_dprime=frozenset(), v_chi=frozenset({frozenset()}))"),
+     "CharacterWindow(j_min=frozenset(), j_dprime=frozenset(), v_chi=frozenset({frozenset()}))"),
     (Command("h", (), len), "Command(help='h', flags=(), payload=<built-in function len>, ok=(), rows=None)"),
     (Monomial((1, 0)), "Monomial(exps=(1, 0))"),
     (MonomialIdeal(2, (Monomial((1, 0)),)), "MonomialIdeal(ambient=2, gens=(Monomial(exps=(1, 0)),))"),
@@ -168,8 +168,8 @@ VALUES = [
     (SubquotientSpec(-1, 0), "SubquotientSpec(i0=-1, i0p=0)"),
     (hilbert_pi(split_context(1)), "SeriesCheck(closed=RationalSeries(num=IntPoly(coeffs=(4,)), pole=1), "
      "enumerated=RationalSeries(num=IntPoly(coeffs=(4,)), pole=1), equal=True)"),
-    (theta_lattice(nonsplit_context(1, []), X0, 2, 0), "LatticeBox(anchor=WeightProfile(X0), radius=2, d_lambda=1, "
-     "points=frozenset({(0,), (1,), (-1,)}), jh_theta=frozenset({(-1,)}), chain_ok=True, no_descent=None)"),
+    (theta_lattice(nonsplit_context(1, []), X0, 2, 0), "LatticeBox(d_lambda=1, points=frozenset({(0,), (1,), (-1,)}), "
+     "jh_theta=frozenset({(-1,)}), chain_ok=True, no_descent=None)"),
     (semisimple_match(nonsplit_context(1, []), 0), "MatchResult(bijection_ok=True, hilbert_ok=True, pairs=2)"),
     (x_counts(split_context(1), X0), "XCounts(x0=1, x1=1, x2=1, expected=(1, 1, 1), ok=True)"),
     (CheckRecord("s", "c", True, "", 1, 0.5),

