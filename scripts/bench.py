@@ -132,6 +132,14 @@ def passes() -> list[dict]:
     return rows
 
 
+def _list_p(weights, contexts: list) -> None:
+    """P in each context, after clearing the P^ss mask cache where the package has one."""
+    if hasattr(weights, "_pss_masks"):
+        weights._pss_masks.cache_clear()
+    for ctx in contexts:
+        weights.enumerate_profiles(ctx, "P")
+
+
 def kernels(repeats: int = 5) -> list[dict]:
     """Median seconds per call of fixed-size kernels, at least one per module, in dependency order."""
     sys.path.insert(0, os.path.join(ROOT, "src"))
@@ -146,6 +154,7 @@ def kernels(repeats: int = 5) -> list[dict]:
     xcap, scap = predictions.X_COUNTS_F_CAP, predictions.SOCLE_F_CAP
     x_split, x_all_x0 = weights.split_context(xcap), weights.WeightProfile.from_tags(["X0"] * xcap)
     s_ctx, s_full = weights.nonsplit_context(scap, range(scap - 1)), predictions.SubquotientSpec(-1, scap)
+    f8 = [weights.nonsplit_context(8, sub) for r in range(8) for sub in combinations(range(8), r)]
     irreducible16 = series.RationalSeries(series.IntPoly.of(3, 1) ** 16 - series.one_minus_t() ** 16, 16)
     cold = lambda cached, *args: lambda: (cached.cache_clear(), cached(*args))
     cases = [
@@ -154,6 +163,8 @@ def kernels(repeats: int = 5) -> list[dict]:
         ("series.expand", "((3 + t)^16 - (1 - t)^16) / (1 - t)^16, the irreducible f = 16 Hilbert series, "
          "to degree 99,999", lambda: series.expand(irreducible16, 99_999)),
         ("weights._pss_list", "f = 8", cold(weights._pss_list, 8)),
+        ("weights.enumerate_profiles", f"P in each of the {len(f8)} nonsplit contexts at f = 8, P^ss masks cold",
+         lambda: _list_p(weights, f8)),
         ("ideals.numerator", "a1(i = 1) of X0^5, nonsplit f = 5, J_rho = {}, bigraded",
          lambda: ideals.numerator(window, ideals.Monomial.bigrade)),
         ("homology.taylor_profile", "pairing_ideal(5)", lambda: homology.taylor_profile(pairing)),
@@ -172,6 +183,8 @@ def kernels(repeats: int = 5) -> list[dict]:
          lambda: predictions.gr_subquotient(ns3, full, 7)),
         ("predictions.gr_subquotient", "nonsplit f = 4, J_rho = {0, 2}, window (-1, 4), trunc 8",
          lambda: predictions.gr_subquotient(ns4, full4, 8)),
+        ("predictions._i1_histograms", f"each of the {len(f8)} nonsplit contexts at f = 8, cold",
+         lambda: [cold(predictions._i1_histograms, ctx)() for ctx in f8]),
         ("predictions.x_counts", f"split f = {xcap} = X_COUNTS_F_CAP, all X0 (k = f)",
          lambda: predictions.x_counts(x_split, x_all_x0)),
         ("predictions.socle_jsets", f"nonsplit f = {scap} = SOCLE_F_CAP, |J_rho| = f - 1, window (-1, f)",

@@ -13,23 +13,24 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import lru_cache
 from pathlib import Path
 from typing import Callable
 
 from .series import Value, bigraded_to_json, dumps_canonical, expand, rational_to_json
-from .weights import Case, GaloisContext, WeightProfile, enumerate_profiles, profile_stats
+from .weights import Case, GaloisContext, WeightProfile, enumerate_profiles, indices, profile_stats
 
 
 
-def _parse_jrho(text: str | None, f: int) -> frozenset[int] | None:
+def _parse_jrho(text: str | None, f: int) -> int | None:
     if text is None:
         return None
     if text == "all":
-        return frozenset(range(f))
+        return 2 ** f - 1  # an f < 1 is refused by GaloisContext
     mask = int(text)
     if mask < 0 or mask >= 1 << f:
         raise ValueError(f"jrho bitmask {mask} outside 0..2^f-1")
-    return frozenset(j for j in range(f) if mask & (1 << j))
+    return mask
 
 
 def _profile(tags: list[str], f: int) -> WeightProfile:
@@ -44,7 +45,7 @@ def _resolve(a: argparse.Namespace) -> None:
         case = Case(a.case)
         jrho = _parse_jrho(a.jrho, a.f)
         if case is Case.IRREDUCIBLE:
-            jrho = frozenset()
+            jrho = 0
         elif jrho is None:
             raise ValueError("--jrho is required for reducible cases ('all' or a bitmask)")
         a.ctx = GaloisContext(a.f, case, jrho, a.p)
@@ -73,12 +74,15 @@ def _read_profiles(path: str, f: int) -> list[WeightProfile]:
     return [_profile(tags, f) for tags in tag_lists]
 
 
+_decimal = lru_cache(maxsize=256)(str)  # one string per recent integer: socle at f = 18 prints 1.2 million
+
+
 def _stringify(obj):
     """Deep-convert integers to decimal strings for safe JSON."""
     if isinstance(obj, bool):
         return obj
     if isinstance(obj, int):
-        return str(obj)
+        return _decimal(obj)
     if isinstance(obj, dict):
         return {str(k): _stringify(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -119,13 +123,13 @@ def _stats(a) -> dict:
         st = profile_stats(a.ctx, lam)
         out.append({
             "profile": lam.tags(),
-            "j_lambda": sorted(st.j_lambda),
+            "j_lambda": indices(st.j_lambda),
             "ell": st.ell,
             "t_assign": [g.value for g in st.t_assign],
-            "a_set": sorted(st.a_set),
+            "a_set": indices(st.a_set),
             "k": st.k,
-            "j1": sorted(st.j1),
-            "j2": sorted(st.j2),
+            "j1": indices(st.j1),
+            "j2": indices(st.j2),
             "eps": {str(j): s for j, s in st.eps},
         })
     return {"stats": out}
@@ -185,7 +189,7 @@ def _i1(a) -> dict:
 def _socle(a) -> dict:
     from .predictions import socle_jsets
     jsets = socle_jsets(a.ctx, a.spec)
-    return {"j_sets": [sorted(J) for J in jsets], "count": len(jsets)}
+    return {"j_sets": [indices(J) for J in jsets], "count": len(jsets)}
 
 
 def _k1cycle(a) -> dict:

@@ -17,7 +17,7 @@ from typing import Callable, Hashable, Iterable, Sequence
 
 from .errors import ProfileMembershipError, SizeLimitError
 from .series import BigradedSeries, CharOffset, IntPoly, RationalSeries, Value, _add_ball_points
-from .weights import GaloisContext, ProfileStats, TGen, WeightProfile, in_p, profile_stats
+from .weights import GaloisContext, ProfileStats, TGen, WeightProfile, in_p, indices, j_dprime, mask_of, profile_stats
 
 #: ``_lyubeznik_walk`` visits at most this many faces, the one bound on the walk
 #: behind ``numerator`` and ``taylor_profile``, which keep one entry per face at
@@ -135,7 +135,7 @@ class Packing:
 
     def lcm(self, a: int, b: int) -> int:
         ge = ((a | self.guards) - b) & self.guards  # the guard of each field where a >= b
-        take_a = (ge - (ge >> self.w - 1)) | ge  # widened to the whole field
+        take_a = ge - (ge >> self.w - 1)  # its low w - 1 bits; the guard needs none, clear in a and b
         return (a & take_a) | (b & ~take_a)
 
     @staticmethod
@@ -259,17 +259,17 @@ def a_ss(ctx: GaloisContext, lam: WeightProfile) -> MonomialIdeal:
     return a_lambda(ctx.semisimplified(), lam)
 
 
-def p_monomial(f: int, stats: ProfileStats, j_prime: frozenset[int]) -> Monomial:
+def p_monomial(f: int, stats: ProfileStats, j_prime: int) -> Monomial:
     """Product of y_j over J' ∩ J1 and z_j over J' ∩ J2."""
-    if j_prime - stats.j1 - stats.j2:
-        raise ValueError(f"index {min(j_prime - stats.j1 - stats.j2)} lies outside J1 ∪ J2")
+    if j_prime & ~(stats.j1 | stats.j2):
+        raise ValueError(f"index {indices(j_prime & ~(stats.j1 | stats.j2))[0]} lies outside J1 ∪ J2")
     exps = [0] * (2 * f)
-    for j in j_prime:
-        exps[2 * j + (j in stats.j2)] = 1  # y_j at 2j, z_j at 2j + 1
+    for j in indices(j_prime):
+        exps[2 * j + (stats.j2 >> j & 1)] = 1  # y_j at 2j, z_j at 2j + 1
     return Monomial(tuple(exps))
 
 
-def ideal_from_pairs(f: int, j1: frozenset[int], j2: frozenset[int], d: int) -> MonomialIdeal:
+def ideal_from_pairs(f: int, j1: int, j2: int, d: int) -> MonomialIdeal:
     """Ideal generated by all products over d-subsets of J1 ⊔ J2.
 
     d = 0 gives the unit ideal, d > |J1 ⊔ J2| the zero ideal.
@@ -277,10 +277,10 @@ def ideal_from_pairs(f: int, j1: frozenset[int], j2: frozenset[int], d: int) -> 
     if j1 & j2:
         raise ValueError("J1 and J2 must be disjoint")
     gens = []  # no d-subset past |J1 ⊔ J2|, and one empty product at d = 0
-    for sub in combinations(sorted(j1 | j2), d):
+    for sub in combinations(indices(j1 | j2), d):
         m = Monomial.one(2 * f)
         for j in sub:
-            m = m * (y_var(f, j) if j in j1 else z_var(f, j))
+            m = m * (y_var(f, j) if j1 >> j & 1 else z_var(f, j))
         gens.append(m)
     return MonomialIdeal(2 * f, tuple(gens))
 
@@ -460,7 +460,7 @@ def bigraded_difference(
 # -- the patched-module intersection -------------------------------------
 
 def _patched_layout(ctx: GaloisContext) -> tuple[list[int], int, int]:
-    rho = sorted(ctx.j_rho)
+    rho = indices(ctx.j_rho)
     ell = len(rho)
     n_z = 2 * ctx.f - ell
     return rho, ell, 2 * ell + n_z
@@ -491,24 +491,24 @@ def patched_ideals(
     x = lambda j: Monomial.variable(n_vars, 2 * pos[j])
     y = lambda j: Monomial.variable(n_vars, 2 * pos[j] + 1)
     zs = [Monomial.variable(n_vars, 2 * ell + m) for m in range(n_vars - 2 * ell)]
-    j_dp = frozenset(j for j in ctx.j_rho if lam.entries[j] in ("X1", "P2"))
+    j_dp = j_dprime(ctx, lam)
 
     inter: MonomialIdeal | None = None
     for r in range(ell + 1):
         for sub in combinations(rho, r):
-            J = frozenset(sub)
-            if len(J - j_dp) > 1:
+            J = mask_of(sub)
+            if (J & ~j_dp).bit_count() > 1:
                 continue
             linear = MonomialIdeal(
                 n_vars,
-                tuple([x(j) for j in sorted(J)])
-                + tuple([y(j) for j in sorted(ctx.j_rho - J)])
+                tuple([x(j) for j in sub])
+                + tuple([y(j) for j in indices(ctx.j_rho & ~J)])
                 + tuple(zs),
             )
             inter = linear if inter is None else inter.intersect(linear)
     assert inter is not None
 
-    pairs = sorted(ctx.j_rho - j_dp)
+    pairs = indices(ctx.j_rho & ~j_dp)
     expected = MonomialIdeal(
         n_vars,
         tuple([x(j) * y(j) for j in rho])

@@ -23,11 +23,15 @@ from .weights import (
     Symbol,
     TGen,
     WeightProfile,
+    _FAMILY_TEST,
+    _pss_list,
+    _pss_masks,
     a_histogram,
     enumerate_profiles,
-    in_p,
     in_pss,
+    indices,
     j_set,
+    mask_of,
     profile_stats,
 )
 
@@ -109,7 +113,7 @@ def hilbert_Ni(ctx: GaloisContext, i: int) -> SeriesCheck:
         raise ValueError(f"layer index {i} outside 0..f")
     terms = {2 * s: 2 * comb(f, 2 * s) * comb(f - 2 * s, i - s) for s in range(min(i, f // 2) + 1)}
     closed = RationalSeries(_one_plus_t_sum(terms), f)
-    layer = (lam for lam in enumerate_profiles(ctx, "P") if len(j_set(lam)) == i)
+    layer = (lam for lam in enumerate_profiles(ctx, "P") if j_set(lam).bit_count() == i)
     enumerated = RationalSeries(_one_plus_t_sum(a_histogram(ctx, layer)), f)
     return SeriesCheck(closed, enumerated, closed == enumerated)
 
@@ -153,9 +157,9 @@ def i1_invariants(ctx: GaloisContext, spec: SubquotientSpec) -> list[WeightProfi
         raise UnsupportedCaseError("the invariant index set is a nonsplit statement")
     spec.check(ctx.f)
     out = []
-    for lam in enumerate_profiles(ctx, "Pss"):
-        ell = len(j_set(lam))
-        if in_p(ctx, lam):
+    for lam, masks in zip(_pss_list(ctx.f), _pss_masks(ctx.f)):
+        ell = masks[3].bit_count()  # |J_lambda|
+        if _FAMILY_TEST["P"](masks, ctx.j_rho):
             if spec.i0 < ell <= spec.i0p:
                 out.append(lam)
         elif ell == spec.i0 + 1:
@@ -166,13 +170,9 @@ def i1_invariants(ctx: GaloisContext, spec: SubquotientSpec) -> list[WeightProfi
 @lru_cache(maxsize=None)
 def _pss_shape_data(f: int) -> tuple[tuple[tuple[int, int, int], int], ...]:
     """Each distinct P^ss shape (|J_lambda|, {x+2, p-3-x} mask, {x, p-1-x} mask) with its profile count."""
-    from .weights import _pss_list
-
     counts: dict[tuple[int, int, int], int] = {}
-    for lam in _pss_list(f):
-        m23 = sum(1 << j for j, s in enumerate(lam.entries) if s in (Symbol.X2, Symbol.P3))
-        m01 = sum(1 << j for j, s in enumerate(lam.entries) if s in (Symbol.X0, Symbol.P1))
-        shape = (len(j_set(lam)), m23, m01)
+    for m23, _, m01, j_lambda, _, _ in _pss_masks(f):
+        shape = (j_lambda.bit_count(), m23, m01)
         counts[shape] = counts.get(shape, 0) + 1
     return tuple(counts.items())
 
@@ -180,14 +180,14 @@ def _pss_shape_data(f: int) -> tuple[tuple[tuple[int, int, int], int], ...]:
 @lru_cache(maxsize=None)
 def _i1_histograms(ctx: GaloisContext) -> tuple[dict, dict]:
     """Histogram of P by (|J_lambda|, |J1 ⊔ J2|), and of P^ss \\ P by |J_lambda|."""
-    jmask = sum(1 << j for j in ctx.j_rho)
+    rho = ctx.j_rho
     hist_p: dict[tuple[int, int], int] = {}
     hist_ss: dict[int, int] = {}
     for (ell, m23, m01), count in _pss_shape_data(ctx.f):
-        if m23 & ~jmask:
+        if m23 & ~rho:
             hist_ss[ell] = hist_ss.get(ell, 0) + count
         else:
-            key = (ell, bin(m01 & ~jmask).count("1"))
+            key = (ell, (m01 & ~rho).bit_count())
             hist_p[key] = hist_p.get(key, 0) + count
     return hist_p, hist_ss
 
@@ -222,13 +222,13 @@ def i1_degree0_total(ctx: GaloisContext, spec: SubquotientSpec) -> int:
 
 #: ``socle_jsets`` walks all 2^f subsets and lists up to 2^(f-1) of them.  Fresh
 #: processes on a shared 2-vCPU x86-64 host, Python 3.11, with |J_rho| = f - 1
-#: and the full window (-1, f): ``serrecalc socle`` took 1.8-2.1 s at f = 18 and
-#: peaked at 136 MiB (5.2 MB of JSON), and 4.4-4.6 s and 265 MiB at f = 19.
+#: and the full window (-1, f): ``serrecalc socle`` took 1.2-1.8 s at f = 18 and
+#: peaked at 71 MiB (5.2 MB of JSON), and 3.2-3.7 s and 126 MiB at f = 19.
 SOCLE_F_CAP = 18
 
 
-def socle_jsets(ctx: GaloisContext, spec: SubquotientSpec) -> list[frozenset[int]]:
-    """J-sets of the socle weights of the (i0, i0p) subquotient, by size and then lexicographically.
+def socle_jsets(ctx: GaloisContext, spec: SubquotientSpec) -> list[int]:
+    """J-sets (masks) of the socle weights of the (i0, i0p) subquotient, by size and then lexicographically.
 
     Weights attached to the base representation correspond to subsets of
     J_rho; the second family collects the remaining subsets at size i0 + 1.
@@ -238,15 +238,14 @@ def socle_jsets(ctx: GaloisContext, spec: SubquotientSpec) -> list[frozenset[int
     if ctx.case is not Case.NONSPLIT:
         raise UnsupportedCaseError("the socle description is a nonsplit statement")
     spec.check(ctx.f)
-    out = []
+    out, rho = [], ctx.j_rho
     for r in range(ctx.f + 1):
-        for sub in combinations(range(ctx.f), r):
-            J = frozenset(sub)
-            if J <= ctx.j_rho:
-                if spec.i0 < len(J) <= spec.i0p:
+        inside, outside = spec.i0 < r <= spec.i0p, r == spec.i0 + 1  # which J of size r count
+        if inside or outside:
+            for sub in combinations(range(ctx.f), r):
+                J = mask_of(sub)
+                if inside and not J & ~rho or outside and J & ~rho:
                     out.append(J)
-            elif len(J) == spec.i0 + 1:
-                out.append(J)
     return out
 
 
@@ -313,7 +312,8 @@ def theta_lattice(ctx: GaloisContext, lam: WeightProfile, n: int, i0: int) -> La
     ball: list[tuple[int, ...]] = []
     _add_ball_points(bounds, r, [], ball)
 
-    in_theta = [p for p in ball if sum(p[j] > 0 for j in st.j1) + sum(p[j] < 0 for j in st.j2) >= d_lam]
+    j1, j2 = indices(st.j1), indices(st.j2)
+    in_theta = [p for p in ball if sum(p[j] > 0 for j in j1) + sum(p[j] < 0 for j in j2) >= d_lam]
     theta = frozenset(in_theta)
 
     def descends(p: tuple[int, ...]) -> bool:
@@ -331,12 +331,12 @@ class MatchResult(Value):
     __slots__ = ("bijection_ok", "hilbert_ok", "pairs")
 
 
-def _lambda_prime(lam: WeightProfile, st, j_prime: frozenset[int]) -> WeightProfile:
+def _lambda_prime(lam: WeightProfile, st, j_prime: int) -> WeightProfile:
     entries = list(lam.entries)
-    for j in j_prime:
-        if j in st.j1:
+    for j in indices(j_prime):
+        if st.j1 >> j & 1:
             entries[j] = Symbol.P3
-        elif j in st.j2:
+        elif st.j2 >> j & 1:
             entries[j] = Symbol.X2
         else:
             raise ValueError(f"index {j} outside J1 ∪ J2")
@@ -356,10 +356,10 @@ def semisimple_match(ctx: GaloisContext, i0: int) -> MatchResult:
     if not -1 <= i0 <= ctx.f - 1:
         raise ValueError(f"i0 = {i0} outside -1..f-1")
 
-    targets = {
-        lam for lam in enumerate_profiles(ctx, "Pss") if len(j_set(lam)) == i0 + 1
+    targets = {  # the P^ss profiles with |J_lambda| = i0 + 1
+        lam for lam, masks in zip(_pss_list(ctx.f), _pss_masks(ctx.f)) if masks[3].bit_count() == i0 + 1
     }
-    seen: dict[WeightProfile, tuple[WeightProfile, frozenset[int]]] = {}
+    seen: dict[WeightProfile, tuple[WeightProfile, int]] = {}
     bijection_ok = True
     hilbert_ok = True
     pairs = 0
@@ -367,10 +367,8 @@ def semisimple_match(ctx: GaloisContext, i0: int) -> MatchResult:
     for lam in enumerate_profiles(ctx, "P"):
         st, base = _family(ctx, lam)
         d = i0 + 1 - st.ell
-        pool = sorted(st.j1 | st.j2)
-        j_primes = (
-            [frozenset(sub) for sub in combinations(pool, d)] if 0 <= d <= len(pool) else []
-        )
+        pool = indices(st.j1 | st.j2)
+        j_primes = [mask_of(sub) for sub in combinations(pool, d)] if 0 <= d <= len(pool) else []
 
         # the identity, all moved to one side: the signed sum must vanish
         num = numerator(_member(ctx.f, st, base, i0 + 1), Monomial.bigrade)

@@ -68,7 +68,10 @@ from .weights import (
     count_by_A,
     enumerate_profiles,
     in_p,
+    indices,
+    j_dprime,
     length_witnesses,
+    mask_of,
     nonsplit_context,
     profile_stats,
     split_context,
@@ -107,7 +110,7 @@ def reducible_contexts(f: int) -> Iterator[GaloisContext]:
     yield split_context(f)
     for r in range(f):
         for sub in combinations(range(f), r):
-            yield nonsplit_context(f, frozenset(sub))
+            yield nonsplit_context(f, sub)
 
 
 def all_contexts(f: int) -> Iterator[GaloisContext]:
@@ -131,7 +134,7 @@ def _windows(f: int) -> Iterator[SubquotientSpec]:
 
 def _case(ctx: GaloisContext, lam: WeightProfile | None = None, **at) -> str:
     """A case name: the context, the profile's tags if any, then indices such as i0."""
-    parts = [f"f={ctx.f}", ctx.case.value] + ([f"J_rho={sorted(ctx.j_rho)}"] if ctx.case is Case.NONSPLIT else [])
+    parts = [f"f={ctx.f}", ctx.case.value] + ([f"J_rho={indices(ctx.j_rho)}"] if ctx.case is Case.NONSPLIT else [])
     parts += [] if lam is None else [",".join(lam.tags())]
     return " ".join(parts + [f"{k}={v}" for k, v in at.items()])
 
@@ -232,7 +235,7 @@ def _summand_profiles(ctx: GaloisContext, spec: SubquotientSpec) -> list[str]:
     want = []
     for lam in enumerate_profiles(ctx, "P"):
         st = profile_stats(ctx, lam)
-        if spec.i0 < st.ell <= spec.i0p or 0 <= spec.i0 + 1 - st.ell <= len(st.j1 | st.j2):
+        if spec.i0 < st.ell <= spec.i0p or 0 <= spec.i0 + 1 - st.ell <= (st.j1 | st.j2).bit_count():
             want.append(lam)
     return _tags(want)
 
@@ -292,7 +295,7 @@ def suite_semisimple_match(fmax: int = 4) -> list[CheckRecord]:
         for ctx in _nonsplit_contexts(f):
             for i0 in range(-1, f):
                 res = semisimple_match(ctx, i0)
-                yield (f"J_rho={sorted(ctx.j_rho)} i0={i0}", res.bijection_ok and res.hilbert_ok,
+                yield (f"J_rho={indices(ctx.j_rho)} i0={i0}", res.bijection_ok and res.hilbert_ok,
                        {"bijection_ok": res.bijection_ok, "hilbert_ok": res.hilbert_ok})
 
     return [_check("semisimple-match", f"f={f} all J_rho, all i0", matches(f)) for f in range(1, fmax + 1)]
@@ -329,8 +332,8 @@ def suite_xcounts(fmax: int = 4) -> list[CheckRecord]:
         for ctx, lam in _profiles(f):
             r = x_counts(ctx, lam)
             yield _case(ctx, lam), r.ok, {"shells": (r.x0, r.x1, r.x2), "closed": r.expected}
-            yield _same(f"{_case(ctx, lam)} V_chi", window=sorted(map(sorted, character_window(ctx, lam).v_chi)),
-                        union=sorted(map(sorted, v_chi_from_windows(ctx, lam))))
+            yield _same(f"{_case(ctx, lam)} V_chi", window=sorted(map(indices, character_window(ctx, lam).v_chi)),
+                        union=sorted(map(indices, v_chi_from_windows(ctx, lam))))
 
     return [_check("xcounts", f"f={f} shell sizes", shells(f)) for f in range(1, fmax + 1)]
 
@@ -394,10 +397,7 @@ def suite_patched(fmax: int = 4) -> list[CheckRecord]:
     def intersections(f):
         seen: set[tuple] = set()
         for ctx, lam in _profiles(f):
-            key = (
-                tuple(sorted(ctx.j_rho)),
-                tuple(sorted(j for j in ctx.j_rho if lam.entries[j].value in ("X1", "P2"))),
-            )
+            key = (ctx.j_rho, j_dprime(ctx, lam))
             if key in seen:
                 continue
             seen.add(key)
@@ -423,28 +423,28 @@ def _presentation_dims(ctx: GaloisContext, lam: WeightProfile, i0: int) -> tuple
     f = ctx.f
     st = profile_stats(ctx, lam)
     d = d_shift(st, i0)
-    pool = sorted(st.j1 | st.j2)
+    pool = indices(st.j1 | st.j2)
     if d < 1 or d > len(pool):
         return [], []
     base = a_lambda(ctx, lam)
-    gens = [frozenset(s) for s in combinations(pool, d)]
+    gens = [mask_of(s) for s in combinations(pool, d)]
     gen_index = {J: gi for gi, J in enumerate(gens)}
     p_gens = [p_monomial(f, st, J) for J in gens]
-    var = {j: p_monomial(f, st, frozenset({j})) for j in pool}
+    var = {j: p_monomial(f, st, 1 << j) for j in pool}
 
     def partner(j: int) -> Monomial:
-        return z_var(f, j) if j in st.j1 else y_var(f, j)
+        return z_var(f, j) if st.j1 >> j & 1 else y_var(f, j)
 
     std = standard_monomials(base, PRESENTATION_DMAX)
 
     relations: list[dict[tuple[int, Monomial], int]] = []
     for gi, J in enumerate(gens):
-        for j in J:
+        for j in indices(J):
             relations.append({(gi, partner(j)): 1})
     for sub in combinations(pool, d + 1):
-        Jp = frozenset(sub)
+        Jp = mask_of(sub)
         for a, b in combinations(sub, 2):
-            relations.append({(gen_index[Jp - {a}], var[a]): 1, (gen_index[Jp - {b}], var[b]): -1})
+            relations.append({(gen_index[Jp & ~(1 << a)], var[a]): 1, (gen_index[Jp & ~(1 << b)], var[b]): -1})
 
     kernel_dims, span_dims = [], []
     for deg in range(PRESENTATION_DMAX + 1):

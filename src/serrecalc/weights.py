@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from enum import Enum
 from functools import lru_cache
-from itertools import combinations
 from math import comb
 from typing import Iterable, Literal
 
@@ -38,9 +37,6 @@ HIGH = frozenset({Symbol.P3, Symbol.P2, Symbol.P1})
 _NEXT_AFTER_LOW = frozenset({Symbol.X0, Symbol.X2, Symbol.P2})
 _NEXT_AFTER_HIGH = frozenset({Symbol.X1, Symbol.P3, Symbol.P1})
 
-DSS_SYMBOLS = frozenset({Symbol.X0, Symbol.X1, Symbol.P3, Symbol.P2})
-J_SYMBOLS = frozenset({Symbol.X1, Symbol.X2, Symbol.P3})
-
 
 class Case(str, Enum):
     IRREDUCIBLE = "irreducible"
@@ -51,20 +47,20 @@ class Case(str, Enum):
 class GaloisContext(Value):
     """Ambient data (f, case, J_rho): fixes which parameter sets are defined.
 
-    J_rho must be the full index set for the split case and a proper subset
-    for the nonsplit case; it is unused (empty) in the irreducible case.
-    The optional prime p is only checked against the genericity lower bound,
-    and not stored: no computation ever evaluates a symbol at p.
+    J_rho is a bitmask, bit j for index j, like every index set the package
+    holds.  It must be the full index set for the split case and a proper
+    subset for the nonsplit case; it is unused (empty) in the irreducible
+    case.  The optional prime p is only checked against the genericity lower
+    bound, and not stored: no computation ever evaluates a symbol at p.
     """
 
     __slots__ = ("f", "case", "j_rho")
 
-    def __init__(self, f: int, case: Case, j_rho: Iterable[int] = frozenset(), p: int | None = None):
+    def __init__(self, f: int, case: Case, j_rho: int = 0, p: int | None = None):
         if f < 1:
             raise ValueError("f must be positive")
-        j_rho = frozenset(j_rho)
-        full = frozenset(range(f))
-        if not j_rho <= full:
+        full = (1 << f) - 1
+        if j_rho & ~full:
             raise ValueError("J_rho must be a subset of {0..f-1}")
         if case is Case.SPLIT and j_rho != full:
             raise ValueError("split case requires J_rho = {0..f-1}")
@@ -82,11 +78,11 @@ class GaloisContext(Value):
 
     @property
     def d_rho(self) -> int:
-        return len(self.j_rho)
+        return self.j_rho.bit_count()
 
     @property
-    def j_rho_c(self) -> frozenset[int]:
-        return frozenset(range(self.f)) - self.j_rho
+    def j_rho_c(self) -> int:
+        return self.j_rho ^ (1 << self.f) - 1
 
     @property
     def reducible(self) -> bool:
@@ -96,15 +92,25 @@ class GaloisContext(Value):
         """Split context with the same f; gives the t-rules for P^ss profiles."""
         if not self.reducible:
             raise UnsupportedCaseError("no split semisimplification modeled for the irreducible case")
-        return GaloisContext(self.f, Case.SPLIT, frozenset(range(self.f)))
+        return split_context(self.f)
+
+
+def indices(mask: int) -> list[int]:
+    """The indices of an index-set bitmask in increasing order: the form every output prints."""
+    return [j for j in range(mask.bit_length()) if mask >> j & 1]
+
+
+def mask_of(js: Iterable[int]) -> int:
+    """The bitmask of some indices, bit j for index j."""
+    return sum({1 << j for j in js})
 
 
 def split_context(f: int, p: int | None = None) -> GaloisContext:
-    return GaloisContext(f, Case.SPLIT, frozenset(range(f)), p)
+    return GaloisContext(f, Case.SPLIT, 2 ** f - 1, p)  # an f < 1 is refused by GaloisContext
 
 
 def nonsplit_context(f: int, j_rho: Iterable[int], p: int | None = None) -> GaloisContext:
-    return GaloisContext(f, Case.NONSPLIT, frozenset(j_rho), p)
+    return GaloisContext(f, Case.NONSPLIT, mask_of(j_rho), p)
 
 
 class WeightProfile(Value):
@@ -155,8 +161,17 @@ def in_pss(profile: WeightProfile) -> bool:
     return True
 
 
-def in_dss(profile: WeightProfile) -> bool:
-    return in_pss(profile) and all(s in DSS_SYMBOLS for s in profile.entries)
+def profile_masks(profile: WeightProfile) -> tuple[int, int, int, int, int, int]:
+    """The profile's coordinates by symbol, one bitmask each (bit j for index j).
+
+    In order: x+2 or p-3-x; x+1 or p-2-x; x or p-1-x; J_lambda, the x+1,
+    x+2 and p-3-x; then x+2 alone and p-1-x alone.
+    """
+    by_symbol = [0] * len(CORE_SYMBOLS)
+    for j, s in enumerate(profile.entries):
+        by_symbol[SYMBOL_INDEX[s]] |= 1 << j
+    x0, x1, x2, p3, p2, p1 = by_symbol
+    return (x2 | p3, x1 | p2, x0 | p1, x1 | x2 | p3, x2, p1)
 
 
 def _require_reducible(ctx: GaloisContext):
@@ -167,44 +182,24 @@ def _require_reducible(ctx: GaloisContext):
         )
 
 
+# each family as a test of a P^ss member's ``profile_masks`` m against J_rho
+_FAMILY_TEST = {
+    "Pss": None,
+    "P": lambda m, rho: not m[0] & ~rho,  # x+2 and p-3-x only inside J_rho
+    "Dss": lambda m, rho: not m[4] | m[5],  # neither x+2 nor p-1-x
+    "D": lambda m, rho: not m[4] | m[5] | m[3] & ~rho,  # as Dss, with J_lambda (x+1 and p-3-x) inside J_rho
+    "Pbar": lambda m, rho: not m[0] & ~rho | m[4] | m[5] & rho,  # as P, no x+2, p-1-x only outside J_rho
+}
+
+
 def in_p(ctx: GaloisContext, profile: WeightProfile) -> bool:
     _require_reducible(ctx)
-    if not in_pss(profile):
-        return False
-    return all(
-        j in ctx.j_rho
-        for j, s in enumerate(profile.entries)
-        if s in (Symbol.X2, Symbol.P3)
-    )
-
-
-def in_d(ctx: GaloisContext, profile: WeightProfile) -> bool:
-    _require_reducible(ctx)
-    if not in_dss(profile):
-        return False
-    return all(
-        j in ctx.j_rho
-        for j, s in enumerate(profile.entries)
-        if s in (Symbol.X1, Symbol.P3)
-    )
-
-
-def in_pbar(ctx: GaloisContext, profile: WeightProfile) -> bool:
-    if not in_p(ctx, profile):
-        return False
-    for j, s in enumerate(profile.entries):
-        if s is Symbol.X2:
-            return False
-        if s is Symbol.P1 and j in ctx.j_rho:
-            return False
-    return True
-
-
-_MEMBERSHIP = {"Pss": None, "P": in_p, "Dss": None, "D": in_d, "Pbar": in_pbar}
+    return in_pss(profile) and _FAMILY_TEST["P"](profile_masks(profile), ctx.j_rho)
 
 
 #: P^ss has 3^f + 1 profiles; at f = 10 (59,050) listing them takes 0.4 s and
-#: the process peaks at 29 MiB on a 2-vCPU Xeon, at f = 11 it is 1.1 s and 56 MiB
+#: the process peaks at 29 MiB on a 2-vCPU Xeon, at f = 11 it is 1.1 s and 56 MiB.
+#: Listing P, D or Pbar also keeps each profile's masks: 5.6 MiB more at f = 10
 PROFILE_F_CAP = 10
 
 
@@ -216,6 +211,13 @@ def _pss_list(f: int) -> tuple[WeightProfile, ...]:
     out: list[WeightProfile] = []
     _add_pss(f, [], out)
     return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def _pss_masks(f: int) -> tuple[tuple[int, ...], ...]:
+    """The ``profile_masks`` of each member of ``_pss_list(f)``, in its order, one int object per value."""
+    shared = list(range(1 << f))  # above 256 each mask would be its own object: 11 MiB more at f = 10
+    return tuple([tuple([shared[m] for m in profile_masks(lam)]) for lam in _pss_list(f)])
 
 
 def _allowed_next(s: Symbol) -> frozenset[Symbol]:
@@ -236,17 +238,15 @@ def _add_pss(f: int, prefix: list[Symbol], out: list[WeightProfile]):
 
 
 def enumerate_profiles(ctx: GaloisContext, which: Family) -> list[WeightProfile]:
-    """Members of the requested family, in lexicographic symbol order."""
-    if which not in _MEMBERSHIP:
+    """Members of the requested family, in lexicographic symbol order: P^ss filtered by its masks."""
+    if which not in _FAMILY_TEST:
         raise ValueError(f"unknown family {which!r}")
-    if which in ("Pss", "Dss"):
-        base = _pss_list(ctx.f)
-        if which == "Dss":
-            return [lam for lam in base if all(s in DSS_SYMBOLS for s in lam.entries)]
-        return list(base)
-    _require_reducible(ctx)
-    pred = _MEMBERSHIP[which]
-    return [lam for lam in _pss_list(ctx.f) if pred(ctx, lam)]
+    if which == "Pss":
+        return list(_pss_list(ctx.f))
+    if which != "Dss":
+        _require_reducible(ctx)
+    test, rho = _FAMILY_TEST[which], ctx.j_rho
+    return [lam for lam, masks in zip(_pss_list(ctx.f), _pss_masks(ctx.f)) if test(masks, rho)]
 
 
 class TGen(str, Enum):
@@ -258,14 +258,14 @@ class TGen(str, Enum):
 
 
 class ProfileStats(Value):
-    """Index data of a profile; ``eps`` holds (j, sign) for each j with t_j != YZ."""
+    """Index data of a profile, its index sets as masks; ``eps`` holds (j, sign) for each j with t_j != YZ."""
 
     __slots__ = ("j_lambda", "ell", "t_assign", "a_set", "k", "j1", "j2", "eps")
 
 
-def j_set(profile: WeightProfile) -> frozenset[int]:
+def j_set(profile: WeightProfile) -> int:
     """J_lambda: indices whose symbol lies in {x+1, x+2, p-3-x}."""
-    return frozenset(j for j, s in enumerate(profile.entries) if s in J_SYMBOLS)
+    return profile_masks(profile)[3]
 
 
 def profile_stats(ctx: GaloisContext, profile: WeightProfile) -> ProfileStats:
@@ -279,9 +279,10 @@ def profile_stats(ctx: GaloisContext, profile: WeightProfile) -> ProfileStats:
         raise ValueError("profile length differs from ctx.f")
     if not in_pss(profile):
         raise ProfileMembershipError(f"{profile!r} is not in P^ss")
+    rho, out = ctx.j_rho, ctx.j_rho_c
     t: list[TGen] = []
     for j, s in enumerate(profile.entries):
-        if j in ctx.j_rho:
+        if rho >> j & 1:
             if s in (Symbol.X0, Symbol.P3):
                 t.append(TGen.Z)
             elif s in (Symbol.X2, Symbol.P1):
@@ -295,18 +296,19 @@ def profile_stats(ctx: GaloisContext, profile: WeightProfile) -> ProfileStats:
                 raise ProfileMembershipError(
                     f"{profile!r}: no generator rule for {s.value} at j={j} outside J_rho"
                 )
-    a_set = frozenset(j for j, g in enumerate(t) if g is TGen.YZ)
+    _, m12, m01, j_lambda, _, p1 = profile_masks(profile)
+    a_set = out | m12 & rho
     eps = tuple([
         (j, -1 if g is TGen.Y else 1) for j, g in enumerate(t) if g is not TGen.YZ
     ])
     return ProfileStats(
-        j_lambda=j_set(profile),
-        ell=len(j_set(profile)),
+        j_lambda=j_lambda,
+        ell=j_lambda.bit_count(),
         t_assign=tuple(t),
         a_set=a_set,
-        k=ctx.f - len(a_set),
-        j1=frozenset(j for j in ctx.j_rho_c if profile.entries[j] is Symbol.P1),
-        j2=frozenset(j for j in ctx.j_rho_c if profile.entries[j] is Symbol.X0),
+        k=ctx.f - a_set.bit_count(),
+        j1=p1 & out,
+        j2=m01 & ~p1 & out,
         eps=eps,
     )
 
@@ -317,7 +319,7 @@ def a_histogram(ctx: GaloisContext, profiles: Iterable[WeightProfile]) -> dict[i
     for lam in profiles:
         if not in_p(ctx, lam):  # some j has no t-rule, so no A
             raise ProfileMembershipError(f"{lam!r} is not in P for this context")
-        a = sum(j not in ctx.j_rho or s in (Symbol.X1, Symbol.P2) for j, s in enumerate(lam.entries))
+        a = (ctx.j_rho_c | j_dprime(ctx, lam)).bit_count()
         out[a] = out.get(a, 0) + 1
     return out
 
@@ -360,9 +362,14 @@ def count_by_A(ctx: GaloisContext) -> ACounts:
 
 
 class CharacterWindow(Value):
-    """``j_dprime`` is the middle set J'' of coordinates free in the window."""
+    """``j_dprime`` is the middle set J'' of coordinates free in the window; ``v_chi`` holds masks."""
 
     __slots__ = ("j_min", "j_dprime", "v_chi")
+
+
+def j_dprime(ctx: GaloisContext, profile: WeightProfile) -> int:
+    """J'': the coordinates of J_rho at x+1 or p-2-x."""
+    return profile_masks(profile)[1] & ctx.j_rho
 
 
 def character_window(ctx: GaloisContext, profile: WeightProfile) -> CharacterWindow:
@@ -373,40 +380,28 @@ def character_window(ctx: GaloisContext, profile: WeightProfile) -> CharacterWin
     """
     if not in_p(ctx, profile):
         raise ProfileMembershipError(f"{profile!r} is not in P for this context")
-    ent = profile.entries
-    j_min = frozenset(j for j in ctx.j_rho if ent[j] in (Symbol.X2, Symbol.P3))
-    j_dp = frozenset(j for j in ctx.j_rho if ent[j] in (Symbol.X1, Symbol.P2))
-    v_chi = frozenset(
-        frozenset(J)
-        for r in range(ctx.d_rho + 1)
-        for J in combinations(sorted(ctx.j_rho), r)
-        if len((frozenset(J) - j_dp) ^ j_min) <= 1
-    )
+    rho = ctx.j_rho
+    j_min, j_dp = profile_masks(profile)[0] & rho, j_dprime(ctx, profile)
+    v_chi = frozenset(J for J in range(rho + 1) if not J & ~rho and ((J & ~j_dp) ^ j_min).bit_count() <= 1)
     return CharacterWindow(j_min, j_dp, v_chi)
 
 
-def v_chi_from_windows(ctx: GaloisContext, profile: WeightProfile) -> frozenset[frozenset[int]]:
+def v_chi_from_windows(ctx: GaloisContext, profile: WeightProfile) -> frozenset[int]:
     """Independent assembly of V_chi as a union of shifted windows."""
     w = character_window(ctx, profile)
-    shifts = [frozenset()] + [frozenset({j}) for j in sorted(ctx.j_rho - w.j_dprime)]
-    out: set[frozenset[int]] = set()
-    for sh in shifts:
-        base = w.j_min ^ sh
-        free = sorted(w.j_dprime)
-        for r in range(len(free) + 1):
-            for add in combinations(free, r):
-                out.add(base | frozenset(add))
-    return frozenset(out)
+    shifts = [0] + [1 << j for j in indices(ctx.j_rho & ~w.j_dprime)]
+    free = [add for add in range(w.j_dprime + 1) if not add & ~w.j_dprime]
+    return frozenset([w.j_min ^ sh | add for sh in shifts for add in free])
 
 
 def length_witnesses(ctx: GaloisContext) -> dict[int, WeightProfile]:
     """For each 1 <= k <= f, a P^ss \\ P profile with |J_lambda| = k, if any."""
     _require_reducible(ctx)
     out: dict[int, WeightProfile] = {}
-    for lam in _pss_list(ctx.f):
-        if in_p(ctx, lam):
+    for lam, masks in zip(_pss_list(ctx.f), _pss_masks(ctx.f)):
+        if _FAMILY_TEST["P"](masks, ctx.j_rho):
             continue
-        k = len(j_set(lam))
+        k = masks[3].bit_count()
         if 1 <= k <= ctx.f and k not in out:
             out[k] = lam
     return out

@@ -139,10 +139,10 @@ def test_i1_histograms_recount_every_profile(f):
         for lam in _pss_list(f):
             if in_p(ctx, lam):
                 st = profile_stats(ctx, lam)
-                key = (st.ell, len(st.j1 | st.j2))
+                key = (st.ell, (st.j1 | st.j2).bit_count())
                 hist_p[key] = hist_p.get(key, 0) + 1
             else:
-                ell = len(j_set(lam))
+                ell = j_set(lam).bit_count()
                 hist_ss[ell] = hist_ss.get(ell, 0) + 1
         assert predictions._i1_histograms(ctx) == (hist_p, hist_ss), ctx
 
@@ -157,18 +157,18 @@ def test_i1_degree0_total_worked():
 def test_socle_examples():
     ctx = nonsplit_context(2, [0])
     full = socle_jsets(ctx, SubquotientSpec(-1, 2))
-    assert frozenset() in full
+    assert 0 in full  # the empty J-set
     # |W(rho)| = 2^{|J_rho|}
-    assert sum(1 for J in full if J <= ctx.j_rho) == 2 ** ctx.d_rho
+    assert sum(1 for J in full if J & ctx.j_rho == J) == 2 ** ctx.d_rho
     got = socle_jsets(ctx, SubquotientSpec(0, 2))
-    assert got == [frozenset({0}), frozenset({1})]
+    assert got == [0b01, 0b10]
 
 
 def test_socle_jsets_come_by_size_then_lexicographically():
     for f in range(1, 6):
         for ctx, spec, case in verify._window_cases(verify._nonsplit_contexts(f)):
-            got = socle_jsets(ctx, spec)
-            assert got == sorted(got, key=lambda s: (len(s), sorted(s))), case
+            got = [[j for j in range(f) if J >> j & 1] for J in socle_jsets(ctx, spec)]
+            assert got == sorted(got, key=lambda s: (len(s), s)), case
 
 
 def test_k1_cycle_examples():
@@ -233,7 +233,8 @@ def _box_scan_theta(ctx, lam, n, i0):
     d_lam = max(i0 + 1 - st_.ell, 0)
     ranges = {TGen.Y: range(-(n - 1), 1), TGen.Z: range(0, n), TGen.YZ: range(-(n - 1), n)}
     ball = [p for p in product(*(ranges[g] for g in st_.t_assign)) if sum(abs(x) for x in p) < n]
-    in_theta = [p for p in ball if sum(p[j] > 0 for j in st_.j1) + sum(p[j] < 0 for j in st_.j2) >= d_lam]
+    j1, j2 = [j for j in range(ctx.f) if st_.j1 >> j & 1], [j for j in range(ctx.f) if st_.j2 >> j & 1]
+    in_theta = [p for p in ball if sum(p[j] > 0 for j in j1) + sum(p[j] < 0 for j in j2) >= d_lam]
     theta = frozenset(in_theta)
 
     def descends(p):
@@ -269,13 +270,13 @@ def test_semisimple_match_worked_pair():
     ctx = nonsplit_context(2, [0])
     lam = prof("X0", "X0")
     st_ = profile_stats(ctx, lam)
-    lp = _lambda_prime(lam, st_, frozenset({1}))
+    lp = _lambda_prime(lam, st_, 0b10)
     assert lp == prof("X0", "X2")
     ideal = a_ss(ctx, lp)
     from serrecalc.ideals import y_var, z_var
 
     assert ideal.gens == (z_var(2, 0), y_var(2, 1))
-    assert p_monomial(2, st_, frozenset({1})).bigrade()[1] == (0, -1)
+    assert p_monomial(2, st_, 0b10).bigrade()[1] == (0, -1)
     table = bigraded_difference(MonomialIdeal.unit(4), ideal, 2, 4, 0)
     assert table.totals() == [1, 2, 3, 4, 5]
 

@@ -151,14 +151,14 @@ VALUES = [
     (IntPoly.of(1, 2), "IntPoly(coeffs=(1, 2))"),
     (RationalSeries(IntPoly.of(1, 1), 2), "RationalSeries(num=IntPoly(coeffs=(1, 1)), pole=2)"),
     (CharOffset((1, -1)), "CharOffset(exps=(1, -1))"),
-    (split_context(1), "GaloisContext(f=1, case=<Case.SPLIT: 'split'>, j_rho=frozenset({0}))"),
+    (split_context(1), "GaloisContext(f=1, case=<Case.SPLIT: 'split'>, j_rho=1)"),
     (X0, "WeightProfile(X0)"),
-    (profile_stats(split_context(1), X0), "ProfileStats(j_lambda=frozenset(), ell=0, t_assign=(<TGen.Z: 'Z'>,), "
-     "a_set=frozenset(), k=1, j1=frozenset(), j2=frozenset(), eps=((0, 1),))"),
+    (profile_stats(split_context(1), X0), "ProfileStats(j_lambda=0, ell=0, t_assign=(<TGen.Z: 'Z'>,), "
+     "a_set=0, k=1, j1=0, j2=0, eps=((0, 1),))"),
     (count_by_A(split_context(1)), "ACounts(domain='D', closed={0: 2}, enumerated={0: 2}, closed_p_level={0: 4}, "
      "enumerated_p_level={0: 4}, ok=True)"),
     (character_window(nonsplit_context(1, []), X0),
-     "CharacterWindow(j_min=frozenset(), j_dprime=frozenset(), v_chi=frozenset({frozenset()}))"),
+     "CharacterWindow(j_min=0, j_dprime=0, v_chi=frozenset({0}))"),
     (Command("h", (), len), "Command(help='h', flags=(), payload=<built-in function len>, ok=(), rows=None)"),
     (Monomial((1, 0)), "Monomial(exps=(1, 0))"),
     (MonomialIdeal(2, (Monomial((1, 0)),)), "MonomialIdeal(ambient=2, gens=(Monomial(exps=(1, 0)),))"),

@@ -1,20 +1,28 @@
+import sys
+from itertools import combinations, product
+
 import pytest
 
 from serrecalc.errors import ProfileMembershipError, UnsupportedCaseError
 from serrecalc.verify import reducible_contexts
 from serrecalc.weights import (
     Case,
+    CORE_SYMBOLS,
     GaloisContext,
     TGen,
     WeightProfile,
+    _pss_list,
+    _pss_masks,
     a_histogram,
     character_window,
     count_by_A,
     enumerate_profiles,
     in_p,
+    in_pss,
     j_set,
     length_witnesses,
     nonsplit_context,
+    profile_masks,
     profile_stats,
     split_context,
     v_chi_from_windows,
@@ -27,11 +35,13 @@ def prof(*tags):
 
 def test_context_validation():
     with pytest.raises(ValueError):
-        GaloisContext(2, Case.SPLIT, frozenset({0}))
+        GaloisContext(2, Case.SPLIT, 0b01)
     with pytest.raises(ValueError):
-        GaloisContext(2, Case.NONSPLIT, frozenset({0, 1}))
+        GaloisContext(2, Case.NONSPLIT, 0b11)
     with pytest.raises(ValueError):
-        GaloisContext(2, Case.IRREDUCIBLE, frozenset({0}))
+        GaloisContext(2, Case.IRREDUCIBLE, 0b01)
+    with pytest.raises(ValueError):
+        GaloisContext(2, Case.NONSPLIT, 0b100)  # index 2 is outside {0, 1}
     with pytest.raises(ValueError):
         split_context(2, p=20)  # not prime
     with pytest.raises(ValueError):
@@ -63,18 +73,18 @@ def test_enumerate_rejects_irreducible():
 def test_profile_stats_examples():
     split2 = split_context(2)
     st_ = profile_stats(split2, prof("X1", "P2"))
-    assert st_.j_lambda == frozenset({0})
+    assert st_.j_lambda == 0b01
     assert st_.t_assign == (TGen.YZ, TGen.YZ)
-    assert st_.a_set == frozenset({0, 1}) and st_.k == 0
+    assert st_.a_set == 0b11 and st_.k == 0
 
     st_ = profile_stats(split_context(1), prof("X0"))
-    assert st_.t_assign == (TGen.Z,) and st_.a_set == frozenset() and st_.k == 1
+    assert st_.t_assign == (TGen.Z,) and st_.a_set == 0 and st_.k == 1
     assert st_.eps == ((0, 1),)
 
     ns = nonsplit_context(2, [0])
     st_ = profile_stats(ns, prof("X0", "X0"))
-    assert st_.j1 == frozenset() and st_.j2 == frozenset({1})
-    assert st_.a_set == frozenset({1})
+    assert st_.j1 == 0 and st_.j2 == 0b10
+    assert st_.a_set == 0b10
 
 
 def test_profile_stats_rejects_uncovered():
@@ -117,16 +127,16 @@ def test_dss_bijection(f):
 @pytest.mark.parametrize("f", range(1, 5))
 def test_a_set_contains_jrho_complement(f):
     for mask in range(1 << f):
-        j_rho = frozenset(j for j in range(f) if mask & (1 << j))
+        j_rho = [j for j in range(f) if mask & (1 << j)]
         if len(j_rho) == f:
             ctx = split_context(f)
         else:
             ctx = nonsplit_context(f, j_rho)
         for lam in enumerate_profiles(ctx, "P"):
             st_ = profile_stats(ctx, lam)
-            assert ctx.j_rho_c <= st_.a_set
+            assert ctx.j_rho_c & st_.a_set == ctx.j_rho_c == (1 << f) - 1 - mask
             if ctx.case is Case.SPLIT:
-                assert len(st_.a_set) % 2 == 0
+                assert st_.a_set.bit_count() % 2 == 0
 
 
 @pytest.mark.parametrize("f", range(1, 5))
@@ -138,7 +148,7 @@ def test_a_histogram_reads_a_without_profile_stats(f):
     for ctx in reducible_contexts(f):
         for which in ("P", "D") if ctx.case is Case.SPLIT else ("P", "Pbar"):
             for lam in enumerate_profiles(ctx, which):
-                assert a_histogram(ctx, [lam]) == {len(profile_stats(ctx, lam).a_set): 1}, (ctx, lam)
+                assert a_histogram(ctx, [lam]) == {profile_stats(ctx, lam).a_set.bit_count(): 1}, (ctx, lam)
         for lam in enumerate_profiles(ctx, "Pss"):  # outside P, profile_stats has no t-rule and neither has A
             if not in_p(ctx, lam):
                 with pytest.raises(ProfileMembershipError):
@@ -160,8 +170,8 @@ def test_pbar_fibers(f):
         pbar = enumerate_profiles(ctx, "Pbar")
         assert all(in_p(ctx, lam) for lam in pbar)
         for r in range(d + 1):
-            for sub in combinations(sorted(ctx.j_rho), r):
-                want = frozenset(sub) | ctx.j_rho_c
+            for sub in combinations([j for j in range(f) if ctx.j_rho >> j & 1], r):
+                want = sum(1 << j for j in sub) | ctx.j_rho_c
                 fiber = [lam for lam in pbar if profile_stats(ctx, lam).a_set == want]
                 assert len(fiber) == 2 ** (f - d)
 
@@ -177,15 +187,15 @@ def test_length_witnesses(f):
 def test_character_window_examples():
     split1 = split_context(1)
     w = character_window(split1, prof("X0"))
-    assert w.j_min == frozenset()
-    assert w.j_dprime == frozenset()
-    assert w.v_chi == frozenset({frozenset(), frozenset({0})})
+    assert w.j_min == 0
+    assert w.j_dprime == 0
+    assert w.v_chi == frozenset({0, 0b1})
 
     # all coordinates at {x, p-1-x}: singletons and the empty set
     ns = nonsplit_context(3, [0, 1])
     w = character_window(ns, prof("X0", "X0", "X0"))
-    assert w.j_min == frozenset()
-    assert w.v_chi == frozenset({frozenset(), frozenset({0}), frozenset({1})})
+    assert w.j_min == 0
+    assert w.v_chi == frozenset({0, 0b01, 0b10})
 
 
 @pytest.mark.parametrize("f", range(1, 5))
@@ -200,3 +210,81 @@ def test_v_chi_window_union(f):
 def test_profile_serialization_round_trip():
     lam = prof("X0", "P2", "X1")
     assert WeightProfile.from_tags(lam.tags()) == lam
+
+
+def _mask(js) -> int:
+    return sum(1 << j for j in set(js))
+
+
+@pytest.mark.parametrize("f", range(1, 7))
+def test_masks_restate_the_definitions_coordinate_by_coordinate(f):
+    """Every mask the package holds, against the paper's definitions restated one coordinate at a time.
+
+    P^ss is every f-tuple passing ``in_pss``; each P^ss profile's masks, each family's members, and the
+    ``ProfileStats`` and ``CharacterWindow`` of each P-profile, in every reducible context.
+    """
+    pss = [lam for lam in map(WeightProfile, product(CORE_SYMBOLS, repeat=f)) if in_pss(lam)]
+    assert list(_pss_list(f)) == pss
+    for lam, masks in zip(pss, _pss_masks(f), strict=True):
+        tags = lam.tags()
+        at = lambda *symbols: _mask(j for j in range(f) if tags[j] in symbols)
+        assert masks == profile_masks(lam) == (
+            at("X2", "P3"), at("X1", "P2"), at("X0", "P1"), at("X1", "X2", "P3"), at("X2"), at("P1"))
+        assert j_set(lam) == at("X1", "X2", "P3")
+    for ctx in reducible_contexts(f):
+        rho = {j for j in range(f) if ctx.j_rho >> j & 1}
+        assert ctx.j_rho_c == _mask(set(range(f)) - rho) and ctx.d_rho == len(rho)
+        members = {"P": [], "D": [], "Pbar": [], "Dss": []}
+        for lam in pss:
+            tags = lam.tags()
+            in_family = {
+                "P": all(j in rho for j in range(f) if tags[j] in ("X2", "P3")),
+                "Dss": all(t in ("X0", "X1", "P3", "P2") for t in tags),
+            }
+            in_family["D"] = in_family["Dss"] and all(j in rho for j in range(f) if tags[j] in ("X1", "P3"))
+            in_family["Pbar"] = in_family["P"] and "X2" not in tags and all(j not in rho for j in range(f)
+                                                                           if tags[j] == "P1")
+            for which, ok in in_family.items():
+                if ok:
+                    members[which].append(lam)
+            assert in_p(ctx, lam) == in_family["P"], (ctx, lam)
+            if not in_family["P"]:
+                continue
+            st_ = profile_stats(ctx, lam)
+            assert st_.j_lambda == _mask(j for j in range(f) if tags[j] in ("X1", "X2", "P3"))
+            assert st_.ell == sum(t in ("X1", "X2", "P3") for t in tags)
+            assert st_.a_set == _mask(j for j in range(f) if j not in rho or tags[j] in ("X1", "P2"))
+            assert st_.k == sum(j in rho and tags[j] not in ("X1", "P2") for j in range(f))
+            assert st_.j1 == _mask(j for j in range(f) if j not in rho and tags[j] == "P1")
+            assert st_.j2 == _mask(j for j in range(f) if j not in rho and tags[j] == "X0")
+            w = character_window(ctx, lam)
+            j_min = {j for j in rho if tags[j] in ("X2", "P3")}
+            j_dp = {j for j in rho if tags[j] in ("X1", "P2")}
+            assert (w.j_min, w.j_dprime) == (_mask(j_min), _mask(j_dp))
+            subsets = [set(sub) for r in range(len(rho) + 1) for sub in combinations(sorted(rho), r)]
+            assert w.v_chi == {_mask(J) for J in subsets if len((J - j_dp) ^ j_min) <= 1}
+        for which, want in members.items():
+            assert enumerate_profiles(ctx, which) == want, (ctx, which)
+
+
+@pytest.mark.skipif(sys.version_info < (3, 11), reason="code objects carry co_qualname from Python 3.11")
+def test_listing_p_d_and_pbar_never_tests_pss_again():
+    """P, D and Pbar are P^ss filtered by its cached masks; ``in_pss`` is never entered for a member."""
+    entered = []
+
+    def hook(frame, event, arg):
+        if event == "call" and frame.f_code.co_qualname == "in_pss":
+            entered.append(frame.f_globals.get("__name__"))
+
+    _pss_list.cache_clear()
+    _pss_masks.cache_clear()  # the first listing at each f builds both, the later ones read them
+    for f in range(1, 5):
+        for ctx in reducible_contexts(f):
+            previous = sys.getprofile()
+            sys.setprofile(hook)
+            try:
+                listed = [enumerate_profiles(ctx, which) for which in ("P", "D", "Pbar")]
+            finally:
+                sys.setprofile(previous)
+            assert not entered, (ctx, entered)
+            assert listed[0] and all(in_pss(lam) for family in listed for lam in family)
