@@ -155,6 +155,8 @@ def kernels(repeats: int = 5) -> list[dict]:
     x_split, x_all_x0 = weights.split_context(xcap), weights.WeightProfile.from_tags(["X0"] * xcap)
     s_ctx, s_full = weights.nonsplit_context(scap, range(scap - 1)), predictions.SubquotientSpec(-1, scap)
     f8 = [weights.nonsplit_context(8, sub) for r in range(8) for sub in combinations(range(8), r)]
+    p8 = [(ctx, lam) for ctx in (weights.split_context(8), weights.nonsplit_context(8, [0, 2, 4, 6]))
+          for lam in weights.enumerate_profiles(ctx, "P")]
     irreducible16 = series.RationalSeries(series.IntPoly.of(3, 1) ** 16 - series.one_minus_t() ** 16, 16)
     cold = lambda cached, *args: lambda: (cached.cache_clear(), cached(*args))
     cases = [
@@ -165,6 +167,8 @@ def kernels(repeats: int = 5) -> list[dict]:
         ("weights._pss_list", "f = 8", cold(weights._pss_list, 8)),
         ("weights.enumerate_profiles", f"P in each of the {len(f8)} nonsplit contexts at f = 8, P^ss masks cold",
          lambda: _list_p(weights, f8)),
+        ("weights.profile_stats", f"every P-profile of split f = 8 and of nonsplit f = 8, J_rho = {{0, 2, 4, 6}} "
+         f"({len(p8)} calls)", lambda: _each(weights.profile_stats, p8)),
         ("ideals.numerator", "a1(i = 1) of X0^5, nonsplit f = 5, J_rho = {}, bigraded",
          lambda: ideals.numerator(window, ideals.Monomial.bigrade)),
         ("homology.taylor_profile", "pairing_ideal(5)", lambda: homology.taylor_profile(pairing)),

@@ -14,8 +14,6 @@ import argparse
 import json
 import sys
 from functools import lru_cache
-from pathlib import Path
-from typing import Callable
 
 from .series import Value, bigraded_to_json, dumps_canonical, expand, rational_to_json
 from .weights import Case, GaloisContext, WeightProfile, enumerate_profiles, indices, profile_stats
@@ -67,7 +65,11 @@ def _list_of_lists(data, kind: type, what: str) -> list[list]:
 
 def _read_profiles(path: str, f: int) -> list[WeightProfile]:
     """Profiles from a JSON tag-array list, or an object holding one under "profiles"."""
-    data = json.loads(sys.stdin.read() if path == "-" else Path(path).read_text())
+    if path == "-":
+        data = json.loads(sys.stdin.read())
+    else:
+        with open(path, encoding="utf-8") as fh:
+            data = json.load(fh)
     if isinstance(data, dict):
         data = data.get("profiles")
     tag_lists = _list_of_lists(data, str, f"{path} to hold a list of profile tag arrays")
@@ -284,16 +286,15 @@ _TRUNC = ("--trunc", dict(type=int, default=None))
 class Command(Value):
     """One subcommand: help, (flag, add_argument kwargs) pairs and a payload function.
 
-    Exit 0 needs every ``ok`` key true in the payload, or in every record of
-    a list payload.  ``rows`` builds table/CSV rows; the default is the
-    payload's sorted key/value pairs.
+    The payload maps the parsed arguments to a dict or a list of dicts.  Exit
+    0 needs every ``ok`` key true in the payload, or in every record of a
+    list payload.  ``rows`` maps the payload to table/CSV rows; the default
+    is the payload's sorted key/value pairs.
     """
 
     __slots__ = ("help", "flags", "payload", "ok", "rows")
 
-    def __init__(self, help: str, flags: tuple[tuple[str, dict], ...],
-                 payload: Callable[[argparse.Namespace], dict | list], ok: tuple[str, ...] = (),
-                 rows: Callable[[dict | list], list[list[str]]] | None = None):
+    def __init__(self, help: str, flags: tuple[tuple[str, dict], ...], payload, ok: tuple[str, ...] = (), rows=None):
         super().__init__(help, flags, payload, ok, rows)
 
 

@@ -359,7 +359,7 @@ def semisimple_match(ctx: GaloisContext, i0: int) -> MatchResult:
     targets = {  # the P^ss profiles with |J_lambda| = i0 + 1
         lam for lam, masks in zip(_pss_list(ctx.f), _pss_masks(ctx.f)) if masks[3].bit_count() == i0 + 1
     }
-    seen: dict[WeightProfile, tuple[WeightProfile, int]] = {}
+    seen: set[WeightProfile] = set()
     bijection_ok = True
     hilbert_ok = True
     pairs = 0
@@ -378,13 +378,13 @@ def semisimple_match(ctx: GaloisContext, i0: int) -> MatchResult:
             pairs += 1
             if not in_pss(lp) or lp in seen or lp not in targets:
                 bijection_ok = False
-            seen[lp] = (lam, jp)
+            seen.add(lp)
             p = p_monomial(ctx.f, st, jp)
             numerator(a_ss(ctx, lp), lambda m: (m * p).bigrade(), num, -1)
         if any(num.values()):
             hilbert_ok = False
 
-    if set(seen) != targets:
+    if seen != targets:
         bijection_ok = False
     return MatchResult(bijection_ok, hilbert_ok, pairs)
 

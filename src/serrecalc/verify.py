@@ -332,7 +332,7 @@ def suite_xcounts(fmax: int = 4) -> list[CheckRecord]:
         for ctx, lam in _profiles(f):
             r = x_counts(ctx, lam)
             yield _case(ctx, lam), r.ok, {"shells": (r.x0, r.x1, r.x2), "closed": r.expected}
-            yield _same(f"{_case(ctx, lam)} V_chi", window=sorted(map(indices, character_window(ctx, lam).v_chi)),
+            yield _same(f"{_case(ctx, lam)} V_chi", window=sorted(map(indices, character_window(ctx, lam))),
                         union=sorted(map(indices, v_chi_from_windows(ctx, lam))))
 
     return [_check("xcounts", f"f={f} shell sizes", shells(f)) for f in range(1, fmax + 1)]

@@ -280,36 +280,25 @@ def profile_stats(ctx: GaloisContext, profile: WeightProfile) -> ProfileStats:
     if not in_pss(profile):
         raise ProfileMembershipError(f"{profile!r} is not in P^ss")
     rho, out = ctx.j_rho, ctx.j_rho_c
-    t: list[TGen] = []
-    for j, s in enumerate(profile.entries):
-        if rho >> j & 1:
-            if s in (Symbol.X0, Symbol.P3):
-                t.append(TGen.Z)
-            elif s in (Symbol.X2, Symbol.P1):
-                t.append(TGen.Y)
-            else:
-                t.append(TGen.YZ)
-        else:
-            if s in (Symbol.X0, Symbol.P1, Symbol.X1, Symbol.P2):
-                t.append(TGen.YZ)
-            else:
-                raise ProfileMembershipError(
-                    f"{profile!r}: no generator rule for {s.value} at j={j} outside J_rho"
-                )
-    _, m12, m01, j_lambda, _, p1 = profile_masks(profile)
+    m23, m12, m01, j_lambda, x2, p1 = profile_masks(profile)
+    bad = m23 & ~rho  # x+2 and p-3-x have a generator rule inside J_rho only
+    if bad:
+        j = (bad & -bad).bit_length() - 1
+        raise ProfileMembershipError(
+            f"{profile!r}: no generator rule for {profile.entries[j].value} at j={j} outside J_rho")
+    # inside J_rho: y_j at x+2 and p-1-x, z_j at x and p-3-x; y_j z_j at every other j
+    y = (x2 | p1) & rho
+    z = (m23 | m01) & rho & ~y
     a_set = out | m12 & rho
-    eps = tuple([
-        (j, -1 if g is TGen.Y else 1) for j, g in enumerate(t) if g is not TGen.YZ
-    ])
     return ProfileStats(
         j_lambda=j_lambda,
         ell=j_lambda.bit_count(),
-        t_assign=tuple(t),
+        t_assign=tuple([TGen.Y if y >> j & 1 else TGen.Z if z >> j & 1 else TGen.YZ for j in range(ctx.f)]),
         a_set=a_set,
         k=ctx.f - a_set.bit_count(),
         j1=p1 & out,
         j2=m01 & ~p1 & out,
-        eps=eps,
+        eps=tuple([(j, -1 if y >> j & 1 else 1) for j in range(ctx.f) if (y | z) >> j & 1]),
     )
 
 
@@ -361,19 +350,13 @@ def count_by_A(ctx: GaloisContext) -> ACounts:
     return ACounts("Pbar", closed, enum_pbar, None, None, enum_pbar == closed)
 
 
-class CharacterWindow(Value):
-    """``j_dprime`` is the middle set J'' of coordinates free in the window; ``v_chi`` holds masks."""
-
-    __slots__ = ("j_min", "j_dprime", "v_chi")
-
-
 def j_dprime(ctx: GaloisContext, profile: WeightProfile) -> int:
     """J'': the coordinates of J_rho at x+1 or p-2-x."""
     return profile_masks(profile)[1] & ctx.j_rho
 
 
-def character_window(ctx: GaloisContext, profile: WeightProfile) -> CharacterWindow:
-    """Window data of the weights constrained near a profile's character.
+def character_window(ctx: GaloisContext, profile: WeightProfile) -> frozenset[int]:
+    """V_chi, the window of weights constrained near a profile's character, as masks.
 
     V_chi collects the subsets J of J_rho with |(J \\ J'') Δ J'| <= 1, where
     J' marks the {x+2, p-3-x} coordinates and J'' the {x+1, p-2-x} ones.
@@ -382,16 +365,18 @@ def character_window(ctx: GaloisContext, profile: WeightProfile) -> CharacterWin
         raise ProfileMembershipError(f"{profile!r} is not in P for this context")
     rho = ctx.j_rho
     j_min, j_dp = profile_masks(profile)[0] & rho, j_dprime(ctx, profile)
-    v_chi = frozenset(J for J in range(rho + 1) if not J & ~rho and ((J & ~j_dp) ^ j_min).bit_count() <= 1)
-    return CharacterWindow(j_min, j_dp, v_chi)
+    return frozenset(J for J in range(rho + 1) if not J & ~rho and ((J & ~j_dp) ^ j_min).bit_count() <= 1)
 
 
 def v_chi_from_windows(ctx: GaloisContext, profile: WeightProfile) -> frozenset[int]:
-    """Independent assembly of V_chi as a union of shifted windows."""
-    w = character_window(ctx, profile)
-    shifts = [0] + [1 << j for j in indices(ctx.j_rho & ~w.j_dprime)]
-    free = [add for add in range(w.j_dprime + 1) if not add & ~w.j_dprime]
-    return frozenset([w.j_min ^ sh | add for sh in shifts for add in free])
+    """Independent assembly of V_chi as a union of shifted windows: J' moved by at most one index, J'' free."""
+    if not in_p(ctx, profile):
+        raise ProfileMembershipError(f"{profile!r} is not in P for this context")
+    rho, j_dp = ctx.j_rho, j_dprime(ctx, profile)
+    j_min = profile_masks(profile)[0] & rho
+    shifts = [0] + [1 << j for j in indices(rho & ~j_dp)]
+    free = [add for add in range(j_dp + 1) if not add & ~j_dp]
+    return frozenset([j_min ^ sh | add for sh in shifts for add in free])
 
 
 def length_witnesses(ctx: GaloisContext) -> dict[int, WeightProfile]:

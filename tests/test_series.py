@@ -29,7 +29,6 @@ from serrecalc.series import (
 from serrecalc.verify import CheckRecord
 from serrecalc.weights import (
     WeightProfile,
-    character_window,
     count_by_A,
     nonsplit_context,
     profile_stats,
@@ -157,8 +156,6 @@ VALUES = [
      "a_set=0, k=1, j1=0, j2=0, eps=((0, 1),))"),
     (count_by_A(split_context(1)), "ACounts(domain='D', closed={0: 2}, enumerated={0: 2}, closed_p_level={0: 4}, "
      "enumerated_p_level={0: 4}, ok=True)"),
-    (character_window(nonsplit_context(1, []), X0),
-     "CharacterWindow(j_min=0, j_dprime=0, v_chi=frozenset({0}))"),
     (Command("h", (), len), "Command(help='h', flags=(), payload=<built-in function len>, ok=(), rows=None)"),
     (Monomial((1, 0)), "Monomial(exps=(1, 0))"),
     (MonomialIdeal(2, (Monomial((1, 0)),)), "MonomialIdeal(ambient=2, gens=(Monomial(exps=(1, 0)),))"),
@@ -185,7 +182,7 @@ HASHED = {
 
 def test_every_value_type_has_an_instance_below():
     package_types = {cls for cls in Value.__subclasses__() if cls.__module__.startswith("serrecalc.")}
-    assert package_types == {type(v) for v, _ in VALUES} and len(VALUES) == 19
+    assert package_types == {type(v) for v, _ in VALUES} and len(VALUES) == 18
 
 
 @pytest.mark.parametrize("value, text", VALUES, ids=[type(v).__name__ for v, _ in VALUES])

@@ -19,6 +19,7 @@ from serrecalc.weights import (
     enumerate_profiles,
     in_p,
     in_pss,
+    j_dprime,
     j_set,
     length_witnesses,
     nonsplit_context,
@@ -185,26 +186,42 @@ def test_length_witnesses(f):
 
 
 def test_character_window_examples():
-    split1 = split_context(1)
-    w = character_window(split1, prof("X0"))
-    assert w.j_min == 0
-    assert w.j_dprime == 0
-    assert w.v_chi == frozenset({0, 0b1})
+    for ctx, v_chi in ((split_context(1), {0, 0b1}), (nonsplit_context(1, []), {0})):
+        assert profile_masks(prof("X0"))[0] & ctx.j_rho == j_dprime(ctx, prof("X0")) == 0  # J' and J''
+        assert character_window(ctx, prof("X0")) == frozenset(v_chi)
 
     # all coordinates at {x, p-1-x}: singletons and the empty set
     ns = nonsplit_context(3, [0, 1])
-    w = character_window(ns, prof("X0", "X0", "X0"))
-    assert w.j_min == 0
-    assert w.v_chi == frozenset({0, 0b01, 0b10})
+    assert profile_masks(prof("X0", "X0", "X0"))[0] == 0
+    assert character_window(ns, prof("X0", "X0", "X0")) == frozenset({0, 0b01, 0b10})
 
 
 @pytest.mark.parametrize("f", range(1, 5))
 def test_v_chi_window_union(f):
-    from serrecalc.verify import reducible_contexts
-
     for ctx in reducible_contexts(f):
         for lam in enumerate_profiles(ctx, "P"):
-            assert character_window(ctx, lam).v_chi == v_chi_from_windows(ctx, lam)
+            assert character_window(ctx, lam) == v_chi_from_windows(ctx, lam)
+
+
+@pytest.mark.skipif(sys.version_info < (3, 11), reason="code objects carry co_qualname from Python 3.11")
+def test_the_window_union_never_enters_character_window():
+    """``v_chi_from_windows`` is the oracle of ``character_window`` and reads J' and J'' itself."""
+    entered = []
+
+    def hook(frame, event, arg):
+        if event == "call" and frame.f_globals.get("__name__", "").startswith("serrecalc."):
+            entered.append(frame.f_code.co_qualname)
+
+    for f in range(1, 4):
+        for ctx in reducible_contexts(f):
+            for lam in enumerate_profiles(ctx, "P"):
+                previous = sys.getprofile()
+                sys.setprofile(hook)
+                try:
+                    v_chi_from_windows(ctx, lam)
+                finally:
+                    sys.setprofile(previous)
+    assert "j_dprime" in entered and "character_window" not in entered
 
 
 def test_profile_serialization_round_trip():
@@ -221,7 +238,7 @@ def test_masks_restate_the_definitions_coordinate_by_coordinate(f):
     """Every mask the package holds, against the paper's definitions restated one coordinate at a time.
 
     P^ss is every f-tuple passing ``in_pss``; each P^ss profile's masks, each family's members, and the
-    ``ProfileStats`` and ``CharacterWindow`` of each P-profile, in every reducible context.
+    ``ProfileStats``, J', J'' and V_chi of each P-profile, in every reducible context.
     """
     pss = [lam for lam in map(WeightProfile, product(CORE_SYMBOLS, repeat=f)) if in_pss(lam)]
     assert list(_pss_list(f)) == pss
@@ -257,12 +274,16 @@ def test_masks_restate_the_definitions_coordinate_by_coordinate(f):
             assert st_.k == sum(j in rho and tags[j] not in ("X1", "P2") for j in range(f))
             assert st_.j1 == _mask(j for j in range(f) if j not in rho and tags[j] == "P1")
             assert st_.j2 == _mask(j for j in range(f) if j not in rho and tags[j] == "X0")
-            w = character_window(ctx, lam)
+            t = [TGen.YZ if j not in rho or tags[j] in ("X1", "P2") else TGen.Y if tags[j] in ("X2", "P1")
+                 else TGen.Z for j in range(f)]
+            assert st_.t_assign == tuple(t)
+            assert st_.eps == tuple((j, -1 if tags[j] in ("X2", "P1") else 1) for j in range(f)
+                                    if j in rho and tags[j] not in ("X1", "P2"))
             j_min = {j for j in rho if tags[j] in ("X2", "P3")}
             j_dp = {j for j in rho if tags[j] in ("X1", "P2")}
-            assert (w.j_min, w.j_dprime) == (_mask(j_min), _mask(j_dp))
+            assert (profile_masks(lam)[0] & ctx.j_rho, j_dprime(ctx, lam)) == (_mask(j_min), _mask(j_dp))
             subsets = [set(sub) for r in range(len(rho) + 1) for sub in combinations(sorted(rho), r)]
-            assert w.v_chi == {_mask(J) for J in subsets if len((J - j_dp) ^ j_min) <= 1}
+            assert character_window(ctx, lam) == {_mask(J) for J in subsets if len((J - j_dp) ^ j_min) <= 1}
         for which, want in members.items():
             assert enumerate_profiles(ctx, which) == want, (ctx, which)
 
