@@ -151,7 +151,7 @@ def kernels(repeats: int = 5) -> list[dict]:
     ns3, full = weights.nonsplit_context(3, [1, 2]), predictions.SubquotientSpec(-1, 3)
     ns4, full4 = weights.nonsplit_context(4, [0, 2]), predictions.SubquotientSpec(-1, 4)
     Y, Z, YZ = weights.TGen.Y, weights.TGen.Z, weights.TGen.YZ
-    xcap, scap = predictions.X_COUNTS_F_CAP, predictions.SOCLE_F_CAP
+    xcap, scap, pcap = predictions.X_COUNTS_F_CAP, predictions.SOCLE_F_CAP, weights.PROFILE_F_CAP
     x_split, x_all_x0 = weights.split_context(xcap), weights.WeightProfile.from_tags(["X0"] * xcap)
     s_ctx, s_full = weights.nonsplit_context(scap, range(scap - 1)), predictions.SubquotientSpec(-1, scap)
     f8 = [weights.nonsplit_context(8, sub) for r in range(8) for sub in combinations(range(8), r)]
@@ -165,8 +165,11 @@ def kernels(repeats: int = 5) -> list[dict]:
         ("series.expand", "((3 + t)^16 - (1 - t)^16) / (1 - t)^16, the irreducible f = 16 Hilbert series, "
          "to degree 99,999", lambda: series.expand(irreducible16, 99_999)),
         ("weights._pss_list", "f = 8", cold(weights._pss_list, 8)),
+        ("weights._pss_list", f"f = {pcap} = PROFILE_F_CAP", cold(weights._pss_list, pcap)),
         ("weights.enumerate_profiles", f"P in each of the {len(f8)} nonsplit contexts at f = 8, P^ss masks cold",
          lambda: _list_p(weights, f8)),
+        ("weights.enumerate_profiles", f"P in each of the {len(f8)} nonsplit contexts at f = 8, P^ss warm",
+         lambda: _each(weights.enumerate_profiles, [(ctx, "P") for ctx in f8])),
         ("weights.profile_stats", f"every P-profile of split f = 8 and of nonsplit f = 8, J_rho = {{0, 2, 4, 6}} "
          f"({len(p8)} calls)", lambda: _each(weights.profile_stats, p8)),
         ("ideals.numerator", "a1(i = 1) of X0^5, nonsplit f = 5, J_rho = {}, bigraded",

@@ -19,7 +19,6 @@ from .series import Value, bigraded_to_json, dumps_canonical, expand, rational_t
 from .weights import Case, GaloisContext, WeightProfile, enumerate_profiles, indices, profile_stats
 
 
-
 def _parse_jrho(text: str | None, f: int) -> int | None:
     if text is None:
         return None
@@ -80,15 +79,23 @@ _decimal = lru_cache(maxsize=256)(str)  # one string per recent integer: socle a
 
 
 def _stringify(obj):
-    """Deep-convert integers to decimal strings for safe JSON."""
+    """Deep-convert integers to decimal strings for safe JSON, in place: every payload builds fresh containers.
+
+    No copy of a large payload is alive beside it; only tuples and dicts with a non-string key are rebuilt.
+    """
     if isinstance(obj, bool):
         return obj
     if isinstance(obj, int):
         return _decimal(obj)
     if isinstance(obj, dict):
-        return {str(k): _stringify(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_stringify(v) for v in obj]
+        for k, v in obj.items():
+            obj[k] = _stringify(v)
+        return obj if all(type(k) is str for k in obj) else {str(k): v for k, v in obj.items()}
+    if isinstance(obj, tuple):
+        obj = list(obj)
+    if isinstance(obj, list):
+        for i, v in enumerate(obj):
+            obj[i] = _stringify(v)
     return obj
 
 

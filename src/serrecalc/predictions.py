@@ -20,12 +20,10 @@ from .series import BigradedSeries, IntPoly, RationalSeries, Value, _add_ball_po
 from .weights import (
     Case,
     GaloisContext,
-    Symbol,
     TGen,
     WeightProfile,
     _FAMILY_TEST,
     _pss_list,
-    _pss_masks,
     a_histogram,
     enumerate_profiles,
     in_pss,
@@ -157,9 +155,9 @@ def i1_invariants(ctx: GaloisContext, spec: SubquotientSpec) -> list[WeightProfi
         raise UnsupportedCaseError("the invariant index set is a nonsplit statement")
     spec.check(ctx.f)
     out = []
-    for lam, masks in zip(_pss_list(ctx.f), _pss_masks(ctx.f)):
-        ell = masks[3].bit_count()  # |J_lambda|
-        if _FAMILY_TEST["P"](masks, ctx.j_rho):
+    for lam in _pss_list(ctx.f):
+        ell = j_set(lam).bit_count()
+        if _FAMILY_TEST["P"](lam, ctx.j_rho):
             if spec.i0 < ell <= spec.i0p:
                 out.append(lam)
         elif ell == spec.i0 + 1:
@@ -171,8 +169,8 @@ def i1_invariants(ctx: GaloisContext, spec: SubquotientSpec) -> list[WeightProfi
 def _pss_shape_data(f: int) -> tuple[tuple[tuple[int, int, int], int], ...]:
     """Each distinct P^ss shape (|J_lambda|, {x+2, p-3-x} mask, {x, p-1-x} mask) with its profile count."""
     counts: dict[tuple[int, int, int], int] = {}
-    for m23, _, m01, j_lambda, _, _ in _pss_masks(f):
-        shape = (j_lambda.bit_count(), m23, m01)
+    for lam in _pss_list(f):
+        shape = (j_set(lam).bit_count(), lam.x2 | lam.p3, lam.x0 | lam.p1)
         counts[shape] = counts.get(shape, 0) + 1
     return tuple(counts.items())
 
@@ -222,8 +220,8 @@ def i1_degree0_total(ctx: GaloisContext, spec: SubquotientSpec) -> int:
 
 #: ``socle_jsets`` walks all 2^f subsets and lists up to 2^(f-1) of them.  Fresh
 #: processes on a shared 2-vCPU x86-64 host, Python 3.11, with |J_rho| = f - 1
-#: and the full window (-1, f): ``serrecalc socle`` took 1.2-1.8 s at f = 18 and
-#: peaked at 71 MiB (5.2 MB of JSON), and 3.2-3.7 s and 126 MiB at f = 19.
+#: and the full window (-1, f): ``serrecalc socle`` took 1.3-1.9 s at f = 18 and
+#: peaked at 51 MiB (5.2 MB of JSON), and 3.6-3.7 s and 86 MiB at f = 19.
 SOCLE_F_CAP = 18
 
 
@@ -332,15 +330,12 @@ class MatchResult(Value):
 
 
 def _lambda_prime(lam: WeightProfile, st, j_prime: int) -> WeightProfile:
-    entries = list(lam.entries)
-    for j in indices(j_prime):
-        if st.j1 >> j & 1:
-            entries[j] = Symbol.P3
-        elif st.j2 >> j & 1:
-            entries[j] = Symbol.X2
-        else:
-            raise ValueError(f"index {j} outside J1 ∪ J2")
-    return WeightProfile(tuple(entries))
+    """lambda with p-3-x at the indices of J' in J1 and x+2 at those in J2."""
+    bad = j_prime & ~(st.j1 | st.j2)
+    if bad:
+        raise ValueError(f"index {(bad & -bad).bit_length() - 1} outside J1 ∪ J2")
+    return WeightProfile(lam.x0 & ~j_prime, lam.x1 & ~j_prime, lam.x2 & ~j_prime | j_prime & st.j2,
+                         lam.p3 & ~j_prime | j_prime & st.j1, lam.p2 & ~j_prime, lam.p1 & ~j_prime)
 
 
 def semisimple_match(ctx: GaloisContext, i0: int) -> MatchResult:
@@ -356,9 +351,7 @@ def semisimple_match(ctx: GaloisContext, i0: int) -> MatchResult:
     if not -1 <= i0 <= ctx.f - 1:
         raise ValueError(f"i0 = {i0} outside -1..f-1")
 
-    targets = {  # the P^ss profiles with |J_lambda| = i0 + 1
-        lam for lam, masks in zip(_pss_list(ctx.f), _pss_masks(ctx.f)) if masks[3].bit_count() == i0 + 1
-    }
+    targets = {lam for lam in _pss_list(ctx.f) if j_set(lam).bit_count() == i0 + 1}  # the level set, as profiles
     seen: set[WeightProfile] = set()
     bijection_ok = True
     hilbert_ok = True

@@ -1,9 +1,9 @@
 """Weight-parameter combinatorics: profile families, J-sets and windows.
 
-A weight profile is an f-tuple of formal affine symbols in x_j.  Symbols are
-never evaluated at a numeric x_j or p: genericity keeps the six symbols
-pairwise distinct as weights, so equality is symbol equality.  All cyclic
-conditions read the index j+1 modulo f, including f = 1 (self-constraint).
+A weight profile is an f-tuple of formal affine symbols in x_j, one bitmask per symbol.  Symbols
+are never evaluated at a numeric x_j or p: genericity keeps the six symbols pairwise distinct as
+weights, so equality is symbol equality.  All cyclic conditions read the index j+1 modulo f,
+including f = 1 (self-constraint).
 """
 
 from __future__ import annotations
@@ -29,13 +29,6 @@ class Symbol(str, Enum):
 
 
 CORE_SYMBOLS = (Symbol.X0, Symbol.X1, Symbol.X2, Symbol.P3, Symbol.P2, Symbol.P1)
-SYMBOL_INDEX = {s: i for i, s in enumerate(CORE_SYMBOLS)}
-
-LOW = frozenset({Symbol.X0, Symbol.X1, Symbol.X2})
-HIGH = frozenset({Symbol.P3, Symbol.P2, Symbol.P1})
-# successor constraint of the cyclic conditions
-_NEXT_AFTER_LOW = frozenset({Symbol.X0, Symbol.X2, Symbol.P2})
-_NEXT_AFTER_HIGH = frozenset({Symbol.X1, Symbol.P3, Symbol.P1})
 
 
 class Case(str, Enum):
@@ -114,33 +107,51 @@ def nonsplit_context(f: int, j_rho: Iterable[int], p: int | None = None) -> Galo
 
 
 class WeightProfile(Value):
-    """An f-tuple of core symbols."""
+    """An f-tuple of core symbols: one mask per symbol, in ``CORE_SYMBOLS`` order, that partition {0..f-1}."""
 
-    __slots__ = ("entries",)
+    __slots__ = ("x0", "x1", "x2", "p3", "p2", "p1")
 
-    def __init__(self, entries: tuple[Symbol, ...]):
-        if not entries:
+    def __init__(self, x0: int, x1: int, x2: int, p3: int, p2: int, p1: int):
+        union = x0 | x1 | x2 | p3 | p2 | p1
+        if not union:
             raise ValueError("profiles need at least one entry")
-        if any(s not in SYMBOL_INDEX for s in entries):
-            raise ValueError("profiles take the six core symbols only")
-        object.__setattr__(self, "entries", entries)
+        if union < 0 or union & union + 1 or x0 + x1 + x2 + p3 + p2 + p1 != union:  # a gap, or an overlap
+            raise ValueError("the symbol masks must partition {0..f-1}")
+        set_ = object.__setattr__  # six calls: a loop over the fields made ``_pss_list`` a quarter slower
+        set_(self, "x0", x0)
+        set_(self, "x1", x1)
+        set_(self, "x2", x2)
+        set_(self, "p3", p3)
+        set_(self, "p2", p2)
+        set_(self, "p1", p1)
 
     def __eq__(self, other):
-        return self.entries == other.entries if other.__class__ is self.__class__ else NotImplemented
+        return (self.x0 == other.x0 and self.x1 == other.x1 and self.x2 == other.x2 and self.p3 == other.p3 and
+                self.p2 == other.p2 and self.p1 == other.p1) if other.__class__ is self.__class__ else NotImplemented
 
     def __hash__(self):
-        return hash((self.entries,))
+        return hash((self.x0, self.x1, self.x2, self.p3, self.p2, self.p1))
 
     @property
     def f(self) -> int:
-        return len(self.entries)
+        return (self.x0 | self.x1 | self.x2 | self.p3 | self.p2 | self.p1).bit_length()
 
     def tags(self) -> list[str]:
-        return [s.value for s in self.entries]
+        out = [""] * self.f
+        for s, m in zip(CORE_SYMBOLS, self._values()):
+            while m:
+                out[(m & -m).bit_length() - 1] = s.value
+                m &= m - 1
+        return out
 
     @staticmethod
     def from_tags(tags: Iterable[str]) -> "WeightProfile":
-        return WeightProfile(tuple([Symbol(t) for t in tags]))
+        by_symbol = dict.fromkeys(CORE_SYMBOLS, 0)
+        for j, s in enumerate([Symbol(t) for t in tags]):
+            if s not in by_symbol:
+                raise ValueError("profiles take the six core symbols only")
+            by_symbol[s] |= 1 << j
+        return WeightProfile(*by_symbol.values())
 
     def __repr__(self):
         return "WeightProfile(%s)" % ",".join(self.tags())
@@ -150,28 +161,10 @@ Family = Literal["Pss", "P", "Dss", "D", "Pbar"]
 
 
 def in_pss(profile: WeightProfile) -> bool:
-    ent = profile.entries
-    f = len(ent)
-    for j in range(f):
-        nxt = ent[(j + 1) % f]
-        if ent[j] in LOW and nxt not in _NEXT_AFTER_LOW:
-            return False
-        if ent[j] in HIGH and nxt not in _NEXT_AFTER_HIGH:
-            return False
-    return True
-
-
-def profile_masks(profile: WeightProfile) -> tuple[int, int, int, int, int, int]:
-    """The profile's coordinates by symbol, one bitmask each (bit j for index j).
-
-    In order: x+2 or p-3-x; x+1 or p-2-x; x or p-1-x; J_lambda, the x+1,
-    x+2 and p-3-x; then x+2 alone and p-1-x alone.
-    """
-    by_symbol = [0] * len(CORE_SYMBOLS)
-    for j, s in enumerate(profile.entries):
-        by_symbol[SYMBOL_INDEX[s]] |= 1 << j
-    x0, x1, x2, p3, p2, p1 = by_symbol
-    return (x2 | p3, x1 | p2, x0 | p1, x1 | x2 | p3, x2, p1)
+    """The cyclic rule: j holds x, x+1 or x+2 exactly when j+1 (mod f) holds x, x+2 or p-2-x."""
+    after_low = profile.x0 | profile.x2 | profile.p2
+    rotated = after_low >> 1 | (after_low & 1) << profile.f - 1  # bit j is bit j+1 mod f
+    return profile.x0 | profile.x1 | profile.x2 == rotated
 
 
 def _require_reducible(ctx: GaloisContext):
@@ -182,71 +175,59 @@ def _require_reducible(ctx: GaloisContext):
         )
 
 
-# each family as a test of a P^ss member's ``profile_masks`` m against J_rho
+# each family as a test of a P^ss member against J_rho
 _FAMILY_TEST = {
-    "Pss": None,
-    "P": lambda m, rho: not m[0] & ~rho,  # x+2 and p-3-x only inside J_rho
-    "Dss": lambda m, rho: not m[4] | m[5],  # neither x+2 nor p-1-x
-    "D": lambda m, rho: not m[4] | m[5] | m[3] & ~rho,  # as Dss, with J_lambda (x+1 and p-3-x) inside J_rho
-    "Pbar": lambda m, rho: not m[0] & ~rho | m[4] | m[5] & rho,  # as P, no x+2, p-1-x only outside J_rho
+    "P": lambda lam, rho: not (lam.x2 | lam.p3) & ~rho,  # x+2 and p-3-x only inside J_rho
+    "Dss": lambda lam, rho: not lam.x2 | lam.p1,  # neither x+2 nor p-1-x
+    "D": lambda lam, rho: not lam.x2 | lam.p1 | (lam.x1 | lam.p3) & ~rho,  # as Dss, J_lambda inside J_rho
+    "Pbar": lambda lam, rho: not (lam.x2 | lam.p3) & ~rho | lam.x2 | lam.p1 & rho,  # as P, no x+2, p-1-x outside J_rho
 }
 
 
 def in_p(ctx: GaloisContext, profile: WeightProfile) -> bool:
     _require_reducible(ctx)
-    return in_pss(profile) and _FAMILY_TEST["P"](profile_masks(profile), ctx.j_rho)
+    return in_pss(profile) and _FAMILY_TEST["P"](profile, ctx.j_rho)
 
 
-#: P^ss has 3^f + 1 profiles; at f = 10 (59,050) listing them takes 0.4 s and
-#: the process peaks at 29 MiB on a 2-vCPU Xeon, at f = 11 it is 1.1 s and 56 MiB.
-#: Listing P, D or Pbar also keeps each profile's masks: 5.6 MiB more at f = 10
+#: P^ss has 3^f + 1 profiles; at f = 10 (59,050) listing them takes 0.3-0.4 s and holds 5.1 MiB
+#: under tracemalloc, and the process peaks at 20 MiB on a 2-vCPU Xeon; at f = 11, 0.9-1.3 s and 31 MiB.
 PROFILE_F_CAP = 10
 
 
 @lru_cache(maxsize=None)
 def _pss_list(f: int) -> tuple[WeightProfile, ...]:
-    """All of P^ss in lexicographic symbol order."""
+    """All of P^ss in lexicographic symbol order, one int object per mask value."""
     if f > PROFILE_F_CAP:
         raise SizeLimitError(f"f = {f} exceeds the profile enumeration cap of {PROFILE_F_CAP}")
     out: list[WeightProfile] = []
-    _add_pss(f, [], out)
+    _add_pss(f, 0, 0, 0, [0] * 6, list(range(1 << f)), out)  # unshared masks: 2.7 MiB more at f = 10
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
-def _pss_masks(f: int) -> tuple[tuple[int, ...], ...]:
-    """The ``profile_masks`` of each member of ``_pss_list(f)``, in its order, one int object per value."""
-    shared = list(range(1 << f))  # above 256 each mask would be its own object: 11 MiB more at f = 10
-    return tuple([tuple([shared[m] for m in profile_masks(lam)]) for lam in _pss_list(f)])
+def _add_pss(f: int, j: int, first: int, last: int, by_place: list[int], shared: list[int], out: list):
+    """Append, in lexicographic symbol order, the profiles of P^ss that hold ``by_place`` below j.
 
-
-def _allowed_next(s: Symbol) -> frozenset[Symbol]:
-    return _NEXT_AFTER_LOW if s in LOW else _NEXT_AFTER_HIGH
-
-
-def _add_pss(f: int, prefix: list[Symbol], out: list[WeightProfile]):
-    """Append, in lexicographic symbol order, the profiles of P^ss that begin with ``prefix``."""
-    if len(prefix) == f:
-        if prefix[0] in _allowed_next(prefix[-1]):
-            out.append(WeightProfile(tuple(prefix)))
-        return
-    pool = CORE_SYMBOLS if not prefix else [s for s in CORE_SYMBOLS if s in _allowed_next(prefix[-1])]
-    for s in pool:
-        prefix.append(s)
-        _add_pss(f, prefix, out)
-        prefix.pop()
+    ``in_pss`` by place in CORE_SYMBOLS: the even places (x, x+2, p-2-x) follow places 0-2 (x, x+1, x+2),
+    the odd places follow the others.  ``first`` and ``last`` are the places at 0 and j - 1."""
+    for s in range(last >= 3, 6, 2) if j else range(6):
+        by_place[s] |= 1 << j
+        if j < f - 1:
+            _add_pss(f, j + 1, first if j else s, s, by_place, shared, out)
+        elif (first if j else s) % 2 == (s >= 3):
+            out.append(WeightProfile(*map(shared.__getitem__, by_place)))
+        by_place[s] ^= 1 << j
 
 
 def enumerate_profiles(ctx: GaloisContext, which: Family) -> list[WeightProfile]:
     """Members of the requested family, in lexicographic symbol order: P^ss filtered by its masks."""
-    if which not in _FAMILY_TEST:
-        raise ValueError(f"unknown family {which!r}")
     if which == "Pss":
         return list(_pss_list(ctx.f))
+    if which not in _FAMILY_TEST:
+        raise ValueError(f"unknown family {which!r}")
     if which != "Dss":
         _require_reducible(ctx)
     test, rho = _FAMILY_TEST[which], ctx.j_rho
-    return [lam for lam, masks in zip(_pss_list(ctx.f), _pss_masks(ctx.f)) if test(masks, rho)]
+    return [lam for lam in _pss_list(ctx.f) if test(lam, rho)]
 
 
 class TGen(str, Enum):
@@ -265,7 +246,7 @@ class ProfileStats(Value):
 
 def j_set(profile: WeightProfile) -> int:
     """J_lambda: indices whose symbol lies in {x+1, x+2, p-3-x}."""
-    return profile_masks(profile)[3]
+    return profile.x1 | profile.x2 | profile.p3
 
 
 def profile_stats(ctx: GaloisContext, profile: WeightProfile) -> ProfileStats:
@@ -280,24 +261,23 @@ def profile_stats(ctx: GaloisContext, profile: WeightProfile) -> ProfileStats:
     if not in_pss(profile):
         raise ProfileMembershipError(f"{profile!r} is not in P^ss")
     rho, out = ctx.j_rho, ctx.j_rho_c
-    m23, m12, m01, j_lambda, x2, p1 = profile_masks(profile)
-    bad = m23 & ~rho  # x+2 and p-3-x have a generator rule inside J_rho only
+    bad = (profile.x2 | profile.p3) & ~rho  # x+2 and p-3-x have a generator rule inside J_rho only
     if bad:
         j = (bad & -bad).bit_length() - 1
-        raise ProfileMembershipError(
-            f"{profile!r}: no generator rule for {profile.entries[j].value} at j={j} outside J_rho")
+        raise ProfileMembershipError(f"{profile!r}: no generator rule for {profile.tags()[j]} at j={j} outside J_rho")
     # inside J_rho: y_j at x+2 and p-1-x, z_j at x and p-3-x; y_j z_j at every other j
-    y = (x2 | p1) & rho
-    z = (m23 | m01) & rho & ~y
-    a_set = out | m12 & rho
+    y = (profile.x2 | profile.p1) & rho
+    z = (profile.x0 | profile.p3) & rho
+    a_set = out | j_dprime(ctx, profile)
+    j_lambda = j_set(profile)
     return ProfileStats(
         j_lambda=j_lambda,
         ell=j_lambda.bit_count(),
         t_assign=tuple([TGen.Y if y >> j & 1 else TGen.Z if z >> j & 1 else TGen.YZ for j in range(ctx.f)]),
         a_set=a_set,
         k=ctx.f - a_set.bit_count(),
-        j1=p1 & out,
-        j2=m01 & ~p1 & out,
+        j1=profile.p1 & out,
+        j2=profile.x0 & out,
         eps=tuple([(j, -1 if y >> j & 1 else 1) for j in range(ctx.f) if (y | z) >> j & 1]),
     )
 
@@ -352,7 +332,7 @@ def count_by_A(ctx: GaloisContext) -> ACounts:
 
 def j_dprime(ctx: GaloisContext, profile: WeightProfile) -> int:
     """J'': the coordinates of J_rho at x+1 or p-2-x."""
-    return profile_masks(profile)[1] & ctx.j_rho
+    return (profile.x1 | profile.p2) & ctx.j_rho
 
 
 def character_window(ctx: GaloisContext, profile: WeightProfile) -> frozenset[int]:
@@ -364,7 +344,7 @@ def character_window(ctx: GaloisContext, profile: WeightProfile) -> frozenset[in
     if not in_p(ctx, profile):
         raise ProfileMembershipError(f"{profile!r} is not in P for this context")
     rho = ctx.j_rho
-    j_min, j_dp = profile_masks(profile)[0] & rho, j_dprime(ctx, profile)
+    j_min, j_dp = (profile.x2 | profile.p3) & rho, j_dprime(ctx, profile)
     return frozenset(J for J in range(rho + 1) if not J & ~rho and ((J & ~j_dp) ^ j_min).bit_count() <= 1)
 
 
@@ -373,7 +353,7 @@ def v_chi_from_windows(ctx: GaloisContext, profile: WeightProfile) -> frozenset[
     if not in_p(ctx, profile):
         raise ProfileMembershipError(f"{profile!r} is not in P for this context")
     rho, j_dp = ctx.j_rho, j_dprime(ctx, profile)
-    j_min = profile_masks(profile)[0] & rho
+    j_min = (profile.x2 | profile.p3) & rho
     shifts = [0] + [1 << j for j in indices(rho & ~j_dp)]
     free = [add for add in range(j_dp + 1) if not add & ~j_dp]
     return frozenset([j_min ^ sh | add for sh in shifts for add in free])
@@ -383,10 +363,10 @@ def length_witnesses(ctx: GaloisContext) -> dict[int, WeightProfile]:
     """For each 1 <= k <= f, a P^ss \\ P profile with |J_lambda| = k, if any."""
     _require_reducible(ctx)
     out: dict[int, WeightProfile] = {}
-    for lam, masks in zip(_pss_list(ctx.f), _pss_masks(ctx.f)):
-        if _FAMILY_TEST["P"](masks, ctx.j_rho):
+    for lam in _pss_list(ctx.f):
+        if _FAMILY_TEST["P"](lam, ctx.j_rho):
             continue
-        k = masks[3].bit_count()
+        k = j_set(lam).bit_count()
         if 1 <= k <= ctx.f and k not in out:
             out[k] = lam
     return out

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
 from datetime import timedelta
@@ -46,6 +47,29 @@ def test_enumerate_counts(capsys):
     data = json.loads(out)
     assert data["count"] == "2"
     assert data["profiles"] == [["X0"], ["P1"]]
+
+
+def test_stringify_converts_lists_in_place():
+    """Every payload builds fresh containers, so its lists are converted where they stand, not copied."""
+    rows = [[1, 2], [3, 10 ** 30]]
+    payload = {"j_sets": rows, "count": 2, "pair": (4, True), "eps": {"0": -1}}
+    out = cli._stringify(payload)
+    assert out is payload and out["j_sets"] is rows
+    assert out == {"j_sets": [["1", "2"], ["3", str(10 ** 30)]], "count": "2", "pair": ["4", True], "eps": {"0": "-1"}}
+    assert cli._stringify({7: [1], "a": (2,)}) == {"7": ["1"], "a": ["2"]}
+
+
+def test_stringify_keeps_no_second_copy_of_a_large_payload():
+    tracemalloc.start()
+    size = tracemalloc.get_traced_memory()[0]
+    big = {"j_sets": [list(range(j % 9)) for j in range(20_000)]}
+    size = tracemalloc.get_traced_memory()[0] - size
+    tracemalloc.reset_peak()
+    before = tracemalloc.get_traced_memory()[0]
+    cli._stringify(big)
+    extra = tracemalloc.get_traced_memory()[1] - before
+    tracemalloc.stop()
+    assert extra < size / 4, (extra, size)  # a copy of the lists would take about their size again
 
 
 def test_round_trip_enumerate_stats(capsys, tmp_path):

@@ -291,7 +291,8 @@ def test_hilbert_oracles_share_only_the_monomial_type():
 SHARED_BY_THETA_ORACLES = {
     ("serrecalc.weights", "profile_stats"),
     ("serrecalc.weights", "in_pss"),
-    ("serrecalc.weights", "profile_masks"),
+    ("serrecalc.weights", "j_set"),
+    ("serrecalc.weights", "j_dprime"),
     ("serrecalc.weights", "_require_reducible"),
     ("serrecalc.weights", "GaloisContext.j_rho_c"),
     ("serrecalc.weights", "GaloisContext.reducible"),

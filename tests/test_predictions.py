@@ -264,6 +264,44 @@ def test_theta_lattice_point_cap():
         theta_lattice(ctx, prof("X0"), n + 1, 0)
 
 
+def _rotate(mask: int, f: int) -> int:
+    """Bit j of the result is bit j + 1 (mod f) of ``mask``."""
+    return mask >> 1 | (mask & 1) << f - 1
+
+
+def _rotated(ctx: GaloisContext, lam: WeightProfile | None = None):
+    """The context, or a profile, with every index j renamed j - 1 (mod f)."""
+    if lam is not None:
+        return WeightProfile(*[_rotate(m, ctx.f) for m in (lam.x0, lam.x1, lam.x2, lam.p3, lam.p2, lam.p1)])
+    return GaloisContext(ctx.f, ctx.case, _rotate(ctx.j_rho, ctx.f))
+
+
+def test_rotating_the_indices_changes_nothing():
+    """The index set is Z/f, so renaming j as j - 1 in J_rho and in every profile leaves each count unchanged.
+
+    At f <= 4: the P family, x_counts and the Hilbert series of a(lambda); at f <= 3: semisimple_match and
+    i1_cardinality on every window.
+    """
+    from serrecalc.ideals import hilbert
+
+    for f in range(1, 5):
+        for ctx in verify.reducible_contexts(f):
+            turned = _rotated(ctx)
+            family = enumerate_profiles(ctx, "P")
+            assert {_rotated(ctx, lam) for lam in family} == set(enumerate_profiles(turned, "P")), ctx
+            for lam in family:
+                lam_turned = _rotated(ctx, lam)
+                assert x_counts(turned, lam_turned) == x_counts(ctx, lam), (ctx, lam)
+                assert hilbert(a_lambda(turned, lam_turned)) == hilbert(a_lambda(ctx, lam)), (ctx, lam)
+            if ctx.case is not Case.NONSPLIT or f > 3:
+                continue
+            for i0 in range(-1, f):
+                assert semisimple_match(turned, i0) == semisimple_match(ctx, i0), (ctx, i0)
+                for i0p in range(i0 + 1, f + 1):
+                    spec = SubquotientSpec(i0, i0p)
+                    assert i1_cardinality(turned, spec) == i1_cardinality(ctx, spec), (ctx, spec)
+
+
 def test_semisimple_match_worked_pair():
     from serrecalc.predictions import _lambda_prime
 

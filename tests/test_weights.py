@@ -12,7 +12,6 @@ from serrecalc.weights import (
     TGen,
     WeightProfile,
     _pss_list,
-    _pss_masks,
     a_histogram,
     character_window,
     count_by_A,
@@ -23,7 +22,6 @@ from serrecalc.weights import (
     j_set,
     length_witnesses,
     nonsplit_context,
-    profile_masks,
     profile_stats,
     split_context,
     v_chi_from_windows,
@@ -186,14 +184,15 @@ def test_length_witnesses(f):
 
 
 def test_character_window_examples():
+    lam = prof("X0")
     for ctx, v_chi in ((split_context(1), {0, 0b1}), (nonsplit_context(1, []), {0})):
-        assert profile_masks(prof("X0"))[0] & ctx.j_rho == j_dprime(ctx, prof("X0")) == 0  # J' and J''
-        assert character_window(ctx, prof("X0")) == frozenset(v_chi)
+        assert (lam.x2 | lam.p3) & ctx.j_rho == j_dprime(ctx, lam) == 0  # J' and J''
+        assert character_window(ctx, lam) == frozenset(v_chi)
 
     # all coordinates at {x, p-1-x}: singletons and the empty set
-    ns = nonsplit_context(3, [0, 1])
-    assert profile_masks(prof("X0", "X0", "X0"))[0] == 0
-    assert character_window(ns, prof("X0", "X0", "X0")) == frozenset({0, 0b01, 0b10})
+    ns, lam = nonsplit_context(3, [0, 1]), prof("X0", "X0", "X0")
+    assert lam.x2 | lam.p3 == 0
+    assert character_window(ns, lam) == frozenset({0, 0b01, 0b10})
 
 
 @pytest.mark.parametrize("f", range(1, 5))
@@ -229,6 +228,64 @@ def test_profile_serialization_round_trip():
     assert WeightProfile.from_tags(lam.tags()) == lam
 
 
+TAGS = [s.value for s in CORE_SYMBOLS]
+
+
+@pytest.mark.parametrize("f", range(1, 5))
+def test_tags_round_trip_on_every_tuple(f):
+    for tags in product(TAGS, repeat=f):
+        lam = WeightProfile.from_tags(tags)
+        assert lam.tags() == list(tags) and lam.f == f and repr(lam) == f"WeightProfile({','.join(tags)})"
+        assert WeightProfile.from_tags(lam.tags()) == lam
+
+
+@pytest.mark.parametrize("f", range(1, 7))
+def test_tags_round_trip_on_pss(f):
+    for lam in _pss_list(f):
+        again = WeightProfile.from_tags(lam.tags())
+        assert again == lam and hash(again) == hash(lam) and again.f == f
+
+
+def test_profile_masks_must_partition_the_indices():
+    assert WeightProfile(0b001, 0, 0, 0b100, 0, 0b010).tags() == ["X0", "P1", "P3"]
+    for masks in ((0b11, 0b01, 0, 0, 0, 0),  # index 0 holds two symbols
+                  (0b101, 0, 0, 0, 0, 0),  # index 1 holds none
+                  (0, 0, 0, 0, 0b100, 0),  # indices 0 and 1 hold none
+                  (-1, 0, 0, 0, 0, 0)):
+        with pytest.raises(ValueError, match="partition"):
+            WeightProfile(*masks)
+    with pytest.raises(ValueError, match="profiles need at least one entry"):
+        WeightProfile(0, 0, 0, 0, 0, 0)
+    with pytest.raises(ValueError, match="profiles need at least one entry"):
+        WeightProfile.from_tags([])
+    with pytest.raises(ValueError, match="profiles take the six core symbols only"):
+        WeightProfile.from_tags(["X0", "XM1"])
+
+
+@pytest.mark.parametrize("f", range(1, 4))
+def test_one_profile_by_every_constructor_is_one_value(f):
+    """A profile from ``from_tags``, from ``_pss_list`` and from ``_lambda_prime`` is equal, with an equal hash."""
+    from serrecalc.predictions import _lambda_prime
+
+    listed = {tuple(lam.tags()): lam for lam in _pss_list(f)}
+    made = 0
+    for ctx in reducible_contexts(f):
+        for lam in enumerate_profiles(ctx, "P"):
+            st_ = profile_stats(ctx, lam)
+            pool = [j for j in range(f) if (st_.j1 | st_.j2) >> j & 1]
+            for r in range(len(pool) + 1):
+                for sub in combinations(pool, r):
+                    tags = lam.tags()
+                    for j in sub:
+                        tags[j] = "P3" if st_.j1 >> j & 1 else "X2"
+                    moved, built = _lambda_prime(lam, st_, _mask(sub)), WeightProfile.from_tags(tags)
+                    assert moved == built and hash(moved) == hash(built) and moved.tags() == tags
+                    if in_pss(moved):
+                        assert listed[tuple(tags)] == moved and hash(listed[tuple(tags)]) == hash(moved)
+                        made += 1
+    assert made
+
+
 def _mask(js) -> int:
     return sum(1 << j for j in set(js))
 
@@ -237,16 +294,17 @@ def _mask(js) -> int:
 def test_masks_restate_the_definitions_coordinate_by_coordinate(f):
     """Every mask the package holds, against the paper's definitions restated one coordinate at a time.
 
-    P^ss is every f-tuple passing ``in_pss``; each P^ss profile's masks, each family's members, and the
-    ``ProfileStats``, J', J'' and V_chi of each P-profile, in every reducible context.
+    P^ss is every f-tuple, built by ``from_tags``, that passes ``in_pss``; each P^ss profile's masks, each
+    family's members, and the ``ProfileStats``, J', J'' and V_chi of each P-profile, in every reducible context.
     """
-    pss = [lam for lam in map(WeightProfile, product(CORE_SYMBOLS, repeat=f)) if in_pss(lam)]
+    tag_tuples = product([s.value for s in CORE_SYMBOLS], repeat=f)
+    pss = [lam for lam in map(WeightProfile.from_tags, tag_tuples) if in_pss(lam)]
     assert list(_pss_list(f)) == pss
-    for lam, masks in zip(pss, _pss_masks(f), strict=True):
+    for lam in pss:
         tags = lam.tags()
         at = lambda *symbols: _mask(j for j in range(f) if tags[j] in symbols)
-        assert masks == profile_masks(lam) == (
-            at("X2", "P3"), at("X1", "P2"), at("X0", "P1"), at("X1", "X2", "P3"), at("X2"), at("P1"))
+        assert (lam.x0, lam.x1, lam.x2, lam.p3, lam.p2, lam.p1) == (
+            at("X0"), at("X1"), at("X2"), at("P3"), at("P2"), at("P1"))
         assert j_set(lam) == at("X1", "X2", "P3")
     for ctx in reducible_contexts(f):
         rho = {j for j in range(f) if ctx.j_rho >> j & 1}
@@ -281,7 +339,7 @@ def test_masks_restate_the_definitions_coordinate_by_coordinate(f):
                                     if j in rho and tags[j] not in ("X1", "P2"))
             j_min = {j for j in rho if tags[j] in ("X2", "P3")}
             j_dp = {j for j in rho if tags[j] in ("X1", "P2")}
-            assert (profile_masks(lam)[0] & ctx.j_rho, j_dprime(ctx, lam)) == (_mask(j_min), _mask(j_dp))
+            assert ((lam.x2 | lam.p3) & ctx.j_rho, j_dprime(ctx, lam)) == (_mask(j_min), _mask(j_dp))
             subsets = [set(sub) for r in range(len(rho) + 1) for sub in combinations(sorted(rho), r)]
             assert character_window(ctx, lam) == {_mask(J) for J in subsets if len((J - j_dp) ^ j_min) <= 1}
         for which, want in members.items():
@@ -290,15 +348,14 @@ def test_masks_restate_the_definitions_coordinate_by_coordinate(f):
 
 @pytest.mark.skipif(sys.version_info < (3, 11), reason="code objects carry co_qualname from Python 3.11")
 def test_listing_p_d_and_pbar_never_tests_pss_again():
-    """P, D and Pbar are P^ss filtered by its cached masks; ``in_pss`` is never entered for a member."""
+    """P, D and Pbar are the cached P^ss filtered by its masks; ``in_pss`` is never entered for a member."""
     entered = []
 
     def hook(frame, event, arg):
         if event == "call" and frame.f_code.co_qualname == "in_pss":
             entered.append(frame.f_globals.get("__name__"))
 
-    _pss_list.cache_clear()
-    _pss_masks.cache_clear()  # the first listing at each f builds both, the later ones read them
+    _pss_list.cache_clear()  # the first listing at each f builds P^ss, the later ones read it
     for f in range(1, 5):
         for ctx in reducible_contexts(f):
             previous = sys.getprofile()
