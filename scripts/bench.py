@@ -150,7 +150,6 @@ def kernels(repeats: int = 5) -> list[dict]:
     coordinates = ideals.MonomialIdeal(16, tuple(ideals.Monomial.variable(16, i) for i in range(16)))
     ns3, full = weights.nonsplit_context(3, [1, 2]), predictions.SubquotientSpec(-1, 3)
     ns4, full4 = weights.nonsplit_context(4, [0, 2]), predictions.SubquotientSpec(-1, 4)
-    Y, Z, YZ = weights.TGen.Y, weights.TGen.Z, weights.TGen.YZ
     xcap, scap, pcap = predictions.X_COUNTS_F_CAP, predictions.SOCLE_F_CAP, weights.PROFILE_F_CAP
     x_split, x_all_x0 = weights.split_context(xcap), weights.WeightProfile.from_tags(["X0"] * xcap)
     s_ctx, s_full = weights.nonsplit_context(scap, range(scap - 1)), predictions.SubquotientSpec(-1, scap)
@@ -180,10 +179,10 @@ def kernels(repeats: int = 5) -> list[dict]:
         ("homology.hochster_profile", "pairing_ideal(5)", lambda: homology.hochster_profile(pairing)),
         ("pbw.pbw_basis", "f = 6, n = 3", cold(pbw.pbw_basis, 6, 3)),
         ("pbw.pbw_basis", "f = 40, n = 3, a ball of 7,381 points over 120 coordinates", cold(pbw.pbw_basis, 40, 3)),
-        ("pbw._tor1_dims", "f = 4, t = (YZ,) * 4, right", cold(pbw._tor1_dims, 4, (YZ,) * 4, "right")),
-        ("pbw._tor1_dims", "f = 4, t = (Y, Z, YZ, Y), right", cold(pbw._tor1_dims, 4, (Y, Z, YZ, Y), "right")),
+        ("pbw._tor1_dims", "f = 4, t = (YZ,) * 4, right", cold(pbw._tor1_dims, 4, 0, 0, "right")),
+        ("pbw._tor1_dims", "f = 4, t = (Y, Z, YZ, Y), right", cold(pbw._tor1_dims, 4, 0b1001, 0b0010, "right")),
         ("pbw._tor1_dims", f"f = {pbw.TOR1_F_CAP} = TOR1_F_CAP, t = (Y,) * f, right",
-         cold(pbw._tor1_dims, pbw.TOR1_F_CAP, (Y,) * pbw.TOR1_F_CAP, "right")),
+         cold(pbw._tor1_dims, pbw.TOR1_F_CAP, 2 ** pbw.TOR1_F_CAP - 1, 0, "right")),
         ("predictions.semisimple_match", "nonsplit f = 4, J_rho = {}, i0 = 1",
          lambda: predictions.semisimple_match(weights.nonsplit_context(4, []), 1)),
         ("predictions.gr_subquotient", "nonsplit f = 3, J_rho = {1, 2}, window (-1, 3), trunc 7",

@@ -105,8 +105,8 @@ def _emit(payload, fmt: str, table_rows: list[list[str]] | None):
         return
     rows = table_rows or [[str(k), dumps_canonical(_stringify(v))] for k, v in sorted(payload.items())]
     if fmt == "csv":
-        for row in rows:
-            print(",".join(row))
+        import csv
+        csv.writer(sys.stdout, lineterminator="\n").writerows(rows)
         return
     widths = [max(len(r[i]) for r in rows) for i in range(len(rows[0]))] if rows else []
     for row in rows:
@@ -134,12 +134,12 @@ def _stats(a) -> dict:
             "profile": lam.tags(),
             "j_lambda": indices(st.j_lambda),
             "ell": st.ell,
-            "t_assign": [g.value for g in st.t_assign],
+            "t_assign": ["Y" if st.ty >> j & 1 else "Z" if st.tz >> j & 1 else "YZ" for j in range(a.f)],
             "a_set": indices(st.a_set),
             "k": st.k,
             "j1": indices(st.j1),
             "j2": indices(st.j2),
-            "eps": {str(j): s for j, s in st.eps},
+            "eps": {str(j): -1 if st.ty >> j & 1 else 1 for j in indices(st.ty | st.tz)},
         })
     return {"stats": out}
 

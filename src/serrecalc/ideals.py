@@ -17,7 +17,7 @@ from typing import Callable, Hashable, Iterable, Sequence
 
 from .errors import ProfileMembershipError, SizeLimitError
 from .series import BigradedSeries, CharOffset, IntPoly, RationalSeries, Value, _add_ball_points
-from .weights import GaloisContext, ProfileStats, TGen, WeightProfile, in_p, indices, j_dprime, mask_of, profile_stats
+from .weights import GaloisContext, ProfileStats, WeightProfile, in_p, indices, j_dprime, mask_of, profile_stats
 
 #: ``_lyubeznik_walk`` visits at most this many faces, the one bound on the walk
 #: behind ``numerator`` and ``taylor_profile``, which keep one entry per face at
@@ -233,20 +233,14 @@ class MonomialIdeal(Value):
 
 # -- the ideal families attached to weight profiles ---------------------
 
-def t_monomial(f: int, j: int, kind: TGen) -> Monomial:
-    if kind is TGen.Y:
-        return y_var(f, j)
-    if kind is TGen.Z:
-        return z_var(f, j)
-    return y_var(f, j) * z_var(f, j)
-
-
 def _family(ctx: GaloisContext, lam: WeightProfile) -> tuple[ProfileStats, MonomialIdeal]:
     """A P-profile's stats and a(lambda), from which each member of its ideal family is built."""
     if not in_p(ctx, lam):
         raise ProfileMembershipError(f"{lam!r} is not in P for this context")
-    stats = profile_stats(ctx, lam)
-    return stats, MonomialIdeal(2 * ctx.f, tuple([t_monomial(ctx.f, j, g) for j, g in enumerate(stats.t_assign)]))
+    stats, n = profile_stats(ctx, lam), 2 * ctx.f  # t_j: y_j on ty, z_j on tz, y_j z_j elsewhere
+    gens = [Monomial.variable(n, 2 * j, 1 - (stats.tz >> j & 1))
+            * Monomial.variable(n, 2 * j + 1, 1 - (stats.ty >> j & 1)) for j in range(ctx.f)]
+    return stats, MonomialIdeal(n, tuple(gens))
 
 
 def a_lambda(ctx: GaloisContext, lam: WeightProfile) -> MonomialIdeal:

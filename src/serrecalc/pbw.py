@@ -20,7 +20,7 @@ from math import comb
 from .errors import SizeLimitError
 from .linalg import exact_rank
 from .series import Value, _add_ball_points
-from .weights import GaloisContext, TGen, WeightProfile, profile_stats
+from .weights import GaloisContext, WeightProfile, profile_stats
 
 Mono = tuple[int, ...]
 Elem = dict[Mono, int]
@@ -159,12 +159,12 @@ def _koszul_rank(gens: list[Mono], k: int, f: int, side: str) -> int:
 
 
 @lru_cache(maxsize=None)
-def _tor1_dims(f: int, t_assign: tuple[TGen, ...], side: str) -> tuple[int, int, int]:
-    """dim im d1, dim ker d1 and dim im d2 on the generators (t_0, h_0, ..., t_{f-1}, h_{f-1})."""
+def _tor1_dims(f: int, ty: int, tz: int, side: str) -> tuple[int, int, int]:
+    """dim im d1, ker d1 and im d2 on (t_0, h_0, ..., t_{f-1}, h_{f-1}): t_j = y_j on ty, z_j on tz, else y_j z_j."""
     gens = []
-    for j, kind in enumerate(t_assign):
+    for j in range(f):
         t, h = [0] * (3 * f), [0] * (3 * f)
-        t[j], t[f + j], h[2 * f + j] = int(kind is not TGen.Z), int(kind is not TGen.Y), 1
+        t[j], t[f + j], h[2 * f + j] = 1 - (tz >> j & 1), 1 - (ty >> j & 1), 1
         gens += [tuple(t), tuple(h)]
     im1 = _koszul_rank(gens, 1, f, side)
     return im1, 2 * f * len(pbw_basis(f, 3)) - im1, _koszul_rank(gens, 2, f, side)
@@ -173,7 +173,7 @@ def _tor1_dims(f: int, t_assign: tuple[TGen, ...], side: str) -> tuple[int, int,
 def tor1_gr(ctx: GaloisContext, lam: WeightProfile, side: str = "right") -> GrTorDims:
     """Exact ranks of the two Koszul differentials cut off at degree 3.
 
-    The generators are the per-coordinate t_j of the profile's t-assignment
+    The generators are the per-coordinate t_j of the profile's t-rule
     and h_j; products are taken in the truncated algebra on the requested side
     (the ranks are convention-independent), and all four dimensions are
     compared with their closed forms.
@@ -183,7 +183,7 @@ def tor1_gr(ctx: GaloisContext, lam: WeightProfile, side: str = "right") -> GrTo
     if ctx.f > TOR1_F_CAP:
         raise SizeLimitError(f"f = {ctx.f} exceeds the grtor cap of {TOR1_F_CAP}")
     stats = profile_stats(ctx, lam)
-    im1, ker1, im2 = _tor1_dims(ctx.f, stats.t_assign, side)
+    im1, ker1, im2 = _tor1_dims(ctx.f, stats.ty, stats.tz, side)
     tor1 = ker1 - im2
     expected = _expected_dims(ctx.f, stats.k)
     return GrTorDims(im1, ker1, im2, tor1, expected, (im1, ker1, im2, tor1) == expected)

@@ -20,7 +20,6 @@ from .series import BigradedSeries, IntPoly, RationalSeries, Value, _add_ball_po
 from .weights import (
     Case,
     GaloisContext,
-    TGen,
     WeightProfile,
     _FAMILY_TEST,
     _pss_list,
@@ -306,7 +305,7 @@ def theta_lattice(ctx: GaloisContext, lam: WeightProfile, n: int, i0: int) -> La
     if size > THETA_POINT_CAP:
         raise SizeLimitError(f"a ball of {size} lattice points exceeds the cap of {THETA_POINT_CAP}")
     # sign constraints: <= 0 where t_j = y_j, >= 0 where t_j = z_j
-    bounds = [(-r, 0) if g is TGen.Y else (0, r) if g is TGen.Z else (-r, r) for g in st.t_assign]
+    bounds = [(0 if st.tz >> j & 1 else -r, 0 if st.ty >> j & 1 else r) for j in range(ctx.f)]
     ball: list[tuple[int, ...]] = []
     _add_ball_points(bounds, r, [], ball)
 
@@ -390,7 +389,7 @@ class XCounts(Value):
 
 #: ``shell_counts`` adds each of the 2f^2 + 2f + 1 points of the radius-2 ball to
 #: up to as many character offsets, f coordinates a sum, against a box of at
-#: most C(f, <= 4) points.  Fresh processes on a shared 2-vCPU x86-64 host,
+#: most f + 1 points.  Fresh processes on a shared 2-vCPU x86-64 host,
 #: Python 3.11, k = f (split, all X0): ``serrecalc xcounts`` took 0.3-0.4 s and
 #: peaked at 18 MiB at f = 18; with the cap lifted, 1.8-2.0 s at f = 26.
 X_COUNTS_F_CAP = 18
@@ -401,22 +400,27 @@ def x_counts(ctx: GaloisContext, lam: WeightProfile) -> XCounts:
     if ctx.f > X_COUNTS_F_CAP:
         raise SizeLimitError(f"f = {ctx.f} exceeds the xcounts cap of {X_COUNTS_F_CAP}")
     st = profile_stats(ctx, lam)
-    counts, expected = shell_counts(ctx.f, st.eps), shell_sizes(ctx.f, st.k)
+    counts, expected = shell_counts(ctx.f, st.ty, st.tz), shell_sizes(ctx.f, st.k)
     return XCounts(*counts, expected, counts == expected)
 
 
-def shell_counts(f: int, eps: tuple[tuple[int, int], ...]) -> tuple[int, ...]:
+def shell_counts(f: int, ty: int, tz: int) -> tuple[int, ...]:
     """Sizes of the depth-0/1/2 character shells, counted one offset at a time.
 
-    The local membership model accepts an offset iff each coordinate in the
-    linear-generator support (the signs ``eps``) moves by 0 or its sign and
-    every other coordinate stays put; shells are cut out of the radius-2 ball
-    using the degree-0/1/2 character multisets of the truncated algebra,
-    staying inside the radius-4 ball where the model is faithful.
+    The local membership model accepts an offset iff each coordinate moves by 0
+    or its sign (-1 on ``ty``, +1 on ``tz``) and every other coordinate stays put.
+    A point c of the radius-2 ball joins shell i when the degree-i character
+    offsets are the first to hit a member, and hit only 0.  Degree-1 offsets are
+    the ±e_j, degree-2 ones 0 and every point of l1 norm 2.  Only the members of
+    norm <= 1 are tested; a member m of norm >= 2 changes no count:
+    - |c|_1 <= 1: 0 is hit at step |c|_1; an m hit by then is c plus a unit step
+      off c's support, so c is a member, hit at step 0 either way.
+    - c = u + v a member: m = c stops c at step 0, u = c - v at step 1; no count.
+    - c of norm 2, no member: an m of norm 3 at step 1 would hold c.  If step 1
+      hits nothing, no coordinate of c has a member's sign, so |m - c|_1 >= 4.
     """
-    eps = dict(eps)
-    box: list[tuple[int, ...]] = []  # each point tested is c + o with |c|_1 <= 2 and |o|_1 <= 2
-    _add_ball_points([(min(0, eps.get(j, 0)), max(0, eps.get(j, 0))) for j in range(f)], 4, [], box)
+    box: list[tuple[int, ...]] = []
+    _add_ball_points([(-(ty >> j & 1), tz >> j & 1) for j in range(f)], 1, [], box)
     member = set(box)
 
     offsets = [sorted(char_multiset(f, d)) for d in range(3)]

@@ -230,18 +230,10 @@ def enumerate_profiles(ctx: GaloisContext, which: Family) -> list[WeightProfile]
     return [lam for lam in _pss_list(ctx.f) if test(lam, rho)]
 
 
-class TGen(str, Enum):
-    """Shape of the ideal generator attached to one coordinate."""
-
-    Y = "Y"
-    Z = "Z"
-    YZ = "YZ"
-
-
 class ProfileStats(Value):
-    """Index data of a profile, its index sets as masks; ``eps`` holds (j, sign) for each j with t_j != YZ."""
+    """Index data of a profile, its index sets as masks; t_j is y_j on ``ty``, z_j on ``tz``, y_j z_j elsewhere."""
 
-    __slots__ = ("j_lambda", "ell", "t_assign", "a_set", "k", "j1", "j2", "eps")
+    __slots__ = ("j_lambda", "ell", "ty", "tz", "a_set", "k", "j1", "j2")
 
 
 def j_set(profile: WeightProfile) -> int:
@@ -250,7 +242,7 @@ def j_set(profile: WeightProfile) -> int:
 
 
 def profile_stats(ctx: GaloisContext, profile: WeightProfile) -> ProfileStats:
-    """t-assignment and derived index data for a profile.
+    """The t-rule and derived index data for a profile.
 
     Defined whenever every coordinate is covered by the generator rules:
     all of P works in any reducible context, and all of P^ss in a split one.
@@ -265,20 +257,17 @@ def profile_stats(ctx: GaloisContext, profile: WeightProfile) -> ProfileStats:
     if bad:
         j = (bad & -bad).bit_length() - 1
         raise ProfileMembershipError(f"{profile!r}: no generator rule for {profile.tags()[j]} at j={j} outside J_rho")
-    # inside J_rho: y_j at x+2 and p-1-x, z_j at x and p-3-x; y_j z_j at every other j
-    y = (profile.x2 | profile.p1) & rho
-    z = (profile.x0 | profile.p3) & rho
     a_set = out | j_dprime(ctx, profile)
     j_lambda = j_set(profile)
     return ProfileStats(
         j_lambda=j_lambda,
         ell=j_lambda.bit_count(),
-        t_assign=tuple([TGen.Y if y >> j & 1 else TGen.Z if z >> j & 1 else TGen.YZ for j in range(ctx.f)]),
+        ty=(profile.x2 | profile.p1) & rho,  # inside J_rho: y_j at x+2 and p-1-x, z_j at x and p-3-x
+        tz=(profile.x0 | profile.p3) & rho,
         a_set=a_set,
         k=ctx.f - a_set.bit_count(),
         j1=profile.p1 & out,
         j2=profile.x0 & out,
-        eps=tuple([(j, -1 if y >> j & 1 else 1) for j in range(ctx.f) if (y | z) >> j & 1]),
     )
 
 

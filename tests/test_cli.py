@@ -1,3 +1,4 @@
+import csv
 import io
 import json
 import os
@@ -23,7 +24,7 @@ from serrecalc.ideals import FACE_CAP, PATCHED_F_CAP, TABLE_CAP, MonomialIdeal
 from serrecalc.linalg import PRIME_TEST_BOUND
 from serrecalc.pbw import TOR1_F_CAP
 from serrecalc.predictions import HILBERT_F_CAP, K1_CYCLE_F_CAP, SOCLE_F_CAP, THETA_POINT_CAP, X_COUNTS_F_CAP
-from serrecalc.series import EXPANSION_CAP
+from serrecalc.series import EXPANSION_CAP, dumps_canonical
 from serrecalc.weights import PROFILE_F_CAP, WeightProfile, enumerate_profiles, nonsplit_context, profile_stats
 
 
@@ -452,6 +453,33 @@ def test_a_subcommand_loads_only_the_modules_it_uses(name):
     if name in ("import", "enumerate", "stats"):
         assert loaded == set()
     assert ("serrecalc.verify" in loaded) == (name == "verify")
+
+
+@pytest.mark.parametrize("name", sorted(set(CHEAP) - {"verify"}))  # verify reports table or json only
+def test_csv_parses_back_to_the_cells_of_the_table_rows(capsys, name):
+    """csv.reader returns each row's cells whole, JSON cells with their commas and quotes included."""
+    cmd = cli.COMMANDS[name]
+    rc, out = run(capsys, *CHEAP[name], "--format", "json")
+    data = json.loads(out)
+    rows = cmd.rows(data) if cmd.rows else [[k, dumps_canonical(v)] for k, v in sorted(data.items())]
+    rc_csv, out_csv = run(capsys, *CHEAP[name], "--format", "csv")
+    assert rc_csv == rc and list(csv.reader(io.StringIO(out_csv))) == rows
+
+
+@pytest.mark.parametrize("f", [1, 2, 3])
+def test_stats_prints_the_t_rule_of_every_p_profile(capsys, monkeypatch, f):
+    """t_assign and eps on the CLI, against the rule written out from the tags, not read from profile_stats."""
+    rule = {"X2": "Y", "P1": "Y", "X0": "Z", "P3": "Z", "X1": "YZ", "P2": "YZ"}  # inside J_rho; YZ outside
+    for ctx in verify.reducible_contexts(f):
+        tag_lists = [lam.tags() for lam in enumerate_profiles(ctx, "P")]
+        monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(tag_lists)))
+        rc, out = run(capsys, "stats", "--f", str(f), "--case", ctx.case.value, "--jrho", str(ctx.j_rho),
+                      "--from-json", "-")
+        assert rc == 0
+        for tags, rec in zip(tag_lists, json.loads(out)["stats"], strict=True):
+            t = [rule[s] if ctx.j_rho >> j & 1 else "YZ" for j, s in enumerate(tags)]
+            assert (rec["profile"], rec["t_assign"]) == (tags, t), ctx
+            assert rec["eps"] == {str(j): "-1" if g == "Y" else "1" for j, g in enumerate(t) if g != "YZ"}, (ctx, tags)
 
 
 # -- argv fuzzing ----------------------------------------------------------

@@ -320,7 +320,8 @@ SHARED_BY_SHELL_ORACLES = SHARED_BY_THETA_ORACLES
 def test_shell_oracles_share_only_profile_stats():
     ctx = nonsplit_context(3, [0])
     profiles = list(enumerate_profiles(ctx, "P"))
-    counted = serrecalc_calls(lambda: [shell_counts(ctx.f, profile_stats(ctx, lam).eps) for lam in profiles])
+    counted = serrecalc_calls(
+        lambda: [shell_counts(ctx.f, st.ty, st.tz) for st in [profile_stats(ctx, lam) for lam in profiles]])
     closed = serrecalc_calls(lambda: [shell_sizes(ctx.f, profile_stats(ctx, lam).k) for lam in profiles])
     assert ("serrecalc.weights", "profile_stats") in counted & closed
     leaked = sorted(".".join(key) for key in counted & closed - SHARED_BY_SHELL_ORACLES)

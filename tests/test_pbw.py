@@ -17,7 +17,6 @@ from serrecalc.pbw import (
     tor1_gr,
 )
 from serrecalc.weights import (
-    TGen,
     WeightProfile,
     enumerate_profiles,
     nonsplit_context,
@@ -197,12 +196,13 @@ def test_tor1_matches_formula(f):
 
 @pytest.mark.parametrize("f", [1, 2, 3, 4])
 def test_tor1_ranks_match_the_closed_forms(f):
-    """Every t-assignment on both sides; k counts the coordinates whose t_j is not y_j z_j."""
-    for t_assign in product(TGen, repeat=f):
-        k = sum(g is not TGen.YZ for g in t_assign)
+    """Every t-rule on both sides: t_j = y_j on ty, z_j on tz; k counts the coordinates whose t_j is not y_j z_j."""
+    for ty, tz in product(range(1 << f), repeat=2):
+        if ty & tz:
+            continue
         for side in ("right", "left"):
-            im1, ker1, im2 = _tor1_dims(f, t_assign, side)
-            assert (im1, ker1, im2, ker1 - im2) == _expected_dims(f, k), (t_assign, side)
+            im1, ker1, im2 = _tor1_dims(f, ty, tz, side)
+            assert (im1, ker1, im2, ker1 - im2) == _expected_dims(f, (ty | tz).bit_count()), (ty, tz, side)
 
 
 def test_tor1_side_flag():
@@ -226,8 +226,9 @@ def test_differentials_compose_to_zero():
     lam = prof("X2", "X0")
     st_ = profile_stats(ctx, lam)
     f = 2
-    # each t_j is spelt by its TGen value: y_j, z_j or y_j z_j
-    t_of = [next(iter(elem(f, **{f"{v.lower()}{j}": 1 for v in g.value}))) for j, g in enumerate(st_.t_assign)]
+    # t_j is y_j on ty, z_j on tz and y_j z_j elsewhere
+    names = ["y" if st_.ty >> j & 1 else "z" if st_.tz >> j & 1 else "yz" for j in range(f)]
+    t_of = [next(iter(elem(f, **{f"{v}{j}": 1 for v in names[j]}))) for j in range(f)]
     h_of = [next(iter(elem(f, **{f"h{j}": 1}))) for j in range(f)]
 
     def acc(parts):

@@ -34,7 +34,6 @@ from serrecalc.verify import _profiles, suite_semisimple_match
 from serrecalc.weights import (
     Case,
     GaloisContext,
-    TGen,
     WeightProfile,
     PROFILE_F_CAP,
     _pss_list,
@@ -231,8 +230,9 @@ def _box_scan_theta(ctx, lam, n, i0):
     """theta_lattice by scanning the whole (2n - 1)^f box and keeping l1 norm < n: the walk's reference."""
     st_ = profile_stats(ctx, lam)
     d_lam = max(i0 + 1 - st_.ell, 0)
-    ranges = {TGen.Y: range(-(n - 1), 1), TGen.Z: range(0, n), TGen.YZ: range(-(n - 1), n)}
-    ball = [p for p in product(*(ranges[g] for g in st_.t_assign)) if sum(abs(x) for x in p) < n]
+    # <= 0 where t_j = y_j, >= 0 where t_j = z_j
+    ranges = [range(0 if st_.tz >> j & 1 else -(n - 1), 1 if st_.ty >> j & 1 else n) for j in range(ctx.f)]
+    ball = [p for p in product(*ranges) if sum(abs(x) for x in p) < n]
     j1, j2 = [j for j in range(ctx.f) if st_.j1 >> j & 1], [j for j in range(ctx.f) if st_.j2 >> j & 1]
     in_theta = [p for p in ball if sum(p[j] > 0 for j in j1) + sum(p[j] < 0 for j in j2) >= d_lam]
     theta = frozenset(in_theta)
@@ -414,12 +414,38 @@ def test_a_wrong_closed_form_fails_its_record_with_case_and_values(
     assert {r.check: r.cases for r in records} == cases  # every case still ran
 
 
+def _shell_counts_without_a_box(f, ty, tz):
+    """shell_counts with membership tested coordinate by coordinate: each moves by 0 or its sign, -1 on ty, +1 on tz."""
+    def member(p):
+        return all(x == 0 or x == -1 and ty >> j & 1 or x == 1 and tz >> j & 1 for j, x in enumerate(p))
+
+    offsets = [list(pbw.char_multiset(f, d)) for d in range(3)]
+    counts = [0, 0, 0]
+    for c in product(range(-2, 3), repeat=f):
+        if sum(abs(x) for x in c) > 2:
+            continue
+        for i in range(3):
+            hits = {q for q in (tuple([a + b for a, b in zip(c, o)]) for o in offsets[i]) if member(q)}
+            if hits:
+                counts[i] += hits == {(0,) * f}
+                break
+    return tuple(counts)
+
+
+def test_shell_counts_box_of_radius_1_matches_membership_without_a_box():
+    """Members of l1 norm >= 2 change no count, so the unit box gives the box-free counts on every P-profile."""
+    keys = {(f, st_.ty, st_.tz) for f in range(1, 5) for st_ in [profile_stats(ctx, lam) for ctx, lam in _profiles(f)]}
+    assert len(keys) == 3 + 9 + 27 + 81  # every t-rule, each disjoint (ty, tz), occurs
+    for f, ty, tz in sorted(keys):
+        assert shell_counts(f, ty, tz) == _shell_counts_without_a_box(f, ty, tz), (f, ty, tz)
+
+
 def test_shell_counts_at_the_cap_keeps_a_small_box():
-    """Every point tested lies within l1 radius 4, so the membership box stops there, not at 2^f points."""
+    """The membership box holds 0 and the f unit members, not 2^f points."""
     pbw.pbw_basis(X_COUNTS_F_CAP, 3)  # cached: built outside the measured call
     tracemalloc.start()
     try:
-        counts = shell_counts(X_COUNTS_F_CAP, tuple([(j, 1) for j in range(X_COUNTS_F_CAP)]))
+        counts = shell_counts(X_COUNTS_F_CAP, 0, 2**X_COUNTS_F_CAP - 1)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -152,8 +152,7 @@ VALUES = [
     (CharOffset((1, -1)), "CharOffset(exps=(1, -1))"),
     (split_context(1), "GaloisContext(f=1, case=<Case.SPLIT: 'split'>, j_rho=1)"),
     (X0, "WeightProfile(X0)"),
-    (profile_stats(split_context(1), X0), "ProfileStats(j_lambda=0, ell=0, t_assign=(<TGen.Z: 'Z'>,), "
-     "a_set=0, k=1, j1=0, j2=0, eps=((0, 1),))"),
+    (profile_stats(split_context(1), X0), "ProfileStats(j_lambda=0, ell=0, ty=0, tz=1, a_set=0, k=1, j1=0, j2=0)"),
     (count_by_A(split_context(1)), "ACounts(domain='D', closed={0: 2}, enumerated={0: 2}, closed_p_level={0: 4}, "
      "enumerated_p_level={0: 4}, ok=True)"),
     (Command("h", (), len), "Command(help='h', flags=(), payload=<built-in function len>, ok=(), rows=None)"),

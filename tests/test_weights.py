@@ -9,7 +9,6 @@ from serrecalc.weights import (
     Case,
     CORE_SYMBOLS,
     GaloisContext,
-    TGen,
     WeightProfile,
     _pss_list,
     a_histogram,
@@ -73,12 +72,11 @@ def test_profile_stats_examples():
     split2 = split_context(2)
     st_ = profile_stats(split2, prof("X1", "P2"))
     assert st_.j_lambda == 0b01
-    assert st_.t_assign == (TGen.YZ, TGen.YZ)
+    assert st_.ty == st_.tz == 0  # t_j = y_j z_j at both indices
     assert st_.a_set == 0b11 and st_.k == 0
 
     st_ = profile_stats(split_context(1), prof("X0"))
-    assert st_.t_assign == (TGen.Z,) and st_.a_set == 0 and st_.k == 1
-    assert st_.eps == ((0, 1),)
+    assert (st_.ty, st_.tz) == (0, 0b1) and st_.a_set == 0 and st_.k == 1
 
     ns = nonsplit_context(2, [0])
     st_ = profile_stats(ns, prof("X0", "X0"))
@@ -332,11 +330,8 @@ def test_masks_restate_the_definitions_coordinate_by_coordinate(f):
             assert st_.k == sum(j in rho and tags[j] not in ("X1", "P2") for j in range(f))
             assert st_.j1 == _mask(j for j in range(f) if j not in rho and tags[j] == "P1")
             assert st_.j2 == _mask(j for j in range(f) if j not in rho and tags[j] == "X0")
-            t = [TGen.YZ if j not in rho or tags[j] in ("X1", "P2") else TGen.Y if tags[j] in ("X2", "P1")
-                 else TGen.Z for j in range(f)]
-            assert st_.t_assign == tuple(t)
-            assert st_.eps == tuple((j, -1 if tags[j] in ("X2", "P1") else 1) for j in range(f)
-                                    if j in rho and tags[j] not in ("X1", "P2"))
+            assert st_.ty == _mask(j for j in rho if tags[j] in ("X2", "P1"))
+            assert st_.tz == _mask(j for j in rho if tags[j] in ("X0", "P3"))
             j_min = {j for j in rho if tags[j] in ("X2", "P3")}
             j_dp = {j for j in rho if tags[j] in ("X1", "P2")}
             assert ((lam.x2 | lam.p3) & ctx.j_rho, j_dprime(ctx, lam)) == (_mask(j_min), _mask(j_dp))
