@@ -143,7 +143,7 @@ def _list_p(weights, contexts: list) -> None:
 def kernels(repeats: int = 5) -> list[dict]:
     """Median seconds per call of fixed-size kernels, at least one per module, in dependency order."""
     sys.path.insert(0, os.path.join(ROOT, "src"))
-    from serrecalc import homology, ideals, pbw, predictions, series, weights
+    from serrecalc import homology, ideals, pbw, predictions, series, verify, weights
 
     window = ideals.a1(weights.nonsplit_context(5, []), weights.WeightProfile.from_tags(["X0"] * 5), 1)
     pairing = homology.pairing_ideal(5)
@@ -156,6 +156,8 @@ def kernels(repeats: int = 5) -> list[dict]:
     f8 = [weights.nonsplit_context(8, sub) for r in range(8) for sub in combinations(range(8), r)]
     p8 = [(ctx, lam) for ctx in (weights.split_context(8), weights.nonsplit_context(8, [0, 2, 4, 6]))
           for lam in weights.enumerate_profiles(ctx, "P")]
+    a1_f4 = [(ctx, lam, i) for ctx in verify.reducible_contexts(4) for lam in weights.enumerate_profiles(ctx, "P")
+             for i in range(-1, 5)]
     irreducible16 = series.RationalSeries(series.IntPoly.of(3, 1) ** 16 - series.one_minus_t() ** 16, 16)
     cold = lambda cached, *args: lambda: (cached.cache_clear(), cached(*args))
     cases = [
@@ -173,6 +175,8 @@ def kernels(repeats: int = 5) -> list[dict]:
          f"({len(p8)} calls)", lambda: _each(weights.profile_stats, p8)),
         ("ideals.numerator", "a1(i = 1) of X0^5, nonsplit f = 5, J_rho = {}, bigraded",
          lambda: ideals.numerator(window, ideals.Monomial.bigrade)),
+        ("ideals.a1", f"every reducible context, P-profile and i at f = 4 ({len(a1_f4)} calls)",
+         lambda: _each(ideals.a1, a1_f4)),
         ("homology.taylor_profile", "pairing_ideal(5)", lambda: homology.taylor_profile(pairing)),
         ("homology.taylor_profile", "16 coordinate variables, 65,536 faces = FACE_CAP in one-face blocks",
          lambda: homology.taylor_profile(coordinates)),

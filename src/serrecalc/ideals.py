@@ -1,8 +1,9 @@
 """Monomial ideals in F[y_0, z_0, ..., y_{f-1}, z_{f-1}] and generic rings.
 
 Variable order is y_0 < z_0 < ... < y_{f-1} < z_{f-1} (index 2j for y_j,
-2j+1 for z_j); minimal generators are kept sorted in graded lexicographic
-order, so ideal output is reproducible byte for byte.  A monomial of
+2j+1 for z_j, as ``paired`` lays them out); minimal generators are kept
+sorted in graded lexicographic order, so ideal output is reproducible byte
+for byte.  A monomial of
 polynomial degree n represents a graded piece in module degree -n, stored
 at the nonnegative index n as everywhere in this package.  The lcm walks
 carry exponents packed into ints (``Packing``); ``Monomial`` keeps tuples.
@@ -148,12 +149,14 @@ def _packing(n: int, exps: frozenset[int]) -> Packing:
     return Packing(n, exps)
 
 
-def y_var(f: int, j: int) -> Monomial:
-    return Monomial.variable(2 * f, 2 * j)
-
-
-def z_var(f: int, j: int) -> Monomial:
-    return Monomial.variable(2 * f, 2 * j + 1)
+def paired(f: int, ys: int, zs: int) -> Monomial:
+    """The product of y_j over the mask ``ys`` and z_j over ``zs``: y_j is variable 2j, z_j variable 2j + 1."""
+    if (ys | zs) >> f:  # also a negative mask
+        raise ValueError("the masks must lie in {0..f-1}")
+    exps = [0] * (2 * f)
+    exps[::2] = [ys >> j & 1 for j in range(f)]
+    exps[1::2] = [zs >> j & 1 for j in range(f)]
+    return Monomial(tuple(exps))
 
 
 def _minimal(pk: Packing, packed: Iterable[int]) -> list[int]:
@@ -237,10 +240,9 @@ def _family(ctx: GaloisContext, lam: WeightProfile) -> tuple[ProfileStats, Monom
     """A P-profile's stats and a(lambda), from which each member of its ideal family is built."""
     if not in_p(ctx, lam):
         raise ProfileMembershipError(f"{lam!r} is not in P for this context")
-    stats, n = profile_stats(ctx, lam), 2 * ctx.f  # t_j: y_j on ty, z_j on tz, y_j z_j elsewhere
-    gens = [Monomial.variable(n, 2 * j, 1 - (stats.tz >> j & 1))
-            * Monomial.variable(n, 2 * j + 1, 1 - (stats.ty >> j & 1)) for j in range(ctx.f)]
-    return stats, MonomialIdeal(n, tuple(gens))
+    stats, f = profile_stats(ctx, lam), ctx.f  # t_j: y_j on ty, z_j on tz, y_j z_j elsewhere
+    gens = [paired(f, 1 << j & ~stats.tz, 1 << j & ~stats.ty) for j in range(f)]
+    return stats, MonomialIdeal(2 * f, tuple(gens))
 
 
 def a_lambda(ctx: GaloisContext, lam: WeightProfile) -> MonomialIdeal:
@@ -257,26 +259,18 @@ def p_monomial(f: int, stats: ProfileStats, j_prime: int) -> Monomial:
     """Product of y_j over J' ∩ J1 and z_j over J' ∩ J2."""
     if j_prime & ~(stats.j1 | stats.j2):
         raise ValueError(f"index {indices(j_prime & ~(stats.j1 | stats.j2))[0]} lies outside J1 ∪ J2")
-    exps = [0] * (2 * f)
-    for j in indices(j_prime):
-        exps[2 * j + (stats.j2 >> j & 1)] = 1  # y_j at 2j, z_j at 2j + 1
-    return Monomial(tuple(exps))
+    return paired(f, j_prime & stats.j1, j_prime & stats.j2)
 
 
 def ideal_from_pairs(f: int, j1: int, j2: int, d: int) -> MonomialIdeal:
-    """Ideal generated by all products over d-subsets of J1 ⊔ J2.
+    """The ideal of the p(J') over the d-subsets J' of J1 ⊔ J2.
 
     d = 0 gives the unit ideal, d > |J1 ⊔ J2| the zero ideal.
     """
     if j1 & j2:
         raise ValueError("J1 and J2 must be disjoint")
-    gens = []  # no d-subset past |J1 ⊔ J2|, and one empty product at d = 0
-    for sub in combinations(indices(j1 | j2), d):
-        m = Monomial.one(2 * f)
-        for j in sub:
-            m = m * (y_var(f, j) if j1 >> j & 1 else z_var(f, j))
-        gens.append(m)
-    return MonomialIdeal(2 * f, tuple(gens))
+    subsets = map(mask_of, combinations(indices(j1 | j2), d))  # none past |J1 ⊔ J2|, one empty set at d = 0
+    return MonomialIdeal(2 * f, tuple([paired(f, s & j1, s & j2) for s in subsets]))
 
 
 def d_shift(stats: ProfileStats, i: int) -> int:

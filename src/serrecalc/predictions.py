@@ -418,6 +418,10 @@ def shell_counts(f: int, ty: int, tz: int) -> tuple[int, ...]:
     - c = u + v a member: m = c stops c at step 0, u = c - v at step 1; no count.
     - c of norm 2, no member: an m of norm 3 at step 1 would hold c.  If step 1
       hits nothing, no coordinate of c has a member's sign, so |m - c|_1 >= 4.
+    The counts depend only on f and |ty ∪ tz|, so no count can pin the box's
+    signs: negating one coordinate maps the ball and each degree's offsets onto
+    themselves and flips that coordinate's sign in the box, and permuting the
+    coordinates permutes the box's indices.
     """
     box: list[tuple[int, ...]] = []
     _add_ball_points([(-(ty >> j & 1), tz >> j & 1) for j in range(f)], 1, [], box)

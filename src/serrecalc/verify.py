@@ -37,10 +37,9 @@ from .ideals import (
     d_shift,
     hilbert,
     p_monomial,
+    paired,
     patched_ideals,
     standard_monomials,
-    y_var,
-    z_var,
 )
 from .linalg import exact_rank
 from .pbw import gr_formula, mono_degree, pbw_basis, pbw_mul, tor1_gr
@@ -432,8 +431,8 @@ def _presentation_dims(ctx: GaloisContext, lam: WeightProfile, i0: int) -> tuple
     p_gens = [p_monomial(f, st, J) for J in gens]
     var = {j: p_monomial(f, st, 1 << j) for j in pool}
 
-    def partner(j: int) -> Monomial:
-        return z_var(f, j) if st.j1 >> j & 1 else y_var(f, j)
+    def partner(j: int) -> Monomial:  # z_j for y_j on J1, y_j for z_j on J2
+        return paired(f, 1 << j & st.j2, 1 << j & st.j1)
 
     std = standard_monomials(base, PRESENTATION_DMAX)
 

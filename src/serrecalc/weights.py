@@ -14,7 +14,6 @@ from math import comb
 from typing import Iterable, Literal
 
 from .errors import ProfileMembershipError, SizeLimitError, UnsupportedCaseError
-from .linalg import is_prime
 from .series import Value
 
 
@@ -35,6 +34,29 @@ class Case(str, Enum):
     IRREDUCIBLE = "irreducible"
     SPLIT = "split"
     NONSPLIT = "nonsplit"
+
+
+#: Miller-Rabin on the first 13 prime bases, 2..41, is proven exact below
+#: this bound (Sorenson-Webster, Math. Comp. 86 (2017)); the bases 2..37
+#: alone are fooled by 318665857834031151167461 = 399165290221 * 798330580441
+PRIME_TEST_BOUND = 3_317_044_064_679_887_385_961_981
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
+def is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin; the package's one primality test."""
+    if n >= PRIME_TEST_BOUND:
+        raise SizeLimitError(f"primality of {n} is only decided below {PRIME_TEST_BOUND}")
+    if n < 2 or any(n % b == 0 for b in _MR_BASES):
+        return n in _MR_BASES
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # 2^s exactly divides n - 1
+    d = (n - 1) >> s
+    # b is a witness of compositeness iff b^d != 1 and b^(d 2^r) != -1 for every r < s
+    for b in _MR_BASES:
+        x = pow(b, d, n)
+        if x != 1 and all(pow(x, 2**r, n) != n - 1 for r in range(s)):
+            return False
+    return True
 
 
 class GaloisContext(Value):

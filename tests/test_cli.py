@@ -21,11 +21,17 @@ from serrecalc import cli, ideals, pbw, predictions, verify
 from serrecalc.cli import main
 from serrecalc.homology import VERTEX_CAP
 from serrecalc.ideals import FACE_CAP, PATCHED_F_CAP, TABLE_CAP, MonomialIdeal
-from serrecalc.linalg import PRIME_TEST_BOUND
 from serrecalc.pbw import TOR1_F_CAP
 from serrecalc.predictions import HILBERT_F_CAP, K1_CYCLE_F_CAP, SOCLE_F_CAP, THETA_POINT_CAP, X_COUNTS_F_CAP
 from serrecalc.series import EXPANSION_CAP, dumps_canonical
-from serrecalc.weights import PROFILE_F_CAP, WeightProfile, enumerate_profiles, nonsplit_context, profile_stats
+from serrecalc.weights import (
+    PRIME_TEST_BOUND,
+    PROFILE_F_CAP,
+    WeightProfile,
+    enumerate_profiles,
+    nonsplit_context,
+    profile_stats,
+)
 
 
 def run(capsys, *argv):
@@ -447,7 +453,8 @@ def test_a_subcommand_loads_only_the_modules_it_uses(name):
     done = subprocess.run([sys.executable, "-c", LOADED_PROBE, *argv], capture_output=True, text=True, env=env,
                           timeout=60)
     assert done.returncode == 0, done.stderr
-    heavy = {"serrecalc.ideals", "serrecalc.homology", "serrecalc.pbw", "serrecalc.predictions", "serrecalc.verify"}
+    heavy = {"serrecalc.ideals", "serrecalc.homology", "serrecalc.linalg", "serrecalc.pbw", "serrecalc.predictions",
+             "serrecalc.verify"}
     loaded = heavy & set(done.stdout.split())
     assert not {"dataclasses", "inspect"} & set(done.stdout.split())
     if name in ("import", "enumerate", "stats"):

@@ -23,10 +23,17 @@ from serrecalc.homology import (
     taylor_profile,
 )
 from serrecalc.ideals import Monomial, MonomialIdeal, Packing, a1, a_lambda, hilbert, numerator, standard_counts_naive
-from serrecalc.linalg import PRIME_TEST_BOUND, exact_rank, is_prime
+from serrecalc.linalg import exact_rank
 from serrecalc.predictions import shell_counts, shell_sizes, theta_lattice
 from serrecalc.series import IntPoly, expand
-from serrecalc.weights import WeightProfile, enumerate_profiles, nonsplit_context, profile_stats
+from serrecalc.weights import (
+    PRIME_TEST_BOUND,
+    WeightProfile,
+    enumerate_profiles,
+    is_prime,
+    nonsplit_context,
+    profile_stats,
+)
 
 
 def mono(n, *idx):

@@ -20,11 +20,10 @@ from serrecalc.ideals import (
     ideal_from_pairs,
     numerator,
     p_monomial,
+    paired,
     patched_ideals,
     standard_counts_naive,
     standard_monomials,
-    y_var,
-    z_var,
 )
 from serrecalc.errors import ProfileMembershipError
 from serrecalc.homology import pairing_ideal, taylor_profile
@@ -44,6 +43,7 @@ from serrecalc.weights import (
     WeightProfile,
     _pss_list,
     enumerate_profiles,
+    indices,
     nonsplit_context,
     profile_stats,
     split_context,
@@ -73,12 +73,12 @@ def test_membership():
 
 def test_a_lambda_examples():
     split1 = split_context(1)
-    assert a_lambda(split1, prof("X0")).gens == (z_var(1, 0),)
+    assert a_lambda(split1, prof("X0")).gens == (mono(0, 1),)
     ns1 = nonsplit_context(1, [])
-    assert a_lambda(ns1, prof("X0")).gens == (y_var(1, 0) * z_var(1, 0),)
+    assert a_lambda(ns1, prof("X0")).gens == (mono(1, 1),)
     ns2 = nonsplit_context(2, [0])
     got = a_lambda(ns2, prof("X0", "X0"))
-    assert got.gens == (z_var(2, 0), y_var(2, 1) * z_var(2, 1))
+    assert got.gens == (mono(0, 1, 0, 0), mono(0, 0, 1, 1))
 
 
 def test_a_lambda_rejects_outside_p():
@@ -93,7 +93,7 @@ def test_a1_examples():
     # i + 1 <= |J_lambda| gives the unit ideal
     assert a1(ns2, prof("X1", "P2"), 0).is_unit()
     got = a1(ns2, lam, 0)
-    assert got.gens == (z_var(2, 0), z_var(2, 1))
+    assert got.gens == (mono(0, 1, 0, 0), mono(0, 0, 0, 1))
     assert a1(ns2, lam, 1) == a_lambda(ns2, lam)
 
 
@@ -107,6 +107,39 @@ def test_a1_nesting(f):
             assert a1(ctx, lam, f) == a_lambda(ctx, lam)
             for i in range(-1, f):
                 assert all(map(a1(ctx, lam, i).member, a1(ctx, lam, i + 1).gens))
+
+
+def _written(f: int, ys: list[int], zs: list[int]) -> Monomial:
+    """The product of y_j over ys and z_j over zs, laid out here (y_j at 2j, z_j at 2j + 1), not by ideals.paired."""
+    exps = [0] * (2 * f)
+    for j in ys:
+        exps[2 * j] = 1
+    for j in zs:
+        exps[2 * j + 1] = 1
+    return Monomial(tuple(exps))
+
+
+#: t_j per tag inside J_rho (y_j, z_j or y_j z_j); t_j = y_j z_j outside it
+T_RULE = {"X2": "Y", "P1": "Y", "X0": "Z", "P3": "Z", "X1": "YZ", "P2": "YZ"}
+
+
+@pytest.mark.parametrize("f", range(1, 5))
+def test_family_monomials_put_y_j_at_2j_and_z_j_at_2j_plus_1(f):
+    """a1's gens and every p(J') against exponent tuples written from the tags and the J1, J2 masks."""
+    for ctx in reducible_contexts(f):
+        for lam in enumerate_profiles(ctx, "P"):
+            st_ = profile_stats(ctx, lam)
+            rule = [T_RULE[s] if ctx.j_rho >> j & 1 else "YZ" for j, s in enumerate(lam.tags())]
+            t = [_written(f, [j] * ("Y" in g), [j] * ("Z" in g)) for j, g in enumerate(rule)]
+            j1, j2 = indices(st_.j1), indices(st_.j2)
+            p = {sub: _written(f, [j for j in sub if j in j1], [j for j in sub if j in j2])
+                 for r in range(len(j1) + len(j2) + 1) for sub in combinations(sorted(j1 + j2), r)}
+            for sub, m in p.items():
+                assert p_monomial(f, st_, sum(1 << j for j in sub)) == m, (ctx, lam, sub)
+            for i in range(-1, f + 1):
+                d = max(i + 1 - st_.ell, 0)
+                gens = [m for sub, m in p.items() if len(sub) == d] + t  # the unit p(empty set) at d = 0
+                assert a1(ctx, lam, i).gens == MonomialIdeal(2 * f, tuple(gens)).gens, (ctx, lam, i)
 
 
 def test_intersect_examples():
@@ -539,6 +572,11 @@ def test_matching_truncated_tables_naive(ctx):
 def test_ideal_from_pairs_edges():
     assert ideal_from_pairs(2, 0, 0, 0).is_unit()
     assert ideal_from_pairs(2, 0b1, 0, 2).is_zero()
+    with pytest.raises(ValueError, match="lie in"):
+        ideal_from_pairs(2, 0b100, 0, 1)  # index 2 past f - 1
+    for ys, zs in ((0b100, 0), (0, 0b100), (0, -1)):
+        with pytest.raises(ValueError, match="lie in"):
+            paired(2, ys, zs)
 
 
 def test_patched_examples():
