@@ -153,6 +153,7 @@ def kernels(repeats: int = 5) -> list[dict]:
     xcap, scap, pcap = predictions.X_COUNTS_F_CAP, predictions.SOCLE_F_CAP, weights.PROFILE_F_CAP
     x_split, x_all_x0 = weights.split_context(xcap), weights.WeightProfile.from_tags(["X0"] * xcap)
     s_ctx, s_full = weights.nonsplit_context(scap, range(scap - 1)), predictions.SubquotientSpec(-1, scap)
+    pss8_tags = [(lam.tags(),) for lam in weights._pss_list(8)]
     f8 = [weights.nonsplit_context(8, sub) for r in range(8) for sub in combinations(range(8), r)]
     p8 = [(ctx, lam) for ctx in (weights.split_context(8), weights.nonsplit_context(8, [0, 2, 4, 6]))
           for lam in weights.enumerate_profiles(ctx, "P")]
@@ -167,6 +168,8 @@ def kernels(repeats: int = 5) -> list[dict]:
          "to degree 99,999", lambda: series.expand(irreducible16, 99_999)),
         ("weights._pss_list", "f = 8", cold(weights._pss_list, 8)),
         ("weights._pss_list", f"f = {pcap} = PROFILE_F_CAP", cold(weights._pss_list, pcap)),
+        ("weights.WeightProfile.from_tags", f"every P^ss profile's tags at f = 8 ({len(pss8_tags)} calls)",
+         lambda: _each(weights.WeightProfile.from_tags, pss8_tags)),
         ("weights.enumerate_profiles", f"P in each of the {len(f8)} nonsplit contexts at f = 8, P^ss masks cold",
          lambda: _list_p(weights, f8)),
         ("weights.enumerate_profiles", f"P in each of the {len(f8)} nonsplit contexts at f = 8, P^ss warm",

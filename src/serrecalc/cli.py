@@ -16,7 +16,7 @@ import sys
 from functools import lru_cache
 
 from .series import Value, bigraded_to_json, dumps_canonical, expand, rational_to_json
-from .weights import Case, GaloisContext, WeightProfile, enumerate_profiles, indices, profile_stats
+from .weights import FAMILIES, Case, GaloisContext, WeightProfile, enumerate_profiles, indices, profile_stats
 
 
 def _parse_jrho(text: str | None, f: int) -> int | None:
@@ -308,7 +308,7 @@ class Command(Value):
 COMMANDS: dict[str, Command] = {
     "enumerate": Command(
         "list a profile family",
-        _CTX + (("--which", dict(choices=["Pss", "P", "Dss", "D", "Pbar"], required=True)),),
+        _CTX + (("--which", dict(choices=FAMILIES, required=True)),),
         _enumerate, rows=lambda d: d["profiles"],
     ),
     "stats": Command(

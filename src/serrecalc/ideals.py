@@ -439,7 +439,7 @@ def bigraded_difference(
             if key is None:
                 off = shared.get(c)
                 if off is None:
-                    off = shared[c] = CharOffset(tuple([c // p % base - bound for p in powers]))
+                    off = shared[c] = CharOffset([c // p % base - bound for p in powers])
                 key = keys[c] = (n, off)
             entries[key] = v
     return BigradedSeries(trunc, entries)

@@ -255,24 +255,17 @@ def _add_ball_points(bounds: list[tuple[int, int]], left: int, cur: list[int], o
         cur.pop()
 
 
-class CharOffset(Value):
+class CharOffset(tuple):
     """Relative H-eigencharacter exponent vector (one integer per embedding).
 
     y_j carries offset +e_j, z_j carries -e_j, h_j carries 0.  Offsets are
     never reduced modulo anything; callers declare the validity radius that
-    genericity grants them.
+    genericity grants them.  Equality and hash are the tuple's, computed in
+    C for every table entry stored; ``exps`` is the plain tuple.
     """
 
-    __slots__ = ("exps",)
-
-    def __init__(self, exps: tuple[int, ...]):
-        object.__setattr__(self, "exps", exps)
-
-    def __eq__(self, other):
-        return self.exps == other.exps if other.__class__ is self.__class__ else NotImplemented
-
-    def __hash__(self):  # every table entry stored hashes its key's offset
-        return hash(self.exps)
+    __slots__ = ()
+    exps = property(tuple)
 
 
 class BigradedSeries:
@@ -321,11 +314,11 @@ def rational_to_json(rs: RationalSeries) -> dict:
 
 
 def bigraded_to_json(b: BigradedSeries) -> dict:
-    entries = sorted(((d, c.exps, m) for (d, c), m in b.entries.items()))
+    entries = sorted(((d, c, m) for (d, c), m in b.entries.items()))
     return {
         "trunc": b.trunc,
         "entries": [
-            {"deg": d, "offset": list(exps), "mult": str(m)} for d, exps, m in entries
+            {"deg": d, "offset": list(c), "mult": str(m)} for d, c, m in entries
         ],
     }
 

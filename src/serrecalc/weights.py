@@ -11,23 +11,17 @@ from __future__ import annotations
 from enum import Enum
 from functools import lru_cache
 from math import comb
-from typing import Iterable, Literal
+from typing import Iterable
 
 from .errors import ProfileMembershipError, SizeLimitError, UnsupportedCaseError
 from .series import Value
 
 
-class Symbol(str, Enum):
-    X0 = "X0"    # x_j
-    X1 = "X1"    # x_j + 1
-    X2 = "X2"    # x_j + 2
-    P3 = "P3"    # p - 3 - x_j
-    P2 = "P2"    # p - 2 - x_j
-    P1 = "P1"    # p - 1 - x_j
-    XM1 = "XM1"  # x_j - 1; kept so that `--profile XM1,...` is refused with the "six core symbols" error
+#: the tags of x_j, x_j + 1, x_j + 2, p - 3 - x_j, p - 2 - x_j and p - 1 - x_j
+CORE_SYMBOLS = ("X0", "X1", "X2", "P3", "P2", "P1")
 
-
-CORE_SYMBOLS = (Symbol.X0, Symbol.X1, Symbol.X2, Symbol.P3, Symbol.P2, Symbol.P1)
+#: the profile families, as ``enumerate_profiles`` and ``enumerate --which`` name them
+FAMILIES = ("Pss", "P", "Dss", "D", "Pbar")
 
 
 class Case(str, Enum):
@@ -112,6 +106,8 @@ class GaloisContext(Value):
 
 def indices(mask: int) -> list[int]:
     """The indices of an index-set bitmask in increasing order: the form every output prints."""
+    if mask < 0:
+        raise ValueError(f"index-set mask {mask} is negative")
     return [j for j in range(mask.bit_length()) if mask >> j & 1]
 
 
@@ -162,24 +158,21 @@ class WeightProfile(Value):
         out = [""] * self.f
         for s, m in zip(CORE_SYMBOLS, self._values()):
             while m:
-                out[(m & -m).bit_length() - 1] = s.value
+                out[(m & -m).bit_length() - 1] = s
                 m &= m - 1
         return out
 
     @staticmethod
     def from_tags(tags: Iterable[str]) -> "WeightProfile":
         by_symbol = dict.fromkeys(CORE_SYMBOLS, 0)
-        for j, s in enumerate([Symbol(t) for t in tags]):
-            if s not in by_symbol:
+        for j, t in enumerate(tags):
+            if t not in by_symbol:
                 raise ValueError("profiles take the six core symbols only")
-            by_symbol[s] |= 1 << j
+            by_symbol[t] |= 1 << j
         return WeightProfile(*by_symbol.values())
 
     def __repr__(self):
         return "WeightProfile(%s)" % ",".join(self.tags())
-
-
-Family = Literal["Pss", "P", "Dss", "D", "Pbar"]
 
 
 def in_pss(profile: WeightProfile) -> bool:
@@ -240,7 +233,7 @@ def _add_pss(f: int, j: int, first: int, last: int, by_place: list[int], shared:
         by_place[s] ^= 1 << j
 
 
-def enumerate_profiles(ctx: GaloisContext, which: Family) -> list[WeightProfile]:
+def enumerate_profiles(ctx: GaloisContext, which: str) -> list[WeightProfile]:
     """Members of the requested family, in lexicographic symbol order: P^ss filtered by its masks."""
     if which == "Pss":
         return list(_pss_list(ctx.f))

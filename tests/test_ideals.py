@@ -577,6 +577,9 @@ def test_ideal_from_pairs_edges():
     for ys, zs in ((0b100, 0), (0, 0b100), (0, -1)):
         with pytest.raises(ValueError, match="lie in"):
             paired(2, ys, zs)
+    for j1, j2 in ((0, -1), (-2, 0)):  # no index set, though disjoint from the empty mask beside it
+        with pytest.raises(ValueError, match="negative"):
+            ideal_from_pairs(2, j1, j2, 1)
 
 
 def test_patched_examples():

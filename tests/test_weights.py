@@ -6,8 +6,9 @@ import pytest
 from serrecalc.errors import ProfileMembershipError, UnsupportedCaseError
 from serrecalc.verify import reducible_contexts
 from serrecalc.weights import (
-    Case,
     CORE_SYMBOLS,
+    FAMILIES,
+    Case,
     GaloisContext,
     WeightProfile,
     _pss_list,
@@ -17,6 +18,7 @@ from serrecalc.weights import (
     enumerate_profiles,
     in_p,
     in_pss,
+    indices,
     j_dprime,
     j_set,
     length_witnesses,
@@ -226,7 +228,7 @@ def test_profile_serialization_round_trip():
     assert WeightProfile.from_tags(lam.tags()) == lam
 
 
-TAGS = [s.value for s in CORE_SYMBOLS]
+TAGS = list(CORE_SYMBOLS)
 
 
 @pytest.mark.parametrize("f", range(1, 5))
@@ -256,8 +258,28 @@ def test_profile_masks_must_partition_the_indices():
         WeightProfile(0, 0, 0, 0, 0, 0)
     with pytest.raises(ValueError, match="profiles need at least one entry"):
         WeightProfile.from_tags([])
-    with pytest.raises(ValueError, match="profiles take the six core symbols only"):
-        WeightProfile.from_tags(["X0", "XM1"])
+
+
+@pytest.mark.parametrize("tag", ["XM1", "Q9", "x0", ""])
+def test_every_other_tag_is_refused_with_one_message(tag):
+    for tags in ([tag], ["X0", tag], [tag, "P1"]):
+        with pytest.raises(ValueError, match="^profiles take the six core symbols only$"):
+            WeightProfile.from_tags(tags)
+
+
+def test_index_set_masks_are_nonnegative():
+    assert indices(0) == [] and indices(0b1011) == [0, 1, 3]
+    for mask in (-1, -5):
+        with pytest.raises(ValueError, match="negative"):
+            indices(mask)
+
+
+def test_families_name_every_enumerable_family():
+    ctx = nonsplit_context(2, [0])
+    assert FAMILIES == ("Pss", "P", "Dss", "D", "Pbar")
+    assert all(isinstance(enumerate_profiles(ctx, which), list) for which in FAMILIES)
+    with pytest.raises(ValueError, match="unknown family"):
+        enumerate_profiles(ctx, "Q")
 
 
 @pytest.mark.parametrize("f", range(1, 4))
@@ -295,7 +317,7 @@ def test_masks_restate_the_definitions_coordinate_by_coordinate(f):
     P^ss is every f-tuple, built by ``from_tags``, that passes ``in_pss``; each P^ss profile's masks, each
     family's members, and the ``ProfileStats``, J', J'' and V_chi of each P-profile, in every reducible context.
     """
-    tag_tuples = product([s.value for s in CORE_SYMBOLS], repeat=f)
+    tag_tuples = product(CORE_SYMBOLS, repeat=f)
     pss = [lam for lam in map(WeightProfile.from_tags, tag_tuples) if in_pss(lam)]
     assert list(_pss_list(f)) == pss
     for lam in pss:
