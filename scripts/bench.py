@@ -146,7 +146,7 @@ def kernels(repeats: int = 5) -> list[dict]:
     from serrecalc import homology, ideals, pbw, predictions, series, verify, weights
 
     window = ideals.a1(weights.nonsplit_context(5, []), weights.WeightProfile.from_tags(["X0"] * 5), 1)
-    pairing = homology.pairing_ideal(5)
+    pairing = ideals.pairing_ideal(5, 31, 0)
     coordinates = ideals.MonomialIdeal(16, tuple(ideals.Monomial.variable(16, i) for i in range(16)))
     ns3, full = weights.nonsplit_context(3, [1, 2]), predictions.SubquotientSpec(-1, 3)
     ns4, full4 = weights.nonsplit_context(4, [0, 2]), predictions.SubquotientSpec(-1, 4)
@@ -180,10 +180,10 @@ def kernels(repeats: int = 5) -> list[dict]:
          lambda: ideals.numerator(window, ideals.Monomial.bigrade)),
         ("ideals.a1", f"every reducible context, P-profile and i at f = 4 ({len(a1_f4)} calls)",
          lambda: _each(ideals.a1, a1_f4)),
-        ("homology.taylor_profile", "pairing_ideal(5)", lambda: homology.taylor_profile(pairing)),
+        ("homology.taylor_profile", "pairing_ideal(5, 31, 0)", lambda: homology.taylor_profile(pairing)),
         ("homology.taylor_profile", "16 coordinate variables, 65,536 faces = FACE_CAP in one-face blocks",
          lambda: homology.taylor_profile(coordinates)),
-        ("homology.hochster_profile", "pairing_ideal(5)", lambda: homology.hochster_profile(pairing)),
+        ("homology.hochster_profile", "pairing_ideal(5, 31, 0)", lambda: homology.hochster_profile(pairing)),
         ("pbw.pbw_basis", "f = 6, n = 3", cold(pbw.pbw_basis, 6, 3)),
         ("pbw.pbw_basis", "f = 40, n = 3, a ball of 7,381 points over 120 coordinates", cold(pbw.pbw_basis, 40, 3)),
         ("pbw._tor1_dims", "f = 4, t = (YZ,) * 4, right", cold(pbw._tor1_dims, 4, 0, 0, "right")),

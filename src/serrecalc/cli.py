@@ -16,16 +16,16 @@ import sys
 from functools import lru_cache
 
 from .series import Value, bigraded_to_json, dumps_canonical, expand, rational_to_json
-from .weights import FAMILIES, Case, GaloisContext, WeightProfile, enumerate_profiles, indices, profile_stats
+from .weights import FAMILIES, Case, GaloisContext, WeightProfile, enumerate_profiles, full_mask, indices, profile_stats
 
 
 def _parse_jrho(text: str | None, f: int) -> int | None:
     if text is None:
         return None
     if text == "all":
-        return 2 ** f - 1  # an f < 1 is refused by GaloisContext
+        return full_mask(f)  # an f < 1 is refused by GaloisContext
     mask = int(text)
-    if mask < 0 or mask >= 1 << f:
+    if mask < 0 or mask >> f:  # a shift builds no 2^f, so a huge f reaches GaloisContext's cap
         raise ValueError(f"jrho bitmask {mask} outside 0..2^f-1")
     return mask
 

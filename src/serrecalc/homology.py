@@ -6,18 +6,18 @@ bit masks (squarefree ideals), and the homology of the Lyubeznik subcomplex
 of the Taylor complex (``ideals._lyubeznik_walk``, any monomial ideal).  They
 share only ``homology_from_faces`` and the rank below it, fed induced
 subcomplexes and blocks of equal lcm; a test checks that.  Ranks are exact
-integer ranks over the rationals.
+integer ranks over the rationals.  The module builds no ideal: the Ext oracle
+takes its padded pairing ideal from ``ideals.pairing_ideal``.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
-from itertools import combinations
 from math import comb
 from typing import Iterable
 
 from .errors import SizeLimitError
-from .ideals import Monomial, MonomialIdeal, Packing, _lyubeznik_walk
+from .ideals import MonomialIdeal, Packing, _lyubeznik_walk, pairing_ideal
 from .linalg import exact_rank
 from .series import Value
 
@@ -132,41 +132,6 @@ def stanley_reisner_closed(k: int, i: int) -> int:
     return 1 if i == 0 else i * comb(k + 1, i + 1)
 
 
-def pairing_ideal(k: int) -> MonomialIdeal:
-    """(X_j Y_j for j <= k, Y_i Y_j for i < j <= k) in 2k variables.
-
-    X_j sits at index 2(j-1) and Y_j at 2(j-1)+1.
-    """
-    if k < 1:
-        raise ValueError("need k >= 1")
-    n = 2 * k
-    x = lambda j: Monomial.variable(n, 2 * (j - 1))
-    y = lambda j: Monomial.variable(n, 2 * (j - 1) + 1)
-    gens = [x(j) * y(j) for j in range(1, k + 1)]
-    gens += [y(i) * y(j) for i, j in combinations(range(1, k + 1), 2)]
-    return MonomialIdeal(n, tuple(gens))
-
-
-def padded_pairing_ideal(f: int, k: int) -> MonomialIdeal:
-    """(X_j Y_j for j <= f, Y_i Y_j for i < j <= k, Z_m for f < m <= 2f).
-
-    Variables: X_j at 2(j-1), Y_j at 2(j-1)+1 for 1 <= j <= f, then f
-    extra Z variables; 3f variables total.
-    """
-    if not 0 <= k <= f:
-        raise ValueError("need 0 <= k <= f")
-    n = 3 * f
-    x = lambda j: Monomial.variable(n, 2 * (j - 1))
-    y = lambda j: Monomial.variable(n, 2 * (j - 1) + 1)
-    z = lambda m: Monomial.variable(n, 2 * f + (m - 1))
-    gens = (
-        [x(j) * y(j) for j in range(1, f + 1)]
-        + [y(i) * y(j) for i, j in combinations(range(1, k + 1), 2)]
-        + [z(m) for m in range(1, f + 1)]
-    )
-    return MonomialIdeal(n, tuple(gens))
-
-
 class ExtDims(Value):
     __slots__ = ("closed", "oracle", "convolution", "ok")
 
@@ -189,7 +154,7 @@ def ext_dims(f: int, k: int) -> ExtDims:
     if not 0 <= k <= f:
         raise ValueError("need 0 <= k <= f")
     closed = ext_closed(f, k)
-    profile = taylor_profile(padded_pairing_ideal(f, k))
+    profile = taylor_profile(pairing_ideal(f, (1 << k) - 1, f))
     oracle = tuple([profile[i] if i < len(profile) else 0 for i in range(3)])
     convo = tuple([
         sum(comb(2 * f - k, i - j) * stanley_reisner_closed(k, j) for j in range(i + 1))

@@ -445,13 +445,24 @@ def bigraded_difference(
     return BigradedSeries(trunc, entries)
 
 
-# -- the patched-module intersection -------------------------------------
+# -- the pairing ideals and the patched-module intersection -----------------
 
-def _patched_layout(ctx: GaloisContext) -> tuple[list[int], int, int]:
-    rho = indices(ctx.j_rho)
-    ell = len(rho)
-    n_z = 2 * ctx.f - ell
-    return rho, ell, 2 * ell + n_z
+def pairing_ideal(pairs: int, ys: int, n_z: int) -> MonomialIdeal:
+    """(X_j Y_j for j < pairs, Y_a Y_b for a < b in the mask ``ys``, Z_m for m < n_z).
+
+    Variables: X_j at 2j and Y_j at 2j + 1, as ``paired`` lays them out, then
+    Z_m at 2 pairs + m; 2 pairs + n_z variables.  The Tor closed form takes
+    ``ys`` all of {0..pairs-1} and no Z, the Ext oracle pads with Z, and the
+    patched check takes its Y-pairs from J_rho \\ J''.
+    """
+    if ys >> pairs or n_z < 0:  # also a negative mask
+        raise ValueError("need ys in {0..pairs-1} and n_z >= 0")
+    n, pad = 2 * pairs + n_z, (0,) * n_z
+    bits = [1 << j for j in range(pairs) if ys >> j & 1]
+    gens = [paired(pairs, 1 << j, 1 << j) for j in range(pairs)]
+    gens += [paired(pairs, 0, a | b) for a, b in combinations(bits, 2)]
+    zs = [Monomial.variable(n, 2 * pairs + m) for m in range(n_z)]
+    return MonomialIdeal(n, tuple([Monomial(g.exps + pad) for g in gens] + zs))
 
 
 #: ``patched_ideals`` intersects up to 2^|J_rho| linear ideals, |J_rho| <= f.
@@ -461,46 +472,41 @@ def _patched_layout(ctx: GaloisContext) -> tuple[list[int], int, int]:
 PATCHED_F_CAP = 8
 
 
+def _patched_intersection(f: int, j_rho: int, j_dp: int) -> MonomialIdeal:
+    """The intersection over subsets J of J_rho with |J \\ J''| <= 1 of the linear ideals.
+
+    Each one is (X_j : j in J) + (Y_j : j in J_rho \\ J) + (Z_m : all m): at
+    the p-th index j of J_rho it takes X_j (variable 2p) or Y_j (2p + 1).
+    """
+    rho = indices(j_rho)
+    n = 2 * f + len(rho)
+    zs = tuple([Monomial.variable(n, 2 * len(rho) + m) for m in range(2 * f - len(rho))])
+    inter: MonomialIdeal | None = None
+    for r in range(len(rho) + 1):
+        for sub in combinations(rho, r):
+            J = mask_of(sub)
+            if (J & ~j_dp).bit_count() > 1:
+                continue
+            xy = tuple([Monomial.variable(n, 2 * p + 1 - (J >> j & 1)) for p, j in enumerate(rho)])
+            linear = MonomialIdeal(n, xy + zs)
+            inter = linear if inter is None else inter.intersect(linear)
+    assert inter is not None
+    return inter
+
+
 def patched_ideals(
     ctx: GaloisContext, lam: WeightProfile
 ) -> tuple[MonomialIdeal, MonomialIdeal]:
     """(intersection ideal, expected ideal) for the patched-module check.
 
-    Variables: X_j, Y_j for j in J_rho, then 2f - |J_rho| extra Z variables.
-    The intersection runs over subsets J of J_rho with |J \\ J''| <= 1 of the
-    linear ideals (X_j : j in J) + (Y_j : j in J_rho \\ J) + (Z_m : all m).
+    The expected ideal is the pairing ideal over J_rho, its Y-pairs over
+    J_rho \\ J'', padded with 2f - |J_rho| Z variables: X_j, Y_j for the p-th
+    index j of J_rho sit at 2p, 2p + 1.
     """
     if ctx.f > PATCHED_F_CAP:
         raise SizeLimitError(f"f = {ctx.f} exceeds the patched cap of {PATCHED_F_CAP}")
     if not in_p(ctx, lam):
         raise ProfileMembershipError(f"{lam!r} is not in P for this context")
-    rho, ell, n_vars = _patched_layout(ctx)
-    pos = {j: i for i, j in enumerate(rho)}
-    x = lambda j: Monomial.variable(n_vars, 2 * pos[j])
-    y = lambda j: Monomial.variable(n_vars, 2 * pos[j] + 1)
-    zs = [Monomial.variable(n_vars, 2 * ell + m) for m in range(n_vars - 2 * ell)]
-    j_dp = j_dprime(ctx, lam)
-
-    inter: MonomialIdeal | None = None
-    for r in range(ell + 1):
-        for sub in combinations(rho, r):
-            J = mask_of(sub)
-            if (J & ~j_dp).bit_count() > 1:
-                continue
-            linear = MonomialIdeal(
-                n_vars,
-                tuple([x(j) for j in sub])
-                + tuple([y(j) for j in indices(ctx.j_rho & ~J)])
-                + tuple(zs),
-            )
-            inter = linear if inter is None else inter.intersect(linear)
-    assert inter is not None
-
-    pairs = indices(ctx.j_rho & ~j_dp)
-    expected = MonomialIdeal(
-        n_vars,
-        tuple([x(j) * y(j) for j in rho])
-        + tuple([y(a) * y(b) for a, b in combinations(pairs, 2)])
-        + tuple(zs),
-    )
-    return inter, expected
+    rho, j_dp = indices(ctx.j_rho), j_dprime(ctx, lam)
+    ys = mask_of(p for p, j in enumerate(rho) if not j_dp >> j & 1)
+    return _patched_intersection(ctx.f, ctx.j_rho, j_dp), pairing_ideal(len(rho), ys, 2 * ctx.f - len(rho))

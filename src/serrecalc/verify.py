@@ -26,7 +26,6 @@ from .homology import (
     ext_closed,
     ext_dims,
     hochster_profile,
-    pairing_ideal,
     profiles_agree,
     stanley_reisner_closed,
     taylor_profile,
@@ -38,6 +37,7 @@ from .ideals import (
     hilbert,
     p_monomial,
     paired,
+    pairing_ideal,
     patched_ideals,
     standard_monomials,
 )
@@ -354,7 +354,7 @@ def suite_degenerates(fmax: int = 12, rank_fmax: int = 3) -> list[CheckRecord]:
 def suite_tor(kmax: int = 5, ext_fmax: int = 3, corpus_fmax: int = 3) -> list[CheckRecord]:
     def pairing():
         for k in range(1, kmax + 1):
-            pure = pairing_ideal(k)
+            pure = pairing_ideal(k, (1 << k) - 1, 0)
             want = [stanley_reisner_closed(k, i) for i in range(2 * k + 1)]
             for name, oracle in (("taylor", taylor_profile), ("hochster", hochster_profile)):
                 got = oracle(pure)

@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import os
+import resource
 import subprocess
 import sys
 import time
@@ -25,6 +26,7 @@ from serrecalc.pbw import TOR1_F_CAP
 from serrecalc.predictions import HILBERT_F_CAP, K1_CYCLE_F_CAP, SOCLE_F_CAP, THETA_POINT_CAP, X_COUNTS_F_CAP
 from serrecalc.series import EXPANSION_CAP, dumps_canonical
 from serrecalc.weights import (
+    CONTEXT_F_CAP,
     PRIME_TEST_BOUND,
     PROFILE_F_CAP,
     WeightProfile,
@@ -308,6 +310,8 @@ BAD_INPUT = {
                             "--profile", ",".join(["X0"] * (PATCHED_F_CAP + 1))],
     "hilbert-irreducible-above-f-cap": ["hilbert", "--f", str(HILBERT_F_CAP + 1), "--case", "irreducible",
                                         "--trunc", "0"],
+    "stats-above-context-cap": ["stats", "--f", str(CONTEXT_F_CAP + 1), "--case", "split", "--jrho", "all",
+                                "--profile", ",".join(["X0"] * (CONTEXT_F_CAP + 1))],
     "hilbert-negative-trunc": ["hilbert", "--f", "2", "--case", "split", "--jrho", "all", "--trunc", "-4"],
     "verify-unknown-suite": ["verify", "--suite", "nope"],
     "verify-cap-checked-first": ["verify", "--suite", "pbw", "--suite", "hilbert", "--f", str(PROFILE_F_CAP + 1)],
@@ -330,6 +334,25 @@ def test_bad_input_exits_2_with_one_error_line(capsys, tmp_path, argv):
         assert captured.out == ""
         assert len(lines) == 1 and lines[0].startswith("error:"), captured.err
     assert rc == 2 and time.perf_counter() - start < 5
+
+
+# f = 10^11: each mask of f bits would take 12.5 GB
+HUGE_F = ["--f", str(10**11)]
+
+
+@pytest.mark.parametrize("argv", [
+    ["enumerate", *HUGE_F, "--case", "split", "--jrho", "all", "--which", "P"],
+    ["enumerate", *HUGE_F, "--case", "nonsplit", "--jrho", "1", "--which", "P"],
+    ["hilbert", *HUGE_F, "--case", "irreducible"],
+], ids=["jrho-all", "jrho-bitmask", "irreducible"])
+def test_a_huge_f_is_refused_before_any_mask_is_built(argv):
+    """In a child under a 1 GiB address-space limit, so that building a 2^f mask fails at once instead of paging."""
+    limit = lambda: resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+    env = {**os.environ, "PYTHONPATH": str(Path(serrecalc.__file__).parents[1])}
+    done = subprocess.run([sys.executable, "-m", "serrecalc.cli", *argv], capture_output=True, text=True, env=env,
+                          timeout=60, preexec_fn=limit)
+    error = f"error: f = {10**11} exceeds the context cap of {CONTEXT_F_CAP}\n"
+    assert (done.returncode, done.stdout, done.stderr) == (2, "", error)
 
 
 def test_a_window_ideal_of_26_generators_is_answered(capsys):

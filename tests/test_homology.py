@@ -16,8 +16,6 @@ from serrecalc.homology import (
     ext_dims,
     hochster_profile,
     homology_from_faces,
-    padded_pairing_ideal,
-    pairing_ideal,
     profiles_agree,
     stanley_reisner_closed,
     taylor_profile,
@@ -31,8 +29,10 @@ from serrecalc.weights import (
     WeightProfile,
     enumerate_profiles,
     is_prime,
+    j_dprime,
     nonsplit_context,
     profile_stats,
+    split_context,
 )
 
 
@@ -61,12 +61,12 @@ def test_empty_complex_convention():
 
 
 def test_hochster_k1():
-    ideal = pairing_ideal(1)
+    ideal = ideals.pairing_ideal(1, 0b1, 0)
     assert hochster_profile(ideal)[1] == 1
 
 
 def test_hochster_k2():
-    ideal = pairing_ideal(2)
+    ideal = ideals.pairing_ideal(2, 0b11, 0)
     assert hochster_profile(ideal)[1] == 3 == len(ideal.gens)
     assert hochster_profile(ideal)[2] == 2
 
@@ -107,7 +107,7 @@ def test_the_walk_answers_an_ideal_of_exactly_its_face_cap(monkeypatch):
 
 def test_taylor_and_numerator_walk_the_same_lyubeznik_faces(monkeypatch):
     """One ``Packing.lcm`` per attempted extension, over the faces ``numerator`` walks too."""
-    ideal = pairing_ideal(4)
+    ideal = ideals.pairing_ideal(4, 0b1111, 0)
     walk, lcm = ideals._lyubeznik_walk, Packing.lcm
     faces, calls = [], []
 
@@ -269,7 +269,7 @@ def serrecalc_calls(fn, *args) -> set[tuple[str, str]]:
 
 @pytest.mark.skipif(sys.version_info < (3, 11), reason="code objects carry co_qualname from Python 3.11")
 def test_tor_oracles_share_only_the_homology_routine():
-    ideal = pairing_ideal(3)
+    ideal = ideals.pairing_ideal(3, 0b111, 0)
     hochster = serrecalc_calls(hochster_profile, ideal)
     taylor = serrecalc_calls(taylor_profile, ideal)
     assert ("serrecalc.homology", "homology_from_faces") in hochster & taylor
@@ -335,6 +335,40 @@ def test_shell_oracles_share_only_profile_stats():
     assert not leaked, f"the shell oracles both call {', '.join(leaked)}"
 
 
+# patched_ideals' intersection and its expected pairing ideal share only the MonomialIdeal constructor's packed
+# path and the monomial type it normalizes
+SHARED_BY_PATCHED_SIDES = {
+    ("serrecalc.ideals", "Monomial.__init__"),
+    ("serrecalc.ideals", "Monomial.variable"),
+    ("serrecalc.ideals", "Monomial.ambient"),
+    ("serrecalc.ideals", "Monomial.sort_key"),
+    ("serrecalc.ideals", "Monomial.degree"),
+    ("serrecalc.ideals", "MonomialIdeal.__init__"),
+    ("serrecalc.ideals", "_minimalize"),
+    ("serrecalc.ideals", "_minimal"),
+    ("serrecalc.ideals", "_packing"),
+    ("serrecalc.ideals", "Packing.over"),
+    ("serrecalc.ideals", "Packing.__init__"),
+    ("serrecalc.ideals", "Packing.pack"),
+    ("serrecalc.ideals", "Packing.divides"),
+}
+
+
+@pytest.mark.skipif(sys.version_info < (3, 11), reason="code objects carry co_qualname from Python 3.11")
+def test_patched_sides_share_only_the_ideal_constructor():
+    ctx, lam = split_context(4), WeightProfile.from_tags(["X0", "P2", "X1", "X0"])
+    j_dp = j_dprime(ctx, lam)
+    assert j_dp == 0b0110  # the Y-pairs run over positions 0 and 3 of J_rho, a mask that is not a prefix
+    whole = serrecalc_calls(ideals.patched_ideals, ctx, lam)
+    assert {("serrecalc.ideals", "_patched_intersection"), ("serrecalc.ideals", "pairing_ideal")} <= whole
+    intersection = serrecalc_calls(ideals._patched_intersection, ctx.f, ctx.j_rho, j_dp)
+    expected = serrecalc_calls(ideals.pairing_ideal, 4, 0b1001, 4)
+    assert ("serrecalc.ideals", "MonomialIdeal.intersect") in intersection
+    assert ("serrecalc.ideals", "paired") in expected
+    leaked = sorted(".".join(key) for key in intersection & expected - SHARED_BY_PATCHED_SIDES)
+    assert not leaked, f"the patched intersection and its expected ideal both call {', '.join(leaked)}"
+
+
 def test_stanley_reisner_closed_values():
     assert stanley_reisner_closed(2, 0) == 1
     assert stanley_reisner_closed(2, 1) == 3
@@ -352,7 +386,7 @@ def test_ext_dims_examples():
 
 
 def test_padded_ideal_generator_count():
-    ideal = padded_pairing_ideal(3, 2)
+    ideal = ideals.pairing_ideal(3, 0b11, 3)
     assert len(ideal.gens) == 3 + 1 + 3
 
 

@@ -26,7 +26,7 @@ from serrecalc.ideals import (
     standard_monomials,
 )
 from serrecalc.errors import ProfileMembershipError
-from serrecalc.homology import pairing_ideal, taylor_profile
+from serrecalc.homology import taylor_profile
 from serrecalc.pbw import pbw_basis
 from serrecalc.predictions import (
     SubquotientSpec,
@@ -140,6 +140,36 @@ def test_family_monomials_put_y_j_at_2j_and_z_j_at_2j_plus_1(f):
                 d = max(i + 1 - st_.ell, 0)
                 gens = [m for sub, m in p.items() if len(sub) == d] + t  # the unit p(empty set) at d = 0
                 assert a1(ctx, lam, i).gens == MonomialIdeal(2 * f, tuple(gens)).gens, (ctx, lam, i)
+
+
+PAIRING_LAYOUTS = {
+    # X_j at 2j, Y_j at 2j + 1, Z_m at 2 pairs + m; the Y-pairs over a mask that is not a prefix
+    "non-prefix-ys": (3, 0b101, 2, [
+        (1, 1, 0, 0, 0, 0, 0, 0), (0, 0, 1, 1, 0, 0, 0, 0), (0, 0, 0, 0, 1, 1, 0, 0),
+        (0, 1, 0, 0, 0, 1, 0, 0),
+        (0, 0, 0, 0, 0, 0, 1, 0), (0, 0, 0, 0, 0, 0, 0, 1),
+    ]),
+    "no-y-pairs": (2, 0, 1, [(1, 1, 0, 0, 0), (0, 0, 1, 1, 0), (0, 0, 0, 0, 1)]),
+    "all-y-pairs": (3, 0b111, 0, [
+        (1, 1, 0, 0, 0, 0), (0, 0, 1, 1, 0, 0), (0, 0, 0, 0, 1, 1),
+        (0, 1, 0, 1, 0, 0), (0, 1, 0, 0, 0, 1), (0, 0, 0, 1, 0, 1),
+    ]),
+    "only-z": (0, 0, 2, [(1, 0), (0, 1)]),
+}
+
+
+@pytest.mark.parametrize("pairs,ys,n_z,want", PAIRING_LAYOUTS.values(), ids=PAIRING_LAYOUTS.keys())
+def test_pairing_ideal_layout(pairs, ys, n_z, want):
+    """pairing_ideal against exponent tuples written out by hand."""
+    ideal = ideals.pairing_ideal(pairs, ys, n_z)
+    assert ideal.ambient == 2 * pairs + n_z
+    assert sorted(g.exps for g in ideal.gens) == sorted(want)
+
+
+def test_pairing_ideal_refuses_masks_outside_its_pairs():
+    for pairs, ys, n_z in ((2, 0b100, 0), (2, -1, 0), (2, 0b11, -1)):
+        with pytest.raises(ValueError, match="need ys"):
+            ideals.pairing_ideal(pairs, ys, n_z)
 
 
 def test_intersect_examples():
@@ -301,7 +331,7 @@ def test_standard_monomials_against_the_box(ideal, bound):
 NS3 = nonsplit_context(3, [0])
 NS2 = nonsplit_context(2, [])
 CYCLE_FREE_CALLS = {
-    "taylor_profile": lambda: taylor_profile(pairing_ideal(4)),
+    "taylor_profile": lambda: taylor_profile(ideals.pairing_ideal(4, 0b1111, 0)),
     "hilbert": lambda: hilbert(a1(NS3, prof("X0", "X0", "X0"), 1)),
     "gr_subquotient": lambda: gr_subquotient(NS3, SubquotientSpec(0, 2), 4),
     "x_counts": lambda: x_counts(NS3, prof("X0", "X0", "X0")),
