@@ -133,9 +133,8 @@ def passes() -> list[dict]:
 
 
 def _list_p(weights, contexts: list) -> None:
-    """P in each context, after clearing the P^ss mask cache where the package has one."""
-    if hasattr(weights, "_pss_masks"):
-        weights._pss_masks.cache_clear()
+    """P in each context, after clearing the P^ss list cache."""
+    weights._pss_list.cache_clear()
     for ctx in contexts:
         weights.enumerate_profiles(ctx, "P")
 
@@ -170,7 +169,7 @@ def kernels(repeats: int = 5) -> list[dict]:
         ("weights._pss_list", f"f = {pcap} = PROFILE_F_CAP", cold(weights._pss_list, pcap)),
         ("weights.WeightProfile.from_tags", f"every P^ss profile's tags at f = 8 ({len(pss8_tags)} calls)",
          lambda: _each(weights.WeightProfile.from_tags, pss8_tags)),
-        ("weights.enumerate_profiles", f"P in each of the {len(f8)} nonsplit contexts at f = 8, P^ss masks cold",
+        ("weights.enumerate_profiles", f"P in each of the {len(f8)} nonsplit contexts at f = 8, P^ss cold",
          lambda: _list_p(weights, f8)),
         ("weights.enumerate_profiles", f"P in each of the {len(f8)} nonsplit contexts at f = 8, P^ss warm",
          lambda: _each(weights.enumerate_profiles, [(ctx, "P") for ctx in f8])),

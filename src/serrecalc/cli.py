@@ -25,7 +25,7 @@ def _parse_jrho(text: str | None, f: int) -> int | None:
     if text == "all":
         return full_mask(f)  # an f < 1 is refused by GaloisContext
     mask = int(text)
-    if mask < 0 or mask >> f:  # a shift builds no 2^f, so a huge f reaches GaloisContext's cap
+    if f >= 1 and (mask < 0 or mask >> f):  # a shift builds no 2^f; GaloisContext refuses a huge f or f < 1
         raise ValueError(f"jrho bitmask {mask} outside 0..2^f-1")
     return mask
 
@@ -145,7 +145,13 @@ def _stats(a) -> dict:
 
 
 def _ideal(a) -> dict:
-    from .ideals import a_lambda, hilbert
+    from .errors import SizeLimitError
+    from .ideals import FACE_CAP, a_lambda, hilbert
+    from .weights import in_p
+    # a(lambda)'s f generators share no variable, so the walk would visit all 2^f faces: refuse such an f
+    # before one is built; a profile outside P goes on to a_lambda's error
+    if 1 << a.f > FACE_CAP and in_p(a.ctx, a.lam):
+        raise SizeLimitError(f"the Lyubeznik walk passed its cap of {FACE_CAP} faces")
     ideal = a_lambda(a.ctx, a.lam)
     return {"gens": [list(g.exps) for g in ideal.gens], "hilbert": rational_to_json(hilbert(ideal).reduced())}
 

@@ -217,32 +217,28 @@ def i1_degree0_total(ctx: GaloisContext, spec: SubquotientSpec) -> int:
     return total
 
 
-#: ``socle_jsets`` walks all 2^f subsets and lists up to 2^(f-1) of them.  Fresh
-#: processes on a shared 2-vCPU x86-64 host, Python 3.11, with |J_rho| = f - 1
-#: and the full window (-1, f): ``serrecalc socle`` took 1.3-1.9 s at f = 18 and
-#: peaked at 51 MiB (5.2 MB of JSON), and 3.6-3.7 s and 86 MiB at f = 19.
+#: ``socle_jsets`` lists the subsets of size i0 + 1, then the larger subsets of
+#: J_rho.  Fresh processes on a shared 2-vCPU x86-64 host, Python 3.11, with
+#: |J_rho| = f - 1 and the full window (-1, f), 2^(f-1) masks: ``serrecalc socle``
+#: took 0.69-0.73 s at f = 18 and peaked at 51 MiB (5.2 MB of JSON), and
+#: 1.3-1.7 s and 85 MiB at f = 19.
 SOCLE_F_CAP = 18
 
 
 def socle_jsets(ctx: GaloisContext, spec: SubquotientSpec) -> list[int]:
     """J-sets (masks) of the socle weights of the (i0, i0p) subquotient, by size and then lexicographically.
 
-    Weights attached to the base representation correspond to subsets of
-    J_rho; the second family collects the remaining subsets at size i0 + 1.
+    Weights attached to the base representation are the subsets of J_rho of
+    sizes i0 + 1..i0p; the second family is the other subsets of size i0 + 1.
+    So size i0 + 1 holds every subset, and a larger size only those of J_rho.
     """
     if ctx.f > SOCLE_F_CAP:
         raise SizeLimitError(f"f = {ctx.f} exceeds the socle cap of {SOCLE_F_CAP}")
     if ctx.case is not Case.NONSPLIT:
         raise UnsupportedCaseError("the socle description is a nonsplit statement")
     spec.check(ctx.f)
-    out, rho = [], ctx.j_rho
-    for r in range(ctx.f + 1):
-        inside, outside = spec.i0 < r <= spec.i0p, r == spec.i0 + 1  # which J of size r count
-        if inside or outside:
-            for sub in combinations(range(ctx.f), r):
-                J = mask_of(sub)
-                if inside and not J & ~rho or outside and J & ~rho:
-                    out.append(J)
+    out = [mask_of(sub) for sub in combinations(range(ctx.f), spec.i0 + 1)]
+    out += (mask_of(sub) for r in range(spec.i0 + 2, spec.i0p + 1) for sub in combinations(indices(ctx.j_rho), r))
     return out
 
 
@@ -387,11 +383,11 @@ class XCounts(Value):
     __slots__ = ("x0", "x1", "x2", "expected", "ok")
 
 
-#: ``shell_counts`` adds each of the 2f^2 + 2f + 1 points of the radius-2 ball to
-#: up to as many character offsets, f coordinates a sum, against a box of at
-#: most f + 1 points.  Fresh processes on a shared 2-vCPU x86-64 host,
-#: Python 3.11, k = f (split, all X0): ``serrecalc xcounts`` took 0.3-0.4 s and
-#: peaked at 18 MiB at f = 18; with the cap lifted, 1.8-2.0 s at f = 26.
+#: ``shell_counts`` adds each of the 1 + 2f + (2f^2 + 1) distinct offsets of
+#: degrees 0, 1 and 2 to each of the at most f + 1 box points, f coordinates a
+#: sum.  Fresh processes on a shared 2-vCPU x86-64 host, Python 3.11, k = f (split,
+#: all X0): ``serrecalc xcounts`` took 0.10-0.11 s and peaked at 17 MiB at f = 18;
+#: with the cap lifted, 0.14-0.16 s at f = 26 and 1.9-2.0 s at f = 70.
 X_COUNTS_F_CAP = 18
 
 
@@ -409,15 +405,22 @@ def shell_counts(f: int, ty: int, tz: int) -> tuple[int, ...]:
 
     The local membership model accepts an offset iff each coordinate moves by 0
     or its sign (-1 on ``ty``, +1 on ``tz``) and every other coordinate stays put.
-    A point c of the radius-2 ball joins shell i when the degree-i character
-    offsets are the first to hit a member, and hit only 0.  Degree-1 offsets are
-    the ±e_j, degree-2 ones 0 and every point of l1 norm 2.  Only the members of
-    norm <= 1 are tested; a member m of norm >= 2 changes no count:
+    A point c of the radius-2 ball joins shell d when the degree-d character
+    offsets O_d are the first to hit a member, and hit only 0.  Degree-1 offsets
+    are the ±e_j, degree-2 ones 0 and every point of l1 norm 2.  Only the members
+    of norm <= 1 are tested; a member m of norm >= 2 changes no count:
     - |c|_1 <= 1: 0 is hit at step |c|_1; an m hit by then is c plus a unit step
       off c's support, so c is a member, hit at step 0 either way.
     - c = u + v a member: m = c stops c at step 0, u = c - v at step 1; no count.
     - c of norm 2, no member: an m of norm 3 at step 1 would hold c.  If step 1
       hits nothing, no coordinate of c has a member's sign, so |m - c|_1 >= 4.
+    The ball is not scanned; each shell is built from its offsets:
+    - Every o in O_d has an l1 norm of d's parity, so the points c + o of one
+      step share a parity.  0 is the one member of even norm, so a step hits 0
+      or other members, never both: "hits only 0" at step d means c = -o, o in O_d.
+    - c = -o hits a member m at step e exactly when m + o is in O_e.
+    So shell d counts the o in O_d with no m + o in O_0 ∪ ... ∪ O_{d-1}.  Each O_d
+    is closed under negation (y_j ↔ z_j), so m - o would give the same counts.
     The counts depend only on f and |ty ∪ tz|, so no count can pin the box's
     signs: negating one coordinate maps the ball and each degree's offsets onto
     themselves and flips that coordinate's sign in the box, and permuting the
@@ -425,22 +428,11 @@ def shell_counts(f: int, ty: int, tz: int) -> tuple[int, ...]:
     """
     box: list[tuple[int, ...]] = []
     _add_ball_points([(-(ty >> j & 1), tz >> j & 1) for j in range(f)], 1, [], box)
-    member = set(box)
-
-    offsets = [sorted(char_multiset(f, d)) for d in range(3)]
-    ball: list[tuple[int, ...]] = []
-    _add_ball_points([(-2, 2)] * f, 2, [], ball)
-    counts = [0, 0, 0]
-    for c in ball:
-        for i in range(3):
-            hits = {
-                tuple([a + b for a, b in zip(c, o)]) for o in offsets[i]
-            } & member
-            if hits == {(0,) * f}:
-                counts[i] += 1
-                break
-            if hits:
-                break
+    counts, lower = [], set()
+    for d in range(3):
+        offsets = char_multiset(f, d)
+        counts.append(sum(not any(tuple([a + b for a, b in zip(m, o)]) in lower for m in box) for o in offsets))
+        lower |= offsets.keys()
     return tuple(counts)
 
 

@@ -530,7 +530,7 @@ SUITES: dict[str, Callable[..., list[CheckRecord]]] = {
 #: shared 2-vCPU x86-64 host, Python 3.11; the next f tried in parentheses:
 #:   hilbert 7: 5.2 s (8: 32-37 s)           split-ni 10: 12 s (the profile cap)
 #:   gr-subquot 10: 13 s (the profile cap)   semisimple-match 5: 13 s (6: over 45 s)
-#:   theta 4: 3.8 s (5: over 45 s)           xcounts 5: 15 s (6: over 45 s)
+#:   theta 4: 3.8 s (5: over 45 s)           xcounts 5: 1.3 s (6: 8.6 s)
 #:   degenerates 3750: 25 s (4000: 29-30 s)  patched 6: 14 s (7: over 45 s)
 #:   pbw 66: 7.1 s (not yet raised)          tor 6: 0.3 s, where Hochster's
 #: formula on the pairing ideal's 2k vertices reaches ``VERTEX_CAP``.

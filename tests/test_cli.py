@@ -355,6 +355,38 @@ def test_a_huge_f_is_refused_before_any_mask_is_built(argv):
     assert (done.returncode, done.stdout, done.stderr) == (2, "", error)
 
 
+@pytest.mark.parametrize("f", ["-1", "0"])
+def test_an_f_below_1_with_a_bitmask_jrho_is_refused_by_the_context(capsys, f):
+    """The bitmask's range is not read against an f < 1, so the answer is the one --jrho all gets."""
+    rc = main(["enumerate", "--f", f, "--case", "nonsplit", "--jrho", "1", "--which", "P"])
+    assert (rc, capsys.readouterr().err) == (2, "error: f must be positive\n")
+
+
+# a(lambda)'s f generators share no variable, so the Lyubeznik walk prunes no face: it visits all
+# 2^f and refuses exactly when 2^f > FACE_CAP, first at f = FACE_CAP.bit_length()
+@pytest.mark.parametrize("f", [FACE_CAP.bit_length(), CONTEXT_F_CAP])
+def test_ideal_past_the_face_cap_is_refused_before_a_generator_is_built(capsys, monkeypatch, f):
+    def refuse(*args):
+        raise AssertionError("a generator was built")
+
+    monkeypatch.setattr(ideals, "paired", refuse)
+    rc = main(["ideal", "--f", str(f), "--case", "split", "--jrho", "all", "--profile", ",".join(["X0"] * f)])
+    assert (rc, capsys.readouterr().err) == (2, f"error: the Lyubeznik walk passed its cap of {FACE_CAP} faces\n")
+
+
+def test_ideal_below_the_face_cap_walks_every_face(capsys):
+    f = FACE_CAP.bit_length() - 1
+    rc, out = run(capsys, "ideal", "--f", str(f), "--case", "split", "--jrho", "all", "--profile", ",".join(["X0"] * f))
+    assert rc == 0 and len(json.loads(out)["gens"]) == f
+
+
+@pytest.mark.parametrize("f", [3, CONTEXT_F_CAP])
+def test_ideal_names_a_profile_outside_p_at_every_f(capsys, f):
+    rc = main(["ideal", "--f", str(f), "--case", "nonsplit", "--jrho", "0", "--profile", ",".join(["X2"] * f)])
+    err = capsys.readouterr().err
+    assert rc == 2 and err.startswith("error: ") and err.endswith(" is not in P for this context\n")
+
+
 def test_a_window_ideal_of_26_generators_is_answered(capsys):
     """C(6,3) + 6 = 26 generators, 11,776 faces; each table equals the window's monomials counted one by one."""
     ctx, i0, i0p = nonsplit_context(6, []), 1, 2

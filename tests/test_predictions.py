@@ -1,5 +1,6 @@
 import tracemalloc
-from itertools import product
+from itertools import combinations, product
+from math import comb
 
 import pytest
 
@@ -168,6 +169,25 @@ def test_socle_jsets_come_by_size_then_lexicographically():
         for ctx, spec, case in verify._window_cases(verify._nonsplit_contexts(f)):
             got = [[j for j in range(f) if J >> j & 1] for J in socle_jsets(ctx, spec)]
             assert got == sorted(got, key=lambda s: (len(s), s)), case
+
+
+def _socle_jsets_by_filter(ctx, spec):
+    """Every r-subset, kept when it lies inside J_rho at a size in i0 + 1..i0p or outside J_rho at size i0 + 1."""
+    out = []
+    for r in range(ctx.f + 1):
+        for sub in combinations(range(ctx.f), r):
+            J = sum(1 << j for j in sub)
+            inside = J & ctx.j_rho == J
+            if inside and spec.i0 < r <= spec.i0p or not inside and r == spec.i0 + 1:
+                out.append(J)
+    return out
+
+
+def test_socle_jsets_match_every_subset_filtered_by_the_two_families():
+    cases = [c for f in range(1, 6) for c in verify._window_cases(verify._nonsplit_contexts(f))]
+    assert len(cases) == sum((2**f - 1) * comb(f + 2, 2) for f in range(1, 6))  # every nonsplit context and window
+    for ctx, spec, case in cases:
+        assert socle_jsets(ctx, spec) == _socle_jsets_by_filter(ctx, spec), case
 
 
 def test_k1_cycle_examples():
