@@ -177,6 +177,7 @@ def kernels(repeats: int = 5) -> list[dict]:
          f"({len(p8)} calls)", lambda: _each(weights.profile_stats, p8)),
         ("ideals.numerator", "a1(i = 1) of X0^5, nonsplit f = 5, J_rho = {}, bigraded",
          lambda: ideals.numerator(window, ideals.Monomial.bigrade)),
+        ("ideals.hilbert", "a1(i = 1) of X0^5, nonsplit f = 5, J_rho = {}", lambda: ideals.hilbert(window)),
         ("ideals.a1", f"every reducible context, P-profile and i at f = 4 ({len(a1_f4)} calls)",
          lambda: _each(ideals.a1, a1_f4)),
         ("homology.taylor_profile", "pairing_ideal(5, 31, 0)", lambda: homology.taylor_profile(pairing)),

@@ -10,7 +10,6 @@ loads only what its subcommand uses.
 
 from __future__ import annotations
 
-import argparse
 import json
 import sys
 from functools import lru_cache
@@ -372,6 +371,7 @@ COMMANDS: dict[str, Command] = {
 
 
 def build_parser() -> argparse.ArgumentParser:
+    import argparse  # here, not at the top: importing the module for its payloads builds no parser
     ap = argparse.ArgumentParser(prog="serrecalc", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
     for name, cmd in COMMANDS.items():

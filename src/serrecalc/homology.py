@@ -112,8 +112,8 @@ def taylor_profile(ideal: MonomialIdeal) -> list[int]:
     used = [j for j in range(ideal.ambient) if any(g.exps[j] for g in gens)]
     pk = Packing.over(gens, len(used))
     blocks: defaultdict[int, list[int]] = defaultdict(list)  # face masks of any width
-    packed = tuple([pk.pack([g.exps[j] for j in used]) for g in gens])
-    _lyubeznik_walk(packed, pk, lambda m, s_mask: blocks[m].append(s_mask))
+    for m, s_mask in _lyubeznik_walk(tuple([pk.pack([g.exps[j] for j in used]) for g in gens]), pk):
+        blocks[m].append(s_mask)
     out = [0] * (len(gens) + 1)
     for faces in blocks.values():
         for k, dim in homology_from_faces(faces).items():

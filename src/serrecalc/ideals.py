@@ -14,7 +14,7 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import chain, combinations
 from math import comb
-from typing import Callable, Hashable, Iterable, Sequence
+from typing import Callable, Hashable, Iterable, Iterator, Sequence
 
 from .errors import ProfileMembershipError, SizeLimitError
 from .series import BigradedSeries, CharOffset, IntPoly, RationalSeries, Value, _add_ball_points
@@ -91,9 +91,9 @@ class Monomial(Value):
     def __mul__(self, other: "Monomial") -> "Monomial":
         return Monomial(tuple([a + b for a, b in zip(self.exps, other.exps, strict=True)]))
 
-    def bigrade(self) -> tuple[int, tuple[int, ...]]:
-        """(degree, character offset: +e_j per y_j power, -e_j per z_j power), the bigraded numerators' key."""
-        e = self.exps
+    @staticmethod
+    def bigrade(e: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
+        """(degree, character offset: +e_j per y_j power, -e_j per z_j power) of exponents ``e``, a numerator key."""
         return sum(e), tuple([y - z for y, z in zip(e[::2], e[1::2])])
 
     def sort_key(self) -> tuple:
@@ -293,7 +293,7 @@ def _member(f: int, stats: ProfileStats, base: MonomialIdeal, i: int) -> Monomia
 # -- Hilbert series ------------------------------------------------------
 
 def numerator(
-    ideal: MonomialIdeal, grade: Callable[[Monomial], Hashable], acc: dict | None = None, sign: int = 1
+    ideal: MonomialIdeal, grade: Callable[[tuple[int, ...]], Hashable], acc: dict | None = None, sign: int = 1
 ) -> dict:
     """Add sign * sum over generator subsets S of (-1)^|S| grade(lcm S) into ``acc``.
 
@@ -301,24 +301,21 @@ def numerator(
     through ``grade`` while it is summed: the one inclusion-exclusion loop
     behind every Hilbert series and bigraded table in the package.  Only the
     faces of ``_lyubeznik_walk`` are summed, one sign per packed lcm, and
-    ``grade`` runs once on each distinct lcm, in the order the walk met it.
+    ``grade`` reads each distinct lcm's exponent tuple once, in walk order.
     """
     pk = Packing.over(ideal.gens, ideal.ambient)
     signs: dict[int, int] = {}
-
-    def visit(m: int, s_mask: int):
+    for m, s_mask in _lyubeznik_walk(tuple([pk.pack(g.exps) for g in ideal.gens]), pk):
         signs[m] = signs.get(m, 0) + (-sign if s_mask.bit_count() & 1 else sign)
-
-    _lyubeznik_walk(tuple([pk.pack(g.exps) for g in ideal.gens]), pk, visit)
     acc = {} if acc is None else acc
     for m, s in signs.items():
-        key = grade(Monomial(pk.unpack(m)))
+        key = grade(pk.unpack(m))
         acc[key] = acc.get(key, 0) + s
     return acc
 
 
-def _lyubeznik_walk(gens: tuple[int, ...], pk: Packing, visit: Callable):
-    """Call ``visit(m, s_mask)`` on each face S of packed lcm m, in preorder from the empty face.
+def _lyubeznik_walk(gens: tuple[int, ...], pk: Packing) -> Iterator[tuple[int, int]]:
+    """Yield ``(m, s_mask)`` for each face S of packed lcm m, in preorder from the empty face.
 
     The faces are those of Lyubeznik's resolution (JPAA 51 (1988);
     Miller-Sturmfels, ch. 6), a subcomplex of the Taylor complex that is
@@ -331,6 +328,7 @@ def _lyubeznik_walk(gens: tuple[int, ...], pk: Packing, visit: Callable):
     Python's, and past ``FACE_CAP`` faces it stops with ``SizeLimitError``.
     """
     lcm, divides = pk.lcm, pk.divides
+    below = [gens[:i] for i in range(len(gens))]  # the generators a new least index i tests, sliced once
     stack = [(0, 0, len(gens))]  # (lcm, face, its least index or len(gens)): the children i < top
     faces = 0
     while stack:
@@ -338,10 +336,10 @@ def _lyubeznik_walk(gens: tuple[int, ...], pk: Packing, visit: Callable):
         if faces > FACE_CAP:
             raise SizeLimitError(f"the Lyubeznik walk passed its cap of {FACE_CAP} faces")
         m, s_mask, top = stack.pop()
-        visit(m, s_mask)
+        yield m, s_mask
         for i in range(top - 1, -1, -1):  # pushed last first, so index 0's subtree comes next
             m2 = lcm(gens[i], m)
-            for g in gens[:i]:  # a loop, not any() over a generator: this test runs once per extension
+            for g in below[i]:  # a loop, not any() over a generator: this test runs once per extension
                 if divides(g, m2):
                     break
             else:
@@ -350,7 +348,7 @@ def _lyubeznik_walk(gens: tuple[int, ...], pk: Packing, visit: Callable):
 
 def hilbert(ideal: MonomialIdeal) -> RationalSeries:
     """Hilbert series of R/I: the numerator graded by total degree."""
-    coeffs = numerator(ideal, lambda m: m.degree)  # never empty: it holds the empty subset
+    coeffs = numerator(ideal, sum)  # never empty: it holds the empty subset
     num = IntPoly(tuple([coeffs.get(d, 0) for d in range(max(coeffs) + 1)]))
     return RationalSeries(num, ideal.ambient)
 

@@ -367,8 +367,8 @@ def semisimple_match(ctx: GaloisContext, i0: int) -> MatchResult:
             if not in_pss(lp) or lp in seen or lp not in targets:
                 bijection_ok = False
             seen.add(lp)
-            p = p_monomial(ctx.f, st, jp)
-            numerator(a_ss(ctx, lp), lambda m: (m * p).bigrade(), num, -1)
+            p = p_monomial(ctx.f, st, jp).exps
+            numerator(a_ss(ctx, lp), lambda e: Monomial.bigrade(tuple([a + b for a, b in zip(e, p)])), num, -1)
         if any(num.values()):
             hilbert_ok = False
 

@@ -81,7 +81,8 @@ class GaloisContext(Value):
 
     __slots__ = ("f", "case", "j_rho")
 
-    def __init__(self, f: int, case: Case, j_rho: int = 0, p: int | None = None):
+    def __init__(self, f: int, case: Case | str, j_rho: int = 0, p: int | None = None):
+        case = Case(case)  # a plain "split" too, so every ``ctx.case is Case.SPLIT`` test reads it
         if f < 1:
             raise ValueError("f must be positive")
         full = full_mask(f)

@@ -398,7 +398,8 @@ def test_a_window_ideal_of_26_generators_is_answered(capsys):
         big, small = ideals.a1(ctx, lam, i0), ideals.a1(ctx, lam, i0p)
         sizes |= {len(big.gens), len(small.gens)}
         shift = ideals.d_shift(profile_stats(ctx, lam), i0)  # trunc 0: only stored degree 0, polynomial degree shift
-        counts = Counter(m.bigrade()[1] for m in ideals.standard_monomials(small, shift)[shift] if big.member(m))
+        standard = ideals.standard_monomials(small, shift)[shift]
+        counts = Counter(ideals.Monomial.bigrade(m.exps)[1] for m in standard if big.member(m))
         entries = [{"deg": "0", "mult": str(v), "offset": list(map(str, c))} for c, v in sorted(counts.items())]
         want.append({"profile": lam.tags(), "series": {"entries": entries, "trunc": "0"}})
     assert max(sizes) == 26 and json.loads(out)["summands"] == want
@@ -515,6 +516,23 @@ def test_a_subcommand_loads_only_the_modules_it_uses(name):
     if name in ("import", "enumerate", "stats"):
         assert loaded == set()
     assert ("serrecalc.verify" in loaded) == (name == "verify")
+
+
+IMPORT_PROBE = """
+import sys
+before = set(sys.modules)
+import serrecalc.cli
+print(*sorted(set(sys.modules) - before))
+"""
+
+
+def test_importing_the_cli_loads_no_argparse():
+    """Library importers and benchmark workers never build a parser, so the import leaves argparse out."""
+    env = {**os.environ, "PYTHONPATH": str(Path(serrecalc.__file__).parents[1])}
+    done = subprocess.run([sys.executable, "-c", IMPORT_PROBE], capture_output=True, text=True, env=env, timeout=60)
+    assert done.returncode == 0, done.stderr
+    new = set(done.stdout.split())
+    assert "serrecalc.cli" in new and not {"argparse", "gettext"} & new
 
 
 @pytest.mark.parametrize("name", sorted(set(CHEAP) - {"verify"}))  # verify reports table or json only

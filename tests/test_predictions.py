@@ -40,7 +40,9 @@ from serrecalc.weights import (
     _pss_list,
     enumerate_profiles,
     in_p,
+    indices,
     j_set,
+    mask_of,
     nonsplit_context,
     profile_stats,
     split_context,
@@ -322,6 +324,43 @@ def test_rotating_the_indices_changes_nothing():
                     assert i1_cardinality(turned, spec) == i1_cardinality(ctx, spec), (ctx, spec)
 
 
+def _dual(lam: WeightProfile) -> WeightProfile:
+    """sigma: x <-> p-1-x at every index, so the symbols X0 <-> P1, X1 <-> P2 and X2 <-> P3 trade masks."""
+    return WeightProfile(lam.p1, lam.p2, lam.p3, lam.x2, lam.x1, lam.x0)
+
+
+def test_the_duality_x_to_p_minus_1_minus_x_swaps_y_and_z():
+    """sigma fixes P^ss and each P, swaps the t-rule's y and z sides and J1 with J2, and negates every offset.
+
+    At f <= 5 for P^ss, at f <= 4 in every reducible context for the rest: profile_stats, x_counts, the
+    Hilbert series of a(lambda), every a1 member's bigraded numerator, and _lambda_prime over every J'.
+    """
+    from serrecalc.ideals import a1, hilbert, numerator
+    from serrecalc.predictions import _lambda_prime
+
+    def bigraded(ideal, negate=False):
+        return {(d, tuple([-x for x in c]) if negate else c): v
+                for (d, c), v in numerator(ideal, Monomial.bigrade).items() if v}
+
+    for f in range(1, 6):
+        assert set(map(_dual, _pss_list(f))) == set(_pss_list(f)), f
+    for f in range(1, 5):
+        for ctx in verify.reducible_contexts(f):
+            family = enumerate_profiles(ctx, "P")
+            assert {_dual(lam) for lam in family} == set(family), ctx
+            for lam in family:
+                st_, st_dual = profile_stats(ctx, lam), profile_stats(ctx, _dual(lam))
+                assert (st_dual.ty, st_dual.tz, st_dual.j1, st_dual.j2) == (st_.tz, st_.ty, st_.j2, st_.j1), (ctx, lam)
+                assert (st_dual.ell, st_dual.k, st_dual.a_set) == (st_.ell, st_.k, st_.a_set), (ctx, lam)
+                assert x_counts(ctx, _dual(lam)) == x_counts(ctx, lam), (ctx, lam)
+                assert hilbert(a_lambda(ctx, _dual(lam))) == hilbert(a_lambda(ctx, lam)), (ctx, lam)
+                for i in range(-1, f + 1):
+                    assert bigraded(a1(ctx, _dual(lam), i)) == bigraded(a1(ctx, lam, i), negate=True), (ctx, lam, i)
+                pool = indices(st_.j1 | st_.j2)
+                for jp in (mask_of(sub) for r in range(len(pool) + 1) for sub in combinations(pool, r)):
+                    assert _lambda_prime(_dual(lam), st_dual, jp) == _dual(_lambda_prime(lam, st_, jp)), (ctx, lam, jp)
+
+
 def test_semisimple_match_worked_pair():
     from serrecalc.predictions import _lambda_prime
 
@@ -332,7 +371,7 @@ def test_semisimple_match_worked_pair():
     assert lp == prof("X0", "X2")
     ideal = a_ss(ctx, lp)
     assert ideal.gens == (Monomial((0, 1, 0, 0)), Monomial((0, 0, 1, 0)))
-    assert p_monomial(2, st_, 0b10).bigrade()[1] == (0, -1)
+    assert Monomial.bigrade(p_monomial(2, st_, 0b10).exps)[1] == (0, -1)
     table = bigraded_difference(MonomialIdeal.unit(4), ideal, 2, 4, 0)
     assert table.totals() == [1, 2, 3, 4, 5]
 

@@ -49,6 +49,18 @@ def test_context_validation():
     split_context(2, p=47)
 
 
+def test_context_reads_a_case_given_as_its_value():
+    """The case string is converted to its ``Case`` member, so every ``ctx.case is Case...`` test reads it."""
+    from serrecalc.predictions import hilbert_pi, semisimple_match
+
+    ctx = GaloisContext(1, "split", 1)
+    assert ctx.case is Case.SPLIT and ctx == split_context(1)
+    assert hilbert_pi(ctx).equal
+    assert semisimple_match(GaloisContext(2, "nonsplit", 1), 0) == semisimple_match(nonsplit_context(2, [0]), 0)
+    with pytest.raises(ValueError):
+        GaloisContext(2, "bogus")
+
+
 def test_context_checks_p_but_does_not_store_it():
     for with_p, without in ((split_context(2, p=47), split_context(2)),
                             (nonsplit_context(3, [1], p=53), nonsplit_context(3, [1]))):
