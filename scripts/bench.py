@@ -158,6 +158,7 @@ def kernels(repeats: int = 5) -> list[dict]:
           for lam in weights.enumerate_profiles(ctx, "P")]
     a1_f4 = [(ctx, lam, i) for ctx in verify.reducible_contexts(4) for lam in weights.enumerate_profiles(ctx, "P")
              for i in range(-1, 5)]
+    patched6 = weights.WeightProfile.from_tags(["X1", "P2"] * 3)
     irreducible16 = series.RationalSeries(series.IntPoly.of(3, 1) ** 16 - series.one_minus_t() ** 16, 16)
     cold = lambda cached, *args: lambda: (cached.cache_clear(), cached(*args))
     cases = [
@@ -180,6 +181,8 @@ def kernels(repeats: int = 5) -> list[dict]:
         ("ideals.hilbert", "a1(i = 1) of X0^5, nonsplit f = 5, J_rho = {}", lambda: ideals.hilbert(window)),
         ("ideals.a1", f"every reducible context, P-profile and i at f = 4 ({len(a1_f4)} calls)",
          lambda: _each(ideals.a1, a1_f4)),
+        ("ideals.patched_ideals", "split f = 6, profile X1,P2,X1,P2,X1,P2",
+         lambda: ideals.patched_ideals(weights.split_context(6), patched6)),
         ("homology.taylor_profile", "pairing_ideal(5, 31, 0)", lambda: homology.taylor_profile(pairing)),
         ("homology.taylor_profile", "16 coordinate variables, 65,536 faces = FACE_CAP in one-face blocks",
          lambda: homology.taylor_profile(coordinates)),

@@ -61,13 +61,22 @@ def _list_of_lists(data, kind: type, what: str) -> list[list]:
     return data
 
 
+def _decode(text: str, what: str):
+    """``json.loads``, refusing as bad input a nesting deeper than the decoder's recursion limit."""
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise ValueError(f"{what} is nested too deeply to decode") from None
+
+
 def _read_profiles(path: str, f: int) -> list[WeightProfile]:
     """Profiles from a JSON tag-array list, or an object holding one under "profiles"."""
     if path == "-":
-        data = json.loads(sys.stdin.read())
+        text = sys.stdin.read()
     else:
         with open(path, encoding="utf-8") as fh:
-            data = json.load(fh)
+            text = fh.read()
+    data = _decode(text, path)
     if isinstance(data, dict):
         data = data.get("profiles")
     tag_lists = _list_of_lists(data, str, f"{path} to hold a list of profile tag arrays")
@@ -152,7 +161,7 @@ def _ideal(a) -> dict:
     if 1 << a.f > FACE_CAP and in_p(a.ctx, a.lam):
         raise SizeLimitError(f"the Lyubeznik walk passed its cap of {FACE_CAP} faces")
     ideal = a_lambda(a.ctx, a.lam)
-    return {"gens": [list(g.exps) for g in ideal.gens], "hilbert": rational_to_json(hilbert(ideal).reduced())}
+    return {"gens": [list(g) for g in ideal.gens], "hilbert": rational_to_json(hilbert(ideal).reduced())}
 
 
 def _series_check(res) -> dict:
@@ -230,11 +239,11 @@ def _match(a) -> dict:
 def _tor(a) -> dict:
     from .homology import hochster_profile, taylor_profile
     from .ideals import Monomial, MonomialIdeal
-    gens = _list_of_lists(json.loads(a.gens), int, "--gens to be a JSON list of integer exponent arrays")
+    gens = _list_of_lists(_decode(a.gens, "--gens"), int, "--gens to be a JSON list of integer exponent arrays")
     if a.max_i is not None and a.max_i < 0:
         raise ValueError(f"--max-i must be nonnegative, got {a.max_i}")
-    ideal = MonomialIdeal(len(gens[0]) if gens else 0, tuple([Monomial(tuple(g)) for g in gens]))
-    payload: dict = {"gens": [list(g.exps) for g in ideal.gens]}
+    ideal = MonomialIdeal(len(gens[0]) if gens else 0, tuple([Monomial(g) for g in gens]))
+    payload: dict = {"gens": [list(g) for g in ideal.gens]}
     for key, oracle in (("taylor", taylor_profile), ("hochster", hochster_profile)):
         if a.method in (key, "both"):
             payload[key] = oracle(ideal)[: None if a.max_i is None else a.max_i + 1]
@@ -262,8 +271,8 @@ def _patched(a) -> dict:
     from .ideals import patched_ideals
     inter, expected = patched_ideals(a.ctx, a.lam)
     return {
-        "intersection": [list(g.exps) for g in inter.gens],
-        "expected": [list(g.exps) for g in expected.gens],
+        "intersection": [list(g) for g in inter.gens],
+        "expected": [list(g) for g in expected.gens],
         "ok": inter.gens == expected.gens,
     }
 

@@ -109,10 +109,10 @@ def taylor_profile(ideal: MonomialIdeal) -> list[int]:
     """
     gens = ideal.gens
     # the lcms live in the variables some generator uses; the others only lengthen each block key
-    used = [j for j in range(ideal.ambient) if any(g.exps[j] for g in gens)]
+    used = [j for j in range(ideal.ambient) if any(g[j] for g in gens)]
     pk = Packing.over(gens, len(used))
     blocks: defaultdict[int, list[int]] = defaultdict(list)  # face masks of any width
-    for m, s_mask in _lyubeznik_walk(tuple([pk.pack([g.exps[j] for j in used]) for g in gens]), pk):
+    for m, s_mask in _lyubeznik_walk(tuple([pk.pack([g[j] for j in used]) for g in gens]), pk):
         blocks[m].append(s_mask)
     out = [0] * (len(gens) + 1)
     for faces in blocks.values():

@@ -5,19 +5,20 @@ Variable order is y_0 < z_0 < ... < y_{f-1} < z_{f-1} (index 2j for y_j,
 sorted in graded lexicographic order, so ideal output is reproducible byte
 for byte.  A monomial of
 polynomial degree n represents a graded piece in module degree -n, stored
-at the nonnegative index n as everywhere in this package.  The lcm walks
-carry exponents packed into ints (``Packing``); ``Monomial`` keeps tuples.
+at the nonnegative index n as everywhere in this package.  A ``Monomial``
+is its exponent tuple; the lcm walks carry exponents packed into ints
+(``Packing``).
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import chain, combinations
+from itertools import chain, combinations, islice
 from math import comb
 from typing import Callable, Hashable, Iterable, Iterator, Sequence
 
 from .errors import ProfileMembershipError, SizeLimitError
-from .series import BigradedSeries, CharOffset, IntPoly, RationalSeries, Value, _add_ball_points
+from .series import BigradedSeries, CharOffset, IntPoly, RationalSeries, Value, _ball_points
 from .weights import GaloisContext, ProfileStats, WeightProfile, in_p, indices, j_dprime, mask_of, profile_stats
 
 #: ``_lyubeznik_walk`` visits at most this many faces, the one bound on the walk
@@ -38,21 +39,19 @@ FACE_CAP = 2**16
 TABLE_CAP = 500_000
 
 
-class Monomial(Value):
-    """Exponent vector over a fixed ambient variable count."""
+class Monomial(tuple):
+    """Exponent vector: the tuple itself, so equality, hash and order are the tuple's, in C.
 
-    __slots__ = ("exps",)
+    ``+`` is the tuple's concatenation (zero padding); ``*`` is the monomial product.
+    """
 
-    def __init__(self, exps: tuple[int, ...]):
-        if exps and min(exps) < 0:
+    __slots__ = ()
+
+    def __new__(cls, exps: Iterable[int]):
+        self = tuple.__new__(cls, exps)
+        if self and min(self) < 0:
             raise ValueError("exponents must be nonnegative")
-        object.__setattr__(self, "exps", exps)
-
-    def __eq__(self, other):
-        return self.exps == other.exps if other.__class__ is self.__class__ else NotImplemented
-
-    def __hash__(self):
-        return hash((self.exps,))
+        return self
 
     @staticmethod
     def one(ambient: int) -> "Monomial":
@@ -62,34 +61,30 @@ class Monomial(Value):
     def variable(ambient: int, idx: int, power: int = 1) -> "Monomial":
         exps = [0] * ambient
         exps[idx] = power
-        return Monomial(tuple(exps))
-
-    @property
-    def ambient(self) -> int:
-        return len(self.exps)
+        return Monomial(exps)
 
     @property
     def degree(self) -> int:
-        return sum(self.exps)
+        return sum(self)
 
     def is_squarefree(self) -> bool:
-        return all(e <= 1 for e in self.exps)
+        return all(e <= 1 for e in self)
 
     def support_mask(self) -> int:
         mask = 0
-        for i, e in enumerate(self.exps):
+        for i, e in enumerate(self):
             if e:
                 mask |= 1 << i
         return mask
 
     def divides(self, other: "Monomial") -> bool:
-        return all(a <= b for a, b in zip(self.exps, other.exps, strict=True))
+        return all(a <= b for a, b in zip(self, other, strict=True))
 
     def lcm(self, other: "Monomial") -> "Monomial":
-        return Monomial(tuple([max(a, b) for a, b in zip(self.exps, other.exps, strict=True)]))
+        return Monomial([max(a, b) for a, b in zip(self, other, strict=True)])
 
     def __mul__(self, other: "Monomial") -> "Monomial":
-        return Monomial(tuple([a + b for a, b in zip(self.exps, other.exps, strict=True)]))
+        return Monomial([a + b for a, b in zip(self, other, strict=True)])
 
     @staticmethod
     def bigrade(e: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
@@ -98,7 +93,7 @@ class Monomial(Value):
 
     def sort_key(self) -> tuple:
         # graded lexicographic: by degree, then earlier variables first
-        return (self.degree, tuple([-e for e in self.exps]))
+        return (self.degree, tuple([-e for e in self]))
 
 
 class Packing:
@@ -125,7 +120,7 @@ class Packing:
         self.guards = int("0" + ("1" + "0" * (w - 1)) * n, 2)
 
     def pack(self, exps: Sequence[int]) -> int:
-        return int("0" + "".join(map(self.code.__getitem__, reversed(exps))), 2)
+        return int("0" + "".join(map(self.code.__getitem__, exps[::-1])), 2)  # reversed() is slow on a tuple subclass
 
     def unpack(self, p: int) -> tuple[int, ...]:
         s = format(p, self.spec)
@@ -141,7 +136,7 @@ class Packing:
 
     @staticmethod
     def over(gens: Iterable[Monomial], n: int) -> "Packing":  # holds gens and their lcms
-        return _packing(n, frozenset(chain.from_iterable(g.exps for g in gens)))
+        return _packing(n, frozenset(chain.from_iterable(gens)))
 
 
 @lru_cache(maxsize=32)  # the ideals of one family share a few lengths and exponent sets
@@ -156,7 +151,7 @@ def paired(f: int, ys: int, zs: int) -> Monomial:
     exps = [0] * (2 * f)
     exps[::2] = [ys >> j & 1 for j in range(f)]
     exps[1::2] = [zs >> j & 1 for j in range(f)]
-    return Monomial(tuple(exps))
+    return Monomial(exps)
 
 
 def _minimal(pk: Packing, packed: Iterable[int]) -> list[int]:
@@ -172,7 +167,7 @@ def _minimalize(gens: tuple[Monomial, ...], ambient: int) -> tuple[Monomial, ...
     if len(gens) < 2:  # nothing to compare: most ideals the families build are zero or unit
         return tuple(gens)
     pk = Packing.over(gens, ambient)
-    by_packed = {pk.pack(g.exps): g for g in gens}
+    by_packed = {pk.pack(g): g for g in gens}
     return tuple(sorted(map(by_packed.__getitem__, _minimal(pk, by_packed)), key=Monomial.sort_key))
 
 
@@ -182,18 +177,10 @@ class MonomialIdeal(Value):
     __slots__ = ("ambient", "gens")
 
     def __init__(self, ambient: int, gens: tuple[Monomial, ...]):
-        if any(g.ambient != ambient for g in gens):
+        if any(len(g) != ambient for g in gens):
             raise ValueError("generator ambient mismatch")
         object.__setattr__(self, "ambient", ambient)
         object.__setattr__(self, "gens", _minimalize(gens, ambient))
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.ambient == other.ambient and self.gens == other.gens
-
-    def __hash__(self):
-        return hash((self.ambient, self.gens))
 
     @staticmethod
     def zero(ambient: int) -> "MonomialIdeal":
@@ -226,8 +213,8 @@ class MonomialIdeal(Value):
         if self.is_zero() or other.is_zero():
             return MonomialIdeal.zero(self.ambient)
         pk = Packing.over(self.gens + other.gens, self.ambient)
-        mine = [pk.pack(g.exps) for g in self.gens]
-        lcms = _minimal(pk, {pk.lcm(a, pk.pack(b.exps)) for b in other.gens for a in mine})
+        mine = [pk.pack(g) for g in self.gens]
+        lcms = _minimal(pk, {pk.lcm(a, pk.pack(b)) for b in other.gens for a in mine})
         gens = sorted((Monomial(pk.unpack(m)) for m in lcms), key=Monomial.sort_key)
         out = object.__new__(MonomialIdeal)  # the lcms are minimal already: skip the constructor's second pass
         Value.__init__(out, self.ambient, tuple(gens))
@@ -305,7 +292,7 @@ def numerator(
     """
     pk = Packing.over(ideal.gens, ideal.ambient)
     signs: dict[int, int] = {}
-    for m, s_mask in _lyubeznik_walk(tuple([pk.pack(g.exps) for g in ideal.gens]), pk):
+    for m, s_mask in _lyubeznik_walk(tuple([pk.pack(g) for g in ideal.gens]), pk):
         signs[m] = signs.get(m, 0) + (-sign if s_mask.bit_count() & 1 else sign)
     acc = {} if acc is None else acc
     for m, s in signs.items():
@@ -328,7 +315,6 @@ def _lyubeznik_walk(gens: tuple[int, ...], pk: Packing) -> Iterator[tuple[int, i
     Python's, and past ``FACE_CAP`` faces it stops with ``SizeLimitError``.
     """
     lcm, divides = pk.lcm, pk.divides
-    below = [gens[:i] for i in range(len(gens))]  # the generators a new least index i tests, sliced once
     stack = [(0, 0, len(gens))]  # (lcm, face, its least index or len(gens)): the children i < top
     faces = 0
     while stack:
@@ -339,7 +325,7 @@ def _lyubeznik_walk(gens: tuple[int, ...], pk: Packing) -> Iterator[tuple[int, i
         yield m, s_mask
         for i in range(top - 1, -1, -1):  # pushed last first, so index 0's subtree comes next
             m2 = lcm(gens[i], m)
-            for g in below[i]:  # a loop, not any() over a generator: this test runs once per extension
+            for g in islice(gens, i):  # no slice per i held (n^2 / 2 references), no any(): this runs per extension
                 if divides(g, m2):
                     break
             else:
@@ -364,9 +350,7 @@ def standard_counts_naive(ideal: MonomialIdeal, bound: int) -> list[int]:
 def standard_monomials(ideal: MonomialIdeal, bound: int) -> list[list[Monomial]]:
     """The monomials outside the ideal, by degree up to bound, each degree in lexicographic order."""
     out: list[list[Monomial]] = [[] for _ in range(bound + 1)]
-    points: list[tuple[int, ...]] = []
-    _add_ball_points([(0, bound)] * ideal.ambient, bound, [], points)
-    for exps in points:
+    for exps in _ball_points([(0, bound)] * ideal.ambient, bound):
         m = Monomial(exps)
         if not ideal.member(m):
             out[m.degree].append(m)
@@ -460,7 +444,7 @@ def pairing_ideal(pairs: int, ys: int, n_z: int) -> MonomialIdeal:
     gens = [paired(pairs, 1 << j, 1 << j) for j in range(pairs)]
     gens += [paired(pairs, 0, a | b) for a, b in combinations(bits, 2)]
     zs = [Monomial.variable(n, 2 * pairs + m) for m in range(n_z)]
-    return MonomialIdeal(n, tuple([Monomial(g.exps + pad) for g in gens] + zs))
+    return MonomialIdeal(n, tuple([Monomial(g + pad) for g in gens] + zs))
 
 
 #: ``patched_ideals`` intersects up to 2^|J_rho| linear ideals, |J_rho| <= f.

@@ -19,7 +19,7 @@ from math import comb
 
 from .errors import SizeLimitError
 from .linalg import exact_rank
-from .series import Value, _add_ball_points
+from .series import Value, _ball_points
 from .weights import GaloisContext, WeightProfile, profile_stats
 
 Mono = tuple[int, ...]
@@ -51,8 +51,7 @@ def mono_offset(m: Mono, f: int) -> tuple[int, ...]:
 def pbw_basis(f: int, n: int) -> tuple[Mono, ...]:
     """Normal-ordered monomials of degree < n, by degree then lexicographic."""
     _check_n(n, 3)
-    points: list[Mono] = []
-    _add_ball_points([(0, n - 1)] * (3 * f), n - 1, [], points)
+    points = _ball_points([(0, n - 1)] * (3 * f), n - 1)
     return tuple(sorted((m for m in points if mono_degree(m, f) < n), key=lambda m: (mono_degree(m, f), m)))
 
 

@@ -16,7 +16,7 @@ from .errors import SizeLimitError, UnsupportedCaseError
 from .homology import ext1_lower_bound, ext_closed
 from .ideals import Monomial, _family, _member, a_ss, bigraded_difference, d_shift, numerator, p_monomial
 from .pbw import char_multiset
-from .series import BigradedSeries, IntPoly, RationalSeries, Value, _add_ball_points, one_minus_t
+from .series import BigradedSeries, IntPoly, RationalSeries, Value, _ball_points, one_minus_t
 from .weights import (
     Case,
     GaloisContext,
@@ -302,8 +302,7 @@ def theta_lattice(ctx: GaloisContext, lam: WeightProfile, n: int, i0: int) -> La
         raise SizeLimitError(f"a ball of {size} lattice points exceeds the cap of {THETA_POINT_CAP}")
     # sign constraints: <= 0 where t_j = y_j, >= 0 where t_j = z_j
     bounds = [(0 if st.tz >> j & 1 else -r, 0 if st.ty >> j & 1 else r) for j in range(ctx.f)]
-    ball: list[tuple[int, ...]] = []
-    _add_ball_points(bounds, r, [], ball)
+    ball = _ball_points(bounds, r)
 
     j1, j2 = indices(st.j1), indices(st.j2)
     in_theta = [p for p in ball if sum(p[j] > 0 for j in j1) + sum(p[j] < 0 for j in j2) >= d_lam]
@@ -367,7 +366,7 @@ def semisimple_match(ctx: GaloisContext, i0: int) -> MatchResult:
             if not in_pss(lp) or lp in seen or lp not in targets:
                 bijection_ok = False
             seen.add(lp)
-            p = p_monomial(ctx.f, st, jp).exps
+            p = p_monomial(ctx.f, st, jp)
             numerator(a_ss(ctx, lp), lambda e: Monomial.bigrade(tuple([a + b for a, b in zip(e, p)])), num, -1)
         if any(num.values()):
             hilbert_ok = False
@@ -426,8 +425,7 @@ def shell_counts(f: int, ty: int, tz: int) -> tuple[int, ...]:
     themselves and flips that coordinate's sign in the box, and permuting the
     coordinates permutes the box's indices.
     """
-    box: list[tuple[int, ...]] = []
-    _add_ball_points([(-(ty >> j & 1), tz >> j & 1) for j in range(f)], 1, [], box)
+    box = _ball_points([(-(ty >> j & 1), tz >> j & 1) for j in range(f)], 1)
     counts, lower = [], set()
     for d in range(3):
         offsets = char_multiset(f, d)

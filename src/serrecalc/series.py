@@ -6,7 +6,7 @@ non-positive degrees, and the piece of degree -n is stored under the
 nonnegative index n.  All coefficients are arbitrary-precision integers;
 nothing in this package uses floating point.  ``ideals.bigraded_difference``
 builds every ``BigradedSeries``; the JSON forms here are the CLI's output
-and are written, never read back.  ``_add_ball_points`` lists every bounded
+and are written, never read back.  ``_ball_points`` lists every bounded
 set of integer vectors the package enumerates: standard monomials, the PBW
 basis, and the l1 balls and boxes of ``predictions``.
 """
@@ -32,8 +32,11 @@ class Value:
 
     Assigning a field raises ``AttributeError``, ``==`` holds only within one
     class, the hash is that of the field tuple and the repr is ``Name(field=value, ...)``.
-    Types that key the kernels' sets and dicts override ``__eq__`` and ``__hash__``
-    field by field, as these loops are several times slower.
+    Three types override them: ``WeightProfile`` field by field, as it keys the
+    matching kernels' sets and these loops are several times slower;
+    ``RationalSeries``, equal up to cancelled (1 - t) factors; ``ACounts``,
+    whose hash leaves out its dicts.  An exponent vector is no record but a
+    tuple subclass (``CharOffset``, ``ideals.Monomial``), compared in C.
     """
 
     __slots__ = ()
@@ -238,21 +241,26 @@ def expand(rs: RationalSeries, n: int) -> list[int]:
     return out
 
 
-def _add_ball_points(bounds: list[tuple[int, int]], left: int, cur: list[int], out: list[tuple[int, ...]]):
-    """Append, in lexicographic order, the points that begin with ``cur``, keep
-    coordinate j within ``bounds[j]`` and have l1 norm <= left past ``cur``."""
-    if len(cur) == len(bounds):
-        out.append(tuple(cur))
-        return
-    if not left:  # only zeros are left: one point, if every remaining bound holds 0
-        if all(lo <= 0 <= hi for lo, hi in bounds[len(cur):]):
-            out.append(tuple(cur) + (0,) * (len(bounds) - len(cur)))
-        return
-    lo, hi = bounds[len(cur)]
-    for v in range(max(lo, -left), min(hi, left) + 1):
-        cur.append(v)
-        _add_ball_points(bounds, left - abs(v), cur, out)
-        cur.pop()
+def _ball_points(bounds: list[tuple[int, int]], left: int) -> list[tuple[int, ...]]:
+    """The integer points with coordinate j within ``bounds[j]`` and l1 norm <= left, in lexicographic order.
+
+    The walk keeps its own stack of (prefix, norm left), so its depth is not Python's.
+    """
+    n = len(bounds)
+    zeros_fit = [True] * (n + 1)  # zeros_fit[d]: every bound from coordinate d on holds 0
+    for d in range(n - 1, -1, -1):
+        zeros_fit[d] = zeros_fit[d + 1] and bounds[d][0] <= 0 <= bounds[d][1]
+    out, stack = [], [((), left)]
+    while stack:
+        cur, r = stack.pop()
+        d = len(cur)
+        if d == n or not r:  # only zeros are left: one point, if every remaining bound holds 0
+            if zeros_fit[d]:
+                out.append(cur + (0,) * (n - d))
+        else:  # pushed highest first, so the lowest value's points come next
+            lo, hi = bounds[d]
+            stack += [(cur + (v,), r - abs(v)) for v in range(min(hi, r), max(lo, -r) - 1, -1)]
+    return out
 
 
 class CharOffset(tuple):

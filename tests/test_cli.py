@@ -255,6 +255,10 @@ BAD_INPUT = {
     "gens-non-integer": ["tor", "--gens", '[["a"]]'],
     "from-json-missing": ["stats", "--f", "2", "--case", "split", "--jrho", "all", "--from-json", "TMP/missing.json"],
     "from-json-shape": ["stats", "--f", "2", "--case", "split", "--jrho", "all", "--from-json", "TMP/x.json"],
+    # 1,000 nested arrays: the JSON decoder passes the recursion limit
+    "gens-nested-too-deeply": ["tor", "--gens", "[" * 1000 + "]" * 1000],
+    "from-json-nested-too-deeply": ["stats", "--f", "2", "--case", "split", "--jrho", "all",
+                                    "--from-json", "TMP/deep.json"],
     "hochster-above-vertex-cap": ["tor", "--gens", json.dumps([[1] + [0] * VERTEX_CAP]), "--method", "hochster"],
     "verify-f-zero": ["verify", "--suite", "tor", "--f", "0"],
     "verify-f-negative": ["verify", "--suite", "hilbert", "--f", "-1"],
@@ -321,6 +325,7 @@ BAD_INPUT = {
 @pytest.mark.parametrize("argv", BAD_INPUT.values(), ids=BAD_INPUT.keys())
 def test_bad_input_exits_2_with_one_error_line(capsys, tmp_path, argv):
     (tmp_path / "x.json").write_text('{"x":1}')
+    (tmp_path / "deep.json").write_text("[" * 1000 + "]" * 1000)
     start = time.perf_counter()
     try:
         rc = main([a.replace("TMP", str(tmp_path)) for a in argv])
@@ -399,7 +404,7 @@ def test_a_window_ideal_of_26_generators_is_answered(capsys):
         sizes |= {len(big.gens), len(small.gens)}
         shift = ideals.d_shift(profile_stats(ctx, lam), i0)  # trunc 0: only stored degree 0, polynomial degree shift
         standard = ideals.standard_monomials(small, shift)[shift]
-        counts = Counter(ideals.Monomial.bigrade(m.exps)[1] for m in standard if big.member(m))
+        counts = Counter(ideals.Monomial.bigrade(m)[1] for m in standard if big.member(m))
         entries = [{"deg": "0", "mult": str(v), "offset": list(map(str, c))} for c, v in sorted(counts.items())]
         want.append({"profile": lam.tags(), "series": {"entries": entries, "trunc": "0"}})
     assert max(sizes) == 26 and json.loads(out)["summands"] == want
@@ -408,7 +413,7 @@ def test_a_window_ideal_of_26_generators_is_answered(capsys):
 def test_tor_answers_a_42_generator_window_ideal(capsys):
     # 49,920 faces, within the walk's cap; the face masks are wider than 32 bits
     ideal = ideals.a1(nonsplit_context(7, []), WeightProfile.from_tags(["X0"] * 7), 3)
-    rc, out = run(capsys, "tor", "--gens", json.dumps([g.exps for g in ideal.gens]), "--method", "taylor",
+    rc, out = run(capsys, "tor", "--gens", json.dumps(ideal.gens), "--method", "taylor",
                   "--max-i", "7")
     assert rc == 0 and len(ideal.gens) == 42
     assert json.loads(out)["taylor"] == ["1", "42", "245", "630", "832", "595", "224", "35"]
@@ -560,6 +565,13 @@ def test_stats_prints_the_t_rule_of_every_p_profile(capsys, monkeypatch, f):
             t = [rule[s] if ctx.j_rho >> j & 1 else "YZ" for j, s in enumerate(tags)]
             assert (rec["profile"], rec["t_assign"]) == (tags, t), ctx
             assert rec["eps"] == {str(j): "-1" if g == "Y" else "1" for j, g in enumerate(t) if g != "YZ"}, (ctx, tags)
+
+
+def test_stats_refuses_too_deep_json_on_stdin(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "stdin", io.StringIO("[" * 1000 + "]" * 1000))
+    rc = main(["stats", "--f", "2", "--case", "split", "--jrho", "all", "--from-json", "-"])
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == "" and captured.err == "error: - is nested too deeply to decode\n"
 
 
 # -- argv fuzzing ----------------------------------------------------------

@@ -1,5 +1,6 @@
 import random
 import sys
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations
 from math import comb
@@ -107,6 +108,19 @@ def test_the_walk_answers_an_ideal_of_exactly_its_face_cap(monkeypatch):
         numerator(MonomialIdeal(n + 1, tuple(mono(n + 1, i) for i in range(n + 1))), sum)
 
 
+def test_the_walk_holds_no_prefix_per_generator():
+    """3,000 pairwise incomparable generators: the first face costs no copy of the generators below each index."""
+    pk = Packing(2, range(3001))
+    walk = ideals._lyubeznik_walk(tuple([pk.pack((i, 3000 - i)) for i in range(3000)]), pk)
+    tracemalloc.start()
+    try:
+        assert next(walk) == (0, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20, peak  # 3,000 slices held for the walk took 34 MiB
+
+
 def test_taylor_and_numerator_walk_the_same_lyubeznik_faces(monkeypatch):
     """One ``Packing.lcm`` per attempted extension, over the faces ``numerator`` walks too."""
     ideal = ideals.pairing_ideal(4, 0b1111, 0)
@@ -131,9 +145,9 @@ def test_taylor_and_numerator_walk_the_same_lyubeznik_faces(monkeypatch):
 
 def polarization(ideal: MonomialIdeal) -> MonomialIdeal:
     """x_j^e becomes x_{j,0} ... x_{j,e-1}, one new variable per power up to the largest."""
-    tops = [max(g.exps[j] for g in ideal.gens) for j in range(ideal.ambient)]
+    tops = [max(g[j] for g in ideal.gens) for j in range(ideal.ambient)]
     starts = [sum(tops[:j]) for j in range(ideal.ambient)]
-    polar = lambda g: mono(sum(tops), *(starts[j] + r for j, e in enumerate(g.exps) for r in range(e)))
+    polar = lambda g: mono(sum(tops), *(starts[j] + r for j, e in enumerate(g) for r in range(e)))
     return MonomialIdeal(sum(tops), tuple(polar(g) for g in ideal.gens))
 
 
@@ -231,7 +245,7 @@ def test_oracles_agree_on_patched_shapes(f):
 def test_hochster_walks_only_the_lcm_lattice(monkeypatch):
     """One homology per union of generator supports, counted without bit masks."""
     ideal = patched_shape(4, 4, 4)
-    supports = [frozenset(i for i, e in enumerate(g.exps) if e) for g in ideal.gens]
+    supports = [frozenset(i for i, e in enumerate(g) if e) for g in ideal.gens]
     lattice = {frozenset().union(*sub) for r in range(len(supports) + 1) for sub in combinations(supports, r)}
     calls = []
     real = homology.homology_from_faces
@@ -286,7 +300,7 @@ def test_hilbert_oracles_share_only_the_monomial_type():
     ideal = a1(nonsplit_context(3, [0]), WeightProfile.from_tags(["X0"] * 3), 1)
     engine = serrecalc_calls(hilbert, ideal)
     naive = serrecalc_calls(standard_counts_naive, ideal, 5)
-    assert ("serrecalc.ideals", "_lyubeznik_walk") in engine and ("serrecalc.ideals", "Monomial.__init__") in naive
+    assert ("serrecalc.ideals", "_lyubeznik_walk") in engine and ("serrecalc.ideals", "Monomial.__new__") in naive
     leaked = sorted(".".join(key) for key in engine & naive - SHARED_BY_HILBERT_ORACLES)
     assert not leaked, f"the Hilbert oracles both call {', '.join(leaked)}"
 
@@ -345,9 +359,8 @@ def test_shell_oracles_share_only_profile_stats():
 # patched_ideals' intersection and its expected pairing ideal share only the MonomialIdeal constructor's packed
 # path and the monomial type it normalizes
 SHARED_BY_PATCHED_SIDES = {
-    ("serrecalc.ideals", "Monomial.__init__"),
+    ("serrecalc.ideals", "Monomial.__new__"),
     ("serrecalc.ideals", "Monomial.variable"),
-    ("serrecalc.ideals", "Monomial.ambient"),
     ("serrecalc.ideals", "Monomial.sort_key"),
     ("serrecalc.ideals", "Monomial.degree"),
     ("serrecalc.ideals", "MonomialIdeal.__init__"),

@@ -22,7 +22,7 @@ from serrecalc.series import (
     IntPoly,
     RationalSeries,
     Value,
-    _add_ball_points,
+    _ball_points,
     bigraded_to_json,
     expand,
     rational_to_json,
@@ -156,8 +156,7 @@ VALUES = [
     (count_by_A(split_context(1)), "ACounts(domain='D', closed={0: 2}, enumerated={0: 2}, closed_p_level={0: 4}, "
      "enumerated_p_level={0: 4}, ok=True)"),
     (Command("h", (), len), "Command(help='h', flags=(), payload=<built-in function len>, ok=(), rows=None)"),
-    (Monomial((1, 0)), "Monomial(exps=(1, 0))"),
-    (MonomialIdeal(2, (Monomial((1, 0)),)), "MonomialIdeal(ambient=2, gens=(Monomial(exps=(1, 0)),))"),
+    (MonomialIdeal(2, (Monomial((1, 0)),)), "MonomialIdeal(ambient=2, gens=((1, 0),))"),
     (ext_dims(1, 0), "ExtDims(closed=(1, 2, 1), oracle=(1, 2, 1), convolution=(1, 2, 1), ok=True)"),
     (tor1_gr(split_context(1), X0),
      "GrTorDims(dim_im_d1=4, dim_ker_d1=10, dim_im_d2=3, tor1=7, expected=(4, 10, 3, 7), ok=True)"),
@@ -180,7 +179,7 @@ HASHED = {
 
 def test_every_value_type_has_an_instance_below():
     package_types = {cls for cls in Value.__subclasses__() if cls.__module__.startswith("serrecalc.")}
-    assert package_types == {type(v) for v, _ in VALUES} and len(VALUES) == 17
+    assert package_types == {type(v) for v, _ in VALUES} and len(VALUES) == 16
 
 
 def test_char_offset_is_its_tuple():
@@ -192,6 +191,19 @@ def test_char_offset_is_its_tuple():
     again = pickle.loads(pickle.dumps(c))
     assert type(again) is CharOffset and again == c
     assert gc.is_tracked(c)
+
+
+def test_monomial_is_its_tuple():
+    """A monomial compares and hashes as its exponent tuple, in C, and keeps its nonnegativity check."""
+    m = Monomial((1, 0, 2))
+    assert m == (1, 0, 2) and (1, 0, 2) == m and hash(m) == hash((1, 0, 2)) and m != (1, 0, 2, 0)
+    assert {m: 1} == {(1, 0, 2): 1}
+    assert Monomial([1, 0]) == Monomial((1, 0)) and hash(Monomial([1, 0])) == hash((1, 0))
+    with pytest.raises(ValueError, match="^exponents must be nonnegative$"):
+        Monomial((1, -1))
+    again = pickle.loads(pickle.dumps(m))
+    assert type(again) is Monomial and again == m
+    assert type(m + (0,)) is tuple and m * Monomial((0, 1, 1)) == (1, 1, 3)
 
 
 @pytest.mark.parametrize("value, text", VALUES, ids=[type(v).__name__ for v, _ in VALUES])
@@ -228,7 +240,14 @@ def test_no_tuple_is_built_from_a_generator_or_map():
 @example([(0, 3)] * 4, 0)
 def test_ball_points_match_a_product_filter(bounds, left):
     """Every bounds box, holding 0 or not, and every radius: the ball listed in lexicographic order."""
-    points: list[tuple[int, ...]] = []
-    _add_ball_points(bounds, left, [], points)
+    points = _ball_points(bounds, left)
     box = product(*(range(lo, hi + 1) for lo, hi in bounds))
     assert points == [p for p in box if sum(map(abs, p)) <= left]
+
+
+def test_ball_points_walk_more_coordinates_than_the_recursion_limit():
+    n = 1500
+    unit = lambda j, v: (0,) * j + (v,) + (0,) * (n - 1 - j)
+    want = [unit(j, -1) for j in range(n)] + [(0,) * n] + [unit(j, 1) for j in reversed(range(n))]
+    assert _ball_points([(-1, 1)] * n, 1) == want
+    assert _ball_points([(0, 1)] * n, 0) == [(0,) * n] and _ball_points([(1, 1)] * n, 0) == []
