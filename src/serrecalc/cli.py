@@ -12,9 +12,10 @@ from __future__ import annotations
 
 import json
 import sys
+from collections import namedtuple
 from functools import lru_cache
 
-from .series import Value, bigraded_to_json, dumps_canonical, expand, rational_to_json
+from .series import bigraded_to_json, dumps_canonical, expand, rational_to_json
 from .weights import FAMILIES, Case, GaloisContext, WeightProfile, enumerate_profiles, full_mask, indices, profile_stats
 
 
@@ -233,7 +234,7 @@ def _theta(a) -> dict:
 
 def _match(a) -> dict:
     from .predictions import semisimple_match
-    return semisimple_match(a.ctx, a.i0).asdict()
+    return semisimple_match(a.ctx, a.i0)._asdict()
 
 
 def _tor(a) -> dict:
@@ -264,7 +265,7 @@ def _grtor(a) -> dict:
 
 def _xcounts(a) -> dict:
     from .predictions import x_counts
-    return x_counts(a.ctx, a.lam).asdict()
+    return x_counts(a.ctx, a.lam)._asdict()
 
 
 def _patched(a) -> dict:
@@ -280,7 +281,7 @@ def _patched(a) -> dict:
 def _verify(a) -> list[dict]:
     from . import verify
     names = sorted(verify.SUITES) if (a.all or not a.suite) else a.suite
-    return [r.asdict() for r in verify.run_suites(names, a.f)]
+    return [r._asdict() for r in verify.run_suites(names, a.f)]
 
 
 def _verify_rows(records: list[dict]) -> list[list[str]]:
@@ -304,7 +305,7 @@ _WINDOW = (_I0, ("--i0p", dict(type=int, required=True)))
 _TRUNC = ("--trunc", dict(type=int, default=None))
 
 
-class Command(Value):
+class Command(namedtuple("Command", "help flags payload ok rows", defaults=((), None))):
     """One subcommand: help, (flag, add_argument kwargs) pairs and a payload function.
 
     The payload maps the parsed arguments to a dict or a list of dicts.  Exit
@@ -313,10 +314,7 @@ class Command(Value):
     is the payload's sorted key/value pairs.
     """
 
-    __slots__ = ("help", "flags", "payload", "ok", "rows")
-
-    def __init__(self, help: str, flags: tuple[tuple[str, dict], ...], payload, ok: tuple[str, ...] = (), rows=None):
-        super().__init__(help, flags, payload, ok, rows)
+    __slots__ = ()
 
 
 COMMANDS: dict[str, Command] = {

@@ -12,14 +12,13 @@ takes its padded pairing ideal from ``ideals.pairing_ideal``.
 
 from __future__ import annotations
 
-from collections import defaultdict
+from collections import defaultdict, namedtuple
 from math import comb
 from typing import Iterable
 
 from .errors import SizeLimitError
 from .ideals import MonomialIdeal, Packing, _lyubeznik_walk, pairing_ideal
 from .linalg import exact_rank
-from .series import Value
 
 #: Hochster's formula lists the faces once and takes one homology per lcm
 #: lattice point, of which there are at most 2^n.  The f = 4 patched shapes
@@ -116,6 +115,9 @@ def taylor_profile(ideal: MonomialIdeal) -> list[int]:
         blocks[m].append(s_mask)
     out = [0] * (len(gens) + 1)
     for faces in blocks.values():
+        if len(faces) == 1:  # a block of one face S has reduced homology 1 in degree |S| - 1 only
+            out[faces[0].bit_count()] += 1
+            continue
         for k, dim in homology_from_faces(faces).items():
             out[k + 1] += dim
     return out
@@ -132,8 +134,7 @@ def stanley_reisner_closed(k: int, i: int) -> int:
     return 1 if i == 0 else i * comb(k + 1, i + 1)
 
 
-class ExtDims(Value):
-    __slots__ = ("closed", "oracle", "convolution", "ok")
+ExtDims = namedtuple("ExtDims", "closed oracle convolution ok")
 
 
 def ext_closed(f: int, k: int) -> tuple[int, int, int]:

@@ -12,13 +12,14 @@ is its exponent tuple; the lcm walks carry exponents packed into ints
 
 from __future__ import annotations
 
+from collections import namedtuple
 from functools import lru_cache
 from itertools import chain, combinations, islice
 from math import comb
 from typing import Callable, Hashable, Iterable, Iterator, Sequence
 
 from .errors import ProfileMembershipError, SizeLimitError
-from .series import BigradedSeries, CharOffset, IntPoly, RationalSeries, Value, _ball_points
+from .series import BigradedSeries, CharOffset, IntPoly, RationalSeries, _ball_points
 from .weights import GaloisContext, ProfileStats, WeightProfile, in_p, indices, j_dprime, mask_of, profile_stats
 
 #: ``_lyubeznik_walk`` visits at most this many faces, the one bound on the walk
@@ -171,16 +172,15 @@ def _minimalize(gens: tuple[Monomial, ...], ambient: int) -> tuple[Monomial, ...
     return tuple(sorted(map(by_packed.__getitem__, _minimal(pk, by_packed)), key=Monomial.sort_key))
 
 
-class MonomialIdeal(Value):
+class MonomialIdeal(namedtuple("MonomialIdeal", "ambient gens")):
     """Finite set of minimal monomial generators; () is the zero ideal."""
 
-    __slots__ = ("ambient", "gens")
+    __slots__ = ()
 
-    def __init__(self, ambient: int, gens: tuple[Monomial, ...]):
+    def __new__(cls, ambient: int, gens: tuple[Monomial, ...]):
         if any(len(g) != ambient for g in gens):
             raise ValueError("generator ambient mismatch")
-        object.__setattr__(self, "ambient", ambient)
-        object.__setattr__(self, "gens", _minimalize(gens, ambient))
+        return tuple.__new__(cls, (ambient, _minimalize(gens, ambient)))
 
     @staticmethod
     def zero(ambient: int) -> "MonomialIdeal":
@@ -216,9 +216,8 @@ class MonomialIdeal(Value):
         mine = [pk.pack(g) for g in self.gens]
         lcms = _minimal(pk, {pk.lcm(a, pk.pack(b)) for b in other.gens for a in mine})
         gens = sorted((Monomial(pk.unpack(m)) for m in lcms), key=Monomial.sort_key)
-        out = object.__new__(MonomialIdeal)  # the lcms are minimal already: skip the constructor's second pass
-        Value.__init__(out, self.ambient, tuple(gens))
-        return out
+        # the lcms are minimal already: skip the constructor's second pass
+        return tuple.__new__(MonomialIdeal, (self.ambient, tuple(gens)))
 
 
 # -- the ideal families attached to weight profiles ---------------------
@@ -304,15 +303,16 @@ def numerator(
 def _lyubeznik_walk(gens: tuple[int, ...], pk: Packing) -> Iterator[tuple[int, int]]:
     """Yield ``(m, s_mask)`` for each face S of packed lcm m, in preorder from the empty face.
 
-    The faces are those of Lyubeznik's resolution (JPAA 51 (1988);
-    Miller-Sturmfels, ch. 6), a subcomplex of the Taylor complex that is
-    itself a free resolution of R/I.  The other subsets cancel from the
-    K-polynomial, and Tor in each lcm degree is the homology of the faces of
-    that lcm.  S grows downward from its largest index, so each lcm is its
-    parent's joined with one generator, one ``Packing.lcm``; a new least
-    index i is refused, with every extension, when some g_j with j < i
-    divides the new lcm.  The walk keeps its own stack, so its depth is not
-    Python's, and past ``FACE_CAP`` faces it stops with ``SizeLimitError``.
+    ``gens`` are the packed minimal generators of I.  The faces are those of
+    Lyubeznik's resolution (JPAA 51 (1988); Miller-Sturmfels, ch. 6), a
+    subcomplex of the Taylor complex that is itself a free resolution of R/I.
+    The other subsets cancel from the K-polynomial, and Tor in each lcm
+    degree is the homology of the faces of that lcm.  S grows downward from
+    its largest index, so each lcm is its parent's joined with one
+    generator, one ``Packing.lcm``; a new least index i is refused, with
+    every extension, when some g_j with j < i divides the new lcm.  The walk
+    keeps its own stack, so its depth is not Python's, and past ``FACE_CAP``
+    faces it stops with ``SizeLimitError``.
     """
     lcm, divides = pk.lcm, pk.divides
     stack = [(0, 0, len(gens))]  # (lcm, face, its least index or len(gens)): the children i < top
@@ -325,7 +325,9 @@ def _lyubeznik_walk(gens: tuple[int, ...], pk: Packing) -> Iterator[tuple[int, i
         yield m, s_mask
         for i in range(top - 1, -1, -1):  # pushed last first, so index 0's subtree comes next
             m2 = lcm(gens[i], m)
-            for g in islice(gens, i):  # no slice per i held (n^2 / 2 references), no any(): this runs per extension
+            # the empty face's children are the {g_i}, and no minimal generator divides another: test none there;
+            # no slice per i held (n^2 / 2 references), no any(): this runs per extension
+            for g in islice(gens, i if s_mask else 0):
                 if divides(g, m2):
                     break
             else:

@@ -13,13 +13,14 @@ degree, which counts h twice, is < n.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from functools import lru_cache
 from itertools import combinations
 from math import comb
 
 from .errors import SizeLimitError
 from .linalg import exact_rank
-from .series import Value, _ball_points
+from .series import _ball_points
 from .weights import GaloisContext, WeightProfile, profile_stats
 
 Mono = tuple[int, ...]
@@ -122,8 +123,7 @@ def gr_formula(f: int, k: int) -> int:
     )
 
 
-class GrTorDims(Value):
-    __slots__ = ("dim_im_d1", "dim_ker_d1", "dim_im_d2", "tor1", "expected", "ok")
+GrTorDims = namedtuple("GrTorDims", "dim_im_d1 dim_ker_d1 dim_im_d2 tor1 expected ok")
 
 
 def _expected_dims(f: int, k: int) -> tuple[int, int, int, int]:

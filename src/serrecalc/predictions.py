@@ -8,6 +8,7 @@ assert both.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from functools import lru_cache
 from itertools import combinations
 from math import comb
@@ -16,7 +17,7 @@ from .errors import SizeLimitError, UnsupportedCaseError
 from .homology import ext1_lower_bound, ext_closed
 from .ideals import Monomial, _family, _member, a_ss, bigraded_difference, d_shift, numerator, p_monomial
 from .pbw import char_multiset
-from .series import BigradedSeries, IntPoly, RationalSeries, Value, _ball_points, one_minus_t
+from .series import BigradedSeries, IntPoly, RationalSeries, _ball_points, one_minus_t
 from .weights import (
     Case,
     GaloisContext,
@@ -33,15 +34,15 @@ from .weights import (
 )
 
 
-class SubquotientSpec(Value):
+class SubquotientSpec(namedtuple("SubquotientSpec", "i0 i0p")):
     """A window (i0, i0p) with -1 <= i0 < i0p <= f (f checked per context)."""
 
-    __slots__ = ("i0", "i0p")
+    __slots__ = ()
 
-    def __init__(self, i0: int, i0p: int):
+    def __new__(cls, i0: int, i0p: int):
         if not -1 <= i0 < i0p:
             raise ValueError(f"need -1 <= i0 < i0p, got ({i0}, {i0p})")
-        super().__init__(i0, i0p)
+        return tuple.__new__(cls, (i0, i0p))
 
     def check(self, f: int):
         if self.i0p > f:
@@ -55,8 +56,7 @@ def default_trunc(f: int) -> int:
 
 # -- Hilbert series ------------------------------------------------------
 
-class SeriesCheck(Value):
-    __slots__ = ("closed", "enumerated", "equal")
+SeriesCheck = namedtuple("SeriesCheck", "closed enumerated equal")
 
 
 def _closed_hilbert_pi(ctx: GaloisContext) -> RationalSeries:
@@ -270,8 +270,7 @@ def k1_cycle(f: int, spec: SubquotientSpec) -> int:
 THETA_POINT_CAP = 100_000
 
 
-class LatticeBox(Value):
-    __slots__ = ("d_lambda", "points", "jh_theta", "chain_ok", "no_descent")
+LatticeBox = namedtuple("LatticeBox", "d_lambda points jh_theta chain_ok no_descent")
 
 
 def _ball_size(free: int, one_sided: int, radius: int) -> int:
@@ -319,8 +318,7 @@ def theta_lattice(ctx: GaloisContext, lam: WeightProfile, n: int, i0: int) -> La
 
 # -- the semisimple matching ----------------------------------------------
 
-class MatchResult(Value):
-    __slots__ = ("bijection_ok", "hilbert_ok", "pairs")
+MatchResult = namedtuple("MatchResult", "bijection_ok hilbert_ok pairs")
 
 
 def _lambda_prime(lam: WeightProfile, st, j_prime: int) -> WeightProfile:
@@ -378,8 +376,7 @@ def semisimple_match(ctx: GaloisContext, i0: int) -> MatchResult:
 
 # -- Ext bookkeeping counts ------------------------------------------------
 
-class XCounts(Value):
-    __slots__ = ("x0", "x1", "x2", "expected", "ok")
+XCounts = namedtuple("XCounts", "x0 x1 x2 expected ok")
 
 
 #: ``shell_counts`` adds each of the 1 + 2f + (2f^2 + 1) distinct offsets of

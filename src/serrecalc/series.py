@@ -14,6 +14,7 @@ basis, and the l1 balls and boxes of ``predictions``.
 from __future__ import annotations
 
 import json
+from collections import namedtuple
 from typing import Iterable
 
 from .errors import SizeLimitError
@@ -27,59 +28,6 @@ from .errors import SizeLimitError
 EXPANSION_CAP = 100_000
 
 
-class Value:
-    """Base of every value type: an immutable record of the fields named in ``__slots__``.
-
-    Assigning a field raises ``AttributeError``, ``==`` holds only within one
-    class, the hash is that of the field tuple and the repr is ``Name(field=value, ...)``.
-    Three types override them: ``WeightProfile`` field by field, as it keys the
-    matching kernels' sets and these loops are several times slower;
-    ``RationalSeries``, equal up to cancelled (1 - t) factors; ``ACounts``,
-    whose hash leaves out its dicts.  An exponent vector is no record but a
-    tuple subclass (``CharOffset``, ``ideals.Monomial``), compared in C.
-    """
-
-    __slots__ = ()
-
-    def __init__(self, *args, **kwargs):
-        names = self.__slots__
-        if kwargs:
-            args += tuple([kwargs.pop(name) for name in names[len(args):] if name in kwargs])
-        if len(args) != len(names) or kwargs:
-            raise TypeError(f"{type(self).__qualname__} takes the fields {', '.join(names)}")
-        for name, value in zip(names, args):
-            object.__setattr__(self, name, value)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __reduce__(self):  # pickle and copy rebuild through __init__, not by assignment
-        return type(self), self._values()
-
-    def _values(self) -> tuple:
-        return tuple([getattr(self, name) for name in self.__slots__])
-
-    def __eq__(self, other):
-        return self._values() == other._values() if other.__class__ is self.__class__ else NotImplemented
-
-    def __hash__(self):
-        return hash(self._values())
-
-    def __repr__(self):
-        return f"{type(self).__qualname__}({', '.join(f'{k}={v!r}' for k, v in self.asdict().items())})"
-
-    def asdict(self) -> dict:
-        """The fields by name."""
-        return dict(zip(self.__slots__, self._values()))
-
-    def replace(self, **changes):
-        """A copy with the named fields changed, built (and checked) by ``__init__``."""
-        return type(self)(**{**self.asdict(), **changes})
-
-
 def _strip(coeffs: Iterable[int]) -> tuple[int, ...]:
     out = list(coeffs)
     while out and out[-1] == 0:
@@ -87,17 +35,17 @@ def _strip(coeffs: Iterable[int]) -> tuple[int, ...]:
     return tuple(out)
 
 
-class IntPoly(Value):
+class IntPoly(namedtuple("IntPoly", "coeffs")):
     """Integer polynomial in t; ``coeffs[d]`` is the t^d coefficient.
 
     Trailing zeros are normalized away, so the zero polynomial has an
     empty coefficient tuple.
     """
 
-    __slots__ = ("coeffs",)
+    __slots__ = ()
 
-    def __init__(self, coeffs: tuple[int, ...] = ()):
-        object.__setattr__(self, "coeffs", _strip(coeffs))
+    def __new__(cls, coeffs: tuple[int, ...] = ()):
+        return tuple.__new__(cls, (_strip(coeffs),))
 
     @staticmethod
     def of(*coeffs: int) -> "IntPoly":
@@ -168,19 +116,21 @@ def one_minus_t() -> IntPoly:
     return IntPoly.of(1, -1)
 
 
-class RationalSeries(Value):
+class RationalSeries(namedtuple("RationalSeries", "num pole")):
     """Integer polynomial numerator ``num`` over (1-t)^``pole``.
 
     Values are equal iff the cross-multiplied numerators agree, i.e.
-    n1*(1-t)^p2 == n2*(1-t)^p1 as polynomials.
+    n1*(1-t)^p2 == n2*(1-t)^p1 as polynomials: one series has many field
+    tuples, so equality and the hash, that of the reduced pair, are not
+    the tuple's.
     """
 
-    __slots__ = ("num", "pole")
+    __slots__ = ()
 
-    def __init__(self, num: IntPoly, pole: int):
+    def __new__(cls, num: IntPoly, pole: int):
         if pole < 0:
             raise ValueError("pole order must be nonnegative")
-        super().__init__(num, pole)
+        return tuple.__new__(cls, (num, pole))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, RationalSeries):

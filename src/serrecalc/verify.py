@@ -14,6 +14,7 @@ i0 where they apply.  A kernel that raises fails its record, not the run.
 from __future__ import annotations
 
 import time
+from collections import namedtuple
 from functools import cache
 from itertools import combinations, product
 from math import comb
@@ -57,7 +58,7 @@ from .predictions import (
     theta_lattice,
     x_counts,
 )
-from .series import IntPoly, Value, expand
+from .series import IntPoly, expand
 from .weights import (
     PROFILE_F_CAP,
     Case,
@@ -78,10 +79,10 @@ from .weights import (
 )
 
 
-class CheckRecord(Value):
+class CheckRecord(namedtuple("CheckRecord", "suite check ok detail cases elapsed_s")):
     """One check of a suite: ``cases`` counts the cases it covered and ``elapsed_s`` times them."""
 
-    __slots__ = ("suite", "check", "ok", "detail", "cases", "elapsed_s")
+    __slots__ = ()
 
 
 def _check(suite: str, check: str, cases: Iterable[tuple[str, bool, dict]], detail: str = "") -> CheckRecord:

@@ -8,13 +8,13 @@ including f = 1 (self-constraint).
 
 from __future__ import annotations
 
+from collections import namedtuple
 from enum import Enum
 from functools import lru_cache
 from math import comb
 from typing import Iterable
 
 from .errors import ProfileMembershipError, SizeLimitError, UnsupportedCaseError
-from .series import Value
 
 
 #: the tags of x_j, x_j + 1, x_j + 2, p - 3 - x_j, p - 2 - x_j and p - 1 - x_j
@@ -69,7 +69,7 @@ def full_mask(f: int) -> int:
     return (1 << max(f, 0)) - 1
 
 
-class GaloisContext(Value):
+class GaloisContext(namedtuple("GaloisContext", "f case j_rho")):
     """Ambient data (f, case, J_rho): fixes which parameter sets are defined.
 
     J_rho is a bitmask, bit j for index j, like every index set the package
@@ -79,9 +79,9 @@ class GaloisContext(Value):
     bound, and not stored: no computation ever evaluates a symbol at p.
     """
 
-    __slots__ = ("f", "case", "j_rho")
+    __slots__ = ()
 
-    def __init__(self, f: int, case: Case | str, j_rho: int = 0, p: int | None = None):
+    def __new__(cls, f: int, case: Case | str, j_rho: int = 0, p: int | None = None):
         case = Case(case)  # a plain "split" too, so every ``ctx.case is Case.SPLIT`` test reads it
         if f < 1:
             raise ValueError("f must be positive")
@@ -100,7 +100,7 @@ class GaloisContext(Value):
                 raise ValueError(f"p = {p} is not prime")
             if p < bound:
                 raise ValueError(f"p = {p} below the genericity bound {bound}")
-        super().__init__(f, case, j_rho)
+        return tuple.__new__(cls, (f, case, j_rho))
 
     @property
     def d_rho(self) -> int:
@@ -141,31 +141,18 @@ def nonsplit_context(f: int, j_rho: Iterable[int], p: int | None = None) -> Galo
     return GaloisContext(f, Case.NONSPLIT, mask_of(j_rho), p)
 
 
-class WeightProfile(Value):
+class WeightProfile(namedtuple("WeightProfile", "x0 x1 x2 p3 p2 p1")):
     """An f-tuple of core symbols: one mask per symbol, in ``CORE_SYMBOLS`` order, that partition {0..f-1}."""
 
-    __slots__ = ("x0", "x1", "x2", "p3", "p2", "p1")
+    __slots__ = ()
 
-    def __init__(self, x0: int, x1: int, x2: int, p3: int, p2: int, p1: int):
+    def __new__(cls, x0: int, x1: int, x2: int, p3: int, p2: int, p1: int):
         union = x0 | x1 | x2 | p3 | p2 | p1
         if not union:
             raise ValueError("profiles need at least one entry")
         if union < 0 or union & union + 1 or x0 + x1 + x2 + p3 + p2 + p1 != union:  # a gap, or an overlap
             raise ValueError("the symbol masks must partition {0..f-1}")
-        set_ = object.__setattr__  # six calls: a loop over the fields made ``_pss_list`` a quarter slower
-        set_(self, "x0", x0)
-        set_(self, "x1", x1)
-        set_(self, "x2", x2)
-        set_(self, "p3", p3)
-        set_(self, "p2", p2)
-        set_(self, "p1", p1)
-
-    def __eq__(self, other):
-        return (self.x0 == other.x0 and self.x1 == other.x1 and self.x2 == other.x2 and self.p3 == other.p3 and
-                self.p2 == other.p2 and self.p1 == other.p1) if other.__class__ is self.__class__ else NotImplemented
-
-    def __hash__(self):
-        return hash((self.x0, self.x1, self.x2, self.p3, self.p2, self.p1))
+        return tuple.__new__(cls, (x0, x1, x2, p3, p2, p1))
 
     @property
     def f(self) -> int:
@@ -173,7 +160,7 @@ class WeightProfile(Value):
 
     def tags(self) -> list[str]:
         out = [""] * self.f
-        for s, m in zip(CORE_SYMBOLS, self._values()):
+        for s, m in zip(CORE_SYMBOLS, self):
             while m:
                 out[(m & -m).bit_length() - 1] = s
                 m &= m - 1
@@ -221,8 +208,8 @@ def in_p(ctx: GaloisContext, profile: WeightProfile) -> bool:
     return in_pss(profile) and _FAMILY_TEST["P"](profile, ctx.j_rho)
 
 
-#: P^ss has 3^f + 1 profiles; at f = 10 (59,050) listing them takes 0.3-0.4 s and holds 5.1 MiB
-#: under tracemalloc, and the process peaks at 20 MiB on a 2-vCPU Xeon; at f = 11, 0.9-1.3 s and 31 MiB.
+#: P^ss has 3^f + 1 profiles; at f = 10 (59,050) listing them takes 0.18 s and holds 6.5 MiB under
+#: tracemalloc, the process peaking at 21 MiB (2-vCPU x86-64); at f = 11, 0.37-0.39 s, 19 MiB and 34 MiB.
 PROFILE_F_CAP = 10
 
 
@@ -262,10 +249,10 @@ def enumerate_profiles(ctx: GaloisContext, which: str) -> list[WeightProfile]:
     return [lam for lam in _pss_list(ctx.f) if test(lam, rho)]
 
 
-class ProfileStats(Value):
+class ProfileStats(namedtuple("ProfileStats", "j_lambda ell ty tz a_set k j1 j2")):
     """Index data of a profile, its index sets as masks; t_j is y_j on ``ty``, z_j on ``tz``, y_j z_j elsewhere."""
 
-    __slots__ = ("j_lambda", "ell", "ty", "tz", "a_set", "k", "j1", "j2")
+    __slots__ = ()
 
 
 def j_set(profile: WeightProfile) -> int:
@@ -314,10 +301,14 @@ def a_histogram(ctx: GaloisContext, profiles: Iterable[WeightProfile]) -> dict[i
     return out
 
 
-class ACounts(Value):
-    """Per-|A| cardinalities, enumerated where a family is available; the dicts stay out of the hash."""
+class ACounts(namedtuple("ACounts", "domain closed enumerated closed_p_level enumerated_p_level ok")):
+    """Per-|A| cardinalities, enumerated where a family is available.
 
-    __slots__ = ("domain", "closed", "enumerated", "closed_p_level", "enumerated_p_level", "ok")
+    The dicts stay out of the hash, since a tuple holding a dict cannot hash;
+    equality is still the tuple's, dicts included.
+    """
+
+    __slots__ = ()
 
     def __hash__(self):
         return hash((self.domain, self.ok))

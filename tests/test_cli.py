@@ -453,15 +453,15 @@ SPLIT2 = ["--f", "2", "--case", "split", "--jrho", "all"]
 NONSPLIT1 = ["--f", "1", "--case", "nonsplit", "--jrho", "0"]
 # the payloads import their functions when they run, so the defining module is patched
 FLAGGED = {
-    "hilbert": (["hilbert", *SPLIT2], predictions, "hilbert_pi", lambda r: r.replace(equal=False)),
-    "ni": (["ni", *SPLIT2, "--i", "1"], predictions, "hilbert_Ni", lambda r: r.replace(equal=False)),
+    "hilbert": (["hilbert", *SPLIT2], predictions, "hilbert_pi", lambda r: r._replace(equal=False)),
+    "ni": (["ni", *SPLIT2, "--i", "1"], predictions, "hilbert_Ni", lambda r: r._replace(equal=False)),
     "theta": (["theta", *NONSPLIT1, "--profile", "X0", "--i0", "0"], predictions, "theta_lattice",
-              lambda r: r.replace(chain_ok=False)),
+              lambda r: r._replace(chain_ok=False)),
     "match": (["match", "--f", "2", "--case", "nonsplit", "--jrho", "1", "--i0", "0"], predictions,
-              "semisimple_match", lambda r: r.replace(hilbert_ok=False)),
-    "grtor": (["grtor", *SPLIT2, "--profile", "X0,X0"], pbw, "tor1_gr", lambda r: r.replace(ok=False)),
+              "semisimple_match", lambda r: r._replace(hilbert_ok=False)),
+    "grtor": (["grtor", *SPLIT2, "--profile", "X0,X0"], pbw, "tor1_gr", lambda r: r._replace(ok=False)),
     "xcounts": (["xcounts", *SPLIT2, "--profile", "X0,X0"], predictions, "x_counts",
-                lambda r: r.replace(ok=False)),
+                lambda r: r._replace(ok=False)),
     "patched": (["patched", *SPLIT2, "--profile", "X0,X0"], ideals, "patched_ideals",
                 lambda r: (r[0], MonomialIdeal.zero(r[0].ambient))),
 }

@@ -427,7 +427,7 @@ def test_semisimple_suite_names_the_first_failure(monkeypatch):
 
 def test_theta_record_names_the_point_without_descent(monkeypatch):
     real = verify.theta_lattice
-    monkeypatch.setattr(verify, "theta_lattice", lambda *args: real(*args).replace(chain_ok=False, no_descent=(2,)))
+    monkeypatch.setattr(verify, "theta_lattice", lambda *args: real(*args)._replace(chain_ok=False, no_descent=(2,)))
     rec = verify.suite_theta(1)[0]
     assert not rec.ok
     assert rec.detail == "first failure f=1 split X0 i0=-1: no_descent=(2,)"
