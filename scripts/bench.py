@@ -12,10 +12,12 @@ Then it times fixed-size kernels, at least one per module, in this process, in
 dependency order: the median time per call over repeats, each repeat as
 many calls as ``timeit`` autoranges to (at least 0.2 s).  Cached kernels
 are timed cold, their cache cleared before each call; the caches of the
-layers below stay warm.  Each kernel's ``peak_kib`` is the ``tracemalloc``
-peak of one such call, made before the timed repeats.  Beside them go the
-``src/`` line count, ``nproc`` and the Python version.  Standard library
-only; the output path is the one argument.
+layers below stay warm.  The ``cli.main`` rows time the print path, from the
+argv to the JSON text, with standard output sent to ``os.devnull``.  Each
+kernel's ``peak_kib`` is the ``tracemalloc`` peak of one such call, made
+before the timed repeats.  Beside them go the ``src/`` line count, ``nproc``
+and the Python version.  Standard library only; the output path is the one
+argument.
 
 Before the kernels it runs fixed passes, the ``matching`` benchmark
 workload's operations, in one fresh child process (``bench.py --passes``),
@@ -27,6 +29,7 @@ memory that the allocator holds in fragmented pools.  Each pass's
 
 from __future__ import annotations
 
+import contextlib
 import glob
 import json
 import os
@@ -132,6 +135,12 @@ def passes() -> list[dict]:
     return rows
 
 
+def _cli_main(cli, argv: list[str]) -> None:
+    """One ``serrecalc.cli.main`` call, its standard output sent to ``os.devnull``."""
+    with open(os.devnull, "w", encoding="utf-8") as sink, contextlib.redirect_stdout(sink):
+        cli.main(argv)
+
+
 def _list_p(weights, contexts: list) -> None:
     """P in each context, after clearing the P^ss list cache."""
     weights._pss_list.cache_clear()
@@ -142,7 +151,7 @@ def _list_p(weights, contexts: list) -> None:
 def kernels(repeats: int = 5) -> list[dict]:
     """Median seconds per call of fixed-size kernels, at least one per module, in dependency order."""
     sys.path.insert(0, os.path.join(ROOT, "src"))
-    from serrecalc import homology, ideals, pbw, predictions, series, verify, weights
+    from serrecalc import cli, homology, ideals, pbw, predictions, series, verify, weights
 
     window = ideals.a1(weights.nonsplit_context(5, []), weights.WeightProfile.from_tags(["X0"] * 5), 1)
     pairing = ideals.pairing_ideal(5, 31, 0)
@@ -152,6 +161,10 @@ def kernels(repeats: int = 5) -> list[dict]:
     xcap, scap, pcap = predictions.X_COUNTS_F_CAP, predictions.SOCLE_F_CAP, weights.PROFILE_F_CAP
     x_split, x_all_x0 = weights.split_context(xcap), weights.WeightProfile.from_tags(["X0"] * xcap)
     s_ctx, s_full = weights.nonsplit_context(scap, range(scap - 1)), predictions.SubquotientSpec(-1, scap)
+    socle_argv = ["socle", "--f", str(scap), "--case", "nonsplit", "--jrho", str(s_ctx.j_rho), "--i0", "-1",
+                  "--i0p", str(scap)]
+    grsub_argv = ["grsubquot", "--f", "3", "--case", "nonsplit", "--jrho", "6", "--i0", "-1", "--i0p", "3",
+                  "--trunc", "7"]
     pss8_tags = [(lam.tags(),) for lam in weights._pss_list(8)]
     f8 = [weights.nonsplit_context(8, sub) for r in range(8) for sub in combinations(range(8), r)]
     p8 = [(ctx, lam) for ctx in (weights.split_context(8), weights.nonsplit_context(8, [0, 2, 4, 6]))
@@ -205,6 +218,10 @@ def kernels(repeats: int = 5) -> list[dict]:
          lambda: predictions.x_counts(x_split, x_all_x0)),
         ("predictions.socle_jsets", f"nonsplit f = {scap} = SOCLE_F_CAP, |J_rho| = f - 1, window (-1, f)",
          lambda: predictions.socle_jsets(s_ctx, s_full)),
+        ("cli.main", f"socle, nonsplit f = {scap} = SOCLE_F_CAP, |J_rho| = f - 1, window (-1, f), "
+         "JSON to os.devnull", lambda: _cli_main(cli, socle_argv)),
+        ("cli.main", "grsubquot, nonsplit f = 3, J_rho = {1, 2}, window (-1, 3), trunc 7, JSON to os.devnull",
+         lambda: _cli_main(cli, grsub_argv)),
     ]
     out = []
     for name, size, call in cases:

@@ -1,7 +1,10 @@
 """Command-line front end: one table of subcommands and one dispatcher.
 
 Every subcommand prints deterministic output: JSON with sorted keys, CSV,
-or an aligned table.  Unbounded integers are emitted as decimal strings.
+or an aligned table.  This module alone decides how values print: payloads
+hand over plain ints, tuples and dicts, and ``main`` turns every integer,
+unbounded, into a decimal string once, with ``_stringify``, before it builds
+rows or output.
 Exit codes: 0 success, 1 when a payload flag listed in the table is false,
 2 for usage errors and bad input, with one ``error:`` line on stderr.
 Each payload imports the modules it computes with when it runs, so a process
@@ -15,8 +18,9 @@ import sys
 from collections import namedtuple
 from functools import lru_cache
 
-from .series import bigraded_to_json, dumps_canonical, expand, rational_to_json
-from .weights import FAMILIES, Case, GaloisContext, WeightProfile, enumerate_profiles, full_mask, indices, profile_stats
+from .weights import (
+    CASES, FAMILIES, GaloisContext, WeightProfile, enumerate_profiles, full_mask, indices, profile_stats,
+)
 
 
 def _parse_jrho(text: str | None, f: int) -> int | None:
@@ -39,13 +43,12 @@ def _profile(tags: list[str], f: int) -> WeightProfile:
 def _resolve(a: argparse.Namespace) -> None:
     """Set ``a.ctx``, ``a.lam`` and ``a.spec`` from whichever common flags the row has."""
     if hasattr(a, "case"):
-        case = Case(a.case)
         jrho = _parse_jrho(a.jrho, a.f)
-        if case is Case.IRREDUCIBLE:
+        if a.case == "irreducible":
             jrho = 0
         elif jrho is None:
             raise ValueError("--jrho is required for reducible cases ('all' or a bitmask)")
-        a.ctx = GaloisContext(a.f, case, jrho, a.p)
+        a.ctx = GaloisContext(a.f, a.case, jrho, a.p)
     if getattr(a, "profile", None) is not None:
         a.lam = _profile(a.profile.split(","), a.f)
     if hasattr(a, "i0p"):
@@ -108,11 +111,16 @@ def _stringify(obj):
     return obj
 
 
+def _dumps(obj) -> str:
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+
+
 def _emit(payload, fmt: str, table_rows: list[list[str]] | None):
+    """Print a stringified payload as JSON, or its rows (by default its sorted key/value pairs) as CSV or a table."""
     if fmt == "json":
-        print(dumps_canonical(_stringify(payload)))
+        print(_dumps(payload))
         return
-    rows = table_rows or [[str(k), dumps_canonical(_stringify(v))] for k, v in sorted(payload.items())]
+    rows = table_rows or [[k, _dumps(v)] for k, v in sorted(payload.items())]
     if fmt == "csv":
         import csv
         csv.writer(sys.stdout, lineterminator="\n").writerows(rows)
@@ -148,7 +156,7 @@ def _stats(a) -> dict:
             "k": st.k,
             "j1": indices(st.j1),
             "j2": indices(st.j2),
-            "eps": {str(j): -1 if st.ty >> j & 1 else 1 for j in indices(st.ty | st.tz)},
+            "eps": {j: -1 if st.ty >> j & 1 else 1 for j in indices(st.ty | st.tz)},
         })
     return {"stats": out}
 
@@ -162,27 +170,27 @@ def _ideal(a) -> dict:
     if 1 << a.f > FACE_CAP and in_p(a.ctx, a.lam):
         raise SizeLimitError(f"the Lyubeznik walk passed its cap of {FACE_CAP} faces")
     ideal = a_lambda(a.ctx, a.lam)
-    return {"gens": [list(g) for g in ideal.gens], "hilbert": rational_to_json(hilbert(ideal).reduced())}
+    return {"gens": ideal.gens, "hilbert": hilbert(ideal).reduced()._asdict()}
 
 
 def _series_check(res) -> dict:
-    closed, enumerated = rational_to_json(res.closed), rational_to_json(res.enumerated)
-    return {"closed": closed, "enumerated": enumerated, "equal": res.equal}
+    return {"closed": res.closed._asdict(), "enumerated": res.enumerated._asdict(), "equal": res.equal}
 
 
 def _hilbert(a) -> dict:
     from .predictions import default_trunc, hilbert_pi
+    from .series import expand
     res = hilbert_pi(a.ctx)
     n = default_trunc(a.f) if a.trunc is None else a.trunc
     if n < 0:
         raise ValueError("truncation must be nonnegative")
-    return {**_series_check(res), "expansion": [str(c) for c in expand(res.closed, n)]}
+    return {**_series_check(res), "expansion": expand(res.closed, n)}
 
 
 def _hilbert_rows(d: dict) -> list[list[str]]:
     return [
         ["numerator", " ".join(d["closed"]["num"])],
-        ["pole", str(d["closed"]["pole"])],
+        ["pole", d["closed"]["pole"]],
         ["equal", str(d["equal"])],
         ["expansion", " ".join(d["expansion"])],
     ]
@@ -199,7 +207,11 @@ def _grsubquot(a) -> dict:
     return {
         "i0": a.spec.i0,
         "i0p": a.spec.i0p,
-        "summands": [{"profile": lam.tags(), "series": bigraded_to_json(b)} for lam, b in data],
+        "summands": [
+            {"profile": lam.tags(), "series": {"trunc": b.trunc, "entries": [
+                {"deg": d, "offset": c, "mult": m} for (d, c), m in sorted(b.entries.items())]}}
+            for lam, b in data
+        ],
         "degree0_total": sum(b.total(0) for _, b in data),
     }
 
@@ -226,8 +238,8 @@ def _theta(a) -> dict:
     box = theta_lattice(a.ctx, a.lam, a.i0 + 4 if a.n is None else a.n, a.i0)
     return {
         "d_lambda": box.d_lambda,
-        "points": sorted(list(p) for p in box.points),
-        "jh_theta": sorted(list(p) for p in box.jh_theta),
+        "points": sorted(box.points),
+        "jh_theta": sorted(box.jh_theta),
         "chain_ok": box.chain_ok,
     }
 
@@ -244,7 +256,7 @@ def _tor(a) -> dict:
     if a.max_i is not None and a.max_i < 0:
         raise ValueError(f"--max-i must be nonnegative, got {a.max_i}")
     ideal = MonomialIdeal(len(gens[0]) if gens else 0, tuple([Monomial(g) for g in gens]))
-    payload: dict = {"gens": [list(g) for g in ideal.gens]}
+    payload: dict = {"gens": ideal.gens}
     for key, oracle in (("taylor", taylor_profile), ("hochster", hochster_profile)):
         if a.method in (key, "both"):
             payload[key] = oracle(ideal)[: None if a.max_i is None else a.max_i + 1]
@@ -272,8 +284,8 @@ def _patched(a) -> dict:
     from .ideals import patched_ideals
     inter, expected = patched_ideals(a.ctx, a.lam)
     return {
-        "intersection": [list(g) for g in inter.gens],
-        "expected": [list(g) for g in expected.gens],
+        "intersection": inter.gens,
+        "expected": expected.gens,
         "ok": inter.gens == expected.gens,
     }
 
@@ -294,7 +306,7 @@ _FORMAT = ("--format", dict(dest="fmt", choices=["json", "csv", "table"], defaul
 _F = ("--f", dict(type=int, required=True))
 _CTX = (
     _F,
-    ("--case", dict(choices=[c.value for c in Case], required=True)),
+    ("--case", dict(choices=CASES, required=True)),
     ("--jrho", dict(help="bitmask over {0..f-1}, or 'all'")),
     ("--p", dict(type=int, default=None)),
     _FORMAT,
@@ -393,7 +405,7 @@ def main(argv: list[str] | None = None) -> int:
     cmd = COMMANDS[args.command]
     try:
         _resolve(args)
-        payload = cmd.payload(args)
+        payload = _stringify(cmd.payload(args))
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

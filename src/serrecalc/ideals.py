@@ -55,10 +55,6 @@ class Monomial(tuple):
         return self
 
     @staticmethod
-    def one(ambient: int) -> "Monomial":
-        return Monomial((0,) * ambient)
-
-    @staticmethod
     def variable(ambient: int, idx: int, power: int = 1) -> "Monomial":
         exps = [0] * ambient
         exps[idx] = power
@@ -185,10 +181,6 @@ class MonomialIdeal(namedtuple("MonomialIdeal", "ambient gens")):
     @staticmethod
     def zero(ambient: int) -> "MonomialIdeal":
         return MonomialIdeal(ambient, ())
-
-    @staticmethod
-    def unit(ambient: int) -> "MonomialIdeal":
-        return MonomialIdeal(ambient, (Monomial.one(ambient),))
 
     def is_zero(self) -> bool:
         return not self.gens
@@ -337,7 +329,7 @@ def _lyubeznik_walk(gens: tuple[int, ...], pk: Packing) -> Iterator[tuple[int, i
 def hilbert(ideal: MonomialIdeal) -> RationalSeries:
     """Hilbert series of R/I: the numerator graded by total degree."""
     coeffs = numerator(ideal, sum)  # never empty: it holds the empty subset
-    num = IntPoly(tuple([coeffs.get(d, 0) for d in range(max(coeffs) + 1)]))
+    num = IntPoly([coeffs.get(d, 0) for d in range(max(coeffs) + 1)])
     return RationalSeries(num, ideal.ambient)
 
 

@@ -19,7 +19,6 @@ from .ideals import Monomial, _family, _member, a_ss, bigraded_difference, d_shi
 from .pbw import char_multiset
 from .series import BigradedSeries, IntPoly, RationalSeries, _ball_points, one_minus_t
 from .weights import (
-    Case,
     GaloisContext,
     WeightProfile,
     _FAMILY_TEST,
@@ -63,9 +62,9 @@ def _closed_hilbert_pi(ctx: GaloisContext) -> RationalSeries:
     f = ctx.f
     three_t = IntPoly.of(3, 1) ** f
     omt = one_minus_t() ** f
-    if ctx.case is Case.IRREDUCIBLE:
+    if ctx.case == "irreducible":
         return RationalSeries(three_t - omt, f)
-    if ctx.case is Case.SPLIT:
+    if ctx.case == "split":
         return RationalSeries(three_t + omt, f)
     d = ctx.d_rho
     num = IntPoly.of(1, 1) ** (f - d) * IntPoly.of(3, 1) ** d
@@ -92,7 +91,7 @@ def hilbert_pi(ctx: GaloisContext) -> SeriesCheck:
     f = ctx.f
     if f > HILBERT_F_CAP:
         raise SizeLimitError(f"f = {f} exceeds the hilbert cap of {HILBERT_F_CAP}")
-    if ctx.case is Case.IRREDUCIBLE:
+    if ctx.case == "irreducible":
         hist = {s: 2 * comb(f, s) * 2 ** (f - s) for s in range(1, f + 1, 2)}
     else:
         hist = a_histogram(ctx, enumerate_profiles(ctx, "P"))
@@ -103,7 +102,7 @@ def hilbert_pi(ctx: GaloisContext) -> SeriesCheck:
 
 def hilbert_Ni(ctx: GaloisContext, i: int) -> SeriesCheck:
     """Hilbert series of the |J_lambda| = i layer in the split case."""
-    if ctx.case is not Case.SPLIT:
+    if ctx.case != "split":
         raise UnsupportedCaseError("the layered series is a split-case statement")
     f = ctx.f
     if not 0 <= i <= f:
@@ -150,7 +149,7 @@ def gr_subquotient(
 
 def i1_invariants(ctx: GaloisContext, spec: SubquotientSpec) -> list[WeightProfile]:
     """Profiles indexing the fixed vectors of the (i0, i0p) subquotient."""
-    if ctx.case is not Case.NONSPLIT:
+    if ctx.case != "nonsplit":
         raise UnsupportedCaseError("the invariant index set is a nonsplit statement")
     spec.check(ctx.f)
     out = []
@@ -191,7 +190,7 @@ def _i1_histograms(ctx: GaloisContext) -> tuple[dict, dict]:
 
 def i1_cardinality(ctx: GaloisContext, spec: SubquotientSpec) -> int:
     """|i1_invariants| computed from the per-context histograms."""
-    if ctx.case is not Case.NONSPLIT:
+    if ctx.case != "nonsplit":
         raise UnsupportedCaseError("the invariant index set is a nonsplit statement")
     spec.check(ctx.f)
     hist_p, hist_ss = _i1_histograms(ctx)
@@ -206,7 +205,7 @@ def i1_degree0_total(ctx: GaloisContext, spec: SubquotientSpec) -> int:
     products over J1 ⊔ J2 that survive into the window, so each profile
     contributes C(|J1 ⊔ J2|, d) when |J_lambda| <= i0p and zero otherwise.
     """
-    if ctx.case is not Case.NONSPLIT:
+    if ctx.case != "nonsplit":
         raise UnsupportedCaseError("the invariant index set is a nonsplit statement")
     spec.check(ctx.f)
     hist_p, _ = _i1_histograms(ctx)
@@ -234,7 +233,7 @@ def socle_jsets(ctx: GaloisContext, spec: SubquotientSpec) -> list[int]:
     """
     if ctx.f > SOCLE_F_CAP:
         raise SizeLimitError(f"f = {ctx.f} exceeds the socle cap of {SOCLE_F_CAP}")
-    if ctx.case is not Case.NONSPLIT:
+    if ctx.case != "nonsplit":
         raise UnsupportedCaseError("the socle description is a nonsplit statement")
     spec.check(ctx.f)
     out = [mask_of(sub) for sub in combinations(range(ctx.f), spec.i0 + 1)]
@@ -338,7 +337,7 @@ def semisimple_match(ctx: GaloisContext, i0: int) -> MatchResult:
     for every profile, the exact bigraded numerators satisfy
     num(a1(i0+1)) - num(a1(i0)) = sum over J' of p(J') * num(a_ss(lambda')).
     """
-    if ctx.case is not Case.NONSPLIT:
+    if ctx.case != "nonsplit":
         raise UnsupportedCaseError("the matching is a nonsplit statement")
     if not -1 <= i0 <= ctx.f - 1:
         raise ValueError(f"i0 = {i0} outside -1..f-1")

@@ -5,15 +5,15 @@ Grading convention, used package-wide: graded modules are supported in
 non-positive degrees, and the piece of degree -n is stored under the
 nonnegative index n.  All coefficients are arbitrary-precision integers;
 nothing in this package uses floating point.  ``ideals.bigraded_difference``
-builds every ``BigradedSeries``; the JSON forms here are the CLI's output
-and are written, never read back.  ``_ball_points`` lists every bounded
-set of integer vectors the package enumerates: standard monomials, the PBW
-basis, and the l1 balls and boxes of ``predictions``.
+builds every ``BigradedSeries``.  Nothing here decides how a value prints:
+``cli`` prints a series from its fields and a table from its entries.
+``_ball_points`` lists every bounded set of integer vectors the package
+enumerates: standard monomials, the PBW basis, and the l1 balls and boxes of
+``predictions``.
 """
 
 from __future__ import annotations
 
-import json
 from collections import namedtuple
 from typing import Iterable
 
@@ -28,28 +28,26 @@ from .errors import SizeLimitError
 EXPANSION_CAP = 100_000
 
 
-def _strip(coeffs: Iterable[int]) -> tuple[int, ...]:
-    out = list(coeffs)
-    while out and out[-1] == 0:
-        out.pop()
-    return tuple(out)
+class IntPoly(tuple):
+    """Integer polynomial in t: the tuple of its coefficients, ``p[d]`` the t^d one.
 
-
-class IntPoly(namedtuple("IntPoly", "coeffs")):
-    """Integer polynomial in t; ``coeffs[d]`` is the t^d coefficient.
-
-    Trailing zeros are normalized away, so the zero polynomial has an
-    empty coefficient tuple.
+    Trailing zeros are normalized away, so the zero polynomial is the empty
+    tuple, and equality, hash and pickling are the tuple's.  ``+`` and ``*``
+    are the polynomial operations; an ``int * IntPoly`` would repeat the
+    tuple, so scalars go through ``scale``.
     """
 
     __slots__ = ()
 
-    def __new__(cls, coeffs: tuple[int, ...] = ()):
-        return tuple.__new__(cls, (_strip(coeffs),))
+    def __new__(cls, coeffs: Iterable[int] = ()):
+        out = list(coeffs)
+        while out and out[-1] == 0:
+            out.pop()
+        return tuple.__new__(cls, out)
 
     @staticmethod
     def of(*coeffs: int) -> "IntPoly":
-        return IntPoly(tuple(coeffs))
+        return IntPoly(coeffs)
 
     @staticmethod
     def zero() -> "IntPoly":
@@ -64,17 +62,17 @@ class IntPoly(namedtuple("IntPoly", "coeffs")):
         return IntPoly((0,) * d + (c,))
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self
 
     def coeff(self, d: int) -> int:
-        return self.coeffs[d] if 0 <= d < len(self.coeffs) else 0
+        return self[d] if 0 <= d < len(self) else 0
 
     def __add__(self, other: "IntPoly") -> "IntPoly":
-        n = max(len(self.coeffs), len(other.coeffs))
-        return IntPoly(tuple([self.coeff(i) + other.coeff(i) for i in range(n)]))
+        n = max(len(self), len(other))
+        return IntPoly([self.coeff(i) + other.coeff(i) for i in range(n)])
 
     def __neg__(self) -> "IntPoly":
-        return IntPoly(tuple([-c for c in self.coeffs]))
+        return IntPoly([-c for c in self])
 
     def __sub__(self, other: "IntPoly") -> "IntPoly":
         return self + (-other)
@@ -82,13 +80,13 @@ class IntPoly(namedtuple("IntPoly", "coeffs")):
     def __mul__(self, other: "IntPoly") -> "IntPoly":
         if self.is_zero() or other.is_zero():
             return IntPoly.zero()
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
+        out = [0] * (len(self) + len(other) - 1)
+        for i, a in enumerate(self):
             if a == 0:
                 continue
-            for j, b in enumerate(other.coeffs):
+            for j, b in enumerate(other):
                 out[i + j] += a * b
-        return IntPoly(tuple(out))
+        return IntPoly(out)
 
     def __pow__(self, n: int) -> "IntPoly":
         if n < 0:
@@ -103,11 +101,11 @@ class IntPoly(namedtuple("IntPoly", "coeffs")):
         return result
 
     def scale(self, a: int) -> "IntPoly":
-        return IntPoly(tuple([a * c for c in self.coeffs]))
+        return IntPoly([a * c for c in self])
 
     def eval_at(self, x: int) -> int:
         acc = 0
-        for c in reversed(self.coeffs):
+        for c in self[::-1]:  # reversed() takes the generic sequence path on a tuple subclass
             acc = acc * x + c
         return acc
 
@@ -121,8 +119,8 @@ class RationalSeries(namedtuple("RationalSeries", "num pole")):
 
     Values are equal iff the cross-multiplied numerators agree, i.e.
     n1*(1-t)^p2 == n2*(1-t)^p1 as polynomials: one series has many field
-    tuples, so equality and the hash, that of the reduced pair, are not
-    the tuple's.
+    tuples, so equality and the hash, that of the reduced series' fields,
+    are not the tuple's.
     """
 
     __slots__ = ()
@@ -138,11 +136,7 @@ class RationalSeries(namedtuple("RationalSeries", "num pole")):
         return self.num * one_minus_t() ** other.pole == other.num * one_minus_t() ** self.pole
 
     def __hash__(self):
-        return hash(self.reduced_pair())
-
-    def reduced_pair(self) -> tuple[tuple[int, ...], int]:
-        r = self.reduced()
-        return (r.num.coeffs, r.pole)
+        return tuple.__hash__(self.reduced())
 
     def reduced(self) -> "RationalSeries":
         """Cancel common (1-t) factors from numerator and denominator."""
@@ -151,12 +145,12 @@ class RationalSeries(namedtuple("RationalSeries", "num pole")):
             return RationalSeries(num, 0)
         while pole > 0 and num.eval_at(1) == 0:
             # synthetic division by (1 - t)
-            q = [0] * len(num.coeffs)
+            q = [0] * len(num)
             carry = 0
-            for i, c in enumerate(num.coeffs):
+            for i, c in enumerate(num):
                 carry = carry + c
                 q[i] = carry
-            num = IntPoly(tuple(q[:-1]))
+            num = IntPoly(q[:-1])
             pole -= 1
         return RationalSeries(num, pole)
 
@@ -184,7 +178,7 @@ def expand(rs: RationalSeries, n: int) -> list[int]:
     for m in range(1, n + 1):
         col[m] = col[m - 1] * (m + p - 1) // m
     out = [0] * (n + 1)
-    for i, c in enumerate(rs.num.coeffs[: n + 1]):
+    for i, c in enumerate(rs.num[: n + 1]):
         if c:
             for d in range(i, n + 1):
                 out[d] += c * col[d - i]
@@ -247,12 +241,6 @@ class BigradedSeries:
     def total(self, d: int) -> int:
         return sum(m for (dd, _), m in self.entries.items() if dd == d)
 
-    def totals(self) -> list[int]:
-        out = [0] * (self.trunc + 1)
-        for (d, _), m in self.entries.items():
-            out[d] += m
-        return out
-
     def is_zero(self) -> bool:
         return not self.entries
 
@@ -263,24 +251,3 @@ class BigradedSeries:
 
     def __repr__(self):
         return f"BigradedSeries(trunc={self.trunc}, entries={len(self.entries)})"
-
-
-# -- JSON forms ---------------------------------------------------------
-
-def rational_to_json(rs: RationalSeries) -> dict:
-    return {"num": [str(c) for c in rs.num.coeffs], "pole": rs.pole}
-
-
-def bigraded_to_json(b: BigradedSeries) -> dict:
-    entries = sorted(((d, c, m) for (d, c), m in b.entries.items()))
-    return {
-        "trunc": b.trunc,
-        "entries": [
-            {"deg": d, "offset": list(c), "mult": str(m)} for d, c, m in entries
-        ],
-    }
-
-
-def dumps_canonical(obj) -> str:
-    """Deterministic JSON used by the CLI."""
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))

@@ -61,7 +61,6 @@ from .predictions import (
 from .series import IntPoly, expand
 from .weights import (
     PROFILE_F_CAP,
-    Case,
     GaloisContext,
     WeightProfile,
     character_window,
@@ -114,12 +113,12 @@ def reducible_contexts(f: int) -> Iterator[GaloisContext]:
 
 
 def all_contexts(f: int) -> Iterator[GaloisContext]:
-    yield GaloisContext(f, Case.IRREDUCIBLE)
+    yield GaloisContext(f, "irreducible")
     yield from reducible_contexts(f)
 
 
 def _nonsplit_contexts(f: int) -> Iterator[GaloisContext]:
-    return (ctx for ctx in reducible_contexts(f) if ctx.case is Case.NONSPLIT)
+    return (ctx for ctx in reducible_contexts(f) if ctx.case == "nonsplit")
 
 
 def _profiles(f: int) -> Iterator[tuple[GaloisContext, WeightProfile]]:
@@ -134,7 +133,7 @@ def _windows(f: int) -> Iterator[SubquotientSpec]:
 
 def _case(ctx: GaloisContext, lam: WeightProfile | None = None, **at) -> str:
     """A case name: the context, the profile's tags if any, then indices such as i0."""
-    parts = [f"f={ctx.f}", ctx.case.value] + ([f"J_rho={indices(ctx.j_rho)}"] if ctx.case is Case.NONSPLIT else [])
+    parts = [f"f={ctx.f}", ctx.case] + ([f"J_rho={indices(ctx.j_rho)}"] if ctx.case == "nonsplit" else [])
     parts += [] if lam is None else [",".join(lam.tags())]
     return " ".join(parts + [f"{k}={v}" for k, v in at.items()])
 
@@ -159,9 +158,9 @@ def _ranks(r) -> tuple[int, int, int, int]:
 # -- suites ----------------------------------------------------------------
 
 def _stated_t0(ctx: GaloisContext) -> int:
-    if ctx.case is Case.IRREDUCIBLE:
+    if ctx.case == "irreducible":
         return 3**ctx.f - 1
-    if ctx.case is Case.SPLIT:
+    if ctx.case == "split":
         return 3**ctx.f + 1
     return 2 ** (ctx.f - ctx.d_rho) * 3**ctx.d_rho
 
@@ -169,9 +168,9 @@ def _stated_t0(ctx: GaloisContext) -> int:
 def _stated_a_counts(ctx: GaloisContext) -> dict[int, int]:
     """The closed per-|A| counts: odd |A| when irreducible, even when split, f - d + s when nonsplit."""
     f, d = ctx.f, ctx.d_rho
-    if ctx.case is Case.NONSPLIT:
+    if ctx.case == "nonsplit":
         return {f - d + s: 2 ** (f - d) * comb(d, s) for s in range(d + 1)}
-    parity = 1 if ctx.case is Case.IRREDUCIBLE else 0
+    parity = 1 if ctx.case == "irreducible" else 0
     return {s: 2 * comb(f, s) for s in range(f + 1) if s % 2 == parity}
 
 
@@ -281,7 +280,7 @@ def suite_gr_subquot(fmax: int = 8, bigraded_fmax: int = 3) -> list[CheckRecord]
     small = [w for f in range(1, bigraded_fmax + 1) for w in _window_cases(reducible_contexts(f))]
     out.append(_check("gr-subquot", f"degree-0 totals vs tables f<={bigraded_fmax}", (
         _same(case, tables=summary(ctx, spec)[0], degree0_total=i1_degree0_total(ctx, spec))
-        for ctx, spec, case in small if ctx.case is Case.NONSPLIT
+        for ctx, spec, case in small if ctx.case == "nonsplit"
     )))
     out.append(_check("gr-subquot", f"nonzero summand index sets f<={bigraded_fmax}", (
         _same(case, nonzero=summary(ctx, spec)[1], stated=_summand_profiles(ctx, spec))

@@ -9,7 +9,6 @@ including f = 1 (self-constraint).
 from __future__ import annotations
 
 from collections import namedtuple
-from enum import Enum
 from functools import lru_cache
 from math import comb
 from typing import Iterable
@@ -24,10 +23,8 @@ CORE_SYMBOLS = ("X0", "X1", "X2", "P3", "P2", "P1")
 FAMILIES = ("Pss", "P", "Dss", "D", "Pbar")
 
 
-class Case(str, Enum):
-    IRREDUCIBLE = "irreducible"
-    SPLIT = "split"
-    NONSPLIT = "nonsplit"
+#: the cases of a context, as ``GaloisContext.case`` and ``--case`` name them
+CASES = ("irreducible", "split", "nonsplit")
 
 
 #: Miller-Rabin on the first 13 prime bases, 2..41, is proven exact below
@@ -81,18 +78,19 @@ class GaloisContext(namedtuple("GaloisContext", "f case j_rho")):
 
     __slots__ = ()
 
-    def __new__(cls, f: int, case: Case | str, j_rho: int = 0, p: int | None = None):
-        case = Case(case)  # a plain "split" too, so every ``ctx.case is Case.SPLIT`` test reads it
+    def __new__(cls, f: int, case: str, j_rho: int = 0, p: int | None = None):
+        if case not in CASES:
+            raise ValueError(f"case must be one of {', '.join(CASES)}, got {case!r}")
         if f < 1:
             raise ValueError("f must be positive")
         full = full_mask(f)
         if j_rho & ~full:
             raise ValueError("J_rho must be a subset of {0..f-1}")
-        if case is Case.SPLIT and j_rho != full:
+        if case == "split" and j_rho != full:
             raise ValueError("split case requires J_rho = {0..f-1}")
-        if case is Case.NONSPLIT and j_rho == full:
+        if case == "nonsplit" and j_rho == full:
             raise ValueError("nonsplit case requires a proper subset J_rho")
-        if case is Case.IRREDUCIBLE and j_rho:
+        if case == "irreducible" and j_rho:
             raise ValueError("irreducible case takes no J_rho")
         if p is not None:
             bound = 2 * max(9, 4 * f + 1) + 3
@@ -112,7 +110,7 @@ class GaloisContext(namedtuple("GaloisContext", "f case j_rho")):
 
     @property
     def reducible(self) -> bool:
-        return self.case is not Case.IRREDUCIBLE
+        return self.case != "irreducible"
 
     def semisimplified(self) -> "GaloisContext":
         """Split context with the same f; gives the t-rules for P^ss profiles."""
@@ -134,11 +132,11 @@ def mask_of(js: Iterable[int]) -> int:
 
 
 def split_context(f: int, p: int | None = None) -> GaloisContext:
-    return GaloisContext(f, Case.SPLIT, full_mask(f), p)  # an f < 1 is refused by GaloisContext
+    return GaloisContext(f, "split", full_mask(f), p)  # an f < 1 is refused by GaloisContext
 
 
 def nonsplit_context(f: int, j_rho: Iterable[int], p: int | None = None) -> GaloisContext:
-    return GaloisContext(f, Case.NONSPLIT, mask_of(j_rho), p)
+    return GaloisContext(f, "nonsplit", mask_of(j_rho), p)
 
 
 class WeightProfile(namedtuple("WeightProfile", "x0 x1 x2 p3 p2 p1")):
@@ -323,12 +321,12 @@ def count_by_A(ctx: GaloisContext) -> ACounts:
     against 2^(f-d)*C(d,s) at |A| = f-d+s.
     """
     f = ctx.f
-    if ctx.case is Case.IRREDUCIBLE:
+    if ctx.case == "irreducible":
         closed = {s: 2 * comb(f, s) for s in range(f + 1) if s % 2 == 1}
         closed_p = {s: (2 ** (f - s)) * 2 * comb(f, s) for s in closed}
         return ACounts("D", closed, None, closed_p, None, True)
 
-    if ctx.case is Case.SPLIT:
+    if ctx.case == "split":
         closed = {s: 2 * comb(f, s) for s in range(f + 1) if s % 2 == 0}
         enum_d = a_histogram(ctx, enumerate_profiles(ctx, "D"))
         closed_p = {s: (2 ** (f - s)) * 2 * comb(f, s) for s in closed}

@@ -24,7 +24,7 @@ from serrecalc.homology import VERTEX_CAP
 from serrecalc.ideals import FACE_CAP, PATCHED_F_CAP, TABLE_CAP, MonomialIdeal
 from serrecalc.pbw import TOR1_F_CAP
 from serrecalc.predictions import HILBERT_F_CAP, K1_CYCLE_F_CAP, SOCLE_F_CAP, THETA_POINT_CAP, X_COUNTS_F_CAP
-from serrecalc.series import EXPANSION_CAP, dumps_canonical
+from serrecalc.series import EXPANSION_CAP
 from serrecalc.weights import (
     CONTEXT_F_CAP,
     PRIME_TEST_BOUND,
@@ -48,6 +48,19 @@ def test_hilbert_table(capsys):
     lines = dict(line.split(None, 1) for line in out.strip().splitlines())
     assert lines["numerator"] == "10 4 2"
     assert lines["equal"] == "True"
+
+
+def test_json_text_of_a_series_and_a_window_table(capsys):
+    """Integers print as decimal strings and keys sorted; table entries are sorted by degree, then offset."""
+    assert run(capsys, "hilbert", "--f", "1", "--case", "nonsplit", "--jrho", "0", "--trunc", "2") == (0, (
+        '{"closed":{"num":["2","2"],"pole":"1"},"enumerated":{"num":["2","2"],"pole":"1"},"equal":true,'
+        '"expansion":["2","4","4"]}\n'))
+    entries = ('{"entries":[{"deg":"0","mult":"1","offset":["0"]},{"deg":"1","mult":"1","offset":["-1"]},'
+               '{"deg":"1","mult":"1","offset":["1"]}],"trunc":"1"}')
+    assert run(capsys, "grsubquot", "--f", "1", "--case", "nonsplit", "--jrho", "0", "--i0", "-1", "--i0p", "1",
+               "--trunc", "1") == (0, (
+        f'{{"degree0_total":"2","i0":"-1","i0p":"1","summands":[{{"profile":["X0"],"series":{entries}}},'
+        f'{{"profile":["P1"],"series":{entries}}}]}}\n'))
 
 
 def test_enumerate_counts(capsys):
@@ -514,8 +527,8 @@ def test_a_subcommand_loads_only_the_modules_it_uses(name):
     done = subprocess.run([sys.executable, "-c", LOADED_PROBE, *argv], capture_output=True, text=True, env=env,
                           timeout=60)
     assert done.returncode == 0, done.stderr
-    heavy = {"serrecalc.ideals", "serrecalc.homology", "serrecalc.linalg", "serrecalc.pbw", "serrecalc.predictions",
-             "serrecalc.verify"}
+    heavy = {"serrecalc.series", "serrecalc.ideals", "serrecalc.homology", "serrecalc.linalg", "serrecalc.pbw",
+             "serrecalc.predictions", "serrecalc.verify"}
     loaded = heavy & set(done.stdout.split())
     assert not {"dataclasses", "inspect"} & set(done.stdout.split())
     if name in ("import", "enumerate", "stats"):
@@ -546,7 +559,8 @@ def test_csv_parses_back_to_the_cells_of_the_table_rows(capsys, name):
     cmd = cli.COMMANDS[name]
     rc, out = run(capsys, *CHEAP[name], "--format", "json")
     data = json.loads(out)
-    rows = cmd.rows(data) if cmd.rows else [[k, dumps_canonical(v)] for k, v in sorted(data.items())]
+    rows = cmd.rows(data) if cmd.rows else [[k, json.dumps(v, sort_keys=True, separators=(",", ":"))]
+                                            for k, v in sorted(data.items())]
     rc_csv, out_csv = run(capsys, *CHEAP[name], "--format", "csv")
     assert rc_csv == rc and list(csv.reader(io.StringIO(out_csv))) == rows
 
@@ -558,7 +572,7 @@ def test_stats_prints_the_t_rule_of_every_p_profile(capsys, monkeypatch, f):
     for ctx in verify.reducible_contexts(f):
         tag_lists = [lam.tags() for lam in enumerate_profiles(ctx, "P")]
         monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(tag_lists)))
-        rc, out = run(capsys, "stats", "--f", str(f), "--case", ctx.case.value, "--jrho", str(ctx.j_rho),
+        rc, out = run(capsys, "stats", "--f", str(f), "--case", ctx.case, "--jrho", str(ctx.j_rho),
                       "--from-json", "-")
         assert rc == 0
         for tags, rec in zip(tag_lists, json.loads(out)["stats"], strict=True):

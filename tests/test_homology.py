@@ -272,15 +272,6 @@ def test_hochster_walks_only_the_lcm_lattice(monkeypatch):
     assert len(calls) == len(lattice) < 2**ideal.ambient
 
 
-# the two Tor oracles share the homology routine and the rank below it, nothing else
-SHARED_BY_TOR_ORACLES = {
-    ("serrecalc.homology", "homology_from_faces"),
-    ("serrecalc.homology", "_boundary_rows"),
-    ("serrecalc.linalg", "exact_rank"),
-    ("serrecalc.linalg", "_strip_content"),
-}
-
-
 def serrecalc_calls(fn, *args) -> set[tuple[str, str]]:
     """(module, qualname up to ``.<locals>``) of every serrecalc function that ``fn(*args)`` enters."""
     seen = set()
@@ -299,39 +290,16 @@ def serrecalc_calls(fn, *args) -> set[tuple[str, str]]:
     return seen
 
 
-@pytest.mark.skipif(sys.version_info < (3, 11), reason="code objects carry co_qualname from Python 3.11")
-def test_tor_oracles_share_only_the_homology_routine():
-    ideal = ideals.pairing_ideal(3, 0b111, 0)
-    hochster = serrecalc_calls(hochster_profile, ideal)
-    taylor = serrecalc_calls(taylor_profile, ideal)
-    assert ("serrecalc.homology", "homology_from_faces") in hochster & taylor
-    leaked = sorted(".".join(key) for key in hochster & taylor - SHARED_BY_TOR_ORACLES)
-    assert not leaked, f"the Tor oracles both call {', '.join(leaked)}"
-
+# the two Tor oracles share the homology routine and the rank below it, nothing else
+SHARED_BY_TOR_ORACLES = {
+    ("serrecalc.homology", "homology_from_faces"),
+    ("serrecalc.homology", "_boundary_rows"),
+    ("serrecalc.linalg", "exact_rank"),
+    ("serrecalc.linalg", "_strip_content"),
+}
 
 # the Hilbert series and its naive oracle share nothing: the engine grades exponent tuples, not Monomials
 SHARED_BY_HILBERT_ORACLES: set[tuple[str, str]] = set()
-
-
-@pytest.mark.skipif(sys.version_info < (3, 11), reason="code objects carry co_qualname from Python 3.11")
-def test_hilbert_oracles_share_only_the_monomial_type():
-    ideal = a1(nonsplit_context(3, [0]), WeightProfile.from_tags(["X0"] * 3), 1)
-    engine = serrecalc_calls(hilbert, ideal)
-    naive = serrecalc_calls(standard_counts_naive, ideal, 5)
-    assert ("serrecalc.ideals", "_lyubeznik_walk") in engine and ("serrecalc.ideals", "Monomial.__new__") in naive
-    leaked = sorted(".".join(key) for key in engine & naive - SHARED_BY_HILBERT_ORACLES)
-    assert not leaked, f"the Hilbert oracles both call {', '.join(leaked)}"
-
-
-@pytest.mark.skipif(sys.version_info < (3, 11), reason="code objects carry co_qualname from Python 3.11")
-def test_hilbert_and_numerator_enter_no_monomial_method():
-    """The walk's lcms stay packed ints until ``grade`` reads their exponent tuples."""
-    ideal = a1(nonsplit_context(3, [0]), WeightProfile.from_tags(["X0"] * 3), 1)
-    entered = serrecalc_calls(hilbert, ideal) | serrecalc_calls(numerator, ideal, sum)
-    assert ("serrecalc.ideals", "numerator") in entered
-    methods = sorted(name for module, name in entered if name.startswith("Monomial."))
-    assert not methods, f"the Hilbert engine calls {', '.join(methods)}"
-
 
 # the theta lattice and the Hilbert series it is counted against share only profile_stats and what it calls
 SHARED_BY_THETA_ORACLES = {
@@ -345,33 +313,8 @@ SHARED_BY_THETA_ORACLES = {
     ("serrecalc.weights", "WeightProfile.f"),
 }
 
-
-@pytest.mark.skipif(sys.version_info < (3, 11), reason="code objects carry co_qualname from Python 3.11")
-def test_theta_oracles_share_only_profile_stats():
-    ctx, i0 = nonsplit_context(3, [0]), 1
-    profiles = list(enumerate_profiles(ctx, "P"))
-    lattice = serrecalc_calls(lambda: [theta_lattice(ctx, lam, i0 + 4, i0) for lam in profiles])
-    series = serrecalc_calls(lambda: [expand(hilbert(a_lambda(ctx, lam)), ctx.f + 3) for lam in profiles])
-    assert ("serrecalc.weights", "profile_stats") in lattice & series
-    leaked = sorted(".".join(key) for key in lattice & series - SHARED_BY_THETA_ORACLES)
-    assert not leaked, f"the theta oracles both call {', '.join(leaked)}"
-
-
 # x_counts' counted shells and the closed shell sizes share only profile_stats and what it calls, as theta's do
 SHARED_BY_SHELL_ORACLES = SHARED_BY_THETA_ORACLES
-
-
-@pytest.mark.skipif(sys.version_info < (3, 11), reason="code objects carry co_qualname from Python 3.11")
-def test_shell_oracles_share_only_profile_stats():
-    ctx = nonsplit_context(3, [0])
-    profiles = list(enumerate_profiles(ctx, "P"))
-    counted = serrecalc_calls(
-        lambda: [shell_counts(ctx.f, st.ty, st.tz) for st in [profile_stats(ctx, lam) for lam in profiles]])
-    closed = serrecalc_calls(lambda: [shell_sizes(ctx.f, profile_stats(ctx, lam).k) for lam in profiles])
-    assert ("serrecalc.weights", "profile_stats") in counted & closed
-    leaked = sorted(".".join(key) for key in counted & closed - SHARED_BY_SHELL_ORACLES)
-    assert not leaked, f"the shell oracles both call {', '.join(leaked)}"
-
 
 # patched_ideals' intersection and its expected pairing ideal share only the MonomialIdeal constructor's packed
 # path and the monomial type it normalizes
@@ -391,19 +334,71 @@ SHARED_BY_PATCHED_SIDES = {
 }
 
 
-@pytest.mark.skipif(sys.version_info < (3, 11), reason="code objects carry co_qualname from Python 3.11")
-def test_patched_sides_share_only_the_ideal_constructor():
+def _tor_sides():
+    ideal = ideals.pairing_ideal(3, 0b111, 0)
+    return lambda: hochster_profile(ideal), lambda: taylor_profile(ideal)
+
+
+def _hilbert_sides():
+    ideal = a1(nonsplit_context(3, [0]), WeightProfile.from_tags(["X0"] * 3), 1)
+    return lambda: hilbert(ideal), lambda: standard_counts_naive(ideal, 5)
+
+
+def _theta_sides():
+    ctx, i0 = nonsplit_context(3, [0]), 1
+    profiles = list(enumerate_profiles(ctx, "P"))
+    return (lambda: [theta_lattice(ctx, lam, i0 + 4, i0) for lam in profiles],
+            lambda: [expand(hilbert(a_lambda(ctx, lam)), ctx.f + 3) for lam in profiles])
+
+
+def _shell_sides():
+    ctx = nonsplit_context(3, [0])
+    profiles = list(enumerate_profiles(ctx, "P"))
+    return (lambda: [shell_counts(ctx.f, st.ty, st.tz) for st in [profile_stats(ctx, lam) for lam in profiles]],
+            lambda: [shell_sizes(ctx.f, profile_stats(ctx, lam).k) for lam in profiles])
+
+
+def _patched_sides():
     ctx, lam = split_context(4), WeightProfile.from_tags(["X0", "P2", "X1", "X0"])
     j_dp = j_dprime(ctx, lam)
     assert j_dp == 0b0110  # the Y-pairs run over positions 0 and 3 of J_rho, a mask that is not a prefix
     whole = serrecalc_calls(ideals.patched_ideals, ctx, lam)
     assert {("serrecalc.ideals", "_patched_intersection"), ("serrecalc.ideals", "pairing_ideal")} <= whole
-    intersection = serrecalc_calls(ideals._patched_intersection, ctx.f, ctx.j_rho, j_dp)
-    expected = serrecalc_calls(ideals.pairing_ideal, 4, 0b1001, 4)
-    assert ("serrecalc.ideals", "MonomialIdeal.intersect") in intersection
-    assert ("serrecalc.ideals", "paired") in expected
-    leaked = sorted(".".join(key) for key in intersection & expected - SHARED_BY_PATCHED_SIDES)
-    assert not leaked, f"the patched intersection and its expected ideal both call {', '.join(leaked)}"
+    return lambda: ideals._patched_intersection(ctx.f, ctx.j_rho, j_dp), lambda: ideals.pairing_ideal(4, 0b1001, 4)
+
+
+HOMOLOGY, PROFILE_STATS = ("serrecalc.homology", "homology_from_faces"), ("serrecalc.weights", "profile_stats")
+# one row per oracle pair: (name, the set-up that builds the inputs outside the profile and returns side A and
+# side B, the serrecalc function each side must enter, the calls the two sides may share)
+ORACLE_PAIRS = [
+    ("tor", _tor_sides, (HOMOLOGY, HOMOLOGY), SHARED_BY_TOR_ORACLES),
+    ("hilbert", _hilbert_sides, (("serrecalc.ideals", "_lyubeznik_walk"), ("serrecalc.ideals", "Monomial.__new__")),
+     SHARED_BY_HILBERT_ORACLES),
+    ("theta", _theta_sides, (PROFILE_STATS, PROFILE_STATS), SHARED_BY_THETA_ORACLES),
+    ("shell", _shell_sides, (PROFILE_STATS, PROFILE_STATS), SHARED_BY_SHELL_ORACLES),
+    ("patched", _patched_sides, (("serrecalc.ideals", "MonomialIdeal.intersect"), ("serrecalc.ideals", "paired")),
+     SHARED_BY_PATCHED_SIDES),
+]
+
+
+@pytest.mark.skipif(sys.version_info < (3, 11), reason="code objects carry co_qualname from Python 3.11")
+@pytest.mark.parametrize("name, sides, entered, allowed", ORACLE_PAIRS, ids=[row[0] for row in ORACLE_PAIRS])
+def test_oracle_pair_shares_only_its_allow_list(name, sides, entered, allowed):
+    side_a, side_b = sides()
+    a, b = serrecalc_calls(side_a), serrecalc_calls(side_b)
+    assert entered[0] in a and entered[1] in b
+    leaked = sorted(".".join(key) for key in a & b - allowed)
+    assert not leaked, f"the {name} sides both call {', '.join(leaked)}"
+
+
+@pytest.mark.skipif(sys.version_info < (3, 11), reason="code objects carry co_qualname from Python 3.11")
+def test_hilbert_and_numerator_enter_no_monomial_method():
+    """The walk's lcms stay packed ints until ``grade`` reads their exponent tuples."""
+    ideal = a1(nonsplit_context(3, [0]), WeightProfile.from_tags(["X0"] * 3), 1)
+    entered = serrecalc_calls(hilbert, ideal) | serrecalc_calls(numerator, ideal, sum)
+    assert ("serrecalc.ideals", "numerator") in entered
+    methods = sorted(name for module, name in entered if name.startswith("Monomial."))
+    assert not methods, f"the Hilbert engine calls {', '.join(methods)}"
 
 
 def test_stanley_reisner_closed_values():

@@ -33,7 +33,6 @@ from serrecalc.predictions import (
 from serrecalc.series import expand
 from serrecalc.verify import _profiles, suite_semisimple_match
 from serrecalc.weights import (
-    Case,
     GaloisContext,
     WeightProfile,
     PROFILE_F_CAP,
@@ -54,7 +53,7 @@ def prof(*tags):
 
 
 def test_hilbert_pi_cases():
-    res = hilbert_pi(GaloisContext(1, Case.IRREDUCIBLE))
+    res = hilbert_pi(GaloisContext(1, "irreducible"))
     assert res.equal and expand(res.closed, 4) == [2, 4, 4, 4, 4]
     res = hilbert_pi(split_context(1))
     assert res.equal and expand(res.closed, 4) == [4, 4, 4, 4, 4]
@@ -64,7 +63,7 @@ def test_hilbert_pi_cases():
 
 @pytest.mark.parametrize("f", range(1, 5))
 def test_hilbert_pi_at_zero(f):
-    assert hilbert_pi(GaloisContext(f, Case.IRREDUCIBLE)).closed.at_zero() == 3**f - 1
+    assert hilbert_pi(GaloisContext(f, "irreducible")).closed.at_zero() == 3**f - 1
     assert hilbert_pi(split_context(f)).closed.at_zero() == 3**f + 1
     for d in range(f):
         ctx = nonsplit_context(f, range(d))
@@ -96,15 +95,16 @@ def test_gr_subquotient_full_window_totals():
     data = gr_subquotient(ctx, SubquotientSpec(-1, 2), trunc=5)
     totals = [0] * 6
     for _, table in data:
-        for d, v in enumerate(table.totals()):
-            totals[d] += v
+        for d in range(table.trunc + 1):
+            totals[d] += table.total(d)
     assert totals == expand(hilbert_pi(ctx).closed, 5)
 
 
 def test_gr_subquotient_worked_example():
     ctx = nonsplit_context(2, [0])
     data = dict(gr_subquotient(ctx, SubquotientSpec(0, 1), trunc=5))
-    assert data[prof("X0", "X0")].totals() == [1, 2, 3, 4, 5, 6]
+    table = data[prof("X0", "X0")]
+    assert [table.total(d) for d in range(table.trunc + 1)] == [1, 2, 3, 4, 5, 6]
 
 
 def test_gr_subquotient_split_window():
@@ -115,7 +115,7 @@ def test_gr_subquotient_split_window():
         ell = profile_stats(ctx, lam).ell
         assert table.is_zero() == (ell != 1)
         if ell == 1:
-            assert table == bigraded_difference(MonomialIdeal.unit(4), a_lambda(ctx, lam), 2, 4, 0)
+            assert table == bigraded_difference(MonomialIdeal(4, (Monomial((0,) * 4),)), a_lambda(ctx, lam), 2, 4, 0)
 
 
 def test_i1_invariants_examples():
@@ -322,7 +322,7 @@ def test_rotating_the_indices_changes_nothing():
                 lam_turned = _rotated(ctx, lam)
                 assert x_counts(turned, lam_turned) == x_counts(ctx, lam), (ctx, lam)
                 assert hilbert(a_lambda(turned, lam_turned)) == hilbert(a_lambda(ctx, lam)), (ctx, lam)
-            if ctx.case is not Case.NONSPLIT or f > 3:
+            if ctx.case != "nonsplit" or f > 3:
                 continue
             for i0 in range(-1, f):
                 assert semisimple_match(turned, i0) == semisimple_match(ctx, i0), (ctx, i0)
@@ -379,8 +379,8 @@ def test_semisimple_match_worked_pair():
     ideal = a_ss(ctx, lp)
     assert ideal.gens == (Monomial((0, 1, 0, 0)), Monomial((0, 0, 1, 0)))
     assert Monomial.bigrade(p_monomial(2, st_, 0b10))[1] == (0, -1)
-    table = bigraded_difference(MonomialIdeal.unit(4), ideal, 2, 4, 0)
-    assert table.totals() == [1, 2, 3, 4, 5]
+    table = bigraded_difference(MonomialIdeal(4, (Monomial((0,) * 4),)), ideal, 2, 4, 0)
+    assert [table.total(d) for d in range(table.trunc + 1)] == [1, 2, 3, 4, 5]
 
 
 def test_semisimple_match_flags():
@@ -434,7 +434,7 @@ def test_theta_record_names_the_point_without_descent(monkeypatch):
 
 
 def _hilbert_values():
-    r = hilbert_pi(GaloisContext(1, Case.IRREDUCIBLE))
+    r = hilbert_pi(GaloisContext(1, "irreducible"))
     return f"closed={r.closed} enumerated={r.enumerated}"
 
 
@@ -532,7 +532,7 @@ def test_degenerates_examples():
 
 
 def test_unsupported_cases():
-    irr = GaloisContext(2, Case.IRREDUCIBLE)
+    irr = GaloisContext(2, "irreducible")
     with pytest.raises(UnsupportedCaseError):
         gr_subquotient(irr, SubquotientSpec(-1, 2))
     with pytest.raises(UnsupportedCaseError):

@@ -6,9 +6,9 @@ import pytest
 from serrecalc.errors import ProfileMembershipError, UnsupportedCaseError
 from serrecalc.verify import reducible_contexts
 from serrecalc.weights import (
+    CASES,
     CORE_SYMBOLS,
     FAMILIES,
-    Case,
     GaloisContext,
     WeightProfile,
     _pss_list,
@@ -35,13 +35,13 @@ def prof(*tags):
 
 def test_context_validation():
     with pytest.raises(ValueError):
-        GaloisContext(2, Case.SPLIT, 0b01)
+        GaloisContext(2, "split", 0b01)
     with pytest.raises(ValueError):
-        GaloisContext(2, Case.NONSPLIT, 0b11)
+        GaloisContext(2, "nonsplit", 0b11)
     with pytest.raises(ValueError):
-        GaloisContext(2, Case.IRREDUCIBLE, 0b01)
+        GaloisContext(2, "irreducible", 0b01)
     with pytest.raises(ValueError):
-        GaloisContext(2, Case.NONSPLIT, 0b100)  # index 2 is outside {0, 1}
+        GaloisContext(2, "nonsplit", 0b100)  # index 2 is outside {0, 1}
     with pytest.raises(ValueError):
         split_context(2, p=20)  # not prime
     with pytest.raises(ValueError):
@@ -50,15 +50,23 @@ def test_context_validation():
 
 
 def test_context_reads_a_case_given_as_its_value():
-    """The case string is converted to its ``Case`` member, so every ``ctx.case is Case...`` test reads it."""
+    """A context built from a case string equals the one its constructor builds, and every check reads it."""
     from serrecalc.predictions import hilbert_pi, semisimple_match
 
     ctx = GaloisContext(1, "split", 1)
-    assert ctx.case is Case.SPLIT and ctx == split_context(1)
+    assert ctx.case == "split" and ctx == split_context(1)
     assert hilbert_pi(ctx).equal
     assert semisimple_match(GaloisContext(2, "nonsplit", 1), 0) == semisimple_match(nonsplit_context(2, [0]), 0)
     with pytest.raises(ValueError):
         GaloisContext(2, "bogus")
+
+
+def test_case_is_its_string():
+    """A context's case is the plain string, one of ``CASES``; any other string is refused."""
+    for ctx in (GaloisContext(1, "irreducible"), split_context(1), nonsplit_context(2, [0])):
+        assert type(ctx.case) is str and ctx.case in CASES
+    with pytest.raises(ValueError, match="'spilt'"):
+        GaloisContext(1, "spilt")
 
 
 def test_context_checks_p_but_does_not_store_it():
@@ -79,7 +87,7 @@ def test_enumerate_f1():
 
 def test_enumerate_rejects_irreducible():
     with pytest.raises(UnsupportedCaseError):
-        enumerate_profiles(GaloisContext(1, Case.IRREDUCIBLE), "P")
+        enumerate_profiles(GaloisContext(1, "irreducible"), "P")
 
 
 def test_profile_stats_examples():
@@ -108,7 +116,7 @@ def test_profile_stats_rejects_uncovered():
 
 
 def test_count_by_A_irreducible_f3():
-    counts = count_by_A(GaloisContext(3, Case.IRREDUCIBLE))
+    counts = count_by_A(GaloisContext(3, "irreducible"))
     assert counts.closed == {1: 6, 3: 2}
     assert counts.closed_p_level == {1: 4 * 6, 3: 1 * 2}
 
@@ -146,7 +154,7 @@ def test_a_set_contains_jrho_complement(f):
         for lam in enumerate_profiles(ctx, "P"):
             st_ = profile_stats(ctx, lam)
             assert ctx.j_rho_c & st_.a_set == ctx.j_rho_c == (1 << f) - 1 - mask
-            if ctx.case is Case.SPLIT:
+            if ctx.case == "split":
                 assert st_.a_set.bit_count() % 2 == 0
 
 
@@ -157,7 +165,7 @@ def test_a_histogram_reads_a_without_profile_stats(f):
     Outside P both refuse the profile.
     """
     for ctx in reducible_contexts(f):
-        for which in ("P", "D") if ctx.case is Case.SPLIT else ("P", "Pbar"):
+        for which in ("P", "D") if ctx.case == "split" else ("P", "Pbar"):
             for lam in enumerate_profiles(ctx, which):
                 assert a_histogram(ctx, [lam]) == {profile_stats(ctx, lam).a_set.bit_count(): 1}, (ctx, lam)
         for lam in enumerate_profiles(ctx, "Pss"):  # outside P, profile_stats has no t-rule and neither has A
@@ -175,7 +183,7 @@ def test_pbar_fibers(f):
     from serrecalc.verify import reducible_contexts
 
     for ctx in reducible_contexts(f):
-        if ctx.case is not Case.NONSPLIT:
+        if ctx.case != "nonsplit":
             continue
         d = ctx.d_rho
         pbar = enumerate_profiles(ctx, "Pbar")
