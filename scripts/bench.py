@@ -8,6 +8,11 @@ It runs ``serrecalc verify --all --report json`` in a fresh process and
 records its wall time, the process's peak RSS and every record it printed,
 grouped by suite with each suite's summed ``elapsed_s``.  It then runs the
 tier-1 test command and records its wall time, exit code and summary line.
+The ``setup`` row is the median and quartiles, over ``SETUP_PROBES`` fresh
+processes after one warm-up, of the time from spawn until
+``import serrecalc, serrecalc.cli`` returns, measured as the benchmark worker
+measures ``setup_s``: the parent passes its ``time.monotonic_ns()`` reading
+and the child, which inherits this process's environment, subtracts it.
 Then it times fixed-size kernels, at least one per module, in this process, in
 dependency order: the median time per call over repeats, each repeat as
 many calls as ``timeit`` autoranges to (at least 0.2 s).  Cached kernels
@@ -15,9 +20,9 @@ are timed cold, their cache cleared before each call; the caches of the
 layers below stay warm.  The ``cli.main`` rows time the print path, from the
 argv to the JSON text, with standard output sent to ``os.devnull``.  Each
 kernel's ``peak_kib`` is the ``tracemalloc`` peak of one such call, made
-before the timed repeats.  Beside them go the ``src/`` line count, ``nproc``
-and the Python version.  Standard library only; the output path is the one
-argument.
+before the timed repeats.  Beside them go the ``src/`` line and module
+counts, ``nproc`` and the Python version.  Standard library only; the output
+path is the one argument.
 
 Before the kernels it runs fixed passes, the ``matching`` benchmark
 workload's operations, in one fresh child process (``bench.py --passes``),
@@ -45,6 +50,8 @@ from itertools import combinations
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 TIER1_ARGS = ["-m", "pytest", "-q", "--continue-on-collection-errors"]
+SETUP_PROBES = 11
+SETUP_CHILD = "import sys, time; import serrecalc, serrecalc.cli; print(time.monotonic_ns() - int(sys.argv[1]))"
 
 
 def _env() -> dict:
@@ -78,6 +85,19 @@ def tier1() -> dict:
     lines = proc.stdout.strip().splitlines()
     return {"command": " ".join(["python", *TIER1_ARGS]), "wall_s": wall, "exit_code": proc.returncode,
             "summary": lines[-1] if lines else ""}
+
+
+def setup() -> dict:
+    """Spawn-to-import time of ``serrecalc.cli`` in fresh processes, after one warm-up that writes the bytecode."""
+    def probe() -> float:
+        spawn_ns = time.monotonic_ns()
+        proc = subprocess.run([sys.executable, "-c", SETUP_CHILD, str(spawn_ns)], cwd=ROOT, env=_env(),
+                              capture_output=True, text=True, check=True)
+        return int(proc.stdout) / 1e9
+
+    probe()
+    q1, median, q3 = statistics.quantiles([probe() for _ in range(SETUP_PROBES)], n=4, method="inclusive")
+    return {"median_s": median, "q1_s": q1, "q3_s": q3, "probes": SETUP_PROBES}
 
 
 def _each(call, arg_tuples: list[tuple]) -> None:
@@ -172,11 +192,11 @@ def kernels(repeats: int = 5) -> list[dict]:
     a1_f4 = [(ctx, lam, i) for ctx in verify.reducible_contexts(4) for lam in weights.enumerate_profiles(ctx, "P")
              for i in range(-1, 5)]
     patched6 = weights.WeightProfile.from_tags(["X1", "P2"] * 3)
-    irreducible16 = series.RationalSeries(series.IntPoly.of(3, 1) ** 16 - series.one_minus_t() ** 16, 16)
+    irreducible16 = series.RationalSeries(series.IntPoly((3, 1)) ** 16 - series.one_minus_t() ** 16, 16)
     cold = lambda cached, *args: lambda: (cached.cache_clear(), cached(*args))
     cases = [
         ("series.expand", "(3 + t)^10 / (1 - t)^10 to degree 200",
-         lambda: series.expand(series.RationalSeries(series.IntPoly.of(3, 1) ** 10, 10), 200)),
+         lambda: series.expand(series.RationalSeries(series.IntPoly((3, 1)) ** 10, 10), 200)),
         ("series.expand", "((3 + t)^16 - (1 - t)^16) / (1 - t)^16, the irreducible f = 16 Hilbert series, "
          "to degree 99,999", lambda: series.expand(irreducible16, 99_999)),
         ("weights._pss_list", "f = 8", cold(weights._pss_list, 8)),
@@ -237,9 +257,13 @@ def kernels(repeats: int = 5) -> list[dict]:
     return out
 
 
+def _src_paths() -> list[str]:
+    return sorted(glob.glob(os.path.join(ROOT, "src", "serrecalc", "*.py")))
+
+
 def src_lines() -> int:
     total = 0
-    for path in sorted(glob.glob(os.path.join(ROOT, "src", "serrecalc", "*.py"))):
+    for path in _src_paths():
         with open(path, encoding="utf-8") as fh:
             total += sum(1 for _ in fh)
     return total
@@ -252,9 +276,10 @@ def main(argv: list[str]) -> int:
     if len(argv) != 1:
         print("usage: bench.py OUTPUT.json", file=sys.stderr)
         return 2
-    report = {"verify_all": verify_all(), "tier1": tier1(), "passes": passes(), "kernels": kernels()}
+    report = {"verify_all": verify_all(), "setup": setup(), "tier1": tier1(), "passes": passes(), "kernels": kernels()}
     report.update(
         src_lines=src_lines(),
+        src_modules=len(_src_paths()),
         nproc=len(os.sched_getaffinity(0)),
         python=platform.python_version(),
         machine=platform.machine(),

@@ -162,13 +162,12 @@ def _stats(a) -> dict:
 
 
 def _ideal(a) -> dict:
-    from .errors import SizeLimitError
     from .ideals import FACE_CAP, a_lambda, hilbert
     from .weights import in_p
     # a(lambda)'s f generators share no variable, so the walk would visit all 2^f faces: refuse such an f
     # before one is built; a profile outside P goes on to a_lambda's error
     if 1 << a.f > FACE_CAP and in_p(a.ctx, a.lam):
-        raise SizeLimitError(f"the Lyubeznik walk passed its cap of {FACE_CAP} faces")
+        raise ValueError(f"the Lyubeznik walk passed its cap of {FACE_CAP} faces")
     ideal = a_lambda(a.ctx, a.lam)
     return {"gens": ideal.gens, "hilbert": hilbert(ideal).reduced()._asdict()}
 

@@ -16,7 +16,6 @@ from collections import defaultdict, namedtuple
 from math import comb
 from typing import Iterable
 
-from .errors import SizeLimitError
 from .ideals import MonomialIdeal, Packing, _lyubeznik_walk, pairing_ideal
 from .linalg import exact_rank
 
@@ -56,7 +55,7 @@ def homology_from_faces(faces: Iterable[int]) -> dict[int, int]:
     """
     by_card: dict[int, list[int]] = {}
     for mask in sorted(faces):
-        by_card.setdefault(bin(mask).count("1"), []).append(mask)
+        by_card.setdefault(mask.bit_count(), []).append(mask)
     ranks = {k: exact_rank(_boundary_rows(by_card[k], by_card[k - 1])) for k in by_card if k - 1 in by_card}
     dims: dict[int, int] = {}
     for k in sorted(by_card):
@@ -79,7 +78,7 @@ def hochster_profile(ideal: MonomialIdeal) -> list[int]:
         raise ValueError("Stanley-Reisner complexes need squarefree generators")
     n = ideal.ambient
     if n > VERTEX_CAP:
-        raise SizeLimitError(f"{n} vertices exceeds the cap of {VERTEX_CAP}")
+        raise ValueError(f"{n} vertices exceeds the cap of {VERTEX_CAP}")
     nonfaces = [g.support_mask() for g in ideal.gens]
     # the faces, grown one vertex at a time: each face minus its last vertex is a face
     faces = [0] if 0 not in nonfaces else []

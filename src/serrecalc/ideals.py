@@ -18,7 +18,6 @@ from itertools import chain, combinations, islice
 from math import comb
 from typing import Callable, Hashable, Iterable, Iterator, Sequence
 
-from .errors import ProfileMembershipError, SizeLimitError
 from .series import BigradedSeries, CharOffset, IntPoly, RationalSeries, _ball_points
 from .weights import GaloisContext, ProfileStats, WeightProfile, in_p, indices, j_dprime, mask_of, profile_stats
 
@@ -178,13 +177,6 @@ class MonomialIdeal(namedtuple("MonomialIdeal", "ambient gens")):
             raise ValueError("generator ambient mismatch")
         return tuple.__new__(cls, (ambient, _minimalize(gens, ambient)))
 
-    @staticmethod
-    def zero(ambient: int) -> "MonomialIdeal":
-        return MonomialIdeal(ambient, ())
-
-    def is_zero(self) -> bool:
-        return not self.gens
-
     def is_unit(self) -> bool:
         return bool(self.gens) and self.gens[0].degree == 0
 
@@ -202,8 +194,8 @@ class MonomialIdeal(namedtuple("MonomialIdeal", "ambient gens")):
     def intersect(self, other: "MonomialIdeal") -> "MonomialIdeal":
         if other.ambient != self.ambient:
             raise ValueError("ambient mismatch")
-        if self.is_zero() or other.is_zero():
-            return MonomialIdeal.zero(self.ambient)
+        if not self.gens or not other.gens:
+            return MonomialIdeal(self.ambient, ())
         pk = Packing.over(self.gens + other.gens, self.ambient)
         mine = [pk.pack(g) for g in self.gens]
         lcms = _minimal(pk, {pk.lcm(a, pk.pack(b)) for b in other.gens for a in mine})
@@ -217,7 +209,7 @@ class MonomialIdeal(namedtuple("MonomialIdeal", "ambient gens")):
 def _family(ctx: GaloisContext, lam: WeightProfile) -> tuple[ProfileStats, MonomialIdeal]:
     """A P-profile's stats and a(lambda), from which each member of its ideal family is built."""
     if not in_p(ctx, lam):
-        raise ProfileMembershipError(f"{lam!r} is not in P for this context")
+        raise ValueError(f"{lam!r} is not in P for this context")
     stats, f = profile_stats(ctx, lam), ctx.f  # t_j: y_j on ty, z_j on tz, y_j z_j elsewhere
     gens = [paired(f, 1 << j & ~stats.tz, 1 << j & ~stats.ty) for j in range(f)]
     return stats, MonomialIdeal(2 * f, tuple(gens))
@@ -304,7 +296,7 @@ def _lyubeznik_walk(gens: tuple[int, ...], pk: Packing) -> Iterator[tuple[int, i
     generator, one ``Packing.lcm``; a new least index i is refused, with
     every extension, when some g_j with j < i divides the new lcm.  The walk
     keeps its own stack, so its depth is not Python's, and past ``FACE_CAP``
-    faces it stops with ``SizeLimitError``.
+    faces it stops with a ``ValueError``.
     """
     lcm, divides = pk.lcm, pk.divides
     stack = [(0, 0, len(gens))]  # (lcm, face, its least index or len(gens)): the children i < top
@@ -312,7 +304,7 @@ def _lyubeznik_walk(gens: tuple[int, ...], pk: Packing) -> Iterator[tuple[int, i
     while stack:
         faces += 1
         if faces > FACE_CAP:
-            raise SizeLimitError(f"the Lyubeznik walk passed its cap of {FACE_CAP} faces")
+            raise ValueError(f"the Lyubeznik walk passed its cap of {FACE_CAP} faces")
         m, s_mask, top = stack.pop()
         yield m, s_mask
         for i in range(top - 1, -1, -1):  # pushed last first, so index 0's subtree comes next
@@ -376,7 +368,7 @@ def bigraded_difference(
     bound = trunc + shift
     monomials = comb(bound + 2 * f, 2 * f) if trunc >= 0 else 0  # BigradedSeries refuses trunc < 0
     if monomials > TABLE_CAP:
-        raise SizeLimitError(f"a table over {monomials} monomials exceeds the cap of {TABLE_CAP}")
+        raise ValueError(f"a table over {monomials} monomials exceeds the cap of {TABLE_CAP}")
     # an offset c is one integer whose base-(2 bound + 1) digit j is c_j + bound;
     # |c_j| <= degree <= bound, so a step in one coordinate never carries
     base = 2 * bound + 1
@@ -480,9 +472,9 @@ def patched_ideals(
     index j of J_rho sit at 2p, 2p + 1.
     """
     if ctx.f > PATCHED_F_CAP:
-        raise SizeLimitError(f"f = {ctx.f} exceeds the patched cap of {PATCHED_F_CAP}")
+        raise ValueError(f"f = {ctx.f} exceeds the patched cap of {PATCHED_F_CAP}")
     if not in_p(ctx, lam):
-        raise ProfileMembershipError(f"{lam!r} is not in P for this context")
+        raise ValueError(f"{lam!r} is not in P for this context")
     rho, j_dp = indices(ctx.j_rho), j_dprime(ctx, lam)
     ys = mask_of(p for p, j in enumerate(rho) if not j_dp >> j & 1)
     return _patched_intersection(ctx.f, ctx.j_rho, j_dp), pairing_ideal(len(rho), ys, 2 * ctx.f - len(rho))

@@ -18,7 +18,6 @@ from functools import lru_cache
 from itertools import combinations
 from math import comb
 
-from .errors import SizeLimitError
 from .linalg import exact_rank
 from .series import _ball_points
 from .weights import GaloisContext, WeightProfile, profile_stats
@@ -180,7 +179,7 @@ def tor1_gr(ctx: GaloisContext, lam: WeightProfile, side: str = "right") -> GrTo
     if side not in ("right", "left"):
         raise ValueError("side must be 'right' or 'left'")
     if ctx.f > TOR1_F_CAP:
-        raise SizeLimitError(f"f = {ctx.f} exceeds the grtor cap of {TOR1_F_CAP}")
+        raise ValueError(f"f = {ctx.f} exceeds the grtor cap of {TOR1_F_CAP}")
     stats = profile_stats(ctx, lam)
     im1, ker1, im2 = _tor1_dims(ctx.f, stats.ty, stats.tz, side)
     tor1 = ker1 - im2

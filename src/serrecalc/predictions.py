@@ -13,7 +13,6 @@ from functools import lru_cache
 from itertools import combinations
 from math import comb
 
-from .errors import SizeLimitError, UnsupportedCaseError
 from .homology import ext1_lower_bound, ext_closed
 from .ideals import Monomial, _family, _member, a_ss, bigraded_difference, d_shift, numerator, p_monomial
 from .pbw import char_multiset
@@ -60,20 +59,20 @@ SeriesCheck = namedtuple("SeriesCheck", "closed enumerated equal")
 
 def _closed_hilbert_pi(ctx: GaloisContext) -> RationalSeries:
     f = ctx.f
-    three_t = IntPoly.of(3, 1) ** f
+    three_t = IntPoly((3, 1)) ** f
     omt = one_minus_t() ** f
     if ctx.case == "irreducible":
         return RationalSeries(three_t - omt, f)
     if ctx.case == "split":
         return RationalSeries(three_t + omt, f)
     d = ctx.d_rho
-    num = IntPoly.of(1, 1) ** (f - d) * IntPoly.of(3, 1) ** d
+    num = IntPoly((1, 1)) ** (f - d) * IntPoly((3, 1)) ** d
     return RationalSeries(num.scale(2 ** (f - d)), f)
 
 
 def _one_plus_t_sum(hist: dict[int, int]) -> IntPoly:
     """The sum of count * (1 + t)^a over the items (a, count) of ``hist``."""
-    return sum(((IntPoly.of(1, 1) ** a).scale(count) for a, count in hist.items()), IntPoly.zero())
+    return sum(((IntPoly((1, 1)) ** a).scale(count) for a, count in hist.items()), IntPoly())
 
 
 #: ``hilbert_pi`` multiplies polynomials of degree up to f, and ``serrecalc
@@ -90,7 +89,7 @@ def hilbert_pi(ctx: GaloisContext) -> SeriesCheck:
     """Closed Hilbert series of the full module against the profile sum."""
     f = ctx.f
     if f > HILBERT_F_CAP:
-        raise SizeLimitError(f"f = {f} exceeds the hilbert cap of {HILBERT_F_CAP}")
+        raise ValueError(f"f = {f} exceeds the hilbert cap of {HILBERT_F_CAP}")
     if ctx.case == "irreducible":
         hist = {s: 2 * comb(f, s) * 2 ** (f - s) for s in range(1, f + 1, 2)}
     else:
@@ -103,7 +102,7 @@ def hilbert_pi(ctx: GaloisContext) -> SeriesCheck:
 def hilbert_Ni(ctx: GaloisContext, i: int) -> SeriesCheck:
     """Hilbert series of the |J_lambda| = i layer in the split case."""
     if ctx.case != "split":
-        raise UnsupportedCaseError("the layered series is a split-case statement")
+        raise ValueError("the layered series is a split-case statement")
     f = ctx.f
     if not 0 <= i <= f:
         raise ValueError(f"layer index {i} outside 0..f")
@@ -132,7 +131,7 @@ def gr_subquotient(
     equal entry keys at one bound, are one object.  Nothing outlives the call.
     """
     if not ctx.reducible:
-        raise UnsupportedCaseError("graded subquotient data needs a reducible context")
+        raise ValueError("graded subquotient data needs a reducible context")
     spec.check(ctx.f)
     f, n = ctx.f, default_trunc(ctx.f) if trunc is None else trunc
     offsets: dict = {}
@@ -150,7 +149,7 @@ def gr_subquotient(
 def i1_invariants(ctx: GaloisContext, spec: SubquotientSpec) -> list[WeightProfile]:
     """Profiles indexing the fixed vectors of the (i0, i0p) subquotient."""
     if ctx.case != "nonsplit":
-        raise UnsupportedCaseError("the invariant index set is a nonsplit statement")
+        raise ValueError("the invariant index set is a nonsplit statement")
     spec.check(ctx.f)
     out = []
     for lam in _pss_list(ctx.f):
@@ -191,7 +190,7 @@ def _i1_histograms(ctx: GaloisContext) -> tuple[dict, dict]:
 def i1_cardinality(ctx: GaloisContext, spec: SubquotientSpec) -> int:
     """|i1_invariants| computed from the per-context histograms."""
     if ctx.case != "nonsplit":
-        raise UnsupportedCaseError("the invariant index set is a nonsplit statement")
+        raise ValueError("the invariant index set is a nonsplit statement")
     spec.check(ctx.f)
     hist_p, hist_ss = _i1_histograms(ctx)
     total = sum(c for (ell, _), c in hist_p.items() if spec.i0 < ell <= spec.i0p)
@@ -206,7 +205,7 @@ def i1_degree0_total(ctx: GaloisContext, spec: SubquotientSpec) -> int:
     contributes C(|J1 ⊔ J2|, d) when |J_lambda| <= i0p and zero otherwise.
     """
     if ctx.case != "nonsplit":
-        raise UnsupportedCaseError("the invariant index set is a nonsplit statement")
+        raise ValueError("the invariant index set is a nonsplit statement")
     spec.check(ctx.f)
     hist_p, _ = _i1_histograms(ctx)
     total = 0
@@ -232,9 +231,9 @@ def socle_jsets(ctx: GaloisContext, spec: SubquotientSpec) -> list[int]:
     So size i0 + 1 holds every subset, and a larger size only those of J_rho.
     """
     if ctx.f > SOCLE_F_CAP:
-        raise SizeLimitError(f"f = {ctx.f} exceeds the socle cap of {SOCLE_F_CAP}")
+        raise ValueError(f"f = {ctx.f} exceeds the socle cap of {SOCLE_F_CAP}")
     if ctx.case != "nonsplit":
-        raise UnsupportedCaseError("the socle description is a nonsplit statement")
+        raise ValueError("the socle description is a nonsplit statement")
     spec.check(ctx.f)
     out = [mask_of(sub) for sub in combinations(range(ctx.f), spec.i0 + 1)]
     out += (mask_of(sub) for r in range(spec.i0 + 2, spec.i0p + 1) for sub in combinations(indices(ctx.j_rho), r))
@@ -253,7 +252,7 @@ def k1_cycle(f: int, spec: SubquotientSpec) -> int:
     if f < 1:
         raise ValueError("f must be positive")
     if f > K1_CYCLE_F_CAP:
-        raise SizeLimitError(f"f = {f} exceeds the k1cycle cap of {K1_CYCLE_F_CAP}")
+        raise ValueError(f"f = {f} exceeds the k1cycle cap of {K1_CYCLE_F_CAP}")
     spec.check(f)
     return sum(comb(f, i) for i in range(spec.i0 + 1, spec.i0p + 1))
 
@@ -297,7 +296,7 @@ def theta_lattice(ctx: GaloisContext, lam: WeightProfile, n: int, i0: int) -> La
     r = n - 1  # the l1 radius
     size = _ball_size(ctx.f - st.k, st.k, r)
     if size > THETA_POINT_CAP:
-        raise SizeLimitError(f"a ball of {size} lattice points exceeds the cap of {THETA_POINT_CAP}")
+        raise ValueError(f"a ball of {size} lattice points exceeds the cap of {THETA_POINT_CAP}")
     # sign constraints: <= 0 where t_j = y_j, >= 0 where t_j = z_j
     bounds = [(0 if st.tz >> j & 1 else -r, 0 if st.ty >> j & 1 else r) for j in range(ctx.f)]
     ball = _ball_points(bounds, r)
@@ -338,7 +337,7 @@ def semisimple_match(ctx: GaloisContext, i0: int) -> MatchResult:
     num(a1(i0+1)) - num(a1(i0)) = sum over J' of p(J') * num(a_ss(lambda')).
     """
     if ctx.case != "nonsplit":
-        raise UnsupportedCaseError("the matching is a nonsplit statement")
+        raise ValueError("the matching is a nonsplit statement")
     if not -1 <= i0 <= ctx.f - 1:
         raise ValueError(f"i0 = {i0} outside -1..f-1")
 
@@ -389,7 +388,7 @@ X_COUNTS_F_CAP = 18
 def x_counts(ctx: GaloisContext, lam: WeightProfile) -> XCounts:
     """Counted sizes of the depth-0/1/2 character shells around a profile, against ``shell_sizes``."""
     if ctx.f > X_COUNTS_F_CAP:
-        raise SizeLimitError(f"f = {ctx.f} exceeds the xcounts cap of {X_COUNTS_F_CAP}")
+        raise ValueError(f"f = {ctx.f} exceeds the xcounts cap of {X_COUNTS_F_CAP}")
     st = profile_stats(ctx, lam)
     counts, expected = shell_counts(ctx.f, st.ty, st.tz), shell_sizes(ctx.f, st.k)
     return XCounts(*counts, expected, counts == expected)

@@ -20,7 +20,6 @@ from itertools import combinations, product
 from math import comb
 from typing import Callable, Iterable, Iterator
 
-from .errors import SizeLimitError
 from .homology import (
     VERTEX_CAP,
     ext1_lower_bound,
@@ -194,8 +193,8 @@ def suite_hilbert(fmax: int = 5) -> list[CheckRecord]:
     # binomial identities behind the closed numerators
     def binomials():
         for n in range(13):
-            plus, minus = IntPoly.of(2, 1) ** n, IntPoly.of(2, -1) ** n
-            odd = even = IntPoly.zero()
+            plus, minus = IntPoly((2, 1)) ** n, IntPoly((2, -1)) ** n
+            odd = even = IntPoly()
             for i in range(n + 1):
                 term = IntPoly.t_power(i, comb(n, i) * 2 ** (n - i))
                 odd, even = (odd + term, even) if i % 2 else (odd, even + term)
@@ -261,7 +260,7 @@ def suite_gr_subquot(fmax: int = 8, bigraded_fmax: int = 3) -> list[CheckRecord]
         )))
         out.append(_check("gr-subquot", f"f={f} binomial window", (
             _same(f"f={f} i0={spec.i0} i0p={spec.i0p}", k1_cycle=k1_cycle(f, spec),
-                  subsets=sum(1 for mask in range(1 << f) if spec.i0 < bin(mask).count("1") <= spec.i0p))
+                  subsets=sum(1 for mask in range(1 << f) if spec.i0 < mask.bit_count() <= spec.i0p))
             for spec in _windows(f)
         )))
         if f <= 4:
@@ -275,7 +274,7 @@ def suite_gr_subquot(fmax: int = 8, bigraded_fmax: int = 3) -> list[CheckRecord]
     @cache
     def summary(ctx, spec):  # the two values the checks read, so that no window's tables outlive it
         data = gr_subquotient(ctx, spec, trunc=2)
-        return sum(b.total(0) for _, b in data), _tags(lam for lam, b in data if not b.is_zero())
+        return sum(b.total(0) for _, b in data), _tags(lam for lam, b in data if b.entries)
 
     small = [w for f in range(1, bigraded_fmax + 1) for w in _window_cases(reducible_contexts(f))]
     out.append(_check("gr-subquot", f"degree-0 totals vs tables f<={bigraded_fmax}", (
@@ -547,7 +546,7 @@ def run_suites(names: list[str], fmax: int | None = None) -> list[CheckRecord]:
         if fmax is not None and fmax < 1:
             raise ValueError(f"scale f must be at least 1, got {fmax}")
         if fmax is not None and fmax > SCALE_CAP[name]:
-            raise SizeLimitError(f"suite {name} takes a scale of at most {SCALE_CAP[name]}, got {fmax}")
+            raise ValueError(f"suite {name} takes a scale of at most {SCALE_CAP[name]}, got {fmax}")
     out = []
     for name in names:
         out += SUITES[name]() if fmax is None else SUITES[name](fmax)

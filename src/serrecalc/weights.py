@@ -13,8 +13,6 @@ from functools import lru_cache
 from math import comb
 from typing import Iterable
 
-from .errors import ProfileMembershipError, SizeLimitError, UnsupportedCaseError
-
 
 #: the tags of x_j, x_j + 1, x_j + 2, p - 3 - x_j, p - 2 - x_j and p - 1 - x_j
 CORE_SYMBOLS = ("X0", "X1", "X2", "P3", "P2", "P1")
@@ -37,7 +35,7 @@ _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 def is_prime(n: int) -> bool:
     """Deterministic Miller-Rabin; the package's one primality test."""
     if n >= PRIME_TEST_BOUND:
-        raise SizeLimitError(f"primality of {n} is only decided below {PRIME_TEST_BOUND}")
+        raise ValueError(f"primality of {n} is only decided below {PRIME_TEST_BOUND}")
     if n < 2 or any(n % b == 0 for b in _MR_BASES):
         return n in _MR_BASES
     s = ((n - 1) & (1 - n)).bit_length() - 1  # 2^s exactly divides n - 1
@@ -62,7 +60,7 @@ CONTEXT_F_CAP = 2_000
 def full_mask(f: int) -> int:
     """The mask of {0..f-1}, 0 for an f < 1; past ``CONTEXT_F_CAP`` it refuses f before building a mask."""
     if f > CONTEXT_F_CAP:
-        raise SizeLimitError(f"f = {f} exceeds the context cap of {CONTEXT_F_CAP}")
+        raise ValueError(f"f = {f} exceeds the context cap of {CONTEXT_F_CAP}")
     return (1 << max(f, 0)) - 1
 
 
@@ -115,7 +113,7 @@ class GaloisContext(namedtuple("GaloisContext", "f case j_rho")):
     def semisimplified(self) -> "GaloisContext":
         """Split context with the same f; gives the t-rules for P^ss profiles."""
         if not self.reducible:
-            raise UnsupportedCaseError("no split semisimplification modeled for the irreducible case")
+            raise ValueError("no split semisimplification modeled for the irreducible case")
         return split_context(self.f)
 
 
@@ -186,7 +184,7 @@ def in_pss(profile: WeightProfile) -> bool:
 
 def _require_reducible(ctx: GaloisContext):
     if not ctx.reducible:
-        raise UnsupportedCaseError(
+        raise ValueError(
             "profile families are enumerated for reducible cases only; "
             "the irreducible case is served by its counting model"
         )
@@ -215,7 +213,7 @@ PROFILE_F_CAP = 10
 def _pss_list(f: int) -> tuple[WeightProfile, ...]:
     """All of P^ss in lexicographic symbol order, one int object per mask value."""
     if f > PROFILE_F_CAP:
-        raise SizeLimitError(f"f = {f} exceeds the profile enumeration cap of {PROFILE_F_CAP}")
+        raise ValueError(f"f = {f} exceeds the profile enumeration cap of {PROFILE_F_CAP}")
     out: list[WeightProfile] = []
     _add_pss(f, 0, 0, 0, [0] * 6, list(range(1 << f)), out)  # unshared masks: 2.7 MiB more at f = 10
     return tuple(out)
@@ -268,12 +266,12 @@ def profile_stats(ctx: GaloisContext, profile: WeightProfile) -> ProfileStats:
     if profile.f != ctx.f:
         raise ValueError("profile length differs from ctx.f")
     if not in_pss(profile):
-        raise ProfileMembershipError(f"{profile!r} is not in P^ss")
+        raise ValueError(f"{profile!r} is not in P^ss")
     rho, out = ctx.j_rho, ctx.j_rho_c
     bad = (profile.x2 | profile.p3) & ~rho  # x+2 and p-3-x have a generator rule inside J_rho only
     if bad:
         j = (bad & -bad).bit_length() - 1
-        raise ProfileMembershipError(f"{profile!r}: no generator rule for {profile.tags()[j]} at j={j} outside J_rho")
+        raise ValueError(f"{profile!r}: no generator rule for {profile.tags()[j]} at j={j} outside J_rho")
     a_set = out | j_dprime(ctx, profile)
     j_lambda = j_set(profile)
     return ProfileStats(
@@ -293,7 +291,7 @@ def a_histogram(ctx: GaloisContext, profiles: Iterable[WeightProfile]) -> dict[i
     out: dict[int, int] = {}
     for lam in profiles:
         if not in_p(ctx, lam):  # some j has no t-rule, so no A
-            raise ProfileMembershipError(f"{lam!r} is not in P for this context")
+            raise ValueError(f"{lam!r} is not in P for this context")
         a = (ctx.j_rho_c | j_dprime(ctx, lam)).bit_count()
         out[a] = out.get(a, 0) + 1
     return out
@@ -352,7 +350,7 @@ def character_window(ctx: GaloisContext, profile: WeightProfile) -> frozenset[in
     J' marks the {x+2, p-3-x} coordinates and J'' the {x+1, p-2-x} ones.
     """
     if not in_p(ctx, profile):
-        raise ProfileMembershipError(f"{profile!r} is not in P for this context")
+        raise ValueError(f"{profile!r} is not in P for this context")
     rho = ctx.j_rho
     j_min, j_dp = (profile.x2 | profile.p3) & rho, j_dprime(ctx, profile)
     return frozenset(J for J in range(rho + 1) if not J & ~rho and ((J & ~j_dp) ^ j_min).bit_count() <= 1)
@@ -361,7 +359,7 @@ def character_window(ctx: GaloisContext, profile: WeightProfile) -> frozenset[in
 def v_chi_from_windows(ctx: GaloisContext, profile: WeightProfile) -> frozenset[int]:
     """Independent assembly of V_chi as a union of shifted windows: J' moved by at most one index, J'' free."""
     if not in_p(ctx, profile):
-        raise ProfileMembershipError(f"{profile!r} is not in P for this context")
+        raise ValueError(f"{profile!r} is not in P for this context")
     rho, j_dp = ctx.j_rho, j_dprime(ctx, profile)
     j_min = (profile.x2 | profile.p3) & rho
     shifts = [0] + [1 << j for j in indices(rho & ~j_dp)]

@@ -398,6 +398,24 @@ def test_ideal_below_the_face_cap_walks_every_face(capsys):
     assert rc == 0 and len(json.loads(out)["gens"]) == f
 
 
+# Each refusal the library raises is a ValueError whose text names the rule; the CLI prints it whole. The caps'
+# exact lines are pinned by the context-cap and face-cap tests above.
+REFUSALS = {
+    "case": (["match", "--f", "2", "--case", "split", "--jrho", "all", "--i0", "0"],
+             "error: the matching is a nonsplit statement\n"),
+    "outside-p": (["ideal", "--f", "2", "--case", "nonsplit", "--jrho", "0", "--profile", "X2,X2"],
+                  "error: WeightProfile(X2,X2) is not in P for this context\n"),
+    "outside-pss": (["stats", "--f", "2", "--case", "split", "--jrho", "all", "--profile", "X0,X1"],
+                    "error: WeightProfile(X0,X1) is not in P^ss\n"),
+}
+
+
+@pytest.mark.parametrize("argv, err", REFUSALS.values(), ids=REFUSALS.keys())
+def test_a_refusal_prints_its_message_as_the_one_error_line(capsys, argv, err):
+    rc = main(argv)
+    assert (rc, *capsys.readouterr()) == (2, "", err)
+
+
 @pytest.mark.parametrize("f", [3, CONTEXT_F_CAP])
 def test_ideal_names_a_profile_outside_p_at_every_f(capsys, f):
     rc = main(["ideal", "--f", str(f), "--case", "nonsplit", "--jrho", "0", "--profile", ",".join(["X2"] * f)])
@@ -476,7 +494,7 @@ FLAGGED = {
     "xcounts": (["xcounts", *SPLIT2, "--profile", "X0,X0"], predictions, "x_counts",
                 lambda r: r._replace(ok=False)),
     "patched": (["patched", *SPLIT2, "--profile", "X0,X0"], ideals, "patched_ideals",
-                lambda r: (r[0], MonomialIdeal.zero(r[0].ambient))),
+                lambda r: (r[0], MonomialIdeal(r[0].ambient, ()))),
 }
 
 
@@ -545,12 +563,16 @@ print(*sorted(set(sys.modules) - before))
 
 
 def test_importing_the_cli_loads_no_argparse():
-    """Library importers and benchmark workers never build a parser, so the import leaves argparse out."""
+    """Library importers and benchmark workers never build a parser, so the import leaves argparse out.
+
+    The import is the path perfbench's ``setup_s`` times, so its package modules are pinned too.
+    """
     env = {**os.environ, "PYTHONPATH": str(Path(serrecalc.__file__).parents[1])}
     done = subprocess.run([sys.executable, "-c", IMPORT_PROBE], capture_output=True, text=True, env=env, timeout=60)
     assert done.returncode == 0, done.stderr
     new = set(done.stdout.split())
     assert "serrecalc.cli" in new and not {"argparse", "gettext"} & new
+    assert {m for m in new if m.split(".")[0] == "serrecalc"} == {"serrecalc", "serrecalc.cli", "serrecalc.weights"}
 
 
 @pytest.mark.parametrize("name", sorted(set(CHEAP) - {"verify"}))  # verify reports table or json only

@@ -25,7 +25,6 @@ from serrecalc.ideals import (
     standard_counts_naive,
     standard_monomials,
 )
-from serrecalc.errors import ProfileMembershipError
 from serrecalc.homology import taylor_profile
 from serrecalc.pbw import pbw_basis
 from serrecalc.predictions import (
@@ -82,7 +81,7 @@ def test_a_lambda_examples():
 
 def test_a_lambda_rejects_outside_p():
     ns2 = nonsplit_context(2, [0])
-    with pytest.raises(ProfileMembershipError):
+    with pytest.raises(ValueError, match="is not in P for this context$"):
         a_lambda(ns2, prof("X0", "X2"))
 
 
@@ -237,12 +236,12 @@ def test_minimal_generators_match_the_tuple_methods(pool):
 
 
 def test_hilbert_examples():
-    assert hilbert(MonomialIdeal.zero(2)) == RationalSeries(IntPoly.of(1), 2)
+    assert hilbert(MonomialIdeal(2, ())) == RationalSeries(IntPoly((1,)), 2)
     got = hilbert(MonomialIdeal(2, (mono(1, 1),)))
-    assert got == RationalSeries(IntPoly.of(1, 1), 1)
+    assert got == RationalSeries(IntPoly((1, 1)), 1)
     ns2 = nonsplit_context(2, [0])
     got = hilbert(a_lambda(ns2, prof("X0", "X0")))
-    assert got == RationalSeries(IntPoly.of(1, 1), 2)
+    assert got == RationalSeries(IntPoly((1, 1)), 2)
     assert expand(got, 6) == standard_counts_naive(a_lambda(ns2, prof("X0", "X0")), 6)
 
 
@@ -253,7 +252,7 @@ def test_hilbert_closed_form_per_profile(f):
     for ctx in reducible_contexts(f):
         for lam in enumerate_profiles(ctx, "P"):
             a = profile_stats(ctx, lam).a_set.bit_count()
-            assert hilbert(a_lambda(ctx, lam)) == RationalSeries(IntPoly.of(1, 1) ** a, f)
+            assert hilbert(a_lambda(ctx, lam)) == RationalSeries(IntPoly((1, 1)) ** a, f)
 
 
 def test_hilbert_vs_naive_all_window_ideals():
@@ -311,11 +310,11 @@ def test_numerator_walks_few_subsets_of_a_window_ideal(monkeypatch):
 
 NS2_0 = nonsplit_context(2, [0])
 STANDARD_CASES = {
-    "zero": (MonomialIdeal.zero(3), 4),
+    "zero": (MonomialIdeal(3, ()), 4),
     "unit": (MonomialIdeal(3, (Monomial((0,) * 3),)), 4),
-    "zero-no-variables": (MonomialIdeal.zero(0), 3),
+    "zero-no-variables": (MonomialIdeal(0, ()), 3),
     "unit-no-variables": (MonomialIdeal(0, (Monomial(()),)), 3),
-    "negative-bound": (MonomialIdeal.zero(2), -1),
+    "negative-bound": (MonomialIdeal(2, ()), -1),
     **{f"a_lambda-{','.join(lam.tags())}": (a_lambda(NS2_0, lam), 4) for lam in enumerate_profiles(NS2_0, "P")},
     "a1-f3": (a1(nonsplit_context(3, [0]), prof("X0", "X0", "X0"), 1), 3),
 }
@@ -392,7 +391,7 @@ def test_bigraded_quotient_vanishing():
     ns2 = nonsplit_context(2, [0])
     lam = prof("X1", "P2")  # J1 = J2 = {}, |J_lambda| = 1
     table = window_table(ns2, lam, 1, 2, 5)
-    assert table.is_zero()
+    assert not table.entries
 
 
 def test_bigraded_quotient_parameter_order():
@@ -455,7 +454,7 @@ def test_window_tables_sharing_offsets_keep_their_bounds(ctx, spec):
     trunc = 4
     data = gr_subquotient(ctx, spec, trunc)
     shifts = {lam: d_shift(profile_stats(ctx, lam), spec.i0) for lam, _ in data}
-    assert len({shifts[lam] for lam, table in data if not table.is_zero()}) >= 2
+    assert len({shifts[lam] for lam, table in data if table.entries}) >= 2
     for lam, table in data:
         big, small = a1(ctx, lam, spec.i0), a1(ctx, lam, spec.i0p)
         raw = raw_table(lambda m: big.member(m) and not small.member(m), ctx.f, trunc, shifts[lam])
@@ -515,7 +514,7 @@ def _reused_nonzero_tables(ctx, spec: SubquotientSpec, trunc: int | None = None)
         key = (a1(ctx, lam, spec.i0), a1(ctx, lam, spec.i0p), d_shift(profile_stats(ctx, lam), spec.i0))
         if key in built:
             assert table is built[key], lam
-            reused += not table.is_zero()
+            reused += bool(table.entries)
         else:
             assert all(table is not other for other in built.values()), lam
             assert table == bigraded_difference(key[0], key[1], ctx.f, n, key[2]), lam
@@ -575,7 +574,7 @@ def test_bigraded_tables_of_non_squarefree_ideals():
 
 def test_bigraded_difference_of_equal_or_unnested_ideals():
     ideal = a1(nonsplit_context(2, [0]), prof("X0", "X0"), 0)
-    assert bigraded_difference(ideal, ideal, 2, 5, 1).is_zero()
+    assert not bigraded_difference(ideal, ideal, 2, 5, 1).entries
     unit = MonomialIdeal(4, (Monomial((0,) * 4),))
     with pytest.raises(ValueError, match="multiplicities must be nonnegative"):
         bigraded_difference(ideal, unit, 2, 5, 0)
@@ -606,7 +605,7 @@ def test_matching_truncated_tables_naive(ctx):
 
 def test_ideal_from_pairs_edges():
     assert ideal_from_pairs(2, 0, 0, 0).is_unit()
-    assert ideal_from_pairs(2, 0b1, 0, 2).is_zero()
+    assert not ideal_from_pairs(2, 0b1, 0, 2).gens
     with pytest.raises(ValueError, match="lie in"):
         ideal_from_pairs(2, 0b100, 0, 1)  # index 2 past f - 1
     for ys, zs in ((0b100, 0), (0, 0b100), (0, -1)):

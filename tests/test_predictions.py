@@ -4,7 +4,6 @@ from math import comb
 
 import pytest
 
-from serrecalc.errors import SizeLimitError, UnsupportedCaseError
 from serrecalc import homology, pbw, predictions, verify
 from serrecalc.homology import ext_dims
 from serrecalc.ideals import Monomial, MonomialIdeal, a_lambda, a_ss, bigraded_difference, p_monomial
@@ -75,7 +74,7 @@ def test_hilbert_ni_f1():
     for i in (0, 1):
         res = hilbert_Ni(ctx, i)
         assert res.equal and expand(res.closed, 3) == [2, 2, 2, 2]
-    with pytest.raises(UnsupportedCaseError):
+    with pytest.raises(ValueError, match="is a split-case statement$"):
         hilbert_Ni(nonsplit_context(1, []), 0)
 
 
@@ -113,7 +112,7 @@ def test_gr_subquotient_split_window():
     data = dict(gr_subquotient(ctx, SubquotientSpec(0, 1), trunc=4))
     for lam, table in data.items():
         ell = profile_stats(ctx, lam).ell
-        assert table.is_zero() == (ell != 1)
+        assert (not table.entries) == (ell != 1)
         if ell == 1:
             assert table == bigraded_difference(MonomialIdeal(4, (Monomial((0,) * 4),)), a_lambda(ctx, lam), 2, 4, 0)
 
@@ -211,7 +210,7 @@ def test_k1_cycle_cap():
     # the gr-subquot suite calls k1_cycle at every f it lists profiles for
     assert K1_CYCLE_F_CAP >= PROFILE_F_CAP
     assert k1_cycle(K1_CYCLE_F_CAP, SubquotientSpec(-1, 1)) == 1 + K1_CYCLE_F_CAP
-    with pytest.raises(SizeLimitError):
+    with pytest.raises(ValueError, match=f"exceeds the k1cycle cap of {K1_CYCLE_F_CAP}$"):
         k1_cycle(K1_CYCLE_F_CAP + 1, SubquotientSpec(-1, 1))
 
 
@@ -282,7 +281,7 @@ def test_theta_lattice_point_cap():
     ctx = nonsplit_context(1, [])
     n = THETA_POINT_CAP // 2  # 2n - 1 points, one below the cap
     assert len(theta_lattice(ctx, prof("X0"), n, 0).points) == 2 * n - 1
-    with pytest.raises(SizeLimitError):
+    with pytest.raises(ValueError, match=f"exceeds the cap of {THETA_POINT_CAP}$"):
         theta_lattice(ctx, prof("X0"), n + 1, 0)
 
 
@@ -390,7 +389,7 @@ def test_semisimple_match_flags():
         assert res.bijection_ok and res.hilbert_ok
     with pytest.raises(ValueError):
         semisimple_match(ctx, 2)
-    with pytest.raises(UnsupportedCaseError):
+    with pytest.raises(ValueError, match="the matching is a nonsplit statement$"):
         semisimple_match(split_context(2), 0)
 
 
@@ -533,9 +532,9 @@ def test_degenerates_examples():
 
 def test_unsupported_cases():
     irr = GaloisContext(2, "irreducible")
-    with pytest.raises(UnsupportedCaseError):
+    with pytest.raises(ValueError, match="needs a reducible context$"):
         gr_subquotient(irr, SubquotientSpec(-1, 2))
-    with pytest.raises(UnsupportedCaseError):
+    with pytest.raises(ValueError, match="the invariant index set is a nonsplit statement$"):
         i1_invariants(split_context(2), SubquotientSpec(-1, 2))
-    with pytest.raises(UnsupportedCaseError):
+    with pytest.raises(ValueError, match="the socle description is a nonsplit statement$"):
         socle_jsets(split_context(2), SubquotientSpec(-1, 2))

@@ -58,19 +58,19 @@ def long_division(num: list[int], pole: int, n: int) -> list[int]:
 def test_trailing_zeros_normalized():
     assert IntPoly((1, 0, 0)) == (1,)
     assert IntPoly((0, 0)) == ()
-    assert IntPoly(()).is_zero()
+    assert not IntPoly(())
 
 
 def test_expand_geometric():
-    assert expand(RationalSeries(IntPoly.of(1), 1), 3) == [1, 1, 1, 1]
+    assert expand(RationalSeries(IntPoly((1,)), 1), 3) == [1, 1, 1, 1]
 
 
 def test_expand_three_plus_t():
-    assert expand(RationalSeries(IntPoly.of(3, 1), 1), 3) == [3, 4, 4, 4]
+    assert expand(RationalSeries(IntPoly((3, 1)), 1), 3) == [3, 4, 4, 4]
 
 
 def test_expand_split_f2_closed_form():
-    num = IntPoly.of(3, 1) ** 2 + IntPoly.of(1, -1) ** 2
+    num = IntPoly((3, 1)) ** 2 + IntPoly((1, -1)) ** 2
     assert num == (10, 4, 2)
     got = expand(RationalSeries(num, 2), 2)
     assert got == long_division([10, 4, 2], 2, 2) == [10, 24, 40]
@@ -106,23 +106,23 @@ def test_expand_matches_a_binomial_sum(pole):
 
 def test_rational_equality_cross_multiplied():
     # (1+t)/(1-t) == (1-t^2)/(1-t)^2
-    a = RationalSeries(IntPoly.of(1, 1), 1)
-    b = RationalSeries(IntPoly.of(1, 0, -1), 2)
+    a = RationalSeries(IntPoly((1, 1)), 1)
+    b = RationalSeries(IntPoly((1, 0, -1)), 2)
     assert a == b
-    assert a != RationalSeries(IntPoly.of(1, 1), 2)
+    assert a != RationalSeries(IntPoly((1, 1)), 2)
 
 
 def test_rational_reduced():
-    r = RationalSeries(IntPoly.of(1, 0, -1), 2).reduced()
+    r = RationalSeries(IntPoly((1, 0, -1)), 2).reduced()
     assert r.num == (1, 1) and r.pole == 1
 
 
 def test_binomial_identities():
     for n in range(13):
-        plus = IntPoly.of(2, 1) ** n
-        minus = IntPoly.of(2, -1) ** n
-        odd = IntPoly.zero()
-        even = IntPoly.zero()
+        plus = IntPoly((2, 1)) ** n
+        minus = IntPoly((2, -1)) ** n
+        odd = IntPoly()
+        even = IntPoly()
         from math import comb
 
         for i in range(n + 1):
@@ -135,7 +135,7 @@ def test_binomial_identities():
 X0 = WeightProfile.from_tags(["X0"])
 # one instance of every value type, with its repr
 VALUES = [
-    (RationalSeries(IntPoly.of(1, 1), 2), "RationalSeries(num=(1, 1), pole=2)"),
+    (RationalSeries(IntPoly((1, 1)), 2), "RationalSeries(num=(1, 1), pole=2)"),
     (split_context(1), "GaloisContext(f=1, case='split', j_rho=1)"),
     (X0, "WeightProfile(X0)"),
     (profile_stats(split_context(1), X0), "ProfileStats(j_lambda=0, ell=0, ty=0, tz=1, a_set=0, k=1, j1=0, j2=0)"),
@@ -184,11 +184,11 @@ def test_intpoly_is_its_tuple():
     """A polynomial equals, hashes and pickles as its coefficient tuple, and keeps polynomial + and *."""
     p = IntPoly([1, 2, 0, 0])
     assert p == (1, 2) and (1, 2) == p and hash(p) == hash((1, 2)) and p != (1, 2, 0)
-    assert {p: 1} == {(1, 2): 1} and IntPoly.zero() == ()
+    assert {p: 1} == {(1, 2): 1} and IntPoly() == ()
     again = pickle.loads(pickle.dumps(p))
     assert type(again) is IntPoly and again == p
-    assert p + IntPoly.of(1, -2) == (2,) and type(p + p) is IntPoly
-    assert p * IntPoly.of(1, -1) == (1, 1, -2) and type(p * p) is IntPoly
+    assert p + IntPoly((1, -2)) == (2,) and type(p + p) is IntPoly
+    assert p * IntPoly((1, -1)) == (1, 1, -2) and type(p * p) is IntPoly
 
 
 def test_monomial_is_its_tuple():
