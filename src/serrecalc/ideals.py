@@ -19,7 +19,9 @@ from math import comb
 from typing import Callable, Hashable, Iterable, Iterator, Sequence
 
 from .series import BigradedSeries, CharOffset, IntPoly, RationalSeries, _ball_points
-from .weights import GaloisContext, ProfileStats, WeightProfile, in_p, indices, j_dprime, mask_of, profile_stats
+from .weights import (
+    GaloisContext, ProfileStats, WeightProfile, in_p, indices, j_dprime, mask_of, profile_stats, split_context,
+)
 
 #: ``_lyubeznik_walk`` visits at most this many faces, the one bound on the walk
 #: behind ``numerator`` and ``taylor_profile``, which keep one entry per face at
@@ -54,9 +56,9 @@ class Monomial(tuple):
         return self
 
     @staticmethod
-    def variable(ambient: int, idx: int, power: int = 1) -> "Monomial":
+    def variable(ambient: int, idx: int) -> "Monomial":
         exps = [0] * ambient
-        exps[idx] = power
+        exps[idx] = 1
         return Monomial(exps)
 
     @property
@@ -222,7 +224,7 @@ def a_lambda(ctx: GaloisContext, lam: WeightProfile) -> MonomialIdeal:
 
 def a_ss(ctx: GaloisContext, lam: WeightProfile) -> MonomialIdeal:
     """Semisimplified ideal: the t-rules with J_rho replaced by the full set."""
-    return a_lambda(ctx.semisimplified(), lam)
+    return a_lambda(split_context(ctx.f), lam)
 
 
 def p_monomial(f: int, stats: ProfileStats, j_prime: int) -> Monomial:

@@ -16,13 +16,14 @@ from math import comb
 from .homology import ext1_lower_bound, ext_closed
 from .ideals import Monomial, _family, _member, a_ss, bigraded_difference, d_shift, numerator, p_monomial
 from .pbw import char_multiset
-from .series import BigradedSeries, IntPoly, RationalSeries, _ball_points, one_minus_t
+from .series import BigradedSeries, IntPoly, RationalSeries, _ball_points
 from .weights import (
     GaloisContext,
     WeightProfile,
     _FAMILY_TEST,
     _pss_list,
     a_histogram,
+    count_by_A,
     enumerate_profiles,
     in_pss,
     indices,
@@ -60,7 +61,7 @@ SeriesCheck = namedtuple("SeriesCheck", "closed enumerated equal")
 def _closed_hilbert_pi(ctx: GaloisContext) -> RationalSeries:
     f = ctx.f
     three_t = IntPoly((3, 1)) ** f
-    omt = one_minus_t() ** f
+    omt = IntPoly((1, -1)) ** f
     if ctx.case == "irreducible":
         return RationalSeries(three_t - omt, f)
     if ctx.case == "split":
@@ -90,10 +91,8 @@ def hilbert_pi(ctx: GaloisContext) -> SeriesCheck:
     f = ctx.f
     if f > HILBERT_F_CAP:
         raise ValueError(f"f = {f} exceeds the hilbert cap of {HILBERT_F_CAP}")
-    if ctx.case == "irreducible":
-        hist = {s: 2 * comb(f, s) * 2 ** (f - s) for s in range(1, f + 1, 2)}
-    else:
-        hist = a_histogram(ctx, enumerate_profiles(ctx, "P"))
+    irreducible = ctx.case == "irreducible"  # no profiles to sum: the counting model's histogram over P
+    hist = count_by_A(ctx).closed_p_level if irreducible else a_histogram(ctx, enumerate_profiles(ctx, "P"))
     enumerated = RationalSeries(_one_plus_t_sum(hist), f)
     closed = _closed_hilbert_pi(ctx)
     return SeriesCheck(closed, enumerated, closed == enumerated)

@@ -43,10 +43,6 @@ class IntPoly(tuple):
             out.pop()
         return tuple.__new__(cls, out)
 
-    @staticmethod
-    def t_power(d: int, c: int = 1) -> "IntPoly":
-        return IntPoly((0,) * d + (c,))
-
     def coeff(self, d: int) -> int:
         return self[d] if 0 <= d < len(self) else 0
 
@@ -86,24 +82,14 @@ class IntPoly(tuple):
     def scale(self, a: int) -> "IntPoly":
         return IntPoly([a * c for c in self])
 
-    def eval_at(self, x: int) -> int:
-        acc = 0
-        for c in self[::-1]:  # reversed() takes the generic sequence path on a tuple subclass
-            acc = acc * x + c
-        return acc
-
-
-def one_minus_t() -> IntPoly:
-    return IntPoly((1, -1))
-
 
 class RationalSeries(namedtuple("RationalSeries", "num pole")):
     """Integer polynomial numerator ``num`` over (1-t)^``pole``.
 
-    Values are equal iff the cross-multiplied numerators agree, i.e.
-    n1*(1-t)^p2 == n2*(1-t)^p1 as polynomials: one series has many field
-    tuples, so equality and the hash, that of the reduced series' fields,
-    are not the tuple's.
+    Equality and hash are the tuple's, so two series compare as values only at
+    one pole, which is how every caller builds them; across poles, compare
+    their ``reduced()`` forms.  ``+`` is the tuple's concatenation, as an
+    ``int * IntPoly`` is the tuple's repetition: add the numerators instead.
     """
 
     __slots__ = ()
@@ -113,20 +99,12 @@ class RationalSeries(namedtuple("RationalSeries", "num pole")):
             raise ValueError("pole order must be nonnegative")
         return tuple.__new__(cls, (num, pole))
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, RationalSeries):
-            return NotImplemented
-        return self.num * one_minus_t() ** other.pole == other.num * one_minus_t() ** self.pole
-
-    def __hash__(self):
-        return tuple.__hash__(self.reduced())
-
     def reduced(self) -> "RationalSeries":
-        """Cancel common (1-t) factors from numerator and denominator."""
+        """Cancel common (1-t) factors from numerator and denominator: one field tuple per series."""
         num, pole = self.num, self.pole
         if not num:
             return RationalSeries(num, 0)
-        while pole > 0 and num.eval_at(1) == 0:
+        while pole > 0 and sum(num) == 0:
             # synthetic division by (1 - t)
             q = [0] * len(num)
             carry = 0
@@ -136,18 +114,6 @@ class RationalSeries(namedtuple("RationalSeries", "num pole")):
             num = IntPoly(q[:-1])
             pole -= 1
         return RationalSeries(num, pole)
-
-    def lift(self, pole: int) -> "RationalSeries":
-        if pole < self.pole:
-            raise ValueError("cannot lower the pole without cancellation")
-        return RationalSeries(self.num * one_minus_t() ** (pole - self.pole), pole)
-
-    def __add__(self, other: "RationalSeries") -> "RationalSeries":
-        p = max(self.pole, other.pole)
-        return RationalSeries(self.lift(p).num + other.lift(p).num, p)
-
-    def at_zero(self) -> int:
-        return self.num.coeff(0)
 
 
 def expand(rs: RationalSeries, n: int) -> list[int]:

@@ -110,12 +110,6 @@ class GaloisContext(namedtuple("GaloisContext", "f case j_rho")):
     def reducible(self) -> bool:
         return self.case != "irreducible"
 
-    def semisimplified(self) -> "GaloisContext":
-        """Split context with the same f; gives the t-rules for P^ss profiles."""
-        if not self.reducible:
-            raise ValueError("no split semisimplification modeled for the irreducible case")
-        return split_context(self.f)
-
 
 def indices(mask: int) -> list[int]:
     """The indices of an index-set bitmask in increasing order: the form every output prints."""
@@ -129,12 +123,12 @@ def mask_of(js: Iterable[int]) -> int:
     return sum({1 << j for j in js})
 
 
-def split_context(f: int, p: int | None = None) -> GaloisContext:
-    return GaloisContext(f, "split", full_mask(f), p)  # an f < 1 is refused by GaloisContext
+def split_context(f: int) -> GaloisContext:
+    return GaloisContext(f, "split", full_mask(f))  # an f < 1 is refused by GaloisContext
 
 
-def nonsplit_context(f: int, j_rho: Iterable[int], p: int | None = None) -> GaloisContext:
-    return GaloisContext(f, "nonsplit", mask_of(j_rho), p)
+def nonsplit_context(f: int, j_rho: Iterable[int]) -> GaloisContext:
+    return GaloisContext(f, "nonsplit", mask_of(j_rho))
 
 
 class WeightProfile(namedtuple("WeightProfile", "x0 x1 x2 p3 p2 p1")):
@@ -297,17 +291,8 @@ def a_histogram(ctx: GaloisContext, profiles: Iterable[WeightProfile]) -> dict[i
     return out
 
 
-class ACounts(namedtuple("ACounts", "domain closed enumerated closed_p_level enumerated_p_level ok")):
-    """Per-|A| cardinalities, enumerated where a family is available.
-
-    The dicts stay out of the hash, since a tuple holding a dict cannot hash;
-    equality is still the tuple's, dicts included.
-    """
-
-    __slots__ = ()
-
-    def __hash__(self):
-        return hash((self.domain, self.ok))
+#: Per-|A| cardinalities, enumerated where a family is available; it holds dicts, so it does not hash.
+ACounts = namedtuple("ACounts", "closed enumerated closed_p_level enumerated_p_level ok")
 
 
 def count_by_A(ctx: GaloisContext) -> ACounts:
@@ -322,7 +307,7 @@ def count_by_A(ctx: GaloisContext) -> ACounts:
     if ctx.case == "irreducible":
         closed = {s: 2 * comb(f, s) for s in range(f + 1) if s % 2 == 1}
         closed_p = {s: (2 ** (f - s)) * 2 * comb(f, s) for s in closed}
-        return ACounts("D", closed, None, closed_p, None, True)
+        return ACounts(closed, None, closed_p, None, True)
 
     if ctx.case == "split":
         closed = {s: 2 * comb(f, s) for s in range(f + 1) if s % 2 == 0}
@@ -330,12 +315,12 @@ def count_by_A(ctx: GaloisContext) -> ACounts:
         closed_p = {s: (2 ** (f - s)) * 2 * comb(f, s) for s in closed}
         enum_p = a_histogram(ctx, enumerate_profiles(ctx, "P"))
         ok = enum_d == closed and enum_p == closed_p
-        return ACounts("D", closed, enum_d, closed_p, enum_p, ok)
+        return ACounts(closed, enum_d, closed_p, enum_p, ok)
 
     d = ctx.d_rho
     closed = {f - d + s: (2 ** (f - d)) * comb(d, s) for s in range(d + 1)}
     enum_pbar = a_histogram(ctx, enumerate_profiles(ctx, "Pbar"))
-    return ACounts("Pbar", closed, enum_pbar, None, None, enum_pbar == closed)
+    return ACounts(closed, enum_pbar, None, None, enum_pbar == closed)
 
 
 def j_dprime(ctx: GaloisContext, profile: WeightProfile) -> int:

@@ -238,10 +238,10 @@ def test_minimal_generators_match_the_tuple_methods(pool):
 def test_hilbert_examples():
     assert hilbert(MonomialIdeal(2, ())) == RationalSeries(IntPoly((1,)), 2)
     got = hilbert(MonomialIdeal(2, (mono(1, 1),)))
-    assert got == RationalSeries(IntPoly((1, 1)), 1)
+    assert got.reduced() == RationalSeries(IntPoly((1, 1)), 1)
     ns2 = nonsplit_context(2, [0])
     got = hilbert(a_lambda(ns2, prof("X0", "X0")))
-    assert got == RationalSeries(IntPoly((1, 1)), 2)
+    assert got.reduced() == RationalSeries(IntPoly((1, 1)), 2)
     assert expand(got, 6) == standard_counts_naive(a_lambda(ns2, prof("X0", "X0")), 6)
 
 
@@ -252,7 +252,7 @@ def test_hilbert_closed_form_per_profile(f):
     for ctx in reducible_contexts(f):
         for lam in enumerate_profiles(ctx, "P"):
             a = profile_stats(ctx, lam).a_set.bit_count()
-            assert hilbert(a_lambda(ctx, lam)) == RationalSeries(IntPoly((1, 1)) ** a, f)
+            assert hilbert(a_lambda(ctx, lam)).reduced() == RationalSeries(IntPoly((1, 1)) ** a, f)
 
 
 def test_hilbert_vs_naive_all_window_ideals():
@@ -546,7 +546,7 @@ def test_window_tables_equal_their_unshared_tables_at_f4(spec, trunc):
 
 def test_a_lone_table_keeps_no_key_memo():
     """With ``offsets=None`` no key is reused, so the table is built without the per-degree key memo."""
-    small = MonomialIdeal(6, (Monomial.variable(6, 0, 8),))  # 876 entries at f = 3, trunc 7
+    small = MonomialIdeal(6, (Monomial((8, 0, 0, 0, 0, 0)),))  # 876 entries at f = 3, trunc 7
 
     def peak(offsets):  # the table is dropped here: one kept alive changes what the next call's peak reads
         tracemalloc.start()

@@ -42,10 +42,10 @@ def test_context_validation():
     with pytest.raises(ValueError):
         GaloisContext(2, "nonsplit", 0b100)  # index 2 is outside {0, 1}
     with pytest.raises(ValueError):
-        split_context(2, p=20)  # not prime
+        GaloisContext(2, "split", 0b11, p=20)  # not prime
     with pytest.raises(ValueError):
-        split_context(2, p=5)  # below the genericity bound
-    split_context(2, p=47)
+        GaloisContext(2, "split", 0b11, p=5)  # below the genericity bound
+    GaloisContext(2, "split", 0b11, p=47)
 
 
 def test_context_reads_a_case_given_as_its_value():
@@ -69,8 +69,8 @@ def test_case_is_its_string():
 
 
 def test_context_checks_p_but_does_not_store_it():
-    for with_p, without in ((split_context(2, p=47), split_context(2)),
-                            (nonsplit_context(3, [1], p=53), nonsplit_context(3, [1]))):
+    for with_p, without in ((GaloisContext(2, "split", 0b11, p=47), split_context(2)),
+                            (GaloisContext(3, "nonsplit", 0b10, p=53), nonsplit_context(3, [1]))):
         assert with_p == without and hash(with_p) == hash(without)
 
 
@@ -122,7 +122,7 @@ def test_count_by_A_irreducible_f3():
 
 def test_count_by_A_split_f2():
     counts = count_by_A(split_context(2))
-    assert counts.domain == "D"
+    assert counts.closed_p_level == counts.enumerated_p_level == {0: 8, 2: 2}  # over D, and over P
     assert counts.closed == {0: 2, 2: 2}
     assert counts.enumerated == {0: 2, 2: 2}
     assert counts.ok
@@ -130,7 +130,7 @@ def test_count_by_A_split_f2():
 
 def test_count_by_A_nonsplit_f2():
     counts = count_by_A(nonsplit_context(2, [0]))
-    assert counts.domain == "Pbar"
+    assert counts.closed_p_level is counts.enumerated_p_level is None  # over Pbar only
     assert counts.enumerated == {1: 2, 2: 2}
     assert counts.ok
 
